@@ -29,9 +29,11 @@ from .measures import GaussianLaw, WeightedEmpiricalMeasure, kantorovich
 from .transfer import cell_average, green_kubo_sigma2, invariant_density
 
 RETURN_TIME_CAP = 10**9
+# start positions compared per vectorized step of the all-k return search
+_RETURN_WINDOW = 1 << 12
 _BREAKPOINT_TOL = 1e-14
 # interval-pullback depth and center-chain depth for smooth-map cylinders;
-# the split balances endpoint collapse (1e-14 inverse tolerance over the
+# the split balances endpoint collapse (an ulp-level inverse error over the
 # interval width) against the center-vs-mean-value error of the chain
 _EXACT_LEVELS = 20
 _CHAIN_LEVELS = 70
@@ -234,19 +236,24 @@ def return_times_upto(symbols, n: int, cap: int = RETURN_TIME_CAP) -> np.ndarray
 
     Exploits nesting (R_k is nondecreasing in k): the first occurrence of
     the (k+1)-prefix is searched from R_k onward with vectorized window
-    comparison on a buffered stream.
+    comparison on a buffered stream, read only as far as the search window
+    reaches: max R_k + n plus at most one window and one chunk.
     """
     chunks = _iter_symbols(symbols)
     buf = np.empty(0, dtype=np.uint8)
+    size = 0
 
     def extend(target: int) -> bool:
-        nonlocal buf
-        while len(buf) < target:
+        nonlocal buf, size
+        while size < target:
             try:
                 chunk = np.asarray(next(chunks)).ravel()
             except StopIteration:
                 return False
-            buf = np.concatenate([buf, chunk.astype(np.uint8, copy=False)])
+            if size + len(chunk) > len(buf):   # doubling: O(1) copies per symbol
+                buf = np.concatenate([buf[:size], np.empty(max(size, len(chunk)), np.uint8)])
+            buf[size:size + len(chunk)] = chunk
+            size += len(chunk)
         return True
 
     if not extend(n):
@@ -259,10 +266,10 @@ def return_times_upto(symbols, n: int, cap: int = RETURN_TIME_CAP) -> np.ndarray
         found = -1
         pos = start
         while pos <= cap:
-            hi = min(pos + (1 << 16), cap + 1)
-            if not extend(hi + k - 1) and len(buf) < pos + k:
+            hi = min(pos + _RETURN_WINDOW, cap + 1)
+            if not extend(hi + k - 1) and size < pos + k:
                 break
-            hi = min(hi, len(buf) - k + 1)
+            hi = min(hi, size - k + 1)
             if hi <= pos:
                 break
             cand = pos + np.flatnonzero(buf[pos:hi] == word[0])
@@ -284,31 +291,30 @@ def return_times_upto(symbols, n: int, cap: int = RETURN_TIME_CAP) -> np.ndarray
 # cylinder measures in log form along an orbit
 # ---------------------------------------------------------------------------
 
+def _inverse_by_symbol(pmap, sym, y):
+    """Preimage of each y[i] under branch sym[i]."""
+    x = np.empty(len(y))
+    for s, br in enumerate(pmap.branches):
+        m = sym == s
+        if np.any(m):
+            x[m] = br.inverse(y[m])
+    return x
+
+
 def _pullback_interval_layers(pmap, symbols, n, levels):
     """Exact interval pullback of depth min(k, levels) for every k <= n.
 
-    Returns (log_width, center) arrays; for k <= levels the pullback is
-    complete and log_width is the whole cylinder's.
+    Returns (lo, hi) arrays; for k <= levels the pullback is complete and
+    [lo, hi] is the whole depth-k cylinder.
     """
     lo = np.zeros(n)
     hi = np.ones(n)
-    ks = np.arange(1, n + 1)
     for d in range(min(levels, n)):
-        act = ks > d                          # cylinders still being refined
-        idx = np.flatnonzero(act)
-        sym = symbols[idx - d]                # symbol s_{k-d} (1-based k)
-        a = np.empty(len(idx))
-        b = np.empty(len(idx))
-        for s, br in enumerate(pmap.branches):
-            m = sym == s
-            if not np.any(m):
-                continue
-            x1 = br.inverse(lo[idx[m]])
-            x2 = br.inverse(hi[idx[m]])
-            a[m] = np.minimum(x1, x2)
-            b[m] = np.maximum(x1, x2)
-        lo[idx], hi[idx] = a, b
-    return np.log(hi - lo), 0.5 * (lo + hi)
+        sym = symbols[:n - d]                 # symbol s_{k-d} of each k > d
+        x1 = _inverse_by_symbol(pmap, sym, lo[d:])
+        x2 = _inverse_by_symbol(pmap, sym, hi[d:])
+        lo[d:], hi[d:] = np.minimum(x1, x2), np.maximum(x1, x2)
+    return lo, hi
 
 
 def cylinder_log_measures(pmap: PiecewiseMap, symbols: np.ndarray,
@@ -349,38 +355,23 @@ def cylinder_log_measures(pmap: PiecewiseMap, symbols: np.ndarray,
     if points is None:
         raise ValueError("smooth maps need the orbit points for the derivative chain")
     exact = min(_EXACT_LEVELS, n)
-    log_w, center = _pullback_interval_layers(pmap, symbols, n, _EXACT_LEVELS)
-    ks = np.arange(1, n + 1)
+    lo, hi = _pullback_interval_layers(pmap, symbols, n, _EXACT_LEVELS)
     acc = np.zeros(n)
     # derivative chain through pullback centers for levels exact..exact+chain
-    c = center.copy()
+    c = 0.5 * (lo + hi)
     for d in range(exact, min(_EXACT_LEVELS + _CHAIN_LEVELS, n)):
-        act = ks > d
-        idx = np.flatnonzero(act)
-        if len(idx) == 0:
-            break
-        sym = symbols[idx - d]
-        nxt = np.empty(len(idx))
-        for s, br in enumerate(pmap.branches):
-            m = sym == s
-            if np.any(m):
-                nxt[m] = br.inverse(c[idx[m]])
-        c[idx] = nxt
-        acc[idx] -= np.log(np.abs(pmap.derivative(nxt)))
+        c[d:] = _inverse_by_symbol(pmap, symbols[:n - d], c[d:])
+        acc[d:] -= np.log(np.abs(pmap.derivative(c[d:])))
     # orbit-point prefix sums for the remaining outer levels
     depth = _EXACT_LEVELS + _CHAIN_LEVELS
     if n > depth:
         logd = np.log(np.abs(pmap.derivative(points)))
-        prefix = np.concatenate([[0.0], np.cumsum(logd)])
-        tail_k = ks[ks > depth]
-        acc[tail_k - 1] -= prefix[tail_k - depth]
-    log_width = log_w + acc
+        acc[depth:] -= np.cumsum(logd)[:n - depth]
+    log_width = np.log(hi - lo) + acc
     cell = min(int(points[0] * N), N - 1)
     log_h = np.full(n, math.log(density[cell]))
-    lead = min(n, _EXACT_LEVELS)
-    for k in range(1, lead + 1):
-        cylk = cylinder_interval(pmap, symbols[:k])
-        log_h[k - 1] = _log_density_average(density, cylk.lo, cylk.hi)
+    for k in range(exact):
+        log_h[k] = _log_density_average(density, lo[k], hi[k])
     return log_h + log_width
 
 

@@ -22,7 +22,6 @@ from .errors import DomainError, MapDefinitionError
 
 # Mantissa bits reconstructed from the symbol tail in symbolic mode.
 _RECONSTRUCT_BITS = 53
-_BISECT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -30,8 +29,8 @@ class Branch:
     """One monotone branch of a piecewise map.
 
     Linear branches carry slope/intercept and have exact inverses; smooth
-    branches are given by callables and invert by bisection (monotonicity
-    makes bisection unconditionally correct).
+    branches are given by callables and invert by bracketed Newton steps on
+    `dfn` (monotonicity keeps the root in the bracket, so it stays correct).
     """
 
     lo: float
@@ -61,28 +60,37 @@ class Branch:
         if self.is_linear:
             x = (y - self.intercept) / self.slope
         else:
-            x = _bisect_inverse(self.fn, self.lo, self.hi, y)
+            x = _newton_inverse(self.fn, self.dfn, self.lo, self.hi, y)
         return np.clip(x, self.lo, self.hi)
 
 
-def _bisect_inverse(fn, lo, hi, y):
-    """Vectorized bisection for a monotone fn on [lo, hi]."""
-    scalar = np.ndim(y) == 0
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    a = np.full(y.shape, lo)
-    b = np.full(y.shape, hi)
-    increasing = fn(np.asarray(hi)) >= fn(np.asarray(lo))
-    # ~50 halvings take the bracket below 1e-14 on a unit interval
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        fm = fn(mid)
-        go_right = (fm < y) if increasing else (fm > y)
-        a = np.where(go_right, mid, a)
-        b = np.where(go_right, b, mid)
-        if np.max(b - a) < _BISECT_TOL:
+# Newton has converged once a step is a few ulps of 1; the step bound covers
+# a bracket halved down to one ulp
+_NEWTON_TOL = 4.0 * np.finfo(float).eps
+_NEWTON_MAX_STEPS = 64
+
+
+def _newton_inverse(fn, dfn, lo, hi, y):
+    """Vectorized Newton for a monotone fn on [lo, hi] from the chord start,
+    kept in a per-point bracket: a step leaving the closed bracket becomes
+    its midpoint, and a zero residual (a bracket end) gives a zero step."""
+    f_lo, f_hi = float(fn(np.asarray(lo))), float(fn(np.asarray(hi)))
+    rising = f_hi > f_lo
+    a = np.full(y.shape, float(lo))
+    b = np.full(y.shape, float(hi))
+    x = np.clip(lo + (y - f_lo) * ((hi - lo) / (f_hi - f_lo)), lo, hi)
+    for _ in range(_NEWTON_MAX_STEPS):
+        r = fn(x) - y
+        left = (r < 0.0) == rising           # x lies left of the root
+        a = np.where(left, x, a)
+        b = np.where(left, b, x)
+        nxt = x - r / dfn(x)
+        nxt = np.where((nxt < a) | (nxt > b), 0.5 * (a + b), nxt)
+        step = np.max(np.abs(nxt - x), initial=0.0)
+        x = nxt
+        if step <= _NEWTON_TOL:
             break
-    out = 0.5 * (a + b)
-    return float(out[0]) if scalar else out
+    return x
 
 
 @dataclass(frozen=True)
@@ -594,11 +602,11 @@ def orbit_value_chunks(pmap: PiecewiseMap, u: Observable, seed: int, total: int,
             done += m
 
 
-def symbol_chunks(pmap: PiecewiseMap, seed: int, chunk: int = 1 << 20,
+def symbol_chunks(pmap: PiecewiseMap, seed: int, chunk: int = 1 << 12,
                   limit: int | None = None) -> Iterator[np.ndarray]:
     """Stream branch symbols of a fresh orbit in chunks (unbounded unless
     `limit` is given).  Symbolic maps draw symbols directly; float maps
-    iterate and classify."""
+    iterate and classify.  The stream does not depend on `chunk`."""
     produced = 0
     if pmap.dyadic_exact:
         src = _SymbolSource(seed, pmap.n_branches)

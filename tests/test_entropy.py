@@ -9,6 +9,7 @@ from ergostat.errors import DegenerateVarianceError, DomainError
 from ergostat.maps import make_map, orbit, symbol_chunks
 from ergostat.transfer import invariant_density
 from ergostat.entropy import (
+    _RETURN_WINDOW,
     CylinderInterval,
     cylinder_interval,
     cylinder_log_measures,
@@ -193,6 +194,33 @@ def test_return_times_upto_consistent(doubling):
         assert np.all(np.diff(upto[upto > 0]) >= 0)
 
 
+def _counted(stream, pulled):
+    for chunk in stream:
+        pulled.append(len(chunk))
+        yield chunk
+
+
+@pytest.mark.parametrize("name", ["perturbed-doubling", "doubling"])
+def test_return_times_upto_independent_of_stream_chunking(name):
+    # float iteration carries x across chunks and symbolic draws come in
+    # fixed blocks, so a seed defines one stream whatever the chunk size;
+    # the search reads it only as far as its last window reaches
+    pmap = make_map(name)
+    n = 12
+    for seed in (1, 2):
+        whole = np.concatenate(list(symbol_chunks(pmap, seed=seed, limit=1 << 17)))
+        expected = return_times_upto(whole, n)
+        assert np.all(expected > 0)
+        for k in range(1, n + 1):
+            assert return_time(whole, k) == expected[k - 1]
+        for chunk in (1, 7, 4096, 1 << 20):
+            pulled = []
+            got = return_times_upto(
+                _counted(symbol_chunks(pmap, seed=seed, chunk=chunk), pulled), n)
+            assert np.array_equal(got, expected)
+            assert sum(pulled) <= expected.max() + n + _RETURN_WINDOW + chunk
+
+
 def test_return_time_exponential_law(doubling):
     # R_n * mu(P_n) is asymptotically Exp(1): unit mean (Kac)
     n = 10
@@ -227,6 +255,55 @@ def test_log_measures_smooth_match_direct(perturbed):
     # large depth: per-level measure decay approaches the entropy
     h_rok = rokhlin_entropy(perturbed, h)
     assert -lm[-1] / 400 == pytest.approx(h_rok, rel=0.05)
+
+
+def _mp_log_width(mpmath, eps, word):
+    """log width of the cylinder of `word` by a bisection pullback at 50
+    digits, for the map f(x) = 2x + eps sin(2 pi x) mod 1 as the program
+    builds it (eps and 2 pi rounded to float64)."""
+    mp = mpmath.mp
+    eps, two_pi = mp.mpf(eps), mp.mpf(2.0 * math.pi)
+    lo, hi = (mp.mpf(0), mp.mpf(0.5)) if word[-1] == 0 else (mp.mpf(0.5), mp.mpf(1))
+    for s in reversed(word[:-1]):
+        ends = []
+        for y in (lo, hi):
+            a, b = mp.mpf(s) / 2, mp.mpf(s + 1) / 2
+            for _ in range(170):          # 2^-170 is below 1e-51
+                mid = (a + b) / 2
+                if 2 * mid - s + eps * mp.sin(two_pi * mid) < y:
+                    a = mid
+                else:
+                    b = mid
+            ends.append(a)
+        lo, hi = ends
+    return mp.log(hi - lo)
+
+
+def test_cylinder_log_widths_match_mpmath_pullback(perturbed):
+    # Both cylinder paths invert branches by bracketed Newton to an ulp.
+    # The old 60-step bisection stopped at a 1e-14 bracket and was off by
+    # 8e-11 .. 2e-10 at depth 15 and 9e-10 .. 7.5e-9 at depth 20 on these
+    # seeds, failing both bounds below.  At depth 20 (width ~1e-6) rounding
+    # the two endpoints to float64 alone moves log width by up to
+    # spacing(hi) / width, 1e-10 for hi in [0.5, 1), so no float64 pullback
+    # meets 1e-11 there for every word: the bound at depth 20 is four such
+    # spacings (the levels before the last add at most as much again, and
+    # Newton stops within an ulp, not half of one).
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    flat = np.ones(2048)                   # log mu = log width
+    for seed in (1, 2, 3, 4):
+        orb = orbit(perturbed, seed=seed, n=20)
+        lm = cylinder_log_measures(perturbed, orb.symbols, flat, points=orb.points)
+        for k in (5, 10, 15, 20):
+            word = [int(s) for s in orb.symbols[:k]]
+            exact = _mp_log_width(mpmath, 0.05, word)
+            cyl = cylinder_interval(perturbed, word)
+            bound = 1e-11
+            if k == 20:
+                bound = max(bound, 4.0 * np.spacing(cyl.hi) / cyl.width)
+            for got in (math.log(cyl.width), lm[k - 1]):
+                assert abs(float(got - exact)) <= bound, (seed, k)
 
 
 # -- SMB / OW runs --------------------------------------------------------------

@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergostat.errors import DomainError, MapDefinitionError
 from ergostat.maps import (
+    Branch,
     birkhoff_sums,
     coboundary,
     coin,
@@ -78,6 +83,61 @@ def test_branch_inverse_roundtrip(name):
         assert np.max(np.abs(back - xs[mask])) < 1e-10
         # forward through the branch recovers the image to 1e-12
         assert np.max(np.abs(br(back) - ys[mask])) < 1e-12
+
+
+def _counting(br):
+    """Copy of a branch whose fn records every point it is evaluated at."""
+    seen = []
+
+    def fn(x):
+        seen.append(np.array(x, dtype=float, copy=True))
+        return br.fn(x)
+    return replace(br, fn=fn), seen
+
+
+# Newton from the chord start converges in ~6 steps on these branches; a
+# 60-step bisection makes ~50 evaluations, so 12 shows the Newton steps
+# carry the inverse (two evaluations price the branch ends)
+_INVERSE_EVALS = 12
+
+
+@settings(max_examples=60, deadline=None)
+@given(eps=st.floats(0.001, 0.15), seed=st.integers(0, 2**32 - 1))
+def test_smooth_inverse_newton_accurate_and_bounded(eps, seed):
+    # eps = 0.15 takes the minimum slope 2 - 0.3 pi down to 1.06
+    m = make_map("perturbed-doubling", eps=eps)
+    ys = np.random.default_rng(seed).random(257)
+    ys[:2] = (0.0, 1.0)                  # the exact ends of the image
+    for br in m.branches:
+        counted, seen = _counting(br)
+        xs = counted.inverse(ys)
+        assert len(seen) <= _INVERSE_EVALS
+        assert np.all((xs >= br.lo) & (xs <= br.hi))
+        # a converged root is within a few ulps of the answer in image space
+        assert np.max(np.abs(br(xs[2:]) - ys[2:])) <= 4 * np.finfo(float).eps
+
+
+def test_smooth_inverse_edge_cases():
+    m = make_map("perturbed-doubling", eps=0.15)
+    f0, f1 = m.branches
+    # y = 0 and y = 1 exactly map to the branch ends
+    assert f0.inverse(np.array([0.0, 1.0])).tolist() == [0.0, 0.5]
+    assert f1.inverse(np.array([0.0, 1.0])).tolist() == [0.5, 1.0]
+    assert float(f0.inverse(0.0)) == 0.0 and float(f1.inverse(1.0)) == 1.0
+    # an iterate that hits the root exactly (zero residual) sits on a bracket
+    # end; it must be kept, not sent back to the bracket midpoint
+    square = Branch(lo=0.5, hi=1.0, fn=lambda x: x * x, dfn=lambda x: 2.0 * x)
+    counted, seen = _counting(square)
+    assert float(counted.inverse(0.5625)) == 0.75
+    hit = next(i for i, x in enumerate(seen) if float(x) == 0.75)
+    assert all(float(x) == 0.75 for x in seen[hit:])
+    assert len(seen) <= _INVERSE_EVALS
+    # the chord start of a smooth-given linear branch is the root itself
+    line = Branch(lo=0.0, hi=0.5, fn=lambda x: 2.0 * x, dfn=lambda x: 2.0 + 0.0 * x)
+    counted, seen = _counting(line)
+    ys = np.array([0.1, 0.3, 0.7])
+    assert np.array_equal(counted.inverse(ys), ys / 2.0)
+    assert len(seen) == 3
 
 
 def test_symbolic_orbit_never_collapses():
