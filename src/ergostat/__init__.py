@@ -33,7 +33,6 @@ from .measures import (  # noqa: F401
     build_empirical,
     kantorovich,
     kantorovich_bruteforce,
-    law_cdf,
 )
 from .transfer import (  # noqa: F401
     PressureCurve,
@@ -51,7 +50,6 @@ from .erdos_renyi import (  # noqa: F401
     er_law_check,
     decoupling_check,
     ld_probability_mc,
-    moving_max,
     rate_estimator,
 )
 from .entropy import (  # noqa: F401
@@ -59,7 +57,6 @@ from .entropy import (  # noqa: F401
     cylinder_measure,
     itinerary,
     ow_run,
-    return_time,
     rokhlin_entropy,
     smb_run,
 )

@@ -42,7 +42,6 @@ from .transfer import (
     legendre,
     pressure_curve,
 )
-from .measures import GaussianLaw  # noqa: F401  (re-export convenience)
 from .asclt import asclt_run, default_checkpoints, maxima_run
 from .erdos_renyi import (
     decoupling_check,

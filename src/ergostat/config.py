@@ -17,7 +17,6 @@ from .errors import ConfigError
 # kinds: int, float, str, bool, int_list, float_list
 # constraint: (predicate, message) or None; None default means required-if-used
 _POSITIVE = (lambda v: v > 0, "must be positive")
-_NONNEG = (lambda v: v >= 0, "must be nonnegative")
 
 SCHEMA: dict[str, dict[str, tuple]] = {
     "map": {
@@ -63,7 +62,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "alpha": ("float", 0.2, None),
         "k_grid": ("int_list", [50, 100, 200], (lambda v: all(x > 0 for x in v),
                                                 "window lengths must be positive")),
-        "epsilon": ("float", 0.5, _NONNEG),
         "length_cap": ("int", 2**32, _POSITIVE),
     },
     "rate_curve": {
@@ -201,10 +199,6 @@ def serialize_config_values(values: dict) -> str:
             out.append(f"{key} = {rendered}")
         out.append("")
     return "\n".join(out)
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    return cfg.canonical
 
 
 def build_map(cfg: ExperimentConfig):

@@ -9,9 +9,9 @@ derivative chain along the orbit (distortion sums converge geometrically,
 so the glue error stays below ~1e-8).
 
 Return times R_k of the leading k-word are detected in the orbit's own
-symbol stream: the single-k scan is a prefix-function automaton, the
-all-k-up-to-n variant restarts a vectorized first-occurrence search from
-R_{k-1} (returns are nested).  Both are censored at a hard symbol cap.
+symbol stream: the search for every k up to n restarts a vectorized
+first-occurrence search from R_{k-1} (returns are nested) and is censored
+at a hard symbol cap.
 """
 
 from __future__ import annotations
@@ -40,12 +40,6 @@ _CHAIN_LEVELS = 70
 
 
 @dataclass(frozen=True)
-class Itinerary:
-    origin: float
-    symbols: np.ndarray
-
-
-@dataclass(frozen=True)
 class CylinderInterval:
     lo: float
     hi: float
@@ -57,7 +51,7 @@ class CylinderInterval:
         return self.hi - self.lo
 
 
-def itinerary(pmap: PiecewiseMap, x: float, n: int) -> Itinerary:
+def itinerary(pmap: PiecewiseMap, x: float, n: int) -> np.ndarray:
     """First n branch symbols of x under float iteration.
 
     Iterates that land within 1e-14 of a partition point are rejected (the
@@ -79,7 +73,7 @@ def itinerary(pmap: PiecewiseMap, x: float, n: int) -> Itinerary:
                 "partition point; itinerary ambiguous (retry with a fresh point)")
         syms[t] = int(pmap.branch_index(pt))
         pt = float(pmap.apply(pt))
-    return Itinerary(origin=x0, symbols=syms)
+    return syms
 
 
 def cylinder_interval(pmap: PiecewiseMap, symbols) -> CylinderInterval:
@@ -149,86 +143,11 @@ def _log_density_average(density: np.ndarray, lo: float, hi: float) -> float:
 # return times
 # ---------------------------------------------------------------------------
 
-def _prefix_function(pattern: np.ndarray) -> np.ndarray:
-    pi = np.zeros(len(pattern), dtype=np.int64)
-    j = 0
-    for i in range(1, len(pattern)):
-        while j > 0 and pattern[i] != pattern[j]:
-            j = int(pi[j - 1])
-        if pattern[i] == pattern[j]:
-            j += 1
-        pi[i] = j
-    return pi
-
-
 def _iter_symbols(symbols) -> Iterator[np.ndarray]:
     if isinstance(symbols, np.ndarray):
         yield symbols
         return
     yield from symbols
-
-
-def return_time(symbols, n: int, cap: int = RETURN_TIME_CAP) -> int | None:
-    """R_n = smallest k >= 1 with symbols[k : k+n] equal to symbols[0 : n].
-
-    Prefix-function (failure automaton) scan: O(1) amortized per symbol,
-    O(n) memory, works on an array or an iterator of numpy chunks.  Returns
-    None when no recurrence shows up within `cap` symbols (censored); the
-    caller decides how to report the censoring.
-    """
-    if n < 1:
-        raise ValueError("pattern depth must be >= 1")
-    chunks = _iter_symbols(symbols)
-    pattern: list[int] = []
-    buffered = np.empty(0, dtype=np.int64)
-    while len(pattern) < n:
-        try:
-            chunk = np.asarray(next(chunks)).ravel()
-        except StopIteration:
-            raise ValueError(f"stream shorter than the pattern depth {n}")
-        need = n - len(pattern)
-        pattern.extend(int(v) for v in chunk[:need])
-        buffered = chunk[need:]
-    pat = np.asarray(pattern, dtype=np.int64)
-    pi = _prefix_function(pat)
-
-    state = 0
-    t = 1  # stream index of the next text symbol (text = stream shifted by 1)
-
-    def feed(block) -> int | None:
-        nonlocal state, t
-        for c in block:
-            c = int(c)
-            while state > 0 and c != pat[state]:
-                state = int(pi[state - 1])
-            if c == pat[state]:
-                state += 1
-            t += 1
-            if state == n:
-                return t - n  # occurrence start = return time
-        return None
-
-    # a return time R <= cap ends by stream position cap + n - 1, so trim
-    # the text there; returns may overlap the leading word, so the text
-    # starts with the pattern's own tail before fresh symbols arrive
-    last = cap + n - 1
-
-    def budget(block):
-        block = np.asarray(block).ravel()
-        return block[: max(last - t + 1, 0)]
-
-    hit = feed(budget(pat[1:]))
-    if hit is None:
-        hit = feed(budget(buffered))
-    if hit is not None:
-        return hit
-    for chunk in chunks:
-        if t > last:
-            return None
-        hit = feed(budget(chunk))
-        if hit is not None:
-            return hit
-    return None
 
 
 def return_times_upto(symbols, n: int, cap: int = RETURN_TIME_CAP) -> np.ndarray:
@@ -417,8 +336,7 @@ def _entropy_run(pmap, n, seed, checkpoints, kind, eps, resolution, cap, sigma2)
             "entropy CLT degenerates and the run is refused")
     h = rokhlin_entropy(pmap, h_table)
     orb = orbit(pmap, seed, n)
-    log_mu = cylinder_log_measures(pmap, orb.symbols, h_table,
-                                   points=None if pmap.dyadic_exact else orb.points)
+    log_mu = cylinder_log_measures(pmap, orb.symbols, h_table, points=orb.points)
     ks = np.arange(1, n + 1, dtype=float)
     minus_log_mu = -log_mu
     if kind == "smb":

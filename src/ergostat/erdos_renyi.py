@@ -17,13 +17,12 @@ joint-exceedance decoupling.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .maps import Observable, PiecewiseMap, _SymbolSource, orbit_value_chunks, _rng
+from .maps import Observable, PiecewiseMap, orbit_value_chunks, trial_value_blocks
 from .transfer import RateFunction
 
 LENGTH_CAP = 2**32          # hard cap on required stream length
@@ -33,34 +32,6 @@ MC_EXPONENT_CAP = 12.0      # direct MC refuses when k*phi(alpha) exceeds this
 # ---------------------------------------------------------------------------
 # window maxima
 # ---------------------------------------------------------------------------
-
-def moving_max(values, k: int) -> tuple[float, int]:
-    """Maximum window sum of length k over a value sequence, with argmax.
-
-    Linear prefix-sum scan with a k-lag delay line (the monotone queue of
-    sliding-window maxima degenerates to a pure delay for one fixed k);
-    accepts any iterable and keeps O(k) memory.
-    """
-    if k < 1:
-        raise ValueError("window length must be positive")
-    lag: deque[float] = deque([0.0])
-    best = -math.inf
-    best_j = -1
-    prefix = 0.0
-    count = 0
-    for v in values:
-        prefix += float(v)
-        count += 1
-        lag.append(prefix)
-        if len(lag) > k:
-            window = prefix - lag.popleft()
-            j = count - k
-            if window > best:
-                best, best_j = window, j
-    if count < k:
-        raise ValueError(f"stream of length {count} is shorter than the window {k}")
-    return best, best_j
-
 
 def _moving_max_chunked(chunks, k: int, n_windows: int) -> tuple[float, int]:
     """Streaming scan over numpy value chunks: max window sum over windows
@@ -114,34 +85,6 @@ class ErdosRenyiSeries:
     band: float                   # 1/(2 beta)
 
 
-def _branch_constant_values(pmap: PiecewiseMap, u: Observable) -> np.ndarray | None:
-    """Per-branch value table when u is constant on each branch cell, else None."""
-    vals = []
-    for br in pmap.branches:
-        xs = np.linspace(br.lo, br.hi, 33, endpoint=False)[1:]
-        ys = u(xs)
-        if np.ptp(ys) > 1e-14:
-            return None
-        vals.append(float(ys[0]))
-    return np.array(vals)
-
-
-def _value_chunks(pmap: PiecewiseMap, u: Observable, seed: int, total: int,
-                  chunk: int = 1 << 20):
-    """u along an orbit, using the branch-value table when u is measurable
-    with respect to the branch partition (exact and much faster)."""
-    table = _branch_constant_values(pmap, u) if pmap.dyadic_exact else None
-    if table is None:
-        yield from orbit_value_chunks(pmap, u, seed, total, chunk)
-        return
-    src = _SymbolSource(seed, pmap.n_branches)
-    done = 0
-    while done < total:
-        m = min(chunk, total - done)
-        yield table[src.take(m)]
-        done += m
-
-
 def er_law_check(pmap: PiecewiseMap, u: Observable, alpha: float, rate: RateFunction,
                  k_grid, seed: int, length_cap: int = LENGTH_CAP) -> ErdosRenyiSeries:
     """Window maxima over the [exp(k phi(alpha))] - k windows of the almost-sure law.
@@ -170,7 +113,7 @@ def er_law_check(pmap: PiecewiseMap, u: Observable, alpha: float, rate: RateFunc
         length = max(int(needed), k)
         n_windows = max(length - k + 1, 1)
         m_vals[i], _ = _moving_max_chunked(
-            _value_chunks(pmap, u, seed, length), k, n_windows)
+            orbit_value_chunks(pmap, u, seed, length), k, n_windows)
         counts[i] = n_windows
     logs = np.log(k_grid.astype(float))
     return ErdosRenyiSeries(
@@ -247,51 +190,11 @@ class LdEstimate:
 
 
 def _trial_sums(pmap: PiecewiseMap, u: Observable, k: int, r: int, trials: int,
-                seed: int, chunk: int = 1 << 14):
-    """Yield (S_k, S_k o f^r) pairs over independent Lebesgue starts, chunked.
-
-    Dyadic maps read disjoint symbol blocks (exactly independent trials),
-    either through a per-branch value table when u is branch-measurable or
-    by reconstructing points from the block's symbol tails.  Other maps
-    iterate float orbits from uniform starts.
-    """
-    from .maps import _symbol_tail_depth, points_from_symbols
-
-    span = k + r
-
-    def _sums_from_values(vals):
+                seed: int):
+    """Yield (S_k, S_k o f^r) pairs over independent Lebesgue starts, chunked."""
+    for vals in trial_value_blocks(pmap, u, k + r, trials, seed):
         csum = np.cumsum(vals, axis=1)
-        s_first = csum[:, k - 1]
-        s_shift = csum[:, r + k - 1] - (csum[:, r - 1] if r > 0 else 0.0)
-        return s_first, s_shift
-
-    if pmap.dyadic_exact:
-        table = _branch_constant_values(pmap, u)
-        depth = 0 if table is not None else _symbol_tail_depth(pmap)
-        width = span + depth
-        src = _SymbolSource(seed, pmap.n_branches)
-        done = 0
-        while done < trials:
-            m = min(chunk, trials - done)
-            block = src.take(m * width).reshape(m, width)
-            if table is not None:
-                vals = table[block[:, :span]]
-            else:
-                vals = u(points_from_symbols(pmap, block, span))
-            yield _sums_from_values(vals)
-            done += m
-    else:
-        gen = _rng(seed)
-        done = 0
-        while done < trials:
-            m = min(chunk, trials - done)
-            x = gen.random(m)
-            vals = np.empty((m, span))
-            for j in range(span):
-                vals[:, j] = u(x)
-                x = pmap.apply(x)
-            yield _sums_from_values(vals)
-            done += m
+        yield csum[:, k - 1], csum[:, r + k - 1] - (csum[:, r - 1] if r > 0 else 0.0)
 
 
 def ld_probability_mc(pmap: PiecewiseMap, u: Observable, alpha: float, k: int,

@@ -1,13 +1,20 @@
 """Piecewise expanding interval maps, observables, and orbit generation.
 
 A map is a finite family of monotone C2 branches on a partition of [0,1].
-Orbits come in two modes: plain floating-point iteration, and a symbolic
-mode for maps with integer-slope full branches (doubling, tent, uniform
-b-branch linear maps).  For those maps float iteration sheds one mantissa
-bit per step and collapses onto 0 after ~53 steps, so the symbolic mode
-draws the i.i.d.-uniform branch itinerary directly from a seeded generator
-and reconstructs points from the itinerary tail; the resulting orbit is
-distributionally exact under Lebesgue initial conditions.
+This module is the only one that knows how an orbit is made; `_orbit_mode`
+decides it once per map:
+
+- symbolic, for uniform b-branch full-branch linear maps with |slope| = b
+  (doubling, tent, "linear", and custom maps of that shape): the
+  i.i.d.-uniform branch itinerary is drawn from a seeded generator and
+  points are reconstructed from the itinerary tail, which is
+  distributionally exact under Lebesgue initial conditions;
+- refused with DomainError, for other piecewise-linear maps whose float
+  iteration degenerates: slopes that are all powers of two shed a mantissa
+  bit per step and collapse within ~53 steps, and any other linear map
+  whose float orbit from a fixed start falls onto a cycle within 4096 steps;
+- float iteration, for everything else.  A float stream that falls onto a
+  cycle later raises DomainError instead of yielding the chunk.
 """
 
 from __future__ import annotations
@@ -99,8 +106,6 @@ class PiecewiseMap:
 
     `expansion_exponent` m and `expansion_constant` eta certify
     |(f^m)'| > eta on the partition (checked on a grid at construction).
-    `dyadic_exact` marks maps whose float iteration is degenerate and whose
-    symbolic orbits are exact (integer-slope full-branch maps).
     """
 
     name: str
@@ -108,12 +113,21 @@ class PiecewiseMap:
     branches: tuple[Branch, ...]
     expansion_exponent: int = 1
     expansion_constant: float = 1.5
-    dyadic_exact: bool = False
     descriptor: dict = field(default_factory=dict)
 
     @property
     def n_branches(self) -> int:
         return len(self.branches)
+
+    @property
+    def dyadic_exact(self) -> bool:
+        """True for maps whose symbolic orbits are exact: all branches
+        linear and full on a uniform partition, with |slope| = n_branches."""
+        b = self.n_branches
+        uniform = np.allclose(self.breakpoints, np.linspace(0.0, 1.0, b + 1),
+                              rtol=0.0, atol=1e-12)
+        return uniform and all(br.is_linear and abs(br.slope) == b and _is_full_branch(br)
+                               for br in self.branches)
 
     def branch_index(self, x):
         """Index i with x in [a_i, a_{i+1})."""
@@ -225,14 +239,6 @@ def _linear_map(name: str, slopes: Sequence[float], descriptor: dict) -> Piecewi
         # anchor the branch image at 0 (rising) or 1 at the left end (falling)
         intercept = -s * lo if s > 0 else 1.0 - s * lo
         branches.append(_linear_branch(lo, hi, s, intercept))
-    abs_slopes = {abs(float(s)) for s in slopes}
-    full = all(_is_full_branch(br) for br in branches)
-    dyadic = (
-        full
-        and len(abs_slopes) == 1
-        and abs(next(iter(abs_slopes)) - b) < 1e-12
-        and float(next(iter(abs_slopes))).is_integer()
-    )
     eta = min(abs(float(s)) for s in slopes)
     m = PiecewiseMap(
         name=name,
@@ -240,7 +246,6 @@ def _linear_map(name: str, slopes: Sequence[float], descriptor: dict) -> Piecewi
         branches=tuple(branches),
         expansion_exponent=1,
         expansion_constant=eta,
-        dyadic_exact=dyadic,
         descriptor=descriptor,
     )
     m.validate()
@@ -278,7 +283,6 @@ def _perturbed_doubling(eps: float, descriptor: dict) -> PiecewiseMap:
         branches=branches,
         expansion_exponent=1,
         expansion_constant=2.0 - eps * two_pi,
-        dyadic_exact=False,
         descriptor=descriptor,
     )
     m.validate()
@@ -457,12 +461,39 @@ class Orbit:
     def __len__(self) -> int:
         return len(self.points)
 
-    def to_csv(self, path) -> None:
-        lines = ["step,x,symbol"]
-        lines.extend(f"{t},{x:.17g},{int(s)}"
-                     for t, (x, s) in enumerate(zip(self.points, self.symbols)))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+
+_SYMBOLIC = "symbolic-exact"
+_FLOAT = "float-iterate"
+
+# A float orbit whose next point is one of its last _RECENT points has
+# fallen onto a cycle; a Lebesgue-typical float orbit of an expanding map
+# comes back to a point only after ~2^26 steps.  Linear maps are probed
+# from _PROBE_STARTS fixed starts for _RECENT steps before they stream.
+_RECENT = 4096
+_PROBE_STARTS = 4
+
+
+def _cycle_error(pmap: PiecewiseMap, orbit_of: str) -> DomainError:
+    return DomainError(f"{pmap.name}: the float orbit {orbit_of} falls onto a cycle; "
+                       "float iteration of this map degenerates")
+
+
+def _orbit_mode(pmap: PiecewiseMap) -> str:
+    """How orbits of pmap are made: the one place this is decided."""
+    if pmap.dyadic_exact:
+        return _SYMBOLIC
+    if not all(br.is_linear for br in pmap.branches):
+        return _FLOAT
+    if all(math.frexp(abs(br.slope))[0] == 0.5 for br in pmap.branches):
+        raise DomainError(
+            f"{pmap.name}: every slope is a power of two, so float iteration "
+            "sheds a mantissa bit per step and collapses within ~53 steps, and "
+            "the map is not a uniform full-branch map with exact symbolic orbits")
+    for x in _rng(0).random(_PROBE_STARTS):
+        pts, nxt = _float_orbit_chunk(pmap, float(x), _RECENT)
+        if np.any(pts == nxt):
+            raise _cycle_error(pmap, f"from {float(x)!r}")
+    return _FLOAT
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -519,37 +550,6 @@ def points_from_symbols(pmap: PiecewiseMap, symbols: np.ndarray, n: int) -> np.n
     return x
 
 
-def orbit(pmap: PiecewiseMap, seed: int, n: int, mode: str | None = None,
-          x0: float | None = None) -> Orbit:
-    """Generate an orbit of length n.
-
-    mode defaults to "symbolic-exact" for dyadic-exact maps and
-    "float-iterate" otherwise.  x0 forces a float-iterate start point
-    (otherwise the start is drawn uniformly from the seed).
-    """
-    if n < 1:
-        raise ValueError("orbit length must be >= 1")
-    if mode is None:
-        mode = "symbolic-exact" if (pmap.dyadic_exact and x0 is None) else "float-iterate"
-    if mode == "symbolic-exact":
-        if not pmap.dyadic_exact:
-            raise DomainError(f"symbolic-exact orbits are only defined for "
-                              f"integer-slope full-branch maps, not {pmap.name}")
-        if x0 is not None:
-            raise DomainError("symbolic-exact mode draws its own start; x0 not allowed")
-        depth = _symbol_tail_depth(pmap)
-        syms = _SymbolSource(seed, pmap.n_branches).take(n + depth)
-        pts = points_from_symbols(pmap, syms, n)
-        return Orbit(seed=seed, mode=mode, points=pts, symbols=syms[:n])
-    if mode != "float-iterate":
-        raise ValueError(f"unknown orbit mode {mode!r}")
-    if x0 is None:
-        x0 = float(_rng(seed).random())
-    pts, _ = _float_orbit_chunk(pmap, float(x0), n)
-    syms = pmap.branch_index(pts)
-    return Orbit(seed=seed, mode=mode, points=pts, symbols=syms)
-
-
 def _float_orbit_chunk(pmap: PiecewiseMap, x: float, m: int) -> tuple[np.ndarray, float]:
     """Fill a chunk of a float-iterated orbit starting at x; returns the
     chunk and the next start point.  Scalar fast path: avoids the vector
@@ -573,54 +573,131 @@ def _float_orbit_chunk(pmap: PiecewiseMap, x: float, m: int) -> tuple[np.ndarray
     return out, x
 
 
-def orbit_value_chunks(pmap: PiecewiseMap, u: Observable, seed: int, total: int,
-                       chunk: int = 1 << 20) -> Iterator[np.ndarray]:
-    """Stream u along an orbit of length `total` in chunks, O(chunk) memory.
+def _orbit_chunks(pmap: PiecewiseMap, seed: int, total: int | None, chunk: int,
+                  mode: str, points: bool = True
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """The orbit of `seed` as (symbols, points) chunks of at most `chunk`
+    steps, `total` steps in all (None: without end).
 
-    Symbolic maps draw itinerary chunks with a reconstruction lookahead;
-    other maps iterate in float, carrying the current point across chunks.
+    Symbolic mode draws the itinerary from the seed's `_SymbolSource` and
+    carries the reconstruction lookahead across chunks; `points=False`
+    skips the reconstruction and yields None for points.  Float mode starts
+    at a uniform draw from the seed and carries the current point across
+    chunks; it raises DomainError in place of a chunk after which the orbit
+    returns to one of its last _RECENT points.  Either way the stream does
+    not depend on `chunk`.
     """
-    if pmap.dyadic_exact:
-        depth = _symbol_tail_depth(pmap)
-        src = _SymbolSource(seed, pmap.n_branches)
-        carry = src.take(depth)
+    def sizes():
         done = 0
-        while done < total:
-            m = min(chunk, total - done)
-            syms = np.concatenate([carry, src.take(m)])
-            pts = points_from_symbols(pmap, syms, m)
-            yield u(pts)
-            carry = syms[m:]
+        while total is None or done < total:
+            m = chunk if total is None else min(chunk, total - done)
+            yield m
             done += m
+
+    if mode == _SYMBOLIC:
+        src = _SymbolSource(seed, pmap.n_branches)
+        ahead = _symbol_tail_depth(pmap) if points else 0
+        syms = src.take(ahead) if ahead else np.empty(0, dtype=np.uint8)
+        for m in sizes():
+            syms = np.concatenate([syms, src.take(m)])
+            yield syms[:m], (points_from_symbols(pmap, syms, m) if points else None)
+            syms = syms[m:]
     else:
         x = float(_rng(seed).random())
-        done = 0
-        while done < total:
-            m = min(chunk, total - done)
+        recent = np.empty(0)
+        for m in sizes():
             pts, x = _float_orbit_chunk(pmap, x, m)
-            yield u(pts)
-            done += m
+            recent = np.concatenate([recent, pts[-_RECENT:]])[-_RECENT:]
+            if np.any(recent == x):
+                raise _cycle_error(pmap, f"of seed {seed}")
+            yield pmap.branch_index(pts), pts
+
+
+def orbit(pmap: PiecewiseMap, seed: int, n: int, x0: float | None = None) -> Orbit:
+    """The first n points of the orbit of `seed`, with their symbols.
+
+    The map decides the mode (see `_orbit_mode`); x0 instead float-iterates
+    from that point, whatever the map.
+    """
+    if n < 1:
+        raise ValueError("orbit length must be >= 1")
+    if x0 is not None:
+        pts, _ = _float_orbit_chunk(pmap, float(x0), n)
+        return Orbit(seed=seed, mode=_FLOAT, points=pts, symbols=pmap.branch_index(pts))
+    mode = _orbit_mode(pmap)
+    syms, pts = next(_orbit_chunks(pmap, seed, n, n, mode))
+    return Orbit(seed=seed, mode=mode, points=pts, symbols=syms)
+
+
+def _branch_values(pmap: PiecewiseMap, u: Observable) -> np.ndarray | None:
+    """u on each branch cell when u is certified constant there, else None.
+
+    Each cell is sampled at its left end, its middle and the float below its
+    right end.  When the samples agree within every cell and their summed
+    variation reaches u's variation bound, no variation is left for u inside
+    any cell.  Observables without a variation bound are never certified.
+    """
+    if u.variation_bound is None:
+        return None
+    bp = pmap.breakpoints
+    xs = np.stack([bp[:-1], 0.5 * (bp[:-1] + bp[1:]), np.nextafter(bp[1:], 0.0)], axis=1)
+    raw = u.raw(xs.ravel()).reshape(xs.shape)
+    if np.any(raw != raw[:, :1]) or np.sum(np.abs(np.diff(raw.ravel()))) < u.variation_bound:
+        return None
+    return u(xs[:, 0])
+
+
+def orbit_value_chunks(pmap: PiecewiseMap, u: Observable, seed: int, total: int,
+                       chunk: int = 1 << 20) -> Iterator[np.ndarray]:
+    """Stream u along the orbit of `seed` in chunks, `total` values in all,
+    O(chunk) memory.  Symbolic orbits read an observable certified constant
+    on each branch cell from its branch-value table, without reconstructing
+    points (bitwise the same values)."""
+    mode = _orbit_mode(pmap)
+    table = _branch_values(pmap, u) if mode == _SYMBOLIC else None
+    for syms, pts in _orbit_chunks(pmap, seed, total, chunk, mode, points=table is None):
+        yield u(pts) if table is None else table[syms]
 
 
 def symbol_chunks(pmap: PiecewiseMap, seed: int, chunk: int = 1 << 12,
                   limit: int | None = None) -> Iterator[np.ndarray]:
-    """Stream branch symbols of a fresh orbit in chunks (unbounded unless
-    `limit` is given).  Symbolic maps draw symbols directly; float maps
-    iterate and classify.  The stream does not depend on `chunk`."""
-    produced = 0
-    if pmap.dyadic_exact:
+    """Stream the branch symbols of the orbit of `seed` in chunks (without
+    end unless `limit` is given).  The stream does not depend on `chunk`."""
+    for syms, _ in _orbit_chunks(pmap, seed, limit, chunk, _orbit_mode(pmap), points=False):
+        yield syms
+
+
+def trial_value_blocks(pmap: PiecewiseMap, u: Observable, span: int, trials: int,
+                       seed: int, chunk: int = 1 << 14) -> Iterator[np.ndarray]:
+    """u along `span` steps from each of `trials` independent Lebesgue
+    starts, as (rows, span) blocks of at most `chunk` rows.
+
+    Symbolic maps cut disjoint rows from the seed's symbol stream (exactly
+    independent trials); a row holds `span` symbols, plus the reconstruction
+    lookahead unless u is read from its branch-value table.  Float maps
+    iterate uniform starts drawn from the seed, all rows of a block at once.
+    """
+    mode = _orbit_mode(pmap)
+    if mode == _SYMBOLIC:
+        table = _branch_values(pmap, u)
+        width = span if table is not None else span + _symbol_tail_depth(pmap)
         src = _SymbolSource(seed, pmap.n_branches)
-        while limit is None or produced < limit:
-            m = chunk if limit is None else min(chunk, limit - produced)
-            yield src.take(m)
-            produced += m
     else:
-        x = float(_rng(seed).random())
-        while limit is None or produced < limit:
-            m = chunk if limit is None else min(chunk, limit - produced)
-            pts, x = _float_orbit_chunk(pmap, x, m)
-            yield pmap.branch_index(pts)
-            produced += m
+        gen = _rng(seed)
+    done = 0
+    while done < trials:
+        m = min(chunk, trials - done)
+        if mode == _SYMBOLIC:
+            block = src.take(m * width).reshape(m, width)
+            yield table[block] if table is not None else u(points_from_symbols(pmap, block, span))
+        else:
+            x = gen.random(m)
+            vals = np.empty((m, span))
+            for j in range(span):
+                vals[:, j] = u(x)
+                x = pmap.apply(x)
+            yield vals
+        done += m
 
 
 def birkhoff_sums(orb: Orbit, u: Observable) -> np.ndarray:

@@ -186,11 +186,6 @@ class InterpolatedLaw(Law):
         return float(self.xs[-1] - self._Is[-1])
 
 
-def law_cdf(law: Law, x):
-    """CDF of a comparison law at x."""
-    return law.cdf(x)
-
-
 # ---------------------------------------------------------------------------
 # weighted empirical measures
 # ---------------------------------------------------------------------------
@@ -246,12 +241,6 @@ class WeightedEmpiricalMeasure:
             pos = np.array([pos[0] - 1e-12, pos[0] + 1e-12])
             return InterpolatedLaw(pos, np.array([0.0, 1.0]))
         return InterpolatedLaw(pos, np.cumsum(w))
-
-    def to_csv(self, path) -> None:
-        lines = ["position,weight"]
-        lines.extend(f"{p:.17g},{w:.17g}" for p, w in zip(self.positions, self.weights))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def build_empirical(values, n: int | None = None) -> WeightedEmpiricalMeasure:

@@ -73,12 +73,6 @@ class PressureCurve:
         s = _spline(self.beta_grid, self.F_values)
         return float((s(beta + step) - 2.0 * s(beta) + s(beta - step)) / step**2)
 
-    def to_csv(self, path) -> None:
-        lines = ["beta,pressure"]
-        lines.extend(f"{b:.17g},{f:.17g}" for b, f in zip(self.beta_grid, self.F_values))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 @dataclass(frozen=True)
 class RateFunction:
@@ -104,15 +98,6 @@ class RateFunction:
 
     def beta(self, alpha: float) -> float:
         return float(np.interp(alpha, self.alpha_grid, self.beta_of_alpha))
-
-    def to_csv(self, path) -> None:
-        lines = ["alpha,phi,beta,sigma2"]
-        lines.extend(
-            f"{a:.17g},{p:.17g},{b:.17g},{s:.17g}" for a, p, b, s in
-            zip(self.alpha_grid, self.phi_values, self.beta_of_alpha,
-                self.sigma2_of_alpha))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def _spline(x, y):

@@ -46,7 +46,16 @@ from ergostat.entropy import (
     rokhlin_entropy,
 )
 from ergostat.errors import BudgetExceededError
-from ergostat.maps import Observable, coboundary, coin, make_map, orbit, sawtooth, symbol_chunks
+from ergostat.maps import (
+    Observable,
+    coboundary,
+    coin,
+    make_map,
+    orbit,
+    orbit_value_chunks,
+    sawtooth,
+    symbol_chunks,
+)
 from ergostat.measures import (
     GaussianLaw,
     HalfGaussianLaw,
@@ -56,7 +65,6 @@ from ergostat.measures import (
     kantorovich_bruteforce,
 )
 from ergostat.erdos_renyi import (
-    _value_chunks,
     er_law_check,
     ld_probability_mc,
     rate_estimator,
@@ -415,7 +423,7 @@ def test_criterion_07b_er_fluctuation_band(er_series, er_reference):
 # -- 8 ------------------------------------------------------------------------
 
 def test_criterion_08_rate_estimator(doubling):
-    vals = np.concatenate(list(_value_chunks(doubling, coin(), seed=1, total=2**20)))
+    vals = np.concatenate(list(orbit_value_chunks(doubling, coin(), seed=1, total=2**20)))
     est = rate_estimator(vals, np.unique(np.geomspace(30, 600, 25).astype(int)))
     errs, d_k = [], []
     for k, m, r in zip(est.k_values, est.levels, est.rate_estimates):

@@ -7,7 +7,6 @@ from ergostat.config import (
     build_map,
     build_observable,
     parse_config,
-    serialize_config,
 )
 from ergostat.errors import ConfigError
 from ergostat.cli import main, run
@@ -45,7 +44,6 @@ def test_minimal_config_gets_defaults():
     assert cfg.get("run", "seeds") == [1]
     assert cfg.get("ulam", "resolution") == 1024
     assert cfg.get("sigma2", "method") == "quadrature"
-    assert cfg.get("erdos_renyi", "epsilon") == 0.5
 
 
 def test_unknown_section_lists_valid_ones():
@@ -80,9 +78,9 @@ def test_missing_required_key():
 
 def test_roundtrip_serialization():
     cfg = parse_config(MINIMAL + "\n[rate]\nalpha_max = 0.35\n")
-    again = parse_config(serialize_config(cfg))
+    again = parse_config(cfg.canonical)
     assert again == cfg
-    assert serialize_config(again) == serialize_config(cfg)
+    assert again.canonical == cfg.canonical
 
 
 def test_hash_tracks_semantics_not_formatting():
@@ -216,6 +214,29 @@ k_grid = 20, 40, 80
         assert all(np.isfinite(float(v)) for v in row.split(","))
 
 
+def test_custom_doubling_is_the_doubling_map(tmp_path):
+    from ergostat.maps import make_map, orbit
+
+    custom = make_map("custom", breakpoints=[0.0, 0.5, 1.0], slopes=[2.0, 2.0])
+    a, b = orbit(custom, seed=4, n=10_000), orbit(make_map("doubling"), seed=4, n=10_000)
+    assert a.mode == b.mode == "symbolic-exact"
+    assert np.array_equal(a.points, b.points) and np.array_equal(a.symbols, b.symbols)
+    spec = "name = custom\nbreakpoints = 0, 0.5, 1\nslopes = 2, 2"
+    for name, mapspec in (("d", "name = doubling"), ("c", spec)):
+        cfg = parse_config(cfg_text(tmp_path / name).replace("name = doubling", mapspec))
+        assert run("asclt", cfg) == 0
+    assert (tmp_path / "c" / "asclt-1.csv").read_bytes() == \
+        (tmp_path / "d" / "asclt-1.csv").read_bytes()
+
+
+def test_collapsing_custom_map_exits_3(tmp_path, capsys):
+    spec = "name = custom\nbreakpoints = 0, 0.25, 0.5, 1\nslopes = 4, 4, 2"
+    cfg = parse_config(cfg_text(tmp_path / "o").replace("name = doubling", spec))
+    assert run("asclt", cfg) == 3
+    assert "power of two" in capsys.readouterr().err
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
 def test_custom_map_through_config(tmp_path):
     text = f"""
 [map]
@@ -237,27 +258,6 @@ resolution = 512
     pmap = build_map(cfg)
     assert pmap.n_branches == 2
     assert run("density", cfg) == 0
-
-
-def test_object_csv_exports(tmp_path):
-    from ergostat.maps import make_map, orbit, coin
-    from ergostat.measures import build_empirical
-    from ergostat.transfer import legendre, pressure_curve
-
-    orb = orbit(make_map("doubling"), seed=2, n=50)
-    orb.to_csv(tmp_path / "orbit.csv")
-    lines = (tmp_path / "orbit.csv").read_text().strip().splitlines()
-    assert lines[0] == "step,x,symbol" and len(lines) == 51
-
-    emp = build_empirical([0.5, -0.25, 1.0], 3)
-    emp.to_csv(tmp_path / "emp.csv")
-    assert (tmp_path / "emp.csv").read_text().startswith("position,weight\n0.5,1\n")
-
-    curve = pressure_curve(make_map("doubling"), coin(), np.linspace(-1, 1, 11), N=64)
-    curve.to_csv(tmp_path / "curve.csv")
-    rate = legendre(curve, np.linspace(-0.1, 0.1, 5))
-    rate.to_csv(tmp_path / "rate.csv")
-    assert (tmp_path / "rate.csv").read_text().startswith("alpha,phi,beta,sigma2\n")
 
 
 @pytest.mark.filterwarnings("ignore:sigma.2 is numerically zero")

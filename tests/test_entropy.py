@@ -16,11 +16,11 @@ from ergostat.entropy import (
     cylinder_measure,
     itinerary,
     ow_run,
-    return_time,
     return_times_upto,
     rokhlin_entropy,
     smb_run,
 )
+from oracles import return_time
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +36,10 @@ def perturbed():
 # -- itineraries --------------------------------------------------------------
 
 def test_itinerary_examples(doubling):
-    assert itinerary(doubling, 0.3, 4).symbols.tolist() == [0, 1, 0, 0]
-    assert itinerary(doubling, 1.0 / 3.0, 6).symbols.tolist() == [0, 1, 0, 1, 0, 1]
+    assert itinerary(doubling, 0.3, 4).tolist() == [0, 1, 0, 0]
+    assert itinerary(doubling, 1.0 / 3.0, 6).tolist() == [0, 1, 0, 1, 0, 1]
     tent = make_map("tent")
-    assert itinerary(tent, 0.2, 2).symbols.tolist() == [0, 0]
+    assert itinerary(tent, 0.2, 2).tolist() == [0, 0]
 
 
 def test_itinerary_breakpoint_collision(doubling):
@@ -78,7 +78,7 @@ def test_cylinder_contains_point_and_nests(doubling, perturbed):
                 continue
             prev = CylinderInterval(0.0, 1.0, 0, ())
             for n in (5, 12, 21, 30):
-                c = cylinder_interval(pmap, itin.symbols[:n])
+                c = cylinder_interval(pmap, itin[:n])
                 assert c.lo <= x < c.hi or math.isclose(c.hi, x)
                 assert c.lo >= prev.lo - 1e-15 and c.hi <= prev.hi + 1e-15
                 prev = c
@@ -86,7 +86,7 @@ def test_cylinder_contains_point_and_nests(doubling, perturbed):
 
 def test_cylinder_expansion_width_bound(perturbed):
     itin = itinerary(perturbed, 0.3141, 25)
-    c = cylinder_interval(perturbed, itin.symbols)
+    c = cylinder_interval(perturbed, itin)
     eta = perturbed.expansion_constant
     assert c.width <= eta ** -25 * 1.01 + 1e-12
 
@@ -96,11 +96,11 @@ def test_cylinder_iterates_track_symbols(doubling, perturbed):
     # endpoints and midpoint
     for pmap in (doubling, perturbed):
         itin = itinerary(pmap, 0.437, 12)
-        c = cylinder_interval(pmap, itin.symbols)
+        c = cylinder_interval(pmap, itin)
         for probe in (c.lo + 1e-12, 0.5 * (c.lo + c.hi), c.hi - 1e-12):
             x = probe
             for t in range(12):
-                assert int(pmap.branch_index(x)) == int(itin.symbols[t])
+                assert int(pmap.branch_index(x)) == int(itin[t])
                 x = float(pmap.apply(x))
 
 

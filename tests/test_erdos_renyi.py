@@ -5,18 +5,17 @@ import pytest
 from scipy.stats import binom
 
 from ergostat.errors import BudgetExceededError, DomainError
-from ergostat.maps import make_map, coin
+from ergostat.maps import make_map, make_observable, coin, orbit, orbit_value_chunks
 from ergostat.transfer import RateFunction, legendre, pressure_curve
 from ergostat.erdos_renyi import (
-    _value_chunks,
     _moving_max_chunked,
     decoupling_check,
     er_law_check,
     ld_probability_mc,
-    moving_max,
     rate_estimator,
     wilson_interval,
 )
+from oracles import moving_max
 
 
 def cramer(a):
@@ -65,13 +64,13 @@ def test_chunked_scan_matches_flat(doubling):
     u = coin()
     length, k = 3742, 100
     nw = length - k + 1
-    vals = np.concatenate(list(_value_chunks(doubling, u, seed=7, total=length)))
+    vals = np.concatenate(list(orbit_value_chunks(doubling, u, seed=7, total=length)))
     prefix = np.concatenate([[0.0], np.cumsum(vals)])
     sums = prefix[k:] - prefix[:-k]
     expected = (float(np.max(sums[:nw])), int(np.argmax(sums[:nw])))
     for chunk in (64, 500, 10**6):
         got = _moving_max_chunked(
-            _value_chunks(doubling, u, seed=7, total=length, chunk=chunk), k, nw)
+            orbit_value_chunks(doubling, u, seed=7, total=length, chunk=chunk), k, nw)
         assert got == expected
 
 
@@ -91,6 +90,25 @@ def test_er_constant_observable_stays_on_band_center():
     ser = er_law_check(const, u, alpha, rate, [10, 25], seed=1)
     assert np.allclose(ser.M_values, alpha * ser.k_values)
     assert np.allclose(ser.fluctuations, 0.0, atol=1e-12)
+
+
+def test_er_narrow_bump_not_read_as_branch_constant(doubling):
+    # point samples of a branch cell can miss this bump; with no variation
+    # bound the observable is never certified constant per cell, so its
+    # values come from the orbit points
+    bump = make_observable("table", xs=[0, 0.1, 0.1001, 0.1002, 1], ys=[0, 0, 1, 0, 0])
+    n, k = 2**16, 16
+    points = orbit(doubling, seed=3, n=n).points
+    streamed = np.concatenate(list(orbit_value_chunks(doubling, bump, seed=3, total=n)))
+    assert np.array_equal(streamed, bump(points)) and np.sum(streamed) > 2.0
+    # exp(k phi) = n windows' worth of stream at alpha = 0.5
+    rate = RateFunction(
+        alpha_grid=np.array([0.0, 0.5, 1.0]),
+        phi_values=np.array([0.0, 1.0, 2.0]) * math.log(n) / k,
+        beta_of_alpha=np.ones(3), sigma2_of_alpha=np.ones(3))
+    ser = er_law_check(doubling, bump, 0.5, rate, [k], seed=3)
+    expected, _ = moving_max(bump(points[:int(ser.window_counts[0]) + k - 1]), k)
+    assert ser.M_values[0] == expected > 0.0
 
 
 def test_er_law_of_averages(doubling, coin_rate):
@@ -121,7 +139,7 @@ def test_er_window_count_monotonicity(doubling, coin_rate):
     k = 60
     phi = coin_rate.phi(0.2)
     full_len = int(math.exp(k * phi))
-    vals = np.concatenate(list(_value_chunks(doubling, u, seed=9, total=full_len)))
+    vals = np.concatenate(list(orbit_value_chunks(doubling, u, seed=9, total=full_len)))
     prefix = np.concatenate([[0.0], np.cumsum(vals)])
     sums = prefix[k:] - prefix[:-k]
     m_full = float(np.max(sums))
@@ -148,7 +166,7 @@ def test_rate_estimator_zero_observable():
 
 def test_rate_estimator_doubling_N_shifts_rate_exactly(doubling):
     u = coin()
-    vals = np.concatenate(list(_value_chunks(doubling, u, seed=2, total=2**16)))
+    vals = np.concatenate(list(orbit_value_chunks(doubling, u, seed=2, total=2**16)))
     k_grid = [32, 64]
     est1 = rate_estimator(vals[: 2**15], k_grid)
     est2 = rate_estimator(vals, k_grid)
@@ -162,7 +180,7 @@ def test_rate_estimator_tracks_cramer_shape(doubling):
     # the raw inversion log(N)/k overestimates phi (finite-size window
     # clustering); it must still be positively biased, ordered, and within
     # a factor 2 of the closed form on the working level range
-    vals = np.concatenate(list(_value_chunks(doubling, coin(), seed=1, total=2**20)))
+    vals = np.concatenate(list(orbit_value_chunks(doubling, coin(), seed=1, total=2**20)))
     est = rate_estimator(vals, np.unique(np.geomspace(30, 600, 25).astype(int)))
     checked = 0
     for m, r in zip(est.levels, est.rate_estimates):

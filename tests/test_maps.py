@@ -16,7 +16,9 @@ from ergostat.maps import (
     orbit,
     orbit_value_chunks,
     sawtooth,
+    symbol_chunks,
 )
+from ergostat.transfer import invariant_density, ulam_matrix
 
 ALL_BUILTINS = ["doubling", "tent", "perturbed-doubling"]
 
@@ -151,20 +153,26 @@ def test_symbolic_orbit_never_collapses():
 
 def test_float_orbit_dyadic_degeneracy_documented():
     d = make_map("doubling")
-    o = orbit(d, seed=0, n=4, mode="float-iterate", x0=0.25)
+    o = orbit(d, seed=0, n=4, x0=0.25)
     assert o.points.tolist() == [0.25, 0.5, 0.0, 0.0]
 
 
 def test_float_orbit_consecutive_points_exact():
     pd = make_map("perturbed-doubling")
-    o = orbit(pd, seed=6, n=3000, mode="float-iterate")
+    o = orbit(pd, seed=6, n=3000)
+    assert o.mode == "float-iterate"
     assert np.array_equal(o.points[1:], pd.apply(o.points[:-1]))
 
 
 def test_symbolic_only_for_dyadic_maps():
     pd = make_map("perturbed-doubling")
-    with pytest.raises(DomainError):
-        orbit(pd, seed=1, n=10, mode="symbolic-exact")
+    assert orbit(pd, seed=1, n=10).mode == "float-iterate"
+    two_slope = make_map("custom", breakpoints=[0.0, 1.0 / 3.0, 1.0], slopes=[3.0, 1.5])
+    assert not two_slope.dyadic_exact
+    assert orbit(two_slope, seed=1, n=10).mode == "float-iterate"
+    # the map's shape decides, not how it was built
+    assert make_map("custom", breakpoints=[0.0, 0.5, 1.0], slopes=[2.0, -2.0]).dyadic_exact
+    assert not make_map("custom", breakpoints=[0.0, 0.5, 1.0], slopes=[2.0, 1.5]).dyadic_exact
 
 
 def test_tent_orbit_lebesgue_mean():
@@ -191,7 +199,7 @@ def test_birkhoff_sums_examples():
     ones = make_observable("table", xs=[0.0, 1.0], ys=[1.0, 1.0])
     assert np.allclose(birkhoff_sums(o, ones), [1, 2, 3, 4, 5])
 
-    o2 = orbit(d, seed=0, n=3, mode="float-iterate", x0=0.25)
+    o2 = orbit(d, seed=0, n=3, x0=0.25)
     s = birkhoff_sums(o2, sawtooth())
     assert np.allclose(s, [-0.25, -0.25, -0.75])
 
@@ -215,6 +223,99 @@ def test_orbit_value_chunks_match_orbit():
     o2 = orbit(pd, seed=42, n=2000)
     streamed2 = np.concatenate(list(orbit_value_chunks(pd, u, seed=42, total=2000, chunk=333)))
     assert np.allclose(streamed2, u(o2.points), atol=1e-14)
+
+    # the coin on doubling and tent is read from its branch-value table
+    for name in ("doubling", "tent"):
+        m = make_map(name)
+        for seed in (1, 1000):
+            o3 = orbit(m, seed=seed, n=20_000)
+            streamed3 = np.concatenate(list(
+                orbit_value_chunks(m, coin(), seed=seed, total=20_000, chunk=3000)))
+            assert np.array_equal(streamed3, coin()(o3.points))
+
+
+def test_degenerate_float_maps_refused():
+    # every slope a power of two: refused whatever the partition
+    for bp, slopes in (([0.0, 0.25, 0.5, 1.0], [4.0, 4.0, 2.0]),
+                       ([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0], [2.0, 2.0, 2.0])):
+        with pytest.raises(DomainError, match="power of two"):
+            orbit(make_map("custom", breakpoints=bp, slopes=slopes), seed=1, n=10)
+    # other linear maps whose float orbits fall onto a cycle within ~60 steps
+    for bp, slopes in (([0.0, 0.5, 1.0], [2.0, 1.5]),
+                       ([0.0, 0.25, 0.5, 1.0], [3.0, 4.0, 2.0])):
+        m = make_map("custom", breakpoints=bp, slopes=slopes)
+        with pytest.raises(DomainError, match="cycle"):
+            next(orbit_value_chunks(m, sawtooth(), seed=1, total=10))
+    # this one passes the probe, and its seed-0 orbit lands on the cycle
+    # {0, 1} after ~4300 steps: the stream stops there
+    slow = make_map("custom", breakpoints=[0.0, 0.25, 0.375, 0.5, 1.0],
+                    slopes=[-1.4208424647736377, -8.0, 8.0, -2.0])
+    streamed = []
+    with pytest.raises(DomainError, match="cycle"):
+        for vals in orbit_value_chunks(slow, sawtooth(), seed=0, total=20_000, chunk=1000):
+            streamed.append(vals)
+    assert len(streamed) == 4 and len(np.unique(np.concatenate(streamed))) == 4000
+    # x0 still float-iterates any map from that point
+    assert orbit(make_map("custom", breakpoints=[0.0, 0.5, 1.0], slopes=[2.0, 1.5]),
+                 seed=0, n=3, x0=0.25).points.tolist() == [0.25, 0.5, 0.0]
+
+
+# random custom piecewise-linear maps: dyadic or generic partitions, each
+# branch full or not, slopes of power-of-two and of other magnitudes
+_OTHER_SLOPES = (1.25, 1.5, 3.0, 5.0, 6.0)
+
+
+@st.composite
+def _linear_maps(draw):
+    b = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        widths = [1.0]                   # halve random cells: dyadic widths
+        for _ in range(b - 1):
+            i = draw(st.integers(0, len(widths) - 1))
+            widths[i:i + 1] = [widths[i] / 2, widths[i] / 2]
+        bp = np.concatenate([[0.0], np.cumsum(widths)])
+    else:
+        inner = draw(st.lists(st.floats(0.05, 0.95), min_size=b - 1, max_size=b - 1,
+                              unique=True).filter(
+            lambda v: np.min(np.diff(np.sort([0.0, *v, 1.0]))) > 0.04))
+        bp = np.array([0.0, *sorted(inner), 1.0])
+    slopes = []
+    for w in np.diff(bp):
+        top = 1.0 / w                    # a full branch
+        powers = [2.0 ** j for j in range(1, 8) if 2.0 ** j <= top]
+        others = [s for s in _OTHER_SLOPES if s <= top]
+        magnitude = draw(st.one_of(
+            st.just(top), st.sampled_from(powers or [top]),
+            st.sampled_from(others or [top]), st.floats(1.05, top)))
+        slopes.append(magnitude if draw(st.booleans()) else -magnitude)
+    return make_map("custom", breakpoints=bp.tolist(), slopes=slopes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=_linear_maps(), seed=st.integers(0, 2**32 - 1), chunk=st.integers(1, 700))
+def test_random_linear_maps_stream_or_refuse(m, seed, chunk):
+    n = 5000
+    try:
+        symbols = np.concatenate(list(symbol_chunks(m, seed, chunk=chunk, limit=n)))
+    except DomainError:
+        # refused by every reader, whatever the chunk size
+        with pytest.raises(DomainError):
+            orbit(m, seed, n)
+        with pytest.raises(DomainError):
+            list(orbit_value_chunks(m, sawtooth(), seed, n, chunk=n))
+    else:
+        o = orbit(m, seed, n)
+        # never falls onto a fixed point or a cycle
+        assert len(np.unique(o.points)) == n
+        assert np.array_equal(symbols, o.symbols)
+        whole = np.concatenate(list(orbit_value_chunks(m, sawtooth(), seed, n, chunk=n)))
+        cut = np.concatenate(list(orbit_value_chunks(m, sawtooth(), seed, n, chunk=chunk)))
+        assert np.array_equal(cut, whole) and np.array_equal(whole, sawtooth()(o.points))
+    if all(abs(abs(br.slope) * (br.hi - br.lo) - 1.0) < 1e-12 for br in m.branches):
+        # full branches: the Ulam density integrates to 1 and F(0) = 0
+        assert np.sum(invariant_density(m, 64)) / 64 == pytest.approx(1.0, abs=1e-12)
+        assert np.log(ulam_matrix(m, None, 0.0, 64).leading_eigenvalue) == \
+            pytest.approx(0.0, abs=1e-12)
 
 
 def test_observable_regularity_required():

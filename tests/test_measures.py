@@ -12,7 +12,6 @@ from ergostat.measures import (
     build_empirical,
     kantorovich,
     kantorovich_bruteforce,
-    law_cdf,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -54,9 +53,9 @@ def test_non_finite_atoms_rejected():
 # -- laws --------------------------------------------------------------------
 
 def test_law_cdf_values():
-    assert law_cdf(GaussianLaw(1.0), 0.0) == pytest.approx(0.5)
-    assert law_cdf(HalfGaussianLaw(1.0), 0.0) == 0.0
-    assert law_cdf(GaussianLaw(2.0), 2.0) == pytest.approx(0.8413447460685429, abs=1e-9)
+    assert GaussianLaw(1.0).cdf(0.0) == pytest.approx(0.5)
+    assert HalfGaussianLaw(1.0).cdf(0.0) == 0.0
+    assert GaussianLaw(2.0).cdf(2.0) == pytest.approx(0.8413447460685429, abs=1e-9)
 
 
 def test_half_gaussian_density_integrates_to_one():
