@@ -26,13 +26,12 @@ from .maps import (  # noqa: F401
     sawtooth,
 )
 from .measures import (  # noqa: F401
-    DiracLaw,
     GaussianLaw,
     HalfGaussianLaw,
     WeightedEmpiricalMeasure,
     build_empirical,
     kantorovich,
-    kantorovich_bruteforce,
+    kantorovich_ladder,
 )
 from .transfer import (  # noqa: F401
     PressureCurve,
@@ -54,8 +53,6 @@ from .erdos_renyi import (  # noqa: F401
 )
 from .entropy import (  # noqa: F401
     cylinder_interval,
-    cylinder_measure,
-    itinerary,
     ow_run,
     rokhlin_entropy,
     smb_run,

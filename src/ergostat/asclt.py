@@ -14,17 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVarianceError
 from .maps import Observable, PiecewiseMap, orbit_value_chunks
-from .measures import (
-    GaussianLaw,
-    HalfGaussianLaw,
-    WeightedEmpiricalMeasure,
-    kantorovich,
-)
-from .transfer import green_kubo_sigma2
-
-SIGMA2_FLOOR = 1e-6
+from .measures import GaussianLaw, HalfGaussianLaw, kantorovich_ladder
+from .transfer import require_nondegenerate
 
 
 @dataclass(frozen=True)
@@ -48,21 +40,6 @@ class AscltDiagnostics:
             raise ValueError("negative Kantorovich distance")
 
 
-def default_checkpoints(horizon: int) -> np.ndarray:
-    """Geometric ladder 10^3, 10^3.5, ... capped by the horizon (convergence
-    is logarithmic in n).  Horizons under 1000 get the horizon itself."""
-    if horizon < 1000:
-        return np.array([horizon], dtype=np.int64)
-    levels = []
-    e = 3.0
-    while round(10**e) <= horizon:
-        levels.append(round(10**e))
-        e += 0.5
-    if levels[-1] != horizon:
-        levels.append(horizon)
-    return np.array(levels, dtype=np.int64)
-
-
 def rate_normalization(n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     return np.cbrt(np.log(n)) / np.sqrt(np.log(np.log(n)))
@@ -78,28 +55,13 @@ def normalized_statistic_atoms(pmap: PiecewiseMap, u: Observable, n: int, seed: 
     return s / np.sqrt(np.arange(1, n + 1, dtype=float))
 
 
-def _run(pmap, u, n, seed, checkpoints, sigma2, sigma2_method, ulam_resolution,
-         running_max: bool) -> AscltDiagnostics:
-    if sigma2 is None:
-        sigma2 = green_kubo_sigma2(pmap, u, method=sigma2_method, N=ulam_resolution)
-    if sigma2 <= SIGMA2_FLOOR:
-        raise DegenerateVarianceError(
-            f"sigma^2 = {sigma2:.3g} <= {SIGMA2_FLOOR:g}: the observable is a "
-            "coboundary (or numerically indistinguishable from one); the "
-            "limit law degenerates and the run is refused")
-    if checkpoints is None:
-        checkpoints = default_checkpoints(n)
-    checkpoints = np.asarray(checkpoints, dtype=np.int64)
-    if checkpoints[-1] > n:
+def _run(pmap, u, n, seed, checkpoints, sigma2, running_max: bool) -> AscltDiagnostics:
+    sigma = float(np.sqrt(require_nondegenerate(sigma2)))
+    if checkpoints is not None and checkpoints[-1] > n:
         raise ValueError("horizon must reach the last checkpoint")
-    sigma = float(np.sqrt(sigma2))
     law = HalfGaussianLaw(sigma) if running_max else GaussianLaw(sigma)
     atoms = normalized_statistic_atoms(pmap, u, n, seed, running_max=running_max)
-    weights = 1.0 / np.arange(1, n + 1, dtype=float)
-    kappas = np.empty(len(checkpoints))
-    for i, m in enumerate(checkpoints):
-        emp = WeightedEmpiricalMeasure(atoms[:m], weights[:m], int(m))
-        kappas[i] = kantorovich(emp, law)
+    checkpoints, kappas = kantorovich_ladder(atoms, law, checkpoints)
     return AscltDiagnostics(
         statistic="maxima" if running_max else "birkhoff",
         seed=seed,
@@ -111,25 +73,18 @@ def _run(pmap, u, n, seed, checkpoints, sigma2, sigma2_method, ulam_resolution,
 
 
 def asclt_run(pmap: PiecewiseMap, u: Observable, n: int, seed: int,
-              checkpoints=None, sigma2: float | None = None,
-              sigma2_method: str = "quadrature", ulam_resolution: int = 1024,
-              ) -> AscltDiagnostics:
+              checkpoints=None, *, sigma2: float) -> AscltDiagnostics:
     """Track kappa(E_n, N(0, sigma^2)) along one orbit.
 
-    sigma^2 defaults to the Green-Kubo value for (map, u); a degenerate
-    variance refuses the run.
+    A degenerate sigma^2 (a coboundary observable) refuses the run.
     """
-    return _run(pmap, u, n, seed, checkpoints, sigma2, sigma2_method,
-                ulam_resolution, running_max=False)
+    return _run(pmap, u, n, seed, checkpoints, sigma2, running_max=False)
 
 
 def maxima_run(pmap: PiecewiseMap, u: Observable, n: int, seed: int,
-               checkpoints=None, sigma2: float | None = None,
-               sigma2_method: str = "quadrature", ulam_resolution: int = 1024,
-               ) -> AscltDiagnostics:
+               checkpoints=None, *, sigma2: float) -> AscltDiagnostics:
     """Track kappa(M_n, G(sigma)) for the running-maximum statistic."""
-    return _run(pmap, u, n, seed, checkpoints, sigma2, sigma2_method,
-                ulam_resolution, running_max=True)
+    return _run(pmap, u, n, seed, checkpoints, sigma2, running_max=True)
 
 
 def rate_diagnostic(diag: AscltDiagnostics) -> tuple[np.ndarray, str]:

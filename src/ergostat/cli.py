@@ -42,7 +42,7 @@ from .transfer import (
     legendre,
     pressure_curve,
 )
-from .asclt import asclt_run, default_checkpoints, maxima_run
+from .asclt import asclt_run, maxima_run
 from .erdos_renyi import (
     decoupling_check,
     er_law_check,
@@ -109,11 +109,14 @@ def _sigma2(cfg: ExperimentConfig, pmap, u) -> float:
         orbit_length=cfg.get("sigma2", "orbit_length"))
 
 
+def _pressure_curve(cfg: ExperimentConfig, pmap, u):
+    beta_max = cfg.get("pressure", "beta_max")
+    grid = np.linspace(-beta_max, beta_max, cfg.get("pressure", "beta_points"))
+    return pressure_curve(pmap, u, grid, N=cfg.get("ulam", "resolution"))
+
+
 def _rate_function(cfg: ExperimentConfig, pmap, u):
-    grid = np.linspace(-cfg.get("pressure", "beta_max"),
-                       cfg.get("pressure", "beta_max"),
-                       cfg.get("pressure", "beta_points"))
-    curve = pressure_curve(pmap, u, grid, N=cfg.get("ulam", "resolution"))
+    curve = _pressure_curve(cfg, pmap, u)
     alphas = np.linspace(cfg.get("rate", "alpha_min"), cfg.get("rate", "alpha_max"),
                          cfg.get("rate", "alpha_points"))
     return curve, legendre(curve, alphas)
@@ -141,10 +144,7 @@ def _run_density(cfg, outdir, seeds):
 def _run_pressure(cfg, outdir, seeds):
     pmap = build_map(cfg)
     u = build_observable(cfg, pmap)
-    grid = np.linspace(-cfg.get("pressure", "beta_max"),
-                       cfg.get("pressure", "beta_max"),
-                       cfg.get("pressure", "beta_points"))
-    curve = pressure_curve(pmap, u, grid, N=cfg.get("ulam", "resolution"))
+    curve = _pressure_curve(cfg, pmap, u)
     rows = list(zip(curve.beta_grid, curve.F_values))
     for s in seeds:
         _write_csv(outdir / f"pressure-{s}.csv", ["beta", "pressure"], rows)
@@ -174,7 +174,7 @@ def _run_asclt(cfg, outdir, seeds, running_max=False):
     u = build_observable(cfg, pmap)
     sigma2 = _sigma2(cfg, pmap, u)
     horizon = cfg.get("run", "horizon")
-    checkpoints = cfg.get("run", "checkpoints") or default_checkpoints(horizon)
+    checkpoints = cfg.get("run", "checkpoints") or None
     runner = maxima_run if running_max else asclt_run
     name = "maxima" if running_max else "asclt"
 
@@ -264,7 +264,7 @@ def _run_entropy(cfg, outdir, seeds, kind):
         n = cfg.get("run", "horizon")
     else:
         n = cfg.get("entropy", "depth")
-    checkpoints = cfg.get("run", "checkpoints") or default_checkpoints(n)
+    checkpoints = cfg.get("run", "checkpoints") or None
     eps = cfg.get("entropy", "epsilon")
     cap = cfg.get("entropy", "cap")
     resolution = cfg.get("ulam", "resolution")
@@ -272,7 +272,7 @@ def _run_entropy(cfg, outdir, seeds, kind):
 
     def one(seed):
         if kind == "smb":
-            return smb_run(pmap, n, seed, checkpoints=checkpoints, eps=eps,
+            return smb_run(pmap, n, seed, checkpoints=checkpoints,
                            resolution=resolution)
         return ow_run(pmap, n, seed, checkpoints=checkpoints, eps=eps,
                       resolution=resolution, cap=cap)

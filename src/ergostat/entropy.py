@@ -17,21 +17,24 @@ at a hard symbol cap.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, DomainError
+from .errors import DomainError
 from .maps import PiecewiseMap, log_derivative, orbit, symbol_chunks
-from .measures import GaussianLaw, WeightedEmpiricalMeasure, kantorovich
-from .transfer import cell_average, green_kubo_sigma2, invariant_density
+from .measures import GaussianLaw, kantorovich_ladder
+from .transfer import (
+    cell_average,
+    green_kubo_sigma2,
+    invariant_density,
+    require_nondegenerate,
+)
 
 RETURN_TIME_CAP = 10**9
 # start positions compared per vectorized step of the all-k return search
 _RETURN_WINDOW = 1 << 12
-_BREAKPOINT_TOL = 1e-14
 # interval-pullback depth and center-chain depth for smooth-map cylinders;
 # the split balances endpoint collapse (an ulp-level inverse error over the
 # interval width) against the center-vs-mean-value error of the chain
@@ -49,31 +52,6 @@ class CylinderInterval:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-
-def itinerary(pmap: PiecewiseMap, x: float, n: int) -> np.ndarray:
-    """First n branch symbols of x under float iteration.
-
-    Iterates that land within 1e-14 of a partition point are rejected (the
-    itinerary is ambiguous there); callers retry with a fresh point.
-    """
-    x0 = float(x)
-    pt = x0
-    syms = np.empty(n, dtype=np.uint8)
-    inner = pmap.breakpoints[1:-1]
-    ends = pmap.breakpoints[[0, -1]]
-    for t in range(n):
-        # inner partition points make the symbol ambiguous; the interval
-        # endpoints flag orbits that are preimages of the discontinuity
-        collided = np.any(np.abs(pt - inner) < _BREAKPOINT_TOL) or (
-            t > 0 and np.any(np.abs(pt - ends) < _BREAKPOINT_TOL))
-        if collided:
-            raise DomainError(
-                f"iterate {t} of {x0} lies within {_BREAKPOINT_TOL:g} of a "
-                "partition point; itinerary ambiguous (retry with a fresh point)")
-        syms[t] = int(pmap.branch_index(pt))
-        pt = float(pmap.apply(pt))
-    return syms
 
 
 def cylinder_interval(pmap: PiecewiseMap, symbols) -> CylinderInterval:
@@ -99,24 +77,6 @@ def cylinder_interval(pmap: PiecewiseMap, symbols) -> CylinderInterval:
         x2 = float(br.inverse(b))
         lo, hi = (x1, x2) if x1 <= x2 else (x2, x1)
     return CylinderInterval(lo, hi, len(word), word)
-
-
-def cylinder_measure(density: np.ndarray, cyl: CylinderInterval) -> float:
-    """mu-measure of a cylinder by exact cell-overlap summation against an
-    invariant-density table; warns when the cylinder is far below the cell
-    resolution (the piecewise-constant density can no longer resolve it)."""
-    N = len(density)
-    if cyl.width < 0.1 / N:
-        warnings.warn(
-            f"cylinder width {cyl.width:.3g} is under a tenth of the density "
-            f"cell 1/{N}; measure carries resolution bias")
-    i0 = min(int(cyl.lo * N), N - 1)
-    i1 = min(int(cyl.hi * N), N - 1)
-    if i0 == i1:
-        return float(density[i0] * cyl.width)
-    edges = np.arange(i0, i1 + 2) / N
-    overlaps = np.minimum(edges[1:], cyl.hi) - np.maximum(edges[:-1], cyl.lo)
-    return float(np.sum(density[i0:i1 + 1] * np.clip(overlaps, 0.0, None)))
 
 
 def rokhlin_entropy(pmap: PiecewiseMap, density: np.ndarray) -> float:
@@ -312,31 +272,16 @@ class EntropyDiagnostics:
     log_returns: np.ndarray | None = None    # ow only; NaN where censored
     censored: int = 0
     sandwich_ok: np.ndarray | None = None    # ow only, k >= 2
-    sandwich_epsilon: float = 1.0
 
 
-def _entropy_sigma2(pmap, resolution):
-    u = log_derivative(pmap)
-    h_table = invariant_density(pmap, resolution)
-    hbar = cell_average(u, resolution)
-    mean = float(np.sum(hbar * h_table) / resolution)
-    centered = u.with_mean(mean)
-    sigma2 = green_kubo_sigma2(pmap, centered, "quadrature", N=resolution)
-    return sigma2, h_table
-
-
-def _entropy_run(pmap, n, seed, checkpoints, kind, eps, resolution, cap, sigma2):
-    if sigma2 is None:
-        sigma2, h_table = _entropy_sigma2(pmap, resolution)
-    else:
-        h_table = invariant_density(pmap, resolution)
-    if sigma2 <= 1e-6:
-        raise DegenerateVarianceError(
-            f"sigma^2 = {sigma2:.3g} for log|f'|: constant-slope map, the "
-            "entropy CLT degenerates and the run is refused")
-    h = rokhlin_entropy(pmap, h_table)
+def _entropy_run(pmap, n, seed, checkpoints, kind, eps, resolution, cap):
+    density = invariant_density(pmap, resolution)
+    h = rokhlin_entropy(pmap, density)
+    sigma2 = green_kubo_sigma2(pmap, log_derivative(pmap).with_mean(h), "quadrature",
+                               N=resolution)
+    sigma = math.sqrt(require_nondegenerate(sigma2))
     orb = orbit(pmap, seed, n)
-    log_mu = cylinder_log_measures(pmap, orb.symbols, h_table, points=orb.points)
+    log_mu = cylinder_log_measures(pmap, orb.symbols, density, points=orb.points)
     ks = np.arange(1, n + 1, dtype=float)
     minus_log_mu = -log_mu
     if kind == "smb":
@@ -344,7 +289,7 @@ def _entropy_run(pmap, n, seed, checkpoints, kind, eps, resolution, cap, sigma2)
         log_returns = None
         censored = 0
         sandwich = None
-        keep = np.ones(n, dtype=bool)
+        keep = None
     else:
         stream = symbol_chunks(pmap, seed)   # same seed: the orbit's own stream
         rts = return_times_upto(stream, n, cap=cap)
@@ -358,43 +303,28 @@ def _entropy_run(pmap, n, seed, checkpoints, kind, eps, resolution, cap, sigma2)
             upper = np.log((1.0 + eps) * np.log(ks))
             sandwich = (stat >= lower) & (stat <= upper)
         sandwich = sandwich[1:]              # defined for k >= 2
-    if checkpoints is None:
-        from .asclt import default_checkpoints
-        checkpoints = default_checkpoints(n)
-    checkpoints = np.asarray(checkpoints, dtype=np.int64)
-    sigma = math.sqrt(sigma2)
-    law = GaussianLaw(sigma)
-    weights = 1.0 / ks
-    kappas = np.empty(len(checkpoints))
-    for i, m in enumerate(checkpoints):
-        sel = keep[:m]
-        if not np.any(sel):
-            raise DomainError(
-                f"every return time up to checkpoint {m} was censored at the "
-                f"cap; raise the cap or lower the depth")
-        emp = WeightedEmpiricalMeasure(atoms[:m][sel], weights[:m][sel], int(np.sum(sel)))
-        kappas[i] = kantorovich(emp, law)
+    checkpoints, kappas = kantorovich_ladder(atoms, GaussianLaw(sigma), checkpoints, keep)
     return EntropyDiagnostics(
         kind=kind, seed=seed, h_rokhlin=h, sigma_used=sigma,
         k_values=np.arange(1, n + 1), minus_log_mu=minus_log_mu, atoms=atoms,
         checkpoints=checkpoints, kappa_values=kappas, log_returns=log_returns,
-        censored=censored, sandwich_ok=sandwich, sandwich_epsilon=eps)
+        censored=censored, sandwich_ok=sandwich)
 
 
 def smb_run(pmap: PiecewiseMap, n: int, seed: int, checkpoints=None,
-            eps: float = 1.0, resolution: int = 2048, sigma2: float | None = None
-            ) -> EntropyDiagnostics:
+            resolution: int = 2048) -> EntropyDiagnostics:
     """Cylinder-measure CLT: atoms (-log mu(P_k) - k h)/sqrt(k) against
-    N(0, sigma^2) for u = log|f'| - h.  Constant-slope maps are refused."""
-    return _entropy_run(pmap, n, seed, checkpoints, "smb", eps, resolution,
-                        RETURN_TIME_CAP, sigma2)
+    N(0, sigma^2), with h the Rokhlin entropy and sigma^2 the Green-Kubo
+    variance of u = log|f'| - h.  Constant-slope maps are refused."""
+    return _entropy_run(pmap, n, seed, checkpoints, "smb", None, resolution,
+                        RETURN_TIME_CAP)
 
 
 def ow_run(pmap: PiecewiseMap, n: int, seed: int, checkpoints=None,
-           eps: float = 1.0, resolution: int = 2048, cap: int = RETURN_TIME_CAP,
-           sigma2: float | None = None) -> EntropyDiagnostics:
+           eps: float = 1.0, resolution: int = 2048, cap: int = RETURN_TIME_CAP
+           ) -> EntropyDiagnostics:
     """Return-time CLT: atoms (log R_k - k h)/sqrt(k), with the cylinder
     sandwich flags on log[R_k mu(P_k)].  Censored k are dropped from the
-    empirical measure and counted."""
-    return _entropy_run(pmap, n, seed, checkpoints, "ow", eps, resolution,
-                        cap, sigma2)
+    empirical measure and counted; a checkpoint with every k censored
+    raises `DomainError` (raise the cap or lower the depth)."""
+    return _entropy_run(pmap, n, seed, checkpoints, "ow", eps, resolution, cap)

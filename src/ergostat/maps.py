@@ -6,8 +6,8 @@ decides it once per map:
 
 - symbolic, for uniform b-branch full-branch linear maps with |slope| = b
   (doubling, tent, "linear", and custom maps of that shape): the
-  i.i.d.-uniform branch itinerary is drawn from a seeded generator and
-  points are reconstructed from the itinerary tail, which is
+  i.i.d.-uniform branch-symbol sequence is drawn from a seeded generator
+  and points are reconstructed from its tail, which is
   distributionally exact under Lebesgue initial conditions;
 - refused with DomainError, for other piecewise-linear maps whose float
   iteration degenerates: slopes that are all powers of two shed a mantissa
@@ -531,7 +531,7 @@ def _symbol_tail_depth(pmap: PiecewiseMap) -> int:
 
 
 def points_from_symbols(pmap: PiecewiseMap, symbols: np.ndarray, n: int) -> np.ndarray:
-    """Reconstruct orbit points from the itinerary tail (symbolic mode).
+    """Reconstruct orbit points from the symbol-sequence tail (symbolic mode).
 
     x_t is the image of 1/2 under the inverse-branch word of depth T that
     follows position t; the truncation error is below one float ulp.
@@ -579,7 +579,7 @@ def _orbit_chunks(pmap: PiecewiseMap, seed: int, total: int | None, chunk: int,
     """The orbit of `seed` as (symbols, points) chunks of at most `chunk`
     steps, `total` steps in all (None: without end).
 
-    Symbolic mode draws the itinerary from the seed's `_SymbolSource` and
+    Symbolic mode draws the branch symbols from the seed's `_SymbolSource` and
     carries the reconstruction lookahead across chunks; `points=False`
     skips the reconstruction and yields None for points.  Float mode starts
     at a uniform draw from the seed and carries the current point across

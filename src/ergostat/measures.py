@@ -10,8 +10,11 @@ so the integral splits into inter-atom segments on which the integrand is
 |c - F(x)| with constant c.  F is monotone, hence each segment crosses
 level c at most once and every piece has a closed form in terms of the
 CDF antiderivative.  Both tails are handled analytically.  The result is
-exact up to roundoff; `kantorovich_bruteforce` is an independent adaptive
-quadrature oracle for it.
+exact up to roundoff.
+
+`kantorovich_ladder` is the one checkpoint loop of the almost-sure CLT
+runs: the distance from a law to the 1/k-weighted measure of the first m
+atoms, at each checkpoint m of a ladder.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import BudgetExceededError, DomainError
+from .errors import DomainError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -134,58 +137,6 @@ class HalfGaussianLaw(Law):
         return self.sigma * math.sqrt(2.0 / math.pi)
 
 
-@dataclass(frozen=True)
-class DiracLaw(Law):
-    """Point mass at a (test-harness comparison law)."""
-
-    a: float
-
-    def cdf(self, x):
-        return (np.asarray(x, dtype=float) >= self.a).astype(float)
-
-    def cdf_antiderivative(self, x):
-        return np.maximum(np.asarray(x, dtype=float) - self.a, 0.0)
-
-    @property
-    def tail_constant(self) -> float:
-        return self.a
-
-
-class InterpolatedLaw(Law):
-    """Continuous law whose CDF linearly interpolates empirical quantiles;
-    used as a middle measure in triangle-inequality checks."""
-
-    def __init__(self, positions, cum_probs):
-        positions = np.asarray(positions, dtype=float)
-        cum_probs = np.asarray(cum_probs, dtype=float)
-        if len(positions) < 2:
-            raise ValueError("need at least two nodes")
-        self.xs = positions
-        self.cs = cum_probs
-        # nodal antiderivative values by exact trapezoid accumulation
-        self._Is = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (self.cs[1:] + self.cs[:-1]) * np.diff(self.xs))])
-
-    def cdf(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.xs, self.cs,
-                         left=0.0, right=1.0)
-
-    def cdf_antiderivative(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, len(self.xs) - 2)
-        x0, x1 = self.xs[idx], self.xs[idx + 1]
-        c0, c1 = self.cs[idx], self.cs[idx + 1]
-        slope = (c1 - c0) / (x1 - x0)
-        dx = np.clip(x, x0, x1) - x0
-        inside = self._Is[idx] + c0 * dx + 0.5 * slope * dx * dx
-        after = self._Is[-1] + (x - self.xs[-1])
-        return np.where(x <= self.xs[0], 0.0, np.where(x >= self.xs[-1], after, inside))
-
-    @property
-    def tail_constant(self) -> float:
-        return float(self.xs[-1] - self._Is[-1])
-
-
 # ---------------------------------------------------------------------------
 # weighted empirical measures
 # ---------------------------------------------------------------------------
@@ -234,13 +185,6 @@ class WeightedEmpiricalMeasure:
         cum = np.cumsum(w)
         idx = np.searchsorted(pos, np.asarray(x, dtype=float), side="right")
         return np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-
-    def as_interpolated_law(self) -> InterpolatedLaw:
-        pos, w = self._sorted
-        if len(pos) == 1:
-            pos = np.array([pos[0] - 1e-12, pos[0] + 1e-12])
-            return InterpolatedLaw(pos, np.array([0.0, 1.0]))
-        return InterpolatedLaw(pos, np.cumsum(w))
 
 
 def build_empirical(values, n: int | None = None) -> WeightedEmpiricalMeasure:
@@ -298,61 +242,48 @@ def kantorovich(emp: WeightedEmpiricalMeasure, law: Law) -> float:
     return total + float(np.sum(np.maximum(pieces, 0.0)))
 
 
-def _adaptive_simpson(f, a, b, fa, fm, fb, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0:
-        raise BudgetExceededError("quadrature tolerance unreachable within subdivision budget")
-    # local tolerance floored at float resolution of the partial sums
-    eff = max(tol, 1e-16 * (abs(left) + abs(right)))
-    if abs(left + right - whole) <= 15.0 * eff:
-        return left + right + (left + right - whole) / 15.0
-    return (_adaptive_simpson(f, a, m, fa, flm, fm, 0.5 * tol, depth - 1)
-            + _adaptive_simpson(f, m, b, fm, frm, fb, 0.5 * tol, depth - 1))
+# ---------------------------------------------------------------------------
+# checkpoint ladders
+# ---------------------------------------------------------------------------
+
+def default_checkpoints(horizon: int) -> np.ndarray:
+    """Geometric ladder 10^3, 10^3.5, ... capped by the horizon (convergence
+    is logarithmic in n).  Horizons under 1000 get the horizon itself."""
+    if horizon < 1000:
+        return np.array([horizon], dtype=np.int64)
+    levels = []
+    e = 3.0
+    while round(10**e) <= horizon:
+        levels.append(round(10**e))
+        e += 0.5
+    if levels[-1] != horizon:
+        levels.append(horizon)
+    return np.array(levels, dtype=np.int64)
 
 
-def kantorovich_bruteforce(emp: WeightedEmpiricalMeasure, law: Law,
-                           cutoff: float | None = None, tol: float = 1e-10) -> float:
-    """Independent oracle: adaptive Simpson quadrature of |F_emp - F_law|
-    on [-R, R] plus analytic tails.  Slower but shares no antiderivative
-    logic with `kantorovich`."""
-    pos, w = emp._sorted
-    cum = np.concatenate([[0.0], np.cumsum(w)])
-    cum[-1] = 1.0
-    scale = getattr(law, "sigma", 1.0)
-    if cutoff is None:
-        cutoff = 10.0 * (scale + float(np.max(np.abs(pos)))) + 1.0
-    if cutoff < 10.0 * (scale + float(np.max(np.abs(pos)))):
-        raise ValueError("cutoff too small: tails would not be negligible")
+def kantorovich_ladder(atoms: np.ndarray, law: Law, checkpoints=None,
+                       keep: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(checkpoints, kappas): kappa at checkpoint m is the distance from
+    `law` to the measure of atoms[:m], the k-th atom weighted 1/k.
 
-    def femp(x):
-        idx = int(np.searchsorted(pos, x, side="right"))
-        return cum[idx]
-
-    def integrand(x):
-        return abs(femp(x) - float(law.cdf(x)))
-
-    # subdivide at atom positions and at law kinks (Dirac atom, half-Gaussian 0)
-    nodes = [-cutoff, cutoff]
-    nodes.extend(float(p) for p in pos)
-    for kink in (getattr(law, "a", None), 0.0 if isinstance(law, HalfGaussianLaw) else None):
-        if kink is not None:
-            nodes.append(float(kink))
-    nodes = sorted(x for x in set(nodes) if -cutoff <= x <= cutoff)
-
-    total = 0.0
-    span = nodes[-1] - nodes[0]
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        if b <= a:
-            continue
-        seg_tol = tol * max((b - a) / span, 1e-6)
-        # evaluate just inside the segment so atom jumps stay on the boundary
-        eps = 1e-12 * max(1.0, abs(a), abs(b))
-        fa, fm, fb = integrand(a + eps), integrand(0.5 * (a + b)), integrand(b - eps)
-        total += _adaptive_simpson(integrand, a, b, fa, fm, fb, seg_tol, depth=40)
-    total += float(law.left_tail(-cutoff)) + float(law.right_tail(cutoff))
-    return total
+    The ladder defaults to `default_checkpoints(len(atoms))`.  A boolean
+    `keep` mask drops atoms from every checkpoint's measure (their weights
+    leave the normalizer too); a checkpoint that keeps no atom raises
+    `DomainError`.
+    """
+    if checkpoints is None:
+        checkpoints = default_checkpoints(len(atoms))
+    checkpoints = np.asarray(checkpoints, dtype=np.int64)
+    weights = 1.0 / np.arange(1, len(atoms) + 1, dtype=float)
+    kappas = np.empty(len(checkpoints))
+    for i, m in enumerate(checkpoints):
+        pos, w = atoms[:m], weights[:m]
+        if keep is not None:
+            sel = keep[:m]
+            if not np.any(sel):
+                raise DomainError(
+                    f"every atom up to checkpoint {m} was censored; no measure to compare")
+            pos, w = pos[sel], w[sel]
+        kappas[i] = kantorovich(WeightedEmpiricalMeasure(pos, w, len(pos)), law)
+    return checkpoints, kappas

@@ -23,6 +23,7 @@ sigma(alpha)^2, and the Green-Kubo variance
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -34,6 +35,8 @@ from .errors import ConvergenceError, DegenerateVarianceError, DomainError
 from .maps import Observable, PiecewiseMap, orbit_value_chunks
 
 DEGENERATE_SIGMA2 = 1e-8
+# a CLT run refuses sigma^2 at or below this: the limit law degenerates
+REFUSED_SIGMA2 = 1e-6
 
 
 @dataclass(frozen=True)
@@ -51,10 +54,6 @@ class UlamOperator:
     def cell_width(self) -> float:
         return 1.0 / self.resolution
 
-    def cell_midpoints(self) -> np.ndarray:
-        N = self.resolution
-        return (np.arange(N) + 0.5) / N
-
 
 @dataclass(frozen=True)
 class PressureCurve:
@@ -68,10 +67,6 @@ class PressureCurve:
         if len(d2) and d2.min() < -1e-8:
             raise ConvergenceError(
                 f"pressure curve is not convex on the grid (min second difference {d2.min():.3g})")
-
-    def second_derivative(self, beta: float, step: float = 1e-3) -> float:
-        s = _spline(self.beta_grid, self.F_values)
-        return float((s(beta + step) - 2.0 * s(beta) + s(beta - step)) / step**2)
 
 
 @dataclass(frozen=True)
@@ -329,6 +324,18 @@ def legendre(curve: PressureCurve, alpha_grid, second_diff_step: float = 1e-3) -
 # Green-Kubo variance
 # ---------------------------------------------------------------------------
 
+def _certified_lags(covariances, threshold: float, max_lag: int) -> np.ndarray:
+    """C_1..C_J from a stream of lag covariances C_1, C_2, ...: J >= 10 is
+    the first lag with |C_J| below the threshold and C_{J+1} a certified
+    decay step."""
+    cj = []
+    for j, c in zip(range(1, max_lag + 2), covariances):
+        cj.append(c)
+        if j >= 11 and abs(cj[-2]) < threshold and abs(cj[-1]) <= 0.95 * abs(cj[-2]) + threshold:
+            return np.array(cj[:j - 1])
+    raise ConvergenceError(f"correlation tail not certified within {max_lag} lags")
+
+
 def autocovariance_series(pmap: PiecewiseMap, u: Observable, method: str = "quadrature",
                           N: int = 2048, orbit_length: int = 10_000_000,
                           seed: int = 0, max_lag: int = 400,
@@ -349,37 +356,23 @@ def autocovariance_series(pmap: PiecewiseMap, u: Observable, method: str = "quad
         ubar = cell_average(u, N)
         u2bar = cell_average(lambda x: np.square(u(x)), N)
         c0 = float(np.sum(u2bar * h) * width)
-        w = ubar * h
-        cj = []
-        threshold = tail_rtol * max(c0, 1e-300)
-        j_stop = None
-        for j in range(1, max_lag + 2):
-            w = op.matrix @ w
-            cj.append(float(np.sum(ubar * w) * width))
-            if j >= 11 and abs(cj[-2]) < threshold and abs(cj[-1]) <= 0.95 * abs(cj[-2]) + threshold:
-                j_stop = j - 1
-                break
-        if j_stop is None:
-            raise ConvergenceError(
-                f"correlation tail not certified within {max_lag} lags")
-        return c0, np.array(cj[:j_stop])
+
+        def covariances():
+            w = ubar * h
+            while True:
+                w = op.matrix @ w
+                yield float(np.sum(ubar * w) * width)
+
+        return c0, _certified_lags(covariances(), tail_rtol * max(c0, 1e-300), max_lag)
     if method == "orbit":
         vals = np.concatenate(list(orbit_value_chunks(pmap, u, seed, orbit_length)))
         vals = vals - np.mean(vals)
         n = len(vals)
         c0 = float(np.dot(vals, vals) / n)
+        covariances = (float(np.dot(vals[:-j], vals[j:]) / (n - j))
+                       for j in itertools.count(1))
         threshold = max(tail_rtol * c0, 3.0 * c0 / np.sqrt(n))
-        cj = []
-        j_stop = None
-        for j in range(1, max_lag + 2):
-            cj.append(float(np.dot(vals[:-j], vals[j:]) / (n - j)))
-            if j >= 11 and abs(cj[-2]) < threshold and abs(cj[-1]) <= 0.95 * abs(cj[-2]) + threshold:
-                j_stop = j - 1
-                break
-        if j_stop is None:
-            raise ConvergenceError(
-                f"correlation tail not certified within {max_lag} lags")
-        return c0, np.array(cj[:j_stop])
+        return c0, _certified_lags(covariances, threshold, max_lag)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -400,8 +393,14 @@ def green_kubo_sigma2(pmap: PiecewiseMap, u: Observable, method: str = "quadratu
     return sigma2
 
 
-def require_nondegenerate(sigma2: float, floor: float = 1e-6) -> float:
-    if sigma2 <= floor:
+def require_nondegenerate(sigma2: float) -> float:
+    """sigma^2 itself, or `DegenerateVarianceError` at or below
+    `REFUSED_SIGMA2`: the observable is a coboundary (or numerically
+    indistinguishable from one, as log|f'| of a constant-slope map is) and
+    the CLT limit law degenerates."""
+    if sigma2 <= REFUSED_SIGMA2:
         raise DegenerateVarianceError(
-            f"sigma^2 = {sigma2:.3g} <= {floor:g}: asymptotic variance degenerate")
+            f"sigma^2 = {sigma2:.3g} <= {REFUSED_SIGMA2:g}: the observable is a "
+            "coboundary (or numerically indistinguishable from one); the "
+            "limit law degenerates and the run is refused")
     return sigma2

@@ -3,18 +3,30 @@
 `moving_max` is the pure-Python window-maximum scan that checks
 `ergostat.erdos_renyi._moving_max_chunked`; `return_time` is the
 prefix-function (KMP) single-depth return-time scan that checks
-`ergostat.entropy.return_times_upto`.
+`ergostat.entropy.return_times_upto`.  `kantorovich_bruteforce` is the
+adaptive-quadrature oracle of `ergostat.measures.kantorovich`, with the
+point-mass and interpolated comparison laws its checks use;
+`itinerary` (float-iterated branch symbols of a point) and
+`cylinder_measure` (cell-overlap measure of one cylinder) check the
+cylinder machinery of `ergostat.entropy`.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from ergostat.entropy import RETURN_TIME_CAP
+from ergostat.entropy import RETURN_TIME_CAP, CylinderInterval
+from ergostat.errors import BudgetExceededError, DomainError
+from ergostat.maps import PiecewiseMap
+from ergostat.measures import HalfGaussianLaw, Law, WeightedEmpiricalMeasure
+
+_BREAKPOINT_TOL = 1e-14
 
 
 def _iter_symbols(symbols) -> Iterator[np.ndarray]:
@@ -125,3 +137,171 @@ def return_time(symbols, n: int, cap: int = RETURN_TIME_CAP) -> int | None:
         if hit is not None:
             return hit
     return None
+
+
+# -- Kantorovich distance ------------------------------------------------------
+
+@dataclass(frozen=True)
+class DiracLaw(Law):
+    """Point mass at a (test-harness comparison law)."""
+
+    a: float
+
+    def cdf(self, x):
+        return (np.asarray(x, dtype=float) >= self.a).astype(float)
+
+    def cdf_antiderivative(self, x):
+        return np.maximum(np.asarray(x, dtype=float) - self.a, 0.0)
+
+    @property
+    def tail_constant(self) -> float:
+        return self.a
+
+
+class InterpolatedLaw(Law):
+    """Continuous law whose CDF linearly interpolates empirical quantiles;
+    used as a middle measure in triangle-inequality checks."""
+
+    def __init__(self, positions, cum_probs):
+        positions = np.asarray(positions, dtype=float)
+        cum_probs = np.asarray(cum_probs, dtype=float)
+        if len(positions) < 2:
+            raise ValueError("need at least two nodes")
+        self.xs = positions
+        self.cs = cum_probs
+        # nodal antiderivative values by exact trapezoid accumulation
+        self._Is = np.concatenate(
+            [[0.0], np.cumsum(0.5 * (self.cs[1:] + self.cs[:-1]) * np.diff(self.xs))])
+
+    def cdf(self, x):
+        return np.interp(np.asarray(x, dtype=float), self.xs, self.cs,
+                         left=0.0, right=1.0)
+
+    def cdf_antiderivative(self, x):
+        x = np.asarray(x, dtype=float)
+        idx = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, len(self.xs) - 2)
+        x0, x1 = self.xs[idx], self.xs[idx + 1]
+        c0, c1 = self.cs[idx], self.cs[idx + 1]
+        slope = (c1 - c0) / (x1 - x0)
+        dx = np.clip(x, x0, x1) - x0
+        inside = self._Is[idx] + c0 * dx + 0.5 * slope * dx * dx
+        after = self._Is[-1] + (x - self.xs[-1])
+        return np.where(x <= self.xs[0], 0.0, np.where(x >= self.xs[-1], after, inside))
+
+    @property
+    def tail_constant(self) -> float:
+        return float(self.xs[-1] - self._Is[-1])
+
+
+def as_interpolated_law(emp: WeightedEmpiricalMeasure) -> InterpolatedLaw:
+    """Continuous law through the cumulative weights of `emp`."""
+    pos, w = emp._sorted
+    if len(pos) == 1:
+        pos = np.array([pos[0] - 1e-12, pos[0] + 1e-12])
+        return InterpolatedLaw(pos, np.array([0.0, 1.0]))
+    return InterpolatedLaw(pos, np.cumsum(w))
+
+
+def _adaptive_simpson(f, a, b, fa, fm, fb, tol, depth):
+    m = 0.5 * (a + b)
+    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    if depth <= 0:
+        raise BudgetExceededError("quadrature tolerance unreachable within subdivision budget")
+    # local tolerance floored at float resolution of the partial sums
+    eff = max(tol, 1e-16 * (abs(left) + abs(right)))
+    if abs(left + right - whole) <= 15.0 * eff:
+        return left + right + (left + right - whole) / 15.0
+    return (_adaptive_simpson(f, a, m, fa, flm, fm, 0.5 * tol, depth - 1)
+            + _adaptive_simpson(f, m, b, fm, frm, fb, 0.5 * tol, depth - 1))
+
+
+def kantorovich_bruteforce(emp: WeightedEmpiricalMeasure, law: Law,
+                           cutoff: float | None = None, tol: float = 1e-10) -> float:
+    """Independent oracle: adaptive Simpson quadrature of |F_emp - F_law|
+    on [-R, R] plus analytic tails.  Slower but shares no antiderivative
+    logic with `kantorovich`."""
+    pos, w = emp._sorted
+    cum = np.concatenate([[0.0], np.cumsum(w)])
+    cum[-1] = 1.0
+    scale = getattr(law, "sigma", 1.0)
+    if cutoff is None:
+        cutoff = 10.0 * (scale + float(np.max(np.abs(pos)))) + 1.0
+    if cutoff < 10.0 * (scale + float(np.max(np.abs(pos)))):
+        raise ValueError("cutoff too small: tails would not be negligible")
+
+    def femp(x):
+        idx = int(np.searchsorted(pos, x, side="right"))
+        return cum[idx]
+
+    def integrand(x):
+        return abs(femp(x) - float(law.cdf(x)))
+
+    # subdivide at atom positions and at law kinks (Dirac atom, half-Gaussian 0)
+    nodes = [-cutoff, cutoff]
+    nodes.extend(float(p) for p in pos)
+    for kink in (getattr(law, "a", None), 0.0 if isinstance(law, HalfGaussianLaw) else None):
+        if kink is not None:
+            nodes.append(float(kink))
+    nodes = sorted(x for x in set(nodes) if -cutoff <= x <= cutoff)
+
+    total = 0.0
+    span = nodes[-1] - nodes[0]
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        if b <= a:
+            continue
+        seg_tol = tol * max((b - a) / span, 1e-6)
+        # evaluate just inside the segment so atom jumps stay on the boundary
+        eps = 1e-12 * max(1.0, abs(a), abs(b))
+        fa, fm, fb = integrand(a + eps), integrand(0.5 * (a + b)), integrand(b - eps)
+        total += _adaptive_simpson(integrand, a, b, fa, fm, fb, seg_tol, depth=40)
+    total += float(law.left_tail(-cutoff)) + float(law.right_tail(cutoff))
+    return total
+
+
+# -- cylinders ------------------------------------------------------------------
+
+def itinerary(pmap: PiecewiseMap, x: float, n: int) -> np.ndarray:
+    """First n branch symbols of x under float iteration.
+
+    Iterates that land within 1e-14 of a partition point are rejected (the
+    itinerary is ambiguous there); callers retry with a fresh point.
+    """
+    x0 = float(x)
+    pt = x0
+    syms = np.empty(n, dtype=np.uint8)
+    inner = pmap.breakpoints[1:-1]
+    ends = pmap.breakpoints[[0, -1]]
+    for t in range(n):
+        # inner partition points make the symbol ambiguous; the interval
+        # endpoints flag orbits that are preimages of the discontinuity
+        collided = np.any(np.abs(pt - inner) < _BREAKPOINT_TOL) or (
+            t > 0 and np.any(np.abs(pt - ends) < _BREAKPOINT_TOL))
+        if collided:
+            raise DomainError(
+                f"iterate {t} of {x0} lies within {_BREAKPOINT_TOL:g} of a "
+                "partition point; itinerary ambiguous (retry with a fresh point)")
+        syms[t] = int(pmap.branch_index(pt))
+        pt = float(pmap.apply(pt))
+    return syms
+
+
+def cylinder_measure(density: np.ndarray, cyl: CylinderInterval) -> float:
+    """mu-measure of a cylinder by exact cell-overlap summation against an
+    invariant-density table; warns when the cylinder is far below the cell
+    resolution (the piecewise-constant density can no longer resolve it)."""
+    N = len(density)
+    if cyl.width < 0.1 / N:
+        warnings.warn(
+            f"cylinder width {cyl.width:.3g} is under a tenth of the density "
+            f"cell 1/{N}; measure carries resolution bias")
+    i0 = min(int(cyl.lo * N), N - 1)
+    i1 = min(int(cyl.hi * N), N - 1)
+    if i0 == i1:
+        return float(density[i0] * cyl.width)
+    edges = np.arange(i0, i1 + 2) / N
+    overlaps = np.minimum(edges[1:], cyl.hi) - np.maximum(edges[:-1], cyl.lo)
+    return float(np.sum(density[i0:i1 + 1] * np.clip(overlaps, 0.0, None)))

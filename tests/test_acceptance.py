@@ -62,7 +62,6 @@ from ergostat.measures import (
     WeightedEmpiricalMeasure,
     build_empirical,
     kantorovich,
-    kantorovich_bruteforce,
 )
 from ergostat.erdos_renyi import (
     er_law_check,
@@ -75,6 +74,7 @@ from ergostat.transfer import (
     legendre,
     pressure_curve,
 )
+from oracles import kantorovich_bruteforce
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:

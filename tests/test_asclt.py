@@ -5,13 +5,18 @@ from ergostat.errors import DegenerateVarianceError
 from ergostat.maps import Observable, coboundary, coin, make_map, sawtooth
 from ergostat.asclt import (
     asclt_run,
-    default_checkpoints,
     maxima_run,
     normalized_statistic_atoms,
     rate_diagnostic,
     AscltDiagnostics,
 )
-from ergostat.measures import GaussianLaw, WeightedEmpiricalMeasure, kantorovich
+from ergostat.measures import (
+    GaussianLaw,
+    WeightedEmpiricalMeasure,
+    default_checkpoints,
+    kantorovich,
+)
+from ergostat.transfer import green_kubo_sigma2
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +56,18 @@ def test_determinism_bit_identical(doubling):
 
 
 def test_coboundary_refused(doubling):
+    u = coboundary(doubling)
+    sigma2 = green_kubo_sigma2(doubling, u, N=1024)
     with pytest.raises(DegenerateVarianceError):
-        asclt_run(doubling, coboundary(doubling), 2000, seed=1, checkpoints=[1000])
+        asclt_run(doubling, u, 2000, seed=1, checkpoints=[1000], sigma2=sigma2)
+
+
+@pytest.mark.parametrize("runner", [asclt_run, maxima_run])
+def test_refusal_floor(doubling, runner):
+    with pytest.raises(DegenerateVarianceError):
+        runner(doubling, sawtooth(), 1000, seed=1, sigma2=1e-6)
+    diag = runner(doubling, sawtooth(), 1000, seed=1, sigma2=2e-6)
+    assert diag.sigma_used == np.sqrt(2e-6)
 
 
 def test_running_maxima_nondecreasing_and_positive_case(doubling):

@@ -13,14 +13,12 @@ from ergostat.entropy import (
     CylinderInterval,
     cylinder_interval,
     cylinder_log_measures,
-    cylinder_measure,
-    itinerary,
     ow_run,
     return_times_upto,
     rokhlin_entropy,
     smb_run,
 )
-from oracles import return_time
+from oracles import cylinder_measure, itinerary, return_time
 
 
 @pytest.fixture(scope="module")
@@ -317,11 +315,8 @@ def test_smb_refused_for_constant_slope(doubling):
 
 def test_smb_perturbed_median_kappa_decreases(perturbed):
     lo, hi = [], []
-    sigma2 = None
     for seed in range(1, 11):
-        diag = smb_run(perturbed, 10_000, seed=seed, checkpoints=[1000, 10_000],
-                       sigma2=sigma2)
-        sigma2 = diag.sigma_used ** 2
+        diag = smb_run(perturbed, 10_000, seed=seed, checkpoints=[1000, 10_000])
         lo.append(diag.kappa_values[0])
         hi.append(diag.kappa_values[1])
         assert diag.kappa_values.max() < 0.15

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ergostat.errors import DomainError
 from ergostat.measures import (
-    DiracLaw,
     GaussianLaw,
     HalfGaussianLaw,
     WeightedEmpiricalMeasure,
     build_empirical,
+    default_checkpoints,
     kantorovich,
-    kantorovich_bruteforce,
+    kantorovich_ladder,
 )
+from oracles import DiracLaw, as_interpolated_law, kantorovich_bruteforce
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -45,7 +47,6 @@ def test_total_mass_normalized():
 
 
 def test_non_finite_atoms_rejected():
-    from ergostat.errors import DomainError
     with pytest.raises(DomainError):
         WeightedEmpiricalMeasure(np.array([0.0, np.nan]), np.array([1.0, 0.5]), 2)
 
@@ -156,7 +157,7 @@ def test_triangle_inequality_random_triples():
     rng = np.random.default_rng(7)
     for _ in range(20):
         emp = _random_measure(rng, max_atoms=100)
-        mid = emp.as_interpolated_law()
+        mid = as_interpolated_law(emp)
         gauss = GaussianLaw(0.5 + rng.random())
         d_direct = kantorovich(emp, gauss)
         d_via_mid = kantorovich(emp, mid)
@@ -182,3 +183,35 @@ def test_bruteforce_cutoff_guard():
     emp = build_empirical([50.0], 1)
     with pytest.raises(ValueError):
         kantorovich_bruteforce(emp, GaussianLaw(1.0), cutoff=5.0)
+
+
+# -- checkpoint ladder ---------------------------------------------------------
+
+def test_ladder_equals_per_checkpoint_distances():
+    rng = np.random.default_rng(5)
+    atoms = rng.normal(size=3000)
+    law = GaussianLaw(0.8)
+    cps, kappas = kantorovich_ladder(atoms, law, [10, 500, 3000])
+    assert cps.tolist() == [10, 500, 3000]
+    for m, kappa in zip(cps, kappas):
+        assert kappa == kantorovich(build_empirical(atoms, m), law)
+    cps, _ = kantorovich_ladder(atoms, law)
+    assert np.array_equal(cps, default_checkpoints(3000))
+
+
+def test_masked_ladder_drops_atoms_and_their_weights():
+    rng = np.random.default_rng(6)
+    atoms = rng.normal(size=3000)
+    keep = rng.random(3000) < 0.3
+    keep[:20] = False
+    law = HalfGaussianLaw(1.3)
+    _, kappas = kantorovich_ladder(np.abs(atoms), law, [50, 1000, 3000], keep)
+    weights = 1.0 / np.arange(1, 3001)
+    for m, kappa in zip([50, 1000, 3000], kappas):
+        sel = keep[:m]
+        emp = WeightedEmpiricalMeasure(np.abs(atoms[:m][sel]), weights[:m][sel],
+                                       int(np.sum(sel)))
+        assert kappa == kantorovich(emp, law)
+    with pytest.raises(DomainError):
+        kantorovich_ladder(atoms, law, [10, 3000], keep)
+
