@@ -16,7 +16,6 @@ from .maps import (  # noqa: F401
     Observable,
     Orbit,
     PiecewiseMap,
-    birkhoff_sums,
     coboundary,
     coin,
     log_derivative,
@@ -44,7 +43,7 @@ from .transfer import (  # noqa: F401
     pressure_curve,
     ulam_matrix,
 )
-from .asclt import asclt_run, maxima_run, rate_diagnostic  # noqa: F401
+from .asclt import asclt_run, maxima_run  # noqa: F401
 from .erdos_renyi import (  # noqa: F401
     er_law_check,
     decoupling_check,

@@ -86,17 +86,3 @@ def maxima_run(pmap: PiecewiseMap, u: Observable, n: int, seed: int,
     """Track kappa(M_n, G(sigma)) for the running-maximum statistic."""
     return _run(pmap, u, n, seed, checkpoints, sigma2, running_max=True)
 
-
-def rate_diagnostic(diag: AscltDiagnostics) -> tuple[np.ndarray, str]:
-    """Normalized rate sequence and a descriptive boundedness verdict.
-
-    Verdict is "bounded" when the running maximum of the normalized rates
-    has stabilized (last value at most 1.5x its median); no almost-sure
-    claim is implied.
-    """
-    if len(diag.checkpoints) < 2:
-        raise ValueError("need at least two checkpoints")
-    seq = diag.normalized_rates
-    running = np.maximum.accumulate(seq)
-    verdict = "bounded" if running[-1] <= 1.5 * float(np.median(running)) else "unbounded"
-    return seq, verdict

@@ -194,18 +194,6 @@ class PiecewiseMap:
                 f"{expansion.min():.6g} below eta={self.expansion_constant}"
             )
 
-    def evaluate(self, x):
-        """Return (image, branch index, derivative) for x in [0,1)."""
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr >= 1.0):
-            raise DomainError(f"point {x} outside [0,1)")
-        image = self.apply(arr)
-        idx = self.branch_index(arr)
-        deriv = self.derivative(arr)
-        if arr.ndim == 0:
-            return float(image), int(idx), float(deriv)
-        return image, idx, deriv
-
 
 # ---------------------------------------------------------------------------
 # built-in maps
@@ -699,7 +687,3 @@ def trial_value_blocks(pmap: PiecewiseMap, u: Observable, span: int, trials: int
             yield vals
         done += m
 
-
-def birkhoff_sums(orb: Orbit, u: Observable) -> np.ndarray:
-    """Partial sums S_k = sum_{j<k} u(f^j x), k = 1..n."""
-    return np.cumsum(u(orb.points))

@@ -11,8 +11,10 @@ and its Ulam matrix on N uniform cells has entries
 so that the right Perron vector at beta=0 is the cell-averaged invariant
 density h and log of the leading eigenvalue is the pressure F(beta).
 Piecewise-linear branches are assembled from exact preimages of cell
-boundaries; smooth branches use per-cell midpoint quadrature.  Eigendata
-comes from power iteration on the (sparse) matrix.
+boundaries; smooth branches use per-cell midpoint quadrature.  The
+samples do not depend on beta, so a pressure curve assembles them once and
+each beta only reweights them.  Eigendata comes from power iteration on
+the (sparse) matrix.
 
 Derived objects: the pressure curve F with F(0)=0, its Legendre transform
 phi(alpha) with beta(alpha)=phi'(alpha), the curvature F''(beta) used as
@@ -34,25 +36,21 @@ from scipy.interpolate import CubicSpline
 from .errors import ConvergenceError, DegenerateVarianceError, DomainError
 from .maps import Observable, PiecewiseMap, orbit_value_chunks
 
-DEGENERATE_SIGMA2 = 1e-8
 # a CLT run refuses sigma^2 at or below this: the limit law degenerates
 REFUSED_SIGMA2 = 1e-6
+# the Green-Kubo sum gives up past this lag; the tail threshold is
+# TAIL_RTOL * C_0
+MAX_LAG = 400
+TAIL_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
 class UlamOperator:
     """Discretized weighted transfer operator with leading eigendata."""
 
-    resolution: int
-    beta: float
     matrix: sparse.csr_matrix
     leading_eigenvalue: float
     right_vector: np.ndarray      # Perron density values per cell, integrates to 1
-    left_vector: np.ndarray       # adjoint Perron vector, <left, right>*dx = 1
-
-    @property
-    def cell_width(self) -> float:
-        return 1.0 / self.resolution
 
 
 @dataclass(frozen=True)
@@ -103,19 +101,14 @@ def _spline(x, y):
 # matrix assembly
 # ---------------------------------------------------------------------------
 
-def _assemble(pmap: PiecewiseMap, u: Observable | None, beta: float, N: int,
-              quad_points: int = 64) -> sparse.csr_matrix:
-    if beta != 0.0 and u is None:
-        raise ValueError("weighted operator needs an observable")
+def _ulam_samples(pmap: PiecewiseMap, N: int, quad_points: int = 64):
+    """The beta-free part of the Ulam matrix: (rows, cols, lens, points) of
+    every sample of every branch, in branch order.  A sample of length
+    `lens` at `points` in source cell `cols` lands in target cell `rows`."""
+    if N < 2:
+        raise ValueError("resolution must be at least 2")
     edges = np.arange(N + 1) / N
-    width = 1.0 / N
-    rows, cols, vals = [], [], []
-
-    def weight(x):
-        if beta == 0.0 or u is None:
-            return np.ones_like(x)
-        return np.exp(beta * u(x))
-
+    rows, cols, lengths, points = [], [], [], []
     for br in pmap.branches:
         if br.is_linear:
             ylo, yhi = br.image()
@@ -143,16 +136,11 @@ def _assemble(pmap: PiecewiseMap, u: Observable | None, beta: float, N: int,
                 lens_list.append(np.full(quad_points, (b - a) / quad_points))
             mids = np.concatenate(mids_list)
             lens = np.concatenate(lens_list)
-        src = np.clip((mids * N).astype(np.int64), 0, N - 1)
-        tgt = np.clip((br(mids) * N).astype(np.int64), 0, N - 1)
-        vals.append(lens * weight(mids) / width)
-        rows.append(tgt)
-        cols.append(src)
-
-    mat = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N))
-    return mat.tocsr()
+        rows.append(np.clip((br(mids) * N).astype(np.int64), 0, N - 1))
+        cols.append(np.clip((mids * N).astype(np.int64), 0, N - 1))
+        lengths.append(lens)
+        points.append(mids)
+    return tuple(np.concatenate(a) for a in (rows, cols, lengths, points))
 
 
 def _power_iteration(mat: sparse.csr_matrix, tol: float = 1e-12,
@@ -178,6 +166,19 @@ def _power_iteration(mat: sparse.csr_matrix, tol: float = 1e-12,
         residual=residual)
 
 
+def _operator(samples, w, N: int) -> UlamOperator:
+    """Ulam matrix of the samples weighted by w (e^{beta u} at the sample
+    points, or 1.0 at beta = 0) and its right Perron pair."""
+    rows, cols, lens, _ = samples
+    width = 1.0 / N
+    mat = sparse.coo_matrix((lens * w / width, (rows, cols)), shape=(N, N)).tocsr()
+    lam, right = _power_iteration(mat)
+    right = right / (np.sum(right) * width)          # integrate to 1
+    if right.min() <= 0:
+        raise ConvergenceError("Perron vector has nonpositive entries")
+    return UlamOperator(matrix=mat, leading_eigenvalue=lam, right_vector=right)
+
+
 def ulam_matrix(pmap: PiecewiseMap, u: Observable | None = None, beta: float = 0.0,
                 N: int = 1024, quad_points: int = 64) -> UlamOperator:
     """Build the Ulam matrix of L_beta and compute its leading eigendata.
@@ -185,18 +186,11 @@ def ulam_matrix(pmap: PiecewiseMap, u: Observable | None = None, beta: float = 0
     Resolutions below ~16 are only useful for inspecting the assembly
     itself (e.g. the 2x2 doubling matrix is [[1/2,1/2],[1/2,1/2]]).
     """
-    if N < 2:
-        raise ValueError("resolution must be at least 2")
-    mat = _assemble(pmap, u, beta, N, quad_points)
-    lam, right = _power_iteration(mat)
-    _, left = _power_iteration(mat.T.tocsr())
-    width = 1.0 / N
-    right = right / (np.sum(right) * width)          # integrate to 1
-    left = left / (np.sum(left * right) * width)     # pairing normalization
-    if right.min() <= 0 or left.min() <= 0:
-        raise ConvergenceError("Perron vector has nonpositive entries")
-    return UlamOperator(resolution=N, beta=beta, matrix=mat,
-                        leading_eigenvalue=lam, right_vector=right, left_vector=left)
+    if beta != 0.0 and u is None:
+        raise ValueError("weighted operator needs an observable")
+    samples = _ulam_samples(pmap, N, quad_points)
+    w = 1.0 if beta == 0.0 else np.exp(beta * u(samples[3]))
+    return _operator(samples, w, N)
 
 
 def invariant_density(pmap: PiecewiseMap, N: int = 1024) -> np.ndarray:
@@ -232,31 +226,27 @@ def center_observable(pmap: PiecewiseMap, u: Observable, N: int = 1024) -> Obser
 # pressure and rate function
 # ---------------------------------------------------------------------------
 
-def default_beta_grid(beta_max: float = 3.0, points: int = 121) -> np.ndarray:
-    """Symmetric grid on [-beta_max, beta_max] (working range default)."""
-    return np.linspace(-beta_max, beta_max, points)
-
-
-def pressure_curve(pmap: PiecewiseMap, u: Observable, beta_grid=None,
+def pressure_curve(pmap: PiecewiseMap, u: Observable, beta_grid,
                    N: int = 1024) -> PressureCurve:
     """F(beta) = log lambda(beta), shifted so F(0) = 0 exactly.
 
-    If power iteration fails at the edge of the grid the curve is truncated
-    symmetrically with a warning.
+    The Ulam samples and u at their points are computed once; each beta
+    reweights them.  If power iteration fails at the edge of the grid the
+    curve is truncated symmetrically with a warning.
     """
-    if beta_grid is None:
-        beta_grid = default_beta_grid()
     beta_grid = np.asarray(beta_grid, dtype=float)
-    lam0 = ulam_matrix(pmap, u, 0.0, N).leading_eigenvalue
+    samples = _ulam_samples(pmap, N)
+    u_points = u(samples[3])
+    lam0 = _operator(samples, 1.0, N).leading_eigenvalue
     logs = np.full(len(beta_grid), np.nan)
     for i, b in enumerate(beta_grid):
         if b == 0.0:
             logs[i] = np.log(lam0)
             continue
         try:
-            logs[i] = np.log(ulam_matrix(pmap, u, float(b), N).leading_eigenvalue)
+            logs[i] = np.log(_operator(samples, np.exp(b * u_points), N).leading_eigenvalue)
         except ConvergenceError:
-            logs[i] = np.nan
+            pass
     ok = np.isfinite(logs)
     if not ok.all():
         lo = np.max(np.abs(beta_grid[~ok]))
@@ -291,7 +281,7 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, fl
     return x, fn(x)
 
 
-def legendre(curve: PressureCurve, alpha_grid, second_diff_step: float = 1e-3) -> RateFunction:
+def legendre(curve: PressureCurve, alpha_grid) -> RateFunction:
     """phi(alpha) = sup_beta (alpha beta - F(beta)) on the curve's range.
 
     The sup is taken over a cubic interpolant of F refined by golden
@@ -299,6 +289,7 @@ def legendre(curve: PressureCurve, alpha_grid, second_diff_step: float = 1e-3) -
     F' (estimated by grid secants) are rejected rather than extrapolated.
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
+    step = 1e-3                   # central second difference of F for sigma^2
     bg, F = curve.beta_grid, curve.F_values
     secants = np.diff(F) / np.diff(bg)
     lo_slope, hi_slope = float(secants.min()), float(secants.max())
@@ -314,8 +305,8 @@ def legendre(curve: PressureCurve, alpha_grid, second_diff_step: float = 1e-3) -
         b, val = _golden_max(lambda t: a * t - float(s(t)), bg[0], bg[-1])
         phi[i] = max(val, 0.0)
         beta_star[i] = b
-        sig2[i] = (float(s(b + second_diff_step)) - 2.0 * float(s(b))
-                   + float(s(b - second_diff_step))) / second_diff_step**2
+        sig2[i] = (float(s(b + step)) - 2.0 * float(s(b))
+                   + float(s(b - step))) / step**2
     return RateFunction(alpha_grid=alpha_grid, phi_values=phi,
                         beta_of_alpha=beta_star, sigma2_of_alpha=sig2)
 
@@ -324,22 +315,21 @@ def legendre(curve: PressureCurve, alpha_grid, second_diff_step: float = 1e-3) -
 # Green-Kubo variance
 # ---------------------------------------------------------------------------
 
-def _certified_lags(covariances, threshold: float, max_lag: int) -> np.ndarray:
+def _certified_lags(covariances, threshold: float) -> np.ndarray:
     """C_1..C_J from a stream of lag covariances C_1, C_2, ...: J >= 10 is
     the first lag with |C_J| below the threshold and C_{J+1} a certified
     decay step."""
     cj = []
-    for j, c in zip(range(1, max_lag + 2), covariances):
+    for j, c in zip(range(1, MAX_LAG + 2), covariances):
         cj.append(c)
         if j >= 11 and abs(cj[-2]) < threshold and abs(cj[-1]) <= 0.95 * abs(cj[-2]) + threshold:
             return np.array(cj[:j - 1])
-    raise ConvergenceError(f"correlation tail not certified within {max_lag} lags")
+    raise ConvergenceError(f"correlation tail not certified within {MAX_LAG} lags")
 
 
 def autocovariance_series(pmap: PiecewiseMap, u: Observable, method: str = "quadrature",
                           N: int = 2048, orbit_length: int = 10_000_000,
-                          seed: int = 0, max_lag: int = 400,
-                          tail_rtol: float = 1e-9):
+                          seed: int = 0):
     """C_0 and the lag covariances C_j of u along the dynamics, truncated at
     the first J >= 10 where |C_J| drops below the tail threshold with a
     certified decay step.
@@ -352,7 +342,7 @@ def autocovariance_series(pmap: PiecewiseMap, u: Observable, method: str = "quad
     if method == "quadrature":
         op = ulam_matrix(pmap, None, 0.0, N)
         h = op.right_vector
-        width = op.cell_width
+        width = 1.0 / N
         ubar = cell_average(u, N)
         u2bar = cell_average(lambda x: np.square(u(x)), N)
         c0 = float(np.sum(u2bar * h) * width)
@@ -363,7 +353,7 @@ def autocovariance_series(pmap: PiecewiseMap, u: Observable, method: str = "quad
                 w = op.matrix @ w
                 yield float(np.sum(ubar * w) * width)
 
-        return c0, _certified_lags(covariances(), tail_rtol * max(c0, 1e-300), max_lag)
+        return c0, _certified_lags(covariances(), TAIL_RTOL * max(c0, 1e-300))
     if method == "orbit":
         vals = np.concatenate(list(orbit_value_chunks(pmap, u, seed, orbit_length)))
         vals = vals - np.mean(vals)
@@ -371,8 +361,8 @@ def autocovariance_series(pmap: PiecewiseMap, u: Observable, method: str = "quad
         c0 = float(np.dot(vals, vals) / n)
         covariances = (float(np.dot(vals[:-j], vals[j:]) / (n - j))
                        for j in itertools.count(1))
-        threshold = max(tail_rtol * c0, 3.0 * c0 / np.sqrt(n))
-        return c0, _certified_lags(covariances, threshold, max_lag)
+        threshold = max(TAIL_RTOL * c0, 3.0 * c0 / np.sqrt(n))
+        return c0, _certified_lags(covariances, threshold)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -380,16 +370,17 @@ def green_kubo_sigma2(pmap: PiecewiseMap, u: Observable, method: str = "quadratu
                       **params) -> float:
     """CLT variance sigma^2 = C_0 + 2 sum_j C_j for a centered observable.
 
-    Values below the degeneracy floor are flagged: sigma^2 = 0 means u is a
-    coboundary and the CLT limit laws collapse.
+    Values at or below `REFUSED_SIGMA2`, where `require_nondegenerate`
+    refuses a CLT run, are flagged: sigma^2 = 0 means u is a coboundary
+    and the CLT limit laws collapse.
     """
     c0, cj = autocovariance_series(pmap, u, method, **params)
     sigma2 = c0 + 2.0 * float(np.sum(cj))
     if sigma2 < -1e-8:
         raise ConvergenceError(f"negative sigma^2 = {sigma2:.3g}: truncation failed")
-    if abs(sigma2) <= DEGENERATE_SIGMA2:
-        warnings.warn("sigma^2 is numerically zero: observable behaves as a "
-                      "coboundary and CLT-based runs will refuse it")
+    if sigma2 <= REFUSED_SIGMA2:
+        warnings.warn(f"sigma^2 is numerically zero ({sigma2:.3g} <= {REFUSED_SIGMA2:g}): "
+                      "observable behaves as a coboundary and CLT-based runs will refuse it")
     return sigma2
 
 

@@ -8,7 +8,12 @@ adaptive-quadrature oracle of `ergostat.measures.kantorovich`, with the
 point-mass and interpolated comparison laws its checks use;
 `itinerary` (float-iterated branch symbols of a point) and
 `cylinder_measure` (cell-overlap measure of one cylinder) check the
-cylinder machinery of `ergostat.entropy`.
+cylinder machinery of `ergostat.entropy`.  `evaluate` (image, branch and
+derivative of a point), `birkhoff_sums` (partial sums along an orbit) and
+`rate_diagnostic` (boundedness verdict of an asclt rate sequence) are
+small readers of program objects that only the tests use.
+`binomial_band` gives the acceptance band of a Monte Carlo success count
+from the exact binomial law.
 """
 
 from __future__ import annotations
@@ -20,10 +25,12 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+from scipy.stats import binom
 
+from ergostat.asclt import AscltDiagnostics
 from ergostat.entropy import RETURN_TIME_CAP, CylinderInterval
 from ergostat.errors import BudgetExceededError, DomainError
-from ergostat.maps import PiecewiseMap
+from ergostat.maps import Observable, Orbit, PiecewiseMap
 from ergostat.measures import HalfGaussianLaw, Law, WeightedEmpiricalMeasure
 
 _BREAKPOINT_TOL = 1e-14
@@ -305,3 +312,47 @@ def cylinder_measure(density: np.ndarray, cyl: CylinderInterval) -> float:
     edges = np.arange(i0, i1 + 2) / N
     overlaps = np.minimum(edges[1:], cyl.hi) - np.maximum(edges[:-1], cyl.lo)
     return float(np.sum(density[i0:i1 + 1] * np.clip(overlaps, 0.0, None)))
+
+
+# -- readers of program objects -------------------------------------------------
+
+def evaluate(pmap: PiecewiseMap, x):
+    """Return (image, branch index, derivative) for x in [0,1)."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0.0) or np.any(arr >= 1.0):
+        raise DomainError(f"point {x} outside [0,1)")
+    image = pmap.apply(arr)
+    idx = pmap.branch_index(arr)
+    deriv = pmap.derivative(arr)
+    if arr.ndim == 0:
+        return float(image), int(idx), float(deriv)
+    return image, idx, deriv
+
+
+def birkhoff_sums(orb: Orbit, u: Observable) -> np.ndarray:
+    """Partial sums S_k = sum_{j<k} u(f^j x), k = 1..n."""
+    return np.cumsum(u(orb.points))
+
+
+def rate_diagnostic(diag: AscltDiagnostics) -> tuple[np.ndarray, str]:
+    """Normalized rate sequence and a descriptive boundedness verdict.
+
+    Verdict is "bounded" when the running maximum of the normalized rates
+    has stabilized (last value at most 1.5x its median); no almost-sure
+    claim is implied.
+    """
+    if len(diag.checkpoints) < 2:
+        raise ValueError("need at least two checkpoints")
+    seq = diag.normalized_rates
+    running = np.maximum.accumulate(seq)
+    verdict = "bounded" if running[-1] <= 1.5 * float(np.median(running)) else "unbounded"
+    return seq, verdict
+
+
+def binomial_band(trials: int, p: float, tail: float = 0.005) -> tuple[int, int, float]:
+    """Central band [lo, hi] of a Binomial(trials, p) count, cut at `tail`
+    on each side, and the exact probability that a correct count falls
+    outside it (at most 2 * tail)."""
+    lo = int(binom.ppf(tail, trials, p))
+    hi = int(binom.isf(tail, trials, p))
+    return lo, hi, float(binom.cdf(lo - 1, trials, p) + binom.sf(hi, trials, p))

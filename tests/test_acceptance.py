@@ -22,6 +22,8 @@ through `ergostat.maps`, so no level is read off program output.
 - 09a: direct Monte Carlo at k = 50, 100 inside the central 99.6% of the
   exact binomial count (<= 0.8%), the refusal at k = 200, 400, and the
   ratio bound with exact tails there.  phi off by 0.01 fails it.
+- 09b: the k = 100 success count of 1e6 direct trials inside the central
+  band of the exact binomial count, 0.5% cut from each tail (0.82%).
 - 08 stays red: the raw inversion log(N)/k overshoots phi(m(k)) by
   (log(k)/2 + D_k)/k, too much for 15% at N = 2^20 (see the README,
   "Known-red acceptance checks").
@@ -74,7 +76,7 @@ from ergostat.transfer import (
     legendre,
     pressure_curve,
 )
-from oracles import kantorovich_bruteforce
+from oracles import binomial_band, kantorovich_bruteforce
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -488,10 +490,12 @@ def test_criterion_09b_estime_binomial_oracle(doubling, coin_rate):
     est = ld_probability_mc(doubling, coin(), 0.2, 100, 1_000_000, seed=11,
                             rate=coin_rate)
     exact = float(binom.sf(70, 100, 0.5))
-    ok = est.ci_lo <= exact <= est.ci_hi
+    lo, hi, false_alarm = binomial_band(est.trials, exact)
+    ok = lo <= est.successes <= hi
     assert report("09b", ok,
-                  f"p_hat {est.p_hat:.2e} CI [{est.ci_lo:.2e}, {est.ci_hi:.2e}] "
-                  f"covers exact binomial tail {exact:.2e}")
+                  f"successes {est.successes} of {est.trials} in [{lo}, {hi}], the "
+                  f"central band of the exact binomial count at p = {exact:.2e} "
+                  f"(false alarm {false_alarm:.2%})")
 
 
 # -- 10 -----------------------------------------------------------------------

@@ -7,7 +7,6 @@ from ergostat.asclt import (
     asclt_run,
     maxima_run,
     normalized_statistic_atoms,
-    rate_diagnostic,
     AscltDiagnostics,
 )
 from ergostat.measures import (
@@ -17,6 +16,7 @@ from ergostat.measures import (
     kantorovich,
 )
 from ergostat.transfer import green_kubo_sigma2
+from oracles import rate_diagnostic
 
 
 @pytest.fixture(scope="module")

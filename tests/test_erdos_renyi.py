@@ -15,7 +15,7 @@ from ergostat.erdos_renyi import (
     rate_estimator,
     wilson_interval,
 )
-from oracles import moving_max
+from oracles import binomial_band, moving_max
 
 
 def cramer(a):
@@ -201,14 +201,20 @@ def test_rate_estimator_length_guard():
 def test_ld_probability_binomial_oracle(doubling, coin_rate):
     est = ld_probability_mc(doubling, coin(), 0.2, 100, 200_000, seed=11, rate=coin_rate)
     exact = float(binom.sf(70, 100, 0.5))
-    assert est.ci_lo <= exact <= est.ci_hi
+    lo, hi, false_alarm = binomial_band(est.trials, exact)
+    assert lo <= est.successes <= hi, (
+        f"successes {est.successes} outside [{lo}, {hi}], the central band of the "
+        f"exact binomial count (false alarm {false_alarm:.2%})")
 
 
 def test_ld_probability_alpha_zero_is_half(doubling, coin_rate):
     est = ld_probability_mc(doubling, coin(), 1e-9, 100, 50_000, seed=3, rate=coin_rate)
     # lattice-exact: P(S_100 > 0) = (1 - P(B=50))/2
     exact = float(0.5 * (1.0 - binom.pmf(50, 100, 0.5)))
-    assert est.ci_lo <= exact <= est.ci_hi
+    lo, hi, false_alarm = binomial_band(est.trials, exact)
+    assert lo <= est.successes <= hi, (
+        f"successes {est.successes} outside [{lo}, {hi}], the central band of the "
+        f"exact binomial count (false alarm {false_alarm:.2%})")
 
 
 def test_ld_normalized_ratios_bounded_at_feasible_alpha(doubling, coin_rate):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from ergostat.transfer import (
     ulam_matrix,
     _golden_max,
 )
+from test_maps import _counting
 
 
 def bernoulli_cramer(alpha):
@@ -66,7 +68,6 @@ def test_eigenvalue_one_at_beta_zero():
         op = ulam_matrix(make_map(name), None, 0.0, N=256)
         assert op.leading_eigenvalue == pytest.approx(1.0, abs=1e-10)
         assert op.right_vector.min() > 0
-        assert op.left_vector.min() > 0
 
 
 def test_power_iteration_against_dense_eigensolver():
@@ -114,10 +115,11 @@ def test_pressure_constant_observable_linear():
 
 
 def test_pressure_coin_closed_form():
-    curve = pressure_curve(make_map("doubling"), coin(),
-                           np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), N=1024)
-    expected = np.log(np.cosh(curve.beta_grid / 2.0))
-    assert np.max(np.abs(curve.F_values - expected)) < 1e-6
+    # the even grid has no beta = 0 node: F is still shifted by log lambda(0)
+    for grid in (np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), np.linspace(-2.0, 2.0, 4)):
+        curve = pressure_curve(make_map("doubling"), coin(), grid, N=1024)
+        expected = np.log(np.cosh(curve.beta_grid / 2.0))
+        assert np.max(np.abs(curve.F_values - expected)) < 1e-6
 
 
 def test_pressure_resolution_stability_coin():
@@ -126,6 +128,31 @@ def test_pressure_resolution_stability_coin():
     f_low = pressure_curve(d, coin(), grid, N=1024).F_values[1]
     f_high = pressure_curve(d, coin(), grid, N=4096).F_values[1]
     assert abs(f_low - f_high) < 1e-6
+
+
+def test_pressure_curve_assembles_once():
+    # the Ulam samples do not depend on beta, so a 31-point grid evaluates
+    # the branches and u on exactly as many points as a 3-point grid
+    pd = make_map("perturbed-doubling")
+    counted = [_counting(br) for br in pd.branches]
+    pmap = replace(pd, branches=tuple(br for br, _ in counted))
+    u_seen = []
+
+    def u_fn(x):
+        u_seen.append(np.array(x, dtype=float, copy=True))
+        return x - 0.5
+    u = Observable("counted-sawtooth", u_fn, lipschitz_constant=1.0)
+
+    def points(grid):
+        for seen in [u_seen] + [seen for _, seen in counted]:
+            seen.clear()
+        pressure_curve(pmap, u, grid, N=128)
+        return (sum(x.size for _, seen in counted for x in seen),
+                sum(x.size for x in u_seen))
+
+    few = points(np.linspace(-1.0, 1.0, 3))
+    assert min(few) > 0
+    assert points(np.linspace(-1.0, 1.0, 31)) == few
 
 
 def test_pressure_curve_rejects_nonconvex():
@@ -139,7 +166,6 @@ def test_perron_positivity_across_beta():
     for beta in np.linspace(-3, 3, 7):
         op = ulam_matrix(d, coin(), float(beta), N=128)
         assert op.right_vector.min() > 0
-        assert op.left_vector.min() > 0
 
 
 # -- Legendre transform -------------------------------------------------------
