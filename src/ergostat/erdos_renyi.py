@@ -56,8 +56,8 @@ def _moving_max_chunked(chunks, k: int, n_windows: int) -> tuple[float, int]:
         e_start = max(k, consumed + 1)
         e_end = consumed + take
         if e_end >= e_start:
-            epos = np.arange(e_start, e_end + 1) - lo
-            sums = ext[epos] - ext[epos - k]
+            i0, i1 = e_start - lo, e_end + 1 - lo
+            sums = ext[i0:i1] - ext[i0 - k : i1 - k]
             i = int(np.argmax(sums))
             if sums[i] > best:
                 best = float(sums[i])

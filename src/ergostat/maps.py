@@ -29,6 +29,9 @@ from .errors import DomainError, MapDefinitionError
 
 # Mantissa bits reconstructed from the symbol tail in symbolic mode.
 _RECONSTRUCT_BITS = 53
+# Points per block of the reconstruction: the branch data of one block's
+# symbol tail is gathered once and its levels run in place.
+_RECONSTRUCT_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -524,6 +527,8 @@ def points_from_symbols(pmap: PiecewiseMap, symbols: np.ndarray, n: int) -> np.n
     x_t is the image of 1/2 under the inverse-branch word of depth T that
     follows position t; the truncation error is below one float ulp.
     Requires len(symbols) >= n + T.  2-d input reconstructs each row.
+    Each block of points gathers the branch data of its symbol tail once
+    and runs the T levels in place on contiguous slices of it.
     """
     symbols = np.asarray(symbols)
     depth = _symbol_tail_depth(pmap)
@@ -532,9 +537,14 @@ def points_from_symbols(pmap: PiecewiseMap, symbols: np.ndarray, n: int) -> np.n
     slopes = np.array([br.slope for br in pmap.branches])
     intercepts = np.array([br.intercept for br in pmap.branches])
     x = np.full(symbols.shape[:-1] + (n,), 0.5)
-    for d in range(depth - 1, -1, -1):
-        s = symbols[..., d : d + n]
-        x = (x - intercepts[s]) / slopes[s]
+    for a in range(0, n, _RECONSTRUCT_BLOCK):
+        m = min(_RECONSTRUCT_BLOCK, n - a)
+        tail = symbols[..., a : a + m + depth]
+        c, s = intercepts[tail], slopes[tail]
+        xb = x[..., a : a + m]
+        for d in range(depth - 1, -1, -1):
+            np.subtract(xb, c[..., d : d + m], out=xb)
+            np.divide(xb, s[..., d : d + m], out=xb)
     return x
 
 

@@ -261,32 +261,43 @@ def pressure_curve(pmap: PiecewiseMap, u: Observable, beta_grid,
     return PressureCurve(beta_grid=beta_grid, F_values=F)
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section maximizer of a unimodal fn on [lo, hi]."""
+def _golden_max(fn, lo, hi, tol: float = 1e-10):
+    """Golden-section maximizer of a unimodal fn on [lo, hi], elementwise.
+
+    lo and hi may be arrays of brackets, and fn then maps an array of points
+    (one per bracket) to their values.  Each bracket shrinks until it is
+    narrower than tol and then stays as it is, so every element takes the
+    steps a scalar search of its own bracket would take.  Returns (argmax,
+    max); the argmax is a scalar for a scalar bracket.
+    """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
+    while True:
+        live = b - a > tol
+        if not live.any():
+            break
+        left = fc >= fd
+        lower, upper = live & left, live & ~left    # keep [a, d] / [c, b]
+        b, d, fd = np.where(lower, d, b), np.where(lower, c, d), np.where(lower, fc, fd)
+        a, c, fc = np.where(upper, c, a), np.where(upper, d, c), np.where(upper, fd, fc)
+        p = np.where(lower, b - invphi * (b - a), a + invphi * (b - a))
+        fp = fn(p)
+        c, fc = np.where(lower, p, c), np.where(lower, fp, fc)
+        d, fd = np.where(upper, p, d), np.where(upper, fp, fd)
     x = 0.5 * (a + b)
-    return x, fn(x)
+    return x[()], fn(x)
 
 
 def legendre(curve: PressureCurve, alpha_grid) -> RateFunction:
     """phi(alpha) = sup_beta (alpha beta - F(beta)) on the curve's range.
 
     The sup is taken over a cubic interpolant of F refined by golden
-    section; beta(alpha) is the argmax.  alpha values outside the range of
-    F' (estimated by grid secants) are rejected rather than extrapolated.
+    section, for all alpha at once; beta(alpha) is the argmax.  alpha
+    values outside the range of F' (estimated by grid secants) are rejected
+    rather than extrapolated.
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     step = 1e-3                   # central second difference of F for sigma^2
@@ -298,15 +309,12 @@ def legendre(curve: PressureCurve, alpha_grid) -> RateFunction:
             f"alpha outside the range of F' on the grid "
             f"([{lo_slope:.6g}, {hi_slope:.6g}]); rate function undefined there")
     s = _spline(bg, F)
-    phi = np.empty(len(alpha_grid))
-    beta_star = np.empty(len(alpha_grid))
-    sig2 = np.empty(len(alpha_grid))
-    for i, a in enumerate(alpha_grid):
-        b, val = _golden_max(lambda t: a * t - float(s(t)), bg[0], bg[-1])
-        phi[i] = max(val, 0.0)
-        beta_star[i] = b
-        sig2[i] = (float(s(b + step)) - 2.0 * float(s(b))
-                   + float(s(b - step))) / step**2
+    beta_star, val = _golden_max(lambda t: alpha_grid * t - s(t),
+                                 np.full(alpha_grid.shape, bg[0]),
+                                 np.full(alpha_grid.shape, bg[-1]))
+    # max(val, 0.0) elementwise: keeps val = -0.0, as np.maximum would not
+    phi = np.where(0.0 > val, 0.0, val)
+    sig2 = (s(beta_star + step) - 2.0 * s(beta_star) + s(beta_star - step)) / step**2
     return RateFunction(alpha_grid=alpha_grid, phi_values=phi,
                         beta_of_alpha=beta_star, sigma2_of_alpha=sig2)
 

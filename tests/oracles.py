@@ -13,7 +13,11 @@ derivative of a point), `birkhoff_sums` (partial sums along an orbit) and
 `rate_diagnostic` (boundedness verdict of an asclt rate sequence) are
 small readers of program objects that only the tests use.
 `binomial_band` gives the acceptance band of a Monte Carlo success count
-from the exact binomial law.
+from the exact binomial law.  `reconstruct_points` (one gather per level
+over the whole stream) and `legendre_per_alpha` (one scalar golden-section
+search per alpha, `golden_max`) are the level-by-level and per-alpha forms
+that `ergostat.maps.points_from_symbols` and `ergostat.transfer.legendre`
+must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from scipy.stats import binom
 from ergostat.asclt import AscltDiagnostics
 from ergostat.entropy import RETURN_TIME_CAP, CylinderInterval
 from ergostat.errors import BudgetExceededError, DomainError
-from ergostat.maps import Observable, Orbit, PiecewiseMap
+from ergostat.maps import Observable, Orbit, PiecewiseMap, _symbol_tail_depth
 from ergostat.measures import HalfGaussianLaw, Law, WeightedEmpiricalMeasure
+from ergostat.transfer import PressureCurve, RateFunction, _spline
 
 _BREAKPOINT_TOL = 1e-14
 
@@ -312,6 +317,64 @@ def cylinder_measure(density: np.ndarray, cyl: CylinderInterval) -> float:
     edges = np.arange(i0, i1 + 2) / N
     overlaps = np.minimum(edges[1:], cyl.hi) - np.maximum(edges[:-1], cyl.lo)
     return float(np.sum(density[i0:i1 + 1] * np.clip(overlaps, 0.0, None)))
+
+
+# -- symbolic reconstruction and Legendre transform, one element at a time ----
+
+def reconstruct_points(pmap: PiecewiseMap, symbols: np.ndarray, n: int) -> np.ndarray:
+    """Orbit points from the symbol tail, one level at a time: each level
+    gathers the branch data of the whole stream and makes fresh arrays."""
+    symbols = np.asarray(symbols)
+    depth = _symbol_tail_depth(pmap)
+    if symbols.shape[-1] < n + depth:
+        raise ValueError("symbol stream too short for point reconstruction")
+    slopes = np.array([br.slope for br in pmap.branches])
+    intercepts = np.array([br.intercept for br in pmap.branches])
+    x = np.full(symbols.shape[:-1] + (n,), 0.5)
+    for d in range(depth - 1, -1, -1):
+        s = symbols[..., d : d + n]
+        x = (x - intercepts[s]) / slopes[s]
+    return x
+
+
+def golden_max(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
+    """Golden-section maximizer of a unimodal scalar fn on [lo, hi]."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    x = 0.5 * (a + b)
+    return x, fn(x)
+
+
+def legendre_per_alpha(curve: PressureCurve, alpha_grid) -> RateFunction:
+    """Legendre data of a pressure curve by one scalar search per alpha
+    (no range check)."""
+    alpha_grid = np.asarray(alpha_grid, dtype=float)
+    step = 1e-3
+    bg, F = curve.beta_grid, curve.F_values
+    s = _spline(bg, F)
+    phi = np.empty(len(alpha_grid))
+    beta_star = np.empty(len(alpha_grid))
+    sig2 = np.empty(len(alpha_grid))
+    for i, a in enumerate(alpha_grid):
+        b, val = golden_max(lambda t: a * t - float(s(t)), bg[0], bg[-1])
+        phi[i] = max(val, 0.0)
+        beta_star[i] = b
+        sig2[i] = (float(s(b + step)) - 2.0 * float(s(b))
+                   + float(s(b - step))) / step**2
+    return RateFunction(alpha_grid=alpha_grid, phi_values=phi,
+                        beta_of_alpha=beta_star, sigma2_of_alpha=sig2)
 
 
 # -- readers of program objects -------------------------------------------------

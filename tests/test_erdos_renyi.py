@@ -74,6 +74,25 @@ def test_chunked_scan_matches_flat(doubling):
         assert got == expected
 
 
+@pytest.mark.parametrize("k", [1, 2, 100])
+def test_chunked_scan_edges_equal_oracle(k):
+    # small-integer values: every prefix sum is exact, so the chunked scan
+    # and the oracle see the same sums and break the many ties alike
+    vals = np.random.default_rng(k).integers(-2, 3, size=700).astype(float)
+    for n_windows in (1, 2, 500):
+        needed = n_windows + k - 1
+        expected = moving_max(vals[:needed], k)
+        for chunk in (1, k, k + 1, 1 << 20):
+            def chunks(stop):
+                return (vals[i : min(i + chunk, stop)] for i in range(0, stop, chunk))
+            # the stream may run past the last window or end exactly there
+            for stop in (len(vals), needed):
+                assert _moving_max_chunked(chunks(stop), k, n_windows) == expected, \
+                    (n_windows, chunk, stop)
+            with pytest.raises(ValueError):
+                _moving_max_chunked(chunks(needed - 1), k, n_windows)
+
+
 # -- er_law_check -------------------------------------------------------------
 
 def test_er_constant_observable_stays_on_band_center():

@@ -26,6 +26,8 @@ MAPS = {
                            "[observable]\nname = sawtooth\n"),
     "two-slope-sawtooth": ("[map]\nname = custom\nbreakpoints = 0, 0.3333333333333333, 1\n"
                            "slopes = 3, 1.5\n\n[observable]\nname = sawtooth\n"),
+    "doubling-sawtooth": "[map]\nname = doubling\n\n[observable]\nname = sawtooth\n",
+    "tent-sawtooth": "[map]\nname = tent\n\n[observable]\nname = sawtooth\n",
 }
 
 SIZES = """

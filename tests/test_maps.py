@@ -14,11 +14,13 @@ from ergostat.maps import (
     make_observable,
     orbit,
     orbit_value_chunks,
+    points_from_symbols,
     sawtooth,
     symbol_chunks,
 )
+from ergostat.maps import _RECONSTRUCT_BLOCK, _symbol_tail_depth
 from ergostat.transfer import invariant_density, ulam_matrix
-from oracles import birkhoff_sums, evaluate
+from oracles import birkhoff_sums, evaluate, reconstruct_points
 
 ALL_BUILTINS = ["doubling", "tent", "perturbed-doubling"]
 
@@ -149,6 +151,34 @@ def test_symbolic_orbit_never_collapses():
     assert np.all(o.points[53:] != 0.0)
     # consecutive points satisfy x_{t+1} = f(x_t) up to reconstruction ulps
     assert np.max(np.abs(o.points[1:10_000] - d.apply(o.points[:9_999]))) < 1e-12
+
+
+@pytest.mark.parametrize("name,params", [
+    ("doubling", {}),
+    ("tent", {}),
+    ("linear", {"slopes": [3, 3, 3]}),
+    ("linear", {"slopes": [4, -4, 4, -4]}),
+    ("custom", {"breakpoints": [0, 0.5, 1], "slopes": [2, 2]}),
+])
+def test_points_from_symbols_bitwise_equals_level_oracle(name, params):
+    # blocked, in-place reconstruction: the same bytes as one gather per level
+    pmap = make_map(name, **params)
+    depth, B = _symbol_tail_depth(pmap), _RECONSTRUCT_BLOCK
+    rng = np.random.default_rng(11)
+    for n in (1, B - 1, B, B + 1, 3 * B + 5):
+        syms = rng.integers(0, pmap.n_branches, n + depth + 9, dtype=np.uint8)
+        got = points_from_symbols(pmap, syms, n)
+        assert got.shape == (n,)
+        assert got.tobytes() == reconstruct_points(pmap, syms, n).tobytes(), n
+    for rows, span in ((1, 1), (64, 20), (3, B + 5)):
+        block = rng.integers(0, pmap.n_branches, (rows, span + depth), dtype=np.uint8)
+        got = points_from_symbols(pmap, block, span)
+        assert got.shape == (rows, span)
+        assert got.tobytes() == reconstruct_points(pmap, block, span).tobytes(), (rows, span)
+    with pytest.raises(ValueError):
+        points_from_symbols(pmap, np.zeros(depth + 4, dtype=np.uint8), 5)
+    with pytest.raises(ValueError):
+        points_from_symbols(pmap, np.zeros((2, depth + 4), dtype=np.uint8), 5)
 
 
 def test_float_orbit_dyadic_degeneracy_documented():

@@ -27,6 +27,7 @@ from ergostat.transfer import (
     ulam_matrix,
     _golden_max,
 )
+from oracles import golden_max, legendre_per_alpha
 from test_maps import _counting
 
 
@@ -197,6 +198,45 @@ def test_legendre_alpha_out_of_range():
     # F' of log cosh(beta/2) on [-1,1] stays within +/- tanh(1/2)/2 ~ 0.231
     with pytest.raises(DomainError):
         legendre(curve, np.array([0.45]))
+
+
+@pytest.mark.parametrize("name,params,obs,betas", [
+    ("doubling", {}, "coin", 121),
+    ("tent", {}, "coin", 41),
+    ("perturbed-doubling", {"eps": 0.05}, "sawtooth", 31),
+    ("custom", {"breakpoints": [0.0, 1.0 / 3.0, 1.0], "slopes": [3.0, 1.5]}, "log-deriv", 21),
+    # a flat curve: the search ends at beta < 0 and phi(0) is -0.0
+    ("doubling", {}, "zero", 21),
+])
+def test_legendre_bitwise_equals_per_alpha_oracle(name, params, obs, betas):
+    # all alphas searched at once: the same bytes as one scalar search each
+    pmap = make_map(name, **params)
+    u = {"coin": coin(), "sawtooth": sawtooth(), "log-deriv": log_derivative(pmap),
+         "zero": zero_observable()}[obs]
+    curve = pressure_curve(pmap, u, np.linspace(-3, 3, betas), N=256)
+    secants = np.diff(curve.F_values) / np.diff(curve.beta_grid)
+    lo, hi = float(secants.min()), float(secants.max())
+    grids = [np.linspace(lo, hi, 31), np.array([lo, hi]), np.array([0.5 * (lo + hi)])]
+    if lo < 0.0 < hi:
+        # alpha = 0 exactly, where phi can come out as -0.0
+        grids += [np.linspace(-0.4 * hi, 0.4 * hi, 41), np.array([lo, 0.0, hi]),
+                  np.array([0.0])]
+    for grid in grids:
+        got, want = legendre(curve, grid), legendre_per_alpha(curve, grid)
+        for field in ("phi_values", "beta_of_alpha", "sigma2_of_alpha"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (field, grid)
+
+
+def test_golden_max_brackets_stop_on_their_own_steps():
+    # brackets of different widths take different numbers of steps (the
+    # last one none); each element stops where its scalar search stops
+    lo = np.array([-3.0, -1.0, 0.0, 2.0])
+    hi = np.array([3.0, 1e-9, 1e3, 2.0 + 5e-11])
+    centers = np.array([0.7, -0.5, 123.4, 2.0])
+    x, val = _golden_max(lambda t: -(t - centers) ** 2, lo, hi)
+    want = [golden_max(lambda t: -(t - c) ** 2, a, b) for a, b, c in zip(lo, hi, centers)]
+    assert x.tobytes() == np.array([w[0] for w in want]).tobytes()
+    assert val.tobytes() == np.array([w[1] for w in want]).tobytes()
 
 
 def test_legendre_biconjugate_recovers_pressure():
