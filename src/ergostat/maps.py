@@ -20,6 +20,7 @@ decides it once per map:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
@@ -41,6 +42,9 @@ class Branch:
     Linear branches carry slope/intercept and have exact inverses; smooth
     branches are given by callables and invert by bracketed Newton steps on
     `dfn` (monotonicity keeps the root in the bracket, so it stays correct).
+    A smooth branch may carry `scalar`, the same formula as `fn` on one
+    Python float, which must give the bits of `fn` on an array; float
+    iteration steps with it (a linear `fn` already maps a float to a float).
     """
 
     lo: float
@@ -49,6 +53,7 @@ class Branch:
     dfn: Callable[[np.ndarray], np.ndarray]
     slope: float | None = None          # set for linear branches
     intercept: float | None = None
+    scalar: Callable[[float], float] | None = None
 
     @property
     def is_linear(self) -> bool:
@@ -203,6 +208,8 @@ class PiecewiseMap:
 # ---------------------------------------------------------------------------
 
 def _linear_branch(lo: float, hi: float, slope: float, intercept: float) -> Branch:
+    # Python floats, so that a scalar step stays off numpy scalars
+    slope, intercept = float(slope), float(intercept)
     return Branch(
         lo=lo,
         hi=hi,
@@ -255,19 +262,18 @@ def _perturbed_doubling(eps: float, descriptor: dict) -> PiecewiseMap:
         raise MapDefinitionError("perturbed doubling needs 0 < eps < 1/(2 pi)")
     two_pi = 2.0 * math.pi
 
-    def f0(x):
-        return 2.0 * x + eps * np.sin(two_pi * x)
-
-    def f1(x):
-        return 2.0 * x - 1.0 + eps * np.sin(two_pi * x)
+    def branch(shift, sin):
+        # one formula for the array and the scalar form; 2x - 0.0 is bitwise
+        # 2x, and math.sin gives the bits of np.sin
+        return lambda x: 2.0 * x - shift + eps * sin(two_pi * x)
 
     def df(x):
         return 2.0 + eps * two_pi * np.cos(two_pi * x)
 
-    branches = (
-        Branch(lo=0.0, hi=0.5, fn=f0, dfn=df),
-        Branch(lo=0.5, hi=1.0, fn=f1, dfn=df),
-    )
+    branches = tuple(
+        Branch(lo=lo, hi=hi, fn=branch(shift, np.sin), dfn=df,
+               scalar=branch(shift, math.sin))
+        for lo, hi, shift in ((0.0, 0.5, 0.0), (0.5, 1.0, 1.0)))
     m = PiecewiseMap(
         name="perturbed-doubling",
         breakpoints=np.array([0.0, 0.5, 1.0]),
@@ -548,22 +554,26 @@ def points_from_symbols(pmap: PiecewiseMap, symbols: np.ndarray, n: int) -> np.n
     return x
 
 
-def _float_orbit_chunk(pmap: PiecewiseMap, x: float, m: int) -> tuple[np.ndarray, float]:
-    """Fill a chunk of a float-iterated orbit starting at x; returns the
-    chunk and the next start point.  Scalar fast path: avoids the vector
-    dispatch of PiecewiseMap.apply per step."""
-    from bisect import bisect_right
+def _scalar_step(br: Branch) -> Callable[[float], float]:
+    """br on one Python float, bitwise `br.fn` on an array."""
+    if br.scalar is not None:
+        return br.scalar
+    if br.is_linear:
+        return br.fn
+    return lambda x, fn=br.fn: float(fn(x))
 
-    bp = pmap.breakpoints.tolist()
-    fns = [br.fn for br in pmap.branches]
-    last = len(fns) - 1
+
+def _float_orbit_chunk(pmap: PiecewiseMap, x: float, m: int) -> tuple[np.ndarray, float]:
+    """Fill a chunk of a float-iterated orbit starting at x in [0, 1];
+    returns the chunk and the next start point.  Scalar fast path: each step
+    is one branch twin on a Python float, bitwise PiecewiseMap.apply."""
+    inner = pmap.breakpoints[1:-1].tolist()
+    steps = [_scalar_step(br) for br in pmap.branches]
     out = np.empty(m, dtype=float)
     for t in range(m):
         out[t] = x
-        i = bisect_right(bp, x) - 1
-        if i > last:
-            i = last
-        x = float(fns[i](x))
+        # the branch of branch_index: [a_i, a_{i+1}), and the last one at 1
+        x = steps[bisect_right(inner, x)](x)
         if x < 0.0:
             x = 0.0
         elif x > 1.0:
@@ -620,6 +630,8 @@ def orbit(pmap: PiecewiseMap, seed: int, n: int, x0: float | None = None) -> Orb
     if n < 1:
         raise ValueError("orbit length must be >= 1")
     if x0 is not None:
+        if not 0.0 <= x0 <= 1.0:
+            raise ValueError(f"orbit start {x0!r} is not in [0, 1]")
         pts, _ = _float_orbit_chunk(pmap, float(x0), n)
         return Orbit(seed=seed, mode=_FLOAT, points=pts, symbols=pmap.branch_index(pts))
     mode = _orbit_mode(pmap)
