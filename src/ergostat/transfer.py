@@ -366,8 +366,10 @@ def autocovariance_series(pmap: PiecewiseMap, u: Observable, method: str = "quad
         vals = np.concatenate(list(orbit_value_chunks(pmap, u, seed, orbit_length)))
         vals = vals - np.mean(vals)
         n = len(vals)
-        c0 = float(np.dot(vals, vals) / n)
-        covariances = (float(np.dot(vals[:-j], vals[j:]) / (n - j))
+        # numpy's pairwise sum, not a BLAS dot: a threaded dot's bits
+        # depend on the BLAS thread count and CPU kernel
+        c0 = float(np.sum(vals * vals) / n)
+        covariances = (float(np.sum(vals[:-j] * vals[j:]) / (n - j))
                        for j in itertools.count(1))
         threshold = max(TAIL_RTOL * c0, 3.0 * c0 / np.sqrt(n))
         return c0, _certified_lags(covariances, threshold)

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+import ergostat
 from ergostat.errors import DomainError
 from ergostat.maps import (
     Observable,
@@ -262,6 +267,25 @@ def test_sigma2_sawtooth_orbit():
     s2 = green_kubo_sigma2(make_map("doubling"), sawtooth(), "orbit",
                            orbit_length=2_000_000, seed=3)
     assert s2 == pytest.approx(0.25, rel=0.02)
+
+
+def test_orbit_autocovariances_independent_of_blas_threads():
+    # a threaded BLAS dot splits n > 10000 across threads, so its bits
+    # depend on the thread count; the orbit method must not
+    code = ("import sys\n"
+            "from ergostat.maps import make_map, sawtooth\n"
+            "from ergostat.transfer import autocovariance_series\n"
+            "c0, cj = autocovariance_series(make_map('perturbed-doubling'), sawtooth(),\n"
+            "                               method='orbit', orbit_length=20000)\n"
+            "sys.stdout.write(float(c0).hex() + ' ' + cj.tobytes().hex())\n")
+    src = str(Path(ergostat.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True).stdout)
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_sigma2_coin_iid():
