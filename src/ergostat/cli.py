@@ -62,16 +62,21 @@ EXIT_NUMERIC = 3
 EXIT_BUDGET = 4
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return "%.17g" % float(v)
+def _column_format(column) -> str:
+    """%d for a column of integers, %.17g for one of floats; a mixed column
+    is refused, since %d would silently truncate its floats."""
+    kinds = {issubclass(t, (int, np.integer)) for t in set(map(type, column))}
+    if len(kinds) > 1:
+        raise TypeError("a CSV column mixes integers and floats")
+    return "%d" if True in kinds else "%.17g"
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    rows = [tuple(row) for row in rows]
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    if rows:
+        fmt = ",".join(_column_format(col) for col in zip(*rows))
+        lines += [fmt % row for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 

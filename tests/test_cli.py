@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ergostat.config import (
     parse_config,
 )
 from ergostat.errors import ConfigError
-from ergostat.cli import main, run
+from ergostat.cli import _write_csv, main, run
 
 MINIMAL = """
 [map]
@@ -140,6 +141,27 @@ def test_rerun_byte_identical(tmp_path):
         f1 = (out1 / f"{sub}-1.csv").read_bytes()
         f2 = (out2 / f"{sub}-1.csv").read_bytes()
         assert f1 == f2
+
+
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    # the per-value formatting the one-string writer replaced
+    def per_value(v):
+        return str(int(v)) if isinstance(v, (int, np.integer)) else "%.17g" % float(v)
+
+    rng = np.random.default_rng(3)
+    rows = [(int(k), np.int64(-k), x, float(y), True, np.float32(x))
+            for k, x, y in zip(range(-5, 995), rng.standard_normal(1000) * 1e300,
+                               rng.random(1000))]
+    rows += [(2**70, np.int64(0), math.inf, -math.inf, False, np.float32(0.0)),
+             (0, np.int64(2**62), math.nan, -0.0, True, np.float32(1e-40))]
+    header = ["a", "b", "c", "d", "e", "f"]
+    _write_csv(tmp_path / "x.csv", header, rows)
+    expected = "\n".join([",".join(header)] + [",".join(map(per_value, r)) for r in rows])
+    assert (tmp_path / "x.csv").read_text() == expected + "\n"
+    _write_csv(tmp_path / "empty.csv", header, [])
+    assert (tmp_path / "empty.csv").read_text() == "a,b,c,d,e,f\n"
+    with pytest.raises(TypeError, match="mixes"):
+        _write_csv(tmp_path / "mixed.csv", ["k"], [(1,), (3.7,)])
 
 
 def test_all_csv_fields_finite(tmp_path):
