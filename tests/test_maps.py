@@ -18,7 +18,7 @@ from ergostat.maps import (
     sawtooth,
     symbol_chunks,
 )
-from ergostat.maps import _RECONSTRUCT_BLOCK, _symbol_tail_depth
+from ergostat.maps import _RECONSTRUCT_BLOCK, _scalar_step, _symbol_tail_depth
 from ergostat.transfer import invariant_density, ulam_matrix
 from oracles import birkhoff_sums, evaluate, reconstruct_points
 
@@ -187,11 +187,49 @@ def test_float_orbit_dyadic_degeneracy_documented():
     assert o.points.tolist() == [0.25, 0.5, 0.0, 0.0]
 
 
+# every built-in linear map, the 3, 1.5 map, a custom map with explicit
+# intercepts, and perturbed doubling at its default and a large eps
+_TWIN_MAPS = [
+    ("doubling", {}),
+    ("tent", {}),
+    ("linear", {"slopes": [3, -3, 3]}),
+    ("custom", {"breakpoints": [0.0, 1.0 / 3.0, 1.0], "slopes": [3.0, 1.5]}),
+    ("custom", {"breakpoints": [0.0, 0.4, 1.0], "slopes": [2.5, -1.5],
+                "intercepts": [0.0, 1.5]}),
+    ("perturbed-doubling", {"eps": 0.05}),
+    ("perturbed-doubling", {"eps": 0.15}),
+]
+
+
+@pytest.mark.parametrize("name,params", _TWIN_MAPS)
+def test_scalar_twins_give_vector_bytes(name, params):
+    # float iteration steps each branch on one Python float; its bits must
+    # be those of the branch on an array, or float orbits drift from apply
+    pmap = make_map(name, **params)
+    bp = pmap.breakpoints
+    xs = np.concatenate([np.random.default_rng(5).random(100_000), bp,
+                         np.nextafter(bp, 0.0), np.nextafter(bp, 1.0),
+                         [0.0, np.nextafter(1.0, 0.0)]])
+    for br in pmap.branches:
+        assert (br.scalar is None) == br.is_linear
+        step = _scalar_step(br)
+        got = np.array([step(x) for x in xs.tolist()])
+        assert got.tobytes() == br.fn(xs).tobytes()
+    if pmap.branches[0].is_linear:
+        assert all(type(v) is float for br in pmap.branches
+                   for v in (br.slope, br.intercept))
+
+
 def test_float_orbit_consecutive_points_exact():
-    pd = make_map("perturbed-doubling")
-    o = orbit(pd, seed=6, n=3000)
-    assert o.mode == "float-iterate"
-    assert np.array_equal(o.points[1:], pd.apply(o.points[:-1]))
+    maps = [make_map("perturbed-doubling", eps=eps) for eps in (0.05, 0.15)]
+    maps.append(make_map("custom", breakpoints=[0.0, 1.0 / 3.0, 1.0], slopes=[3.0, 1.5]))
+    for pmap in maps:
+        for seed in (1, 6, 77, 2024):
+            o = orbit(pmap, seed=seed, n=3000)
+            assert o.mode == "float-iterate"
+            assert np.array_equal(o.points[1:], pmap.apply(o.points[:-1]))
+    with pytest.raises(ValueError, match="not in"):
+        orbit(maps[0], seed=0, n=3, x0=-0.25)
 
 
 def test_symbolic_only_for_dyadic_maps():
