@@ -44,7 +44,8 @@ class Branch:
     `dfn` (monotonicity keeps the root in the bracket, so it stays correct).
     A smooth branch may carry `scalar`, the same formula as `fn` on one
     Python float, which must give the bits of `fn` on an array; float
-    iteration steps with it (a linear `fn` already maps a float to a float).
+    iteration steps with it (a linear `fn` already maps a float to a float,
+    so linear branches leave it None).
     """
 
     lo: float
@@ -555,12 +556,10 @@ def points_from_symbols(pmap: PiecewiseMap, symbols: np.ndarray, n: int) -> np.n
 
 
 def _scalar_step(br: Branch) -> Callable[[float], float]:
-    """br on one Python float, bitwise `br.fn` on an array."""
-    if br.scalar is not None:
-        return br.scalar
-    if br.is_linear:
-        return br.fn
-    return lambda x, fn=br.fn: float(fn(x))
+    """br on one Python float, bitwise `br.fn` on an array: its scalar twin,
+    else `fn` itself (a smooth branch without a twin steps on numpy
+    scalars, slower but with the same bits)."""
+    return br.scalar or br.fn
 
 
 def _float_orbit_chunk(pmap: PiecewiseMap, x: float, m: int) -> tuple[np.ndarray, float]:

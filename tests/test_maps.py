@@ -223,11 +223,17 @@ def test_scalar_twins_give_vector_bytes(name, params):
 def test_float_orbit_consecutive_points_exact():
     maps = [make_map("perturbed-doubling", eps=eps) for eps in (0.05, 0.15)]
     maps.append(make_map("custom", breakpoints=[0.0, 1.0 / 3.0, 1.0], slopes=[3.0, 1.5]))
+    # smooth branches without a scalar twin step with fn on numpy scalars
+    no_twins = replace(maps[1], branches=tuple(replace(br, scalar=None)
+                                               for br in maps[1].branches))
     for pmap in maps:
         for seed in (1, 6, 77, 2024):
             o = orbit(pmap, seed=seed, n=3000)
             assert o.mode == "float-iterate"
             assert np.array_equal(o.points[1:], pmap.apply(o.points[:-1]))
+            if pmap is maps[1]:
+                assert orbit(no_twins, seed=seed, n=3000).points.tobytes() == \
+                    o.points.tobytes()
     with pytest.raises(ValueError, match="not in"):
         orbit(maps[0], seed=0, n=3, x0=-0.25)
 
