@@ -37,10 +37,12 @@ from .config import ExperimentConfig, build_map, build_observable, parse_config
 from .maps import orbit_value_chunks
 from .transfer import (
     autocovariance_series,
+    center_observable,
     green_kubo_sigma2,
     invariant_density,
     legendre,
     pressure_curve,
+    ulam_matrix,
 )
 from .asclt import asclt_run, maxima_run
 from .erdos_renyi import (
@@ -104,24 +106,32 @@ def _threads(cfg: ExperimentConfig) -> int:
     return int(env) if env else cfg.get("run", "threads")
 
 
-def _sigma2(cfg: ExperimentConfig, pmap, u) -> float:
-    override = cfg.get("sigma2", "value")
-    if not math.isnan(override):
-        return float(override)
-    return green_kubo_sigma2(
-        pmap, u, method=cfg.get("sigma2", "method"),
-        N=cfg.get("ulam", "resolution"),
-        orbit_length=cfg.get("sigma2", "orbit_length"))
+def _operator(cfg: ExperimentConfig, pmap):
+    """The map's beta = 0 Ulam operator: one assembly per invocation."""
+    return ulam_matrix(pmap, None, 0.0, cfg.get("ulam", "resolution"))
 
 
-def _pressure_curve(cfg: ExperimentConfig, pmap, u):
+def _setup(cfg: ExperimentConfig, reads_operator: bool = True):
+    """(map, beta = 0 operator, observable centred against it when
+    `[observable] center` is set).  The operator is None unless the
+    subcommand reads it; runners drop it once read, so that the runs after
+    the spectral step do not hold its samples."""
+    pmap = build_map(cfg)
+    u = build_observable(cfg, pmap)
+    center = cfg.get("observable", "center")
+    op = _operator(cfg, pmap) if reads_operator or center else None
+    u = center_observable(op, u) if center else u
+    return pmap, op if reads_operator else None, u
+
+
+def _pressure_curve(cfg: ExperimentConfig, op, u):
     beta_max = cfg.get("pressure", "beta_max")
     grid = np.linspace(-beta_max, beta_max, cfg.get("pressure", "beta_points"))
-    return pressure_curve(pmap, u, grid, N=cfg.get("ulam", "resolution"))
+    return pressure_curve(op, u, grid)
 
 
-def _rate_function(cfg: ExperimentConfig, pmap, u):
-    curve = _pressure_curve(cfg, pmap, u)
+def _rate_function(cfg: ExperimentConfig, op, u):
+    curve = _pressure_curve(cfg, op, u)
     alphas = np.linspace(cfg.get("rate", "alpha_min"), cfg.get("rate", "alpha_max"),
                          cfg.get("rate", "alpha_points"))
     return curve, legendre(curve, alphas)
@@ -139,7 +149,7 @@ def _map_over_seeds(fn, seeds, threads):
 
 def _run_density(cfg, outdir, seeds):
     N = cfg.get("ulam", "resolution")
-    h = invariant_density(build_map(cfg), N)
+    h = invariant_density(_operator(cfg, build_map(cfg)))
     rows = [(i, (i + 0.5) / N, h[i]) for i in range(N)]
     for s in seeds:
         _write_csv(outdir / f"density-{s}.csv", ["cell", "midpoint", "density"], rows)
@@ -147,9 +157,8 @@ def _run_density(cfg, outdir, seeds):
 
 
 def _run_pressure(cfg, outdir, seeds):
-    pmap = build_map(cfg)
-    u = build_observable(cfg, pmap)
-    curve = _pressure_curve(cfg, pmap, u)
+    _, op, u = _setup(cfg)
+    curve = _pressure_curve(cfg, op, u)
     rows = list(zip(curve.beta_grid, curve.F_values))
     for s in seeds:
         _write_csv(outdir / f"pressure-{s}.csv", ["beta", "pressure"], rows)
@@ -157,14 +166,13 @@ def _run_pressure(cfg, outdir, seeds):
 
 
 def _run_sigma2(cfg, outdir, seeds):
-    pmap = build_map(cfg)
-    u = build_observable(cfg, pmap)
-    method = cfg.get("sigma2", "method")
+    quadrature = cfg.get("sigma2", "method") == "quadrature"
+    pmap, op, u = _setup(cfg, quadrature)
+    source = op if quadrature else pmap
     out = {}
     for s in seeds:
         c0, cj = autocovariance_series(
-            pmap, u, method, N=cfg.get("ulam", "resolution"),
-            orbit_length=cfg.get("sigma2", "orbit_length"), seed=s)
+            source, u, orbit_length=cfg.get("sigma2", "orbit_length"), seed=s)
         partial = c0 + 2.0 * np.cumsum(np.concatenate([[0.0], cj]))
         rows = [(0, c0, partial[0])] + [
             (j + 1, cj[j], partial[j + 1]) for j in range(len(cj))]
@@ -175,9 +183,13 @@ def _run_sigma2(cfg, outdir, seeds):
 
 
 def _run_asclt(cfg, outdir, seeds, running_max=False):
-    pmap = build_map(cfg)
-    u = build_observable(cfg, pmap)
-    sigma2 = _sigma2(cfg, pmap, u)
+    sigma2 = cfg.get("sigma2", "value")            # NaN: compute it
+    quadrature = cfg.get("sigma2", "method") == "quadrature"
+    pmap, op, u = _setup(cfg, quadrature and math.isnan(sigma2))
+    if math.isnan(sigma2):
+        sigma2 = green_kubo_sigma2(op if quadrature else pmap, u,
+                                   orbit_length=cfg.get("sigma2", "orbit_length"))
+    del op
     horizon = cfg.get("run", "horizon")
     checkpoints = cfg.get("run", "checkpoints") or None
     runner = maxima_run if running_max else asclt_run
@@ -195,9 +207,9 @@ def _run_asclt(cfg, outdir, seeds, running_max=False):
 
 
 def _run_erdos_renyi(cfg, outdir, seeds):
-    pmap = build_map(cfg)
-    u = build_observable(cfg, pmap)
-    _, rate = _rate_function(cfg, pmap, u)
+    pmap, op, u = _setup(cfg)
+    _, rate = _rate_function(cfg, op, u)
+    del op
     alpha = cfg.get("erdos_renyi", "alpha")
     k_grid = cfg.get("erdos_renyi", "k_grid")
     cap = cfg.get("erdos_renyi", "length_cap")
@@ -214,8 +226,7 @@ def _run_erdos_renyi(cfg, outdir, seeds):
 
 
 def _run_rate_curve(cfg, outdir, seeds):
-    pmap = build_map(cfg)
-    u = build_observable(cfg, pmap)
+    pmap, _, u = _setup(cfg, False)
     N = cfg.get("rate_curve", "trajectory_length")
     k_grid = cfg.get("rate_curve", "k_grid") or \
         np.unique(np.geomspace(20, 200, 15).astype(int)).tolist()
@@ -240,9 +251,9 @@ def _run_rate_curve(cfg, outdir, seeds):
 
 
 def _run_ld_check(cfg, outdir, seeds):
-    pmap = build_map(cfg)
-    u = build_observable(cfg, pmap)
-    _, rate = _rate_function(cfg, pmap, u)
+    pmap, op, u = _setup(cfg)
+    _, rate = _rate_function(cfg, op, u)
+    del op
     alpha = cfg.get("ld", "alpha")
     trials = cfg.get("ld", "trials")
     k_grid = cfg.get("ld", "k_grid")
@@ -265,6 +276,7 @@ def _run_ld_check(cfg, outdir, seeds):
 
 def _run_entropy(cfg, outdir, seeds, kind):
     pmap = build_map(cfg)
+    op = _operator(cfg, pmap)
     if kind == "smb":
         n = cfg.get("run", "horizon")
     else:
@@ -272,15 +284,12 @@ def _run_entropy(cfg, outdir, seeds, kind):
     checkpoints = cfg.get("run", "checkpoints") or None
     eps = cfg.get("entropy", "epsilon")
     cap = cfg.get("entropy", "cap")
-    resolution = cfg.get("ulam", "resolution")
     extra = {}
 
     def one(seed):
         if kind == "smb":
-            return smb_run(pmap, n, seed, checkpoints=checkpoints,
-                           resolution=resolution)
-        return ow_run(pmap, n, seed, checkpoints=checkpoints, eps=eps,
-                      resolution=resolution, cap=cap)
+            return smb_run(pmap, op, n, seed, checkpoints=checkpoints)
+        return ow_run(pmap, op, n, seed, checkpoints=checkpoints, eps=eps, cap=cap)
 
     for diag in _map_over_seeds(one, seeds, _threads(cfg)):
         h = diag.h_rokhlin

@@ -218,14 +218,11 @@ def build_map(cfg: ExperimentConfig):
 
 
 def build_observable(cfg: ExperimentConfig, pmap):
+    """The raw observable (the CLI centres it when `[observable] center`)."""
     from .maps import make_observable
-    from .transfer import center_observable
 
     sec = cfg["observable"]
     params = {}
     if sec["name"] == "table":
         params = {"xs": sec["xs"], "ys": sec["ys"]}
-    u = make_observable(sec["name"], pmap=pmap, **params)
-    if sec["center"]:
-        u = center_observable(pmap, u, N=cfg.get("ulam", "resolution"))
-    return u
+    return make_observable(sec["name"], pmap=pmap, **params)

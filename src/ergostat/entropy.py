@@ -26,9 +26,10 @@ from .errors import DomainError
 from .maps import PiecewiseMap, log_derivative, orbit, symbol_chunks
 from .measures import GaussianLaw, kantorovich_ladder
 from .transfer import (
-    cell_average,
+    UlamOperator,
     green_kubo_sigma2,
     invariant_density,
+    observable_mean,
     require_nondegenerate,
 )
 
@@ -79,11 +80,9 @@ def cylinder_interval(pmap: PiecewiseMap, symbols) -> CylinderInterval:
     return CylinderInterval(lo, hi, len(word), word)
 
 
-def rokhlin_entropy(pmap: PiecewiseMap, density: np.ndarray) -> float:
-    """h = integral of log|f'| against the invariant density."""
-    N = len(density)
-    vals = cell_average(lambda x: pmap.log_abs_derivative(x), N)
-    return float(np.sum(vals * density) / N)
+def rokhlin_entropy(pmap: PiecewiseMap, op: UlamOperator) -> float:
+    """h = integral of log|f'| against the density of pmap's beta = 0 operator."""
+    return observable_mean(op, log_derivative(pmap))
 
 
 def _log_density_average(density: np.ndarray, lo: float, hi: float) -> float:
@@ -274,11 +273,10 @@ class EntropyDiagnostics:
     sandwich_ok: np.ndarray | None = None    # ow only, k >= 2
 
 
-def _entropy_run(pmap, n, seed, checkpoints, kind, eps, resolution, cap):
-    density = invariant_density(pmap, resolution)
-    h = rokhlin_entropy(pmap, density)
-    sigma2 = green_kubo_sigma2(pmap, log_derivative(pmap).with_mean(h), "quadrature",
-                               N=resolution)
+def _entropy_run(pmap, op, n, seed, checkpoints, kind, eps, cap):
+    density = invariant_density(op)
+    h = rokhlin_entropy(pmap, op)
+    sigma2 = green_kubo_sigma2(op, log_derivative(pmap).with_mean(h))
     sigma = math.sqrt(require_nondegenerate(sigma2))
     orb = orbit(pmap, seed, n)
     log_mu = cylinder_log_measures(pmap, orb.symbols, density, points=orb.points)
@@ -311,20 +309,19 @@ def _entropy_run(pmap, n, seed, checkpoints, kind, eps, resolution, cap):
         censored=censored, sandwich_ok=sandwich)
 
 
-def smb_run(pmap: PiecewiseMap, n: int, seed: int, checkpoints=None,
-            resolution: int = 2048) -> EntropyDiagnostics:
+def smb_run(pmap: PiecewiseMap, op: UlamOperator, n: int, seed: int,
+            checkpoints=None) -> EntropyDiagnostics:
     """Cylinder-measure CLT: atoms (-log mu(P_k) - k h)/sqrt(k) against
     N(0, sigma^2), with h the Rokhlin entropy and sigma^2 the Green-Kubo
-    variance of u = log|f'| - h.  Constant-slope maps are refused."""
-    return _entropy_run(pmap, n, seed, checkpoints, "smb", None, resolution,
-                        RETURN_TIME_CAP)
+    variance of u = log|f'| - h, both from pmap's beta = 0 operator `op`.
+    Constant-slope maps are refused."""
+    return _entropy_run(pmap, op, n, seed, checkpoints, "smb", None, RETURN_TIME_CAP)
 
 
-def ow_run(pmap: PiecewiseMap, n: int, seed: int, checkpoints=None,
-           eps: float = 1.0, resolution: int = 2048, cap: int = RETURN_TIME_CAP
-           ) -> EntropyDiagnostics:
+def ow_run(pmap: PiecewiseMap, op: UlamOperator, n: int, seed: int, checkpoints=None,
+           eps: float = 1.0, cap: int = RETURN_TIME_CAP) -> EntropyDiagnostics:
     """Return-time CLT: atoms (log R_k - k h)/sqrt(k), with the cylinder
-    sandwich flags on log[R_k mu(P_k)].  Censored k are dropped from the
-    empirical measure and counted; a checkpoint with every k censored
-    raises `DomainError` (raise the cap or lower the depth)."""
-    return _entropy_run(pmap, n, seed, checkpoints, "ow", eps, resolution, cap)
+    sandwich flags on log[R_k mu(P_k)], h and sigma^2 as in `smb_run`.  Censored
+    k are dropped from the empirical measure and counted; a checkpoint with
+    every k censored raises `DomainError` (raise the cap or lower the depth)."""
+    return _entropy_run(pmap, op, n, seed, checkpoints, "ow", eps, cap)

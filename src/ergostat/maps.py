@@ -181,6 +181,8 @@ class PiecewiseMap:
     def validate(self, grid: int = 10_000) -> None:
         """Check monotonicity, image containment, and the expansion bound on
         a grid; raises MapDefinitionError on failure."""
+        if self.n_branches > 256:            # branch symbols are uint8
+            raise MapDefinitionError(f"{self.name}: at most 256 branches (symbols are bytes)")
         bp = self.breakpoints
         if bp[0] != 0.0 or bp[-1] != 1.0 or np.any(np.diff(bp) <= 0):
             raise MapDefinitionError(f"{self.name}: breakpoints must be sorted from 0 to 1")
@@ -582,17 +584,17 @@ def _float_orbit_chunk(pmap: PiecewiseMap, x: float, m: int) -> tuple[np.ndarray
 
 def _orbit_chunks(pmap: PiecewiseMap, seed: int, total: int | None, chunk: int,
                   mode: str, points: bool = True
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+                  ) -> Iterator[tuple[np.ndarray | None, np.ndarray | None]]:
     """The orbit of `seed` as (symbols, points) chunks of at most `chunk`
     steps, `total` steps in all (None: without end).
 
     Symbolic mode draws the branch symbols from the seed's `_SymbolSource` and
     carries the reconstruction lookahead across chunks; `points=False`
     skips the reconstruction and yields None for points.  Float mode starts
-    at a uniform draw from the seed and carries the current point across
-    chunks; it raises DomainError in place of a chunk after which the orbit
-    returns to one of its last _RECENT points.  Either way the stream does
-    not depend on `chunk`.
+    at a uniform draw from the seed, carries the current point across
+    chunks and yields None for symbols (readers take `pmap.branch_index`);
+    it raises DomainError in place of a chunk after which the orbit returns
+    to one of its last _RECENT points.  The stream does not depend on `chunk`.
     """
     def sizes():
         done = 0
@@ -617,7 +619,7 @@ def _orbit_chunks(pmap: PiecewiseMap, seed: int, total: int | None, chunk: int,
             recent = np.concatenate([recent, pts[-_RECENT:]])[-_RECENT:]
             if np.any(recent == x):
                 raise _cycle_error(pmap, f"of seed {seed}")
-            yield pmap.branch_index(pts), pts
+            yield None, pts
 
 
 def orbit(pmap: PiecewiseMap, seed: int, n: int, x0: float | None = None) -> Orbit:
@@ -635,7 +637,8 @@ def orbit(pmap: PiecewiseMap, seed: int, n: int, x0: float | None = None) -> Orb
         return Orbit(seed=seed, mode=_FLOAT, points=pts, symbols=pmap.branch_index(pts))
     mode = _orbit_mode(pmap)
     syms, pts = next(_orbit_chunks(pmap, seed, n, n, mode))
-    return Orbit(seed=seed, mode=mode, points=pts, symbols=syms)
+    return Orbit(seed=seed, mode=mode, points=pts,
+                 symbols=pmap.branch_index(pts) if syms is None else syms)
 
 
 def _branch_values(pmap: PiecewiseMap, u: Observable) -> np.ndarray | None:
@@ -672,8 +675,8 @@ def symbol_chunks(pmap: PiecewiseMap, seed: int, chunk: int = 1 << 12,
                   limit: int | None = None) -> Iterator[np.ndarray]:
     """Stream the branch symbols of the orbit of `seed` in chunks (without
     end unless `limit` is given).  The stream does not depend on `chunk`."""
-    for syms, _ in _orbit_chunks(pmap, seed, limit, chunk, _orbit_mode(pmap), points=False):
-        yield syms
+    for syms, pts in _orbit_chunks(pmap, seed, limit, chunk, _orbit_mode(pmap), points=False):
+        yield pmap.branch_index(pts) if syms is None else syms
 
 
 def trial_value_blocks(pmap: PiecewiseMap, u: Observable, span: int, trials: int,

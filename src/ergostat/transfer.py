@@ -12,9 +12,9 @@ so that the right Perron vector at beta=0 is the cell-averaged invariant
 density h and log of the leading eigenvalue is the pressure F(beta).
 Piecewise-linear branches are assembled from exact preimages of cell
 boundaries; smooth branches use per-cell midpoint quadrature.  The
-samples do not depend on beta, so a pressure curve assembles them once and
-each beta only reweights them.  Eigendata comes from power iteration on
-the (sparse) matrix.
+samples do not depend on beta: the beta = 0 operator keeps them, and a
+pressure curve only reweights them.  Eigendata comes from power
+iteration on the (sparse) matrix.
 
 Derived objects: the pressure curve F with F(0)=0, its Legendre transform
 phi(alpha) with beta(alpha)=phi'(alpha), the curvature F''(beta) used as
@@ -51,6 +51,7 @@ class UlamOperator:
     matrix: sparse.csr_matrix
     leading_eigenvalue: float
     right_vector: np.ndarray      # Perron density values per cell, integrates to 1
+    samples: tuple                # beta-free (rows, cols, lens, points) of _ulam_samples
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def _spline(x, y):
 # matrix assembly
 # ---------------------------------------------------------------------------
 
-def _ulam_samples(pmap: PiecewiseMap, N: int, quad_points: int = 64):
+def _ulam_samples(pmap: PiecewiseMap, N: int, quad_points: int):
     """The beta-free part of the Ulam matrix: (rows, cols, lens, points) of
     every sample of every branch, in branch order.  A sample of length
     `lens` at `points` in source cell `cols` lands in target cell `rows`."""
@@ -176,13 +177,14 @@ def _operator(samples, w, N: int) -> UlamOperator:
     right = right / (np.sum(right) * width)          # integrate to 1
     if right.min() <= 0:
         raise ConvergenceError("Perron vector has nonpositive entries")
-    return UlamOperator(matrix=mat, leading_eigenvalue=lam, right_vector=right)
+    return UlamOperator(mat, lam, right, samples)
 
 
 def ulam_matrix(pmap: PiecewiseMap, u: Observable | None = None, beta: float = 0.0,
                 N: int = 1024, quad_points: int = 64) -> UlamOperator:
     """Build the Ulam matrix of L_beta and compute its leading eigendata.
 
+    At beta = 0 it is the operator that everything spectral reads.
     Resolutions below ~16 are only useful for inspecting the assembly
     itself (e.g. the 2x2 doubling matrix is [[1/2,1/2],[1/2,1/2]]).
     """
@@ -193,9 +195,8 @@ def ulam_matrix(pmap: PiecewiseMap, u: Observable | None = None, beta: float = 0
     return _operator(samples, w, N)
 
 
-def invariant_density(pmap: PiecewiseMap, N: int = 1024) -> np.ndarray:
+def invariant_density(op: UlamOperator) -> np.ndarray:
     """Cell values of the a.c.i.m. density h (right Perron vector at beta=0)."""
-    op = ulam_matrix(pmap, None, 0.0, N)
     if abs(op.leading_eigenvalue - 1.0) > 1e-10:
         raise ConvergenceError(
             f"unweighted transfer operator has leading eigenvalue {op.leading_eigenvalue!r} != 1")
@@ -209,39 +210,35 @@ def cell_average(fn, N: int, quad_points: int = 64) -> np.ndarray:
     return np.mean(np.asarray(fn(xs.ravel())).reshape(N, quad_points), axis=1)
 
 
-def observable_mean(pmap: PiecewiseMap, u: Observable, N: int = 1024,
-                    density: np.ndarray | None = None) -> float:
-    """mu-mean of the raw observable by Ulam-density quadrature."""
-    h = invariant_density(pmap, N) if density is None else density
-    ubar = cell_average(u.raw, len(h))
-    return float(np.sum(ubar * h) / len(h))
+def observable_mean(op: UlamOperator, u: Observable) -> float:
+    """mu-mean of the raw observable by quadrature against op's density."""
+    h = invariant_density(op)
+    return float(np.sum(cell_average(u.raw, len(h)) * h) / len(h))
 
 
-def center_observable(pmap: PiecewiseMap, u: Observable, N: int = 1024) -> Observable:
+def center_observable(op: UlamOperator, u: Observable) -> Observable:
     """Return u with its invariant mean subtracted (E_mu u = 0)."""
-    return u.with_mean(observable_mean(pmap, u, N))
+    return u.with_mean(observable_mean(op, u))
 
 
 # ---------------------------------------------------------------------------
 # pressure and rate function
 # ---------------------------------------------------------------------------
 
-def pressure_curve(pmap: PiecewiseMap, u: Observable, beta_grid,
-                   N: int = 1024) -> PressureCurve:
+def pressure_curve(op: UlamOperator, u: Observable, beta_grid) -> PressureCurve:
     """F(beta) = log lambda(beta), shifted so F(0) = 0 exactly.
 
-    The Ulam samples and u at their points are computed once; each beta
-    reweights them.  If power iteration fails at the edge of the grid the
-    curve is truncated symmetrically with a warning.
+    Each beta reweights the samples of the beta = 0 operator by e^{beta u},
+    u taken at the sample points once.  If power iteration fails at the
+    edge of the grid the curve is truncated symmetrically with a warning.
     """
     beta_grid = np.asarray(beta_grid, dtype=float)
-    samples = _ulam_samples(pmap, N)
+    samples, N = op.samples, len(op.right_vector)
     u_points = u(samples[3])
-    lam0 = _operator(samples, 1.0, N).leading_eigenvalue
     logs = np.full(len(beta_grid), np.nan)
     for i, b in enumerate(beta_grid):
         if b == 0.0:
-            logs[i] = np.log(lam0)
+            logs[i] = np.log(op.leading_eigenvalue)
             continue
         try:
             logs[i] = np.log(_operator(samples, np.exp(b * u_points), N).leading_eigenvalue)
@@ -254,10 +251,7 @@ def pressure_curve(pmap: PiecewiseMap, u: Observable, beta_grid,
         warnings.warn(f"pressure curve truncated to |beta| < {lo:.3g} "
                       "(eigen-iteration failed outside)")
         beta_grid, logs = beta_grid[keep], logs[keep]
-    F = logs - np.log(lam0)
-    zero = np.flatnonzero(beta_grid == 0.0)
-    if len(zero):
-        F[zero] = 0.0
+    F = logs - np.log(op.leading_eigenvalue)       # exactly 0.0 at beta = 0
     return PressureCurve(beta_grid=beta_grid, F_values=F)
 
 
@@ -335,21 +329,20 @@ def _certified_lags(covariances, threshold: float) -> np.ndarray:
     raise ConvergenceError(f"correlation tail not certified within {MAX_LAG} lags")
 
 
-def autocovariance_series(pmap: PiecewiseMap, u: Observable, method: str = "quadrature",
-                          N: int = 2048, orbit_length: int = 10_000_000,
-                          seed: int = 0):
+def autocovariance_series(source: UlamOperator | PiecewiseMap, u: Observable,
+                          orbit_length: int = 10_000_000, seed: int = 0):
     """C_0 and the lag covariances C_j of u along the dynamics, truncated at
     the first J >= 10 where |C_J| drops below the tail threshold with a
     certified decay step.
 
-    Quadrature method: C_j = dx * <u, M^j (u h)> with the Ulam matrix M at
-    beta = 0.  Orbit method: empirical autocovariances of a single long
-    orbit; its threshold is floored at the Monte Carlo noise level
-    3*C_0/sqrt(length), below which the rule would chase noise.
+    The beta = 0 operator gives the quadrature C_j = dx * <u, M^j (u h)>
+    with its matrix M.  The map gives empirical autocovariances of the
+    orbit of `seed`; their threshold is floored at the Monte Carlo noise
+    level 3*C_0/sqrt(orbit_length), below which the rule would chase noise.
     """
-    if method == "quadrature":
-        op = ulam_matrix(pmap, None, 0.0, N)
-        h = op.right_vector
+    if isinstance(source, UlamOperator):
+        h = source.right_vector
+        N = len(h)
         width = 1.0 / N
         ubar = cell_average(u, N)
         u2bar = cell_average(lambda x: np.square(u(x)), N)
@@ -358,33 +351,31 @@ def autocovariance_series(pmap: PiecewiseMap, u: Observable, method: str = "quad
         def covariances():
             w = ubar * h
             while True:
-                w = op.matrix @ w
+                w = source.matrix @ w
                 yield float(np.sum(ubar * w) * width)
 
         return c0, _certified_lags(covariances(), TAIL_RTOL * max(c0, 1e-300))
-    if method == "orbit":
-        vals = np.concatenate(list(orbit_value_chunks(pmap, u, seed, orbit_length)))
-        vals = vals - np.mean(vals)
-        n = len(vals)
-        # numpy's pairwise sum, not a BLAS dot: a threaded dot's bits
-        # depend on the BLAS thread count and CPU kernel
-        c0 = float(np.sum(vals * vals) / n)
-        covariances = (float(np.sum(vals[:-j] * vals[j:]) / (n - j))
-                       for j in itertools.count(1))
-        threshold = max(TAIL_RTOL * c0, 3.0 * c0 / np.sqrt(n))
-        return c0, _certified_lags(covariances, threshold)
-    raise ValueError(f"unknown method {method!r}")
+    vals = np.concatenate(list(orbit_value_chunks(source, u, seed, orbit_length)))
+    vals = vals - np.mean(vals)
+    n = len(vals)
+    # numpy's pairwise sum, not a BLAS dot: a threaded dot's bits
+    # depend on the BLAS thread count and CPU kernel
+    c0 = float(np.sum(vals * vals) / n)
+    covariances = (float(np.sum(vals[:-j] * vals[j:]) / (n - j))
+                   for j in itertools.count(1))
+    threshold = max(TAIL_RTOL * c0, 3.0 * c0 / np.sqrt(n))
+    return c0, _certified_lags(covariances, threshold)
 
 
-def green_kubo_sigma2(pmap: PiecewiseMap, u: Observable, method: str = "quadrature",
-                      **params) -> float:
-    """CLT variance sigma^2 = C_0 + 2 sum_j C_j for a centered observable.
+def green_kubo_sigma2(source: UlamOperator | PiecewiseMap, u: Observable, **params) -> float:
+    """CLT variance sigma^2 = C_0 + 2 sum_j C_j for a centered observable,
+    from the lags of `autocovariance_series(source, u, **params)`.
 
     Values at or below `REFUSED_SIGMA2`, where `require_nondegenerate`
     refuses a CLT run, are flagged: sigma^2 = 0 means u is a coboundary
     and the CLT limit laws collapse.
     """
-    c0, cj = autocovariance_series(pmap, u, method, **params)
+    c0, cj = autocovariance_series(source, u, **params)
     sigma2 = c0 + 2.0 * float(np.sum(cj))
     if sigma2 < -1e-8:
         raise ConvergenceError(f"negative sigma^2 = {sigma2:.3g}: truncation failed")

@@ -75,6 +75,7 @@ from ergostat.transfer import (
     invariant_density,
     legendre,
     pressure_curve,
+    ulam_matrix,
 )
 from oracles import binomial_band, kantorovich_bruteforce
 
@@ -96,7 +97,7 @@ def doubling():
 
 @pytest.fixture(scope="module")
 def coin_rate(doubling):
-    curve = pressure_curve(doubling, coin(), np.linspace(-3, 3, 121), N=512)
+    curve = pressure_curve(ulam_matrix(doubling, N=512), coin(), np.linspace(-3, 3, 121))
     return legendre(curve, np.linspace(-0.45, 0.45, 181))
 
 
@@ -179,8 +180,9 @@ def reference_kappa_sample(observable: str, n: int, orbits: int,
 
 def test_criterion_01_invariant_density(doubling):
     t0 = time.perf_counter()
-    dev_d = float(np.max(np.abs(invariant_density(doubling, 4096) - 1.0)))
-    dev_t = float(np.max(np.abs(invariant_density(make_map("tent"), 4096) - 1.0)))
+    dev_d = float(np.max(np.abs(invariant_density(ulam_matrix(doubling, N=4096)) - 1.0)))
+    tent = make_map("tent")
+    dev_t = float(np.max(np.abs(invariant_density(ulam_matrix(tent, N=4096)) - 1.0)))
     wall = time.perf_counter() - t0
     ok = dev_d < 1e-3 and dev_t < 1e-3 and wall < 10.0
     assert report("01", ok,
@@ -193,12 +195,12 @@ def test_criterion_02_pressure_exactness(doubling):
     c = 0.7
     u_const = Observable("const", lambda x: np.full_like(np.asarray(x, float), c),
                          lipschitz_constant=0.0)
-    curve = pressure_curve(doubling, u_const, np.array([-1.0, 0.0, 1.0]), N=1024)
+    curve = pressure_curve(ulam_matrix(doubling, N=1024), u_const, np.array([-1.0, 0.0, 1.0]))
     dev = float(np.max(np.abs(curve.F_values - c * curve.beta_grid)))
     zero_dev = abs(curve.F_values[1])
     # F(0) = 0 holds on every curve by construction; spot-check two more
     for u in (coin(), sawtooth()):
-        cv = pressure_curve(doubling, u, np.array([-1.0, 0.0, 1.0]), N=512)
+        cv = pressure_curve(ulam_matrix(doubling, N=512), u, np.array([-1.0, 0.0, 1.0]))
         zero_dev = max(zero_dev, abs(float(cv.F_values[1])))
     ok = dev < 1e-8 and zero_dev < 1e-10
     assert report("02", ok, f"|F - beta*c| {dev:.2e}, |F(0)| {zero_dev:.2e}")
@@ -215,8 +217,8 @@ def test_criterion_03_green_kubo(doubling):
     oracle = 1.0 / 12.0 + 2.0 * sum(2.0**-j / 12.0 for j in range(1, 60))
     assert oracle == pytest.approx(0.25, abs=1e-15)
 
-    s2 = green_kubo_sigma2(doubling, sawtooth(), "quadrature", N=2048)
-    s2_cob = green_kubo_sigma2(doubling, coboundary(doubling), "quadrature", N=2048)
+    s2 = green_kubo_sigma2(ulam_matrix(doubling, N=2048), sawtooth())
+    s2_cob = green_kubo_sigma2(ulam_matrix(doubling, N=2048), coboundary(doubling))
     ok = abs(s2 - 0.25) <= 0.02 * 0.25 and abs(s2_cob) < 1e-6
     assert report("03", ok, f"sigma2 {s2:.6f} (target 0.25 +/-2%), coboundary {s2_cob:.2e}")
 
@@ -501,7 +503,7 @@ def test_criterion_09b_estime_binomial_oracle(doubling, coin_rate):
 # -- 10 -----------------------------------------------------------------------
 
 def test_criterion_10_entropy(doubling):
-    h_table = invariant_density(doubling, 2048)
+    h_table = invariant_density(ulam_matrix(doubling, N=2048))
     orb = orbit(doubling, seed=7, n=2000)
     lm = cylinder_log_measures(doubling, orb.symbols, h_table)
     ks = np.arange(1, 2001)
@@ -514,7 +516,7 @@ def test_criterion_10_entropy(doubling):
     ow_mean = float(np.mean(ow_means))
 
     l3 = make_map("linear", slopes=[3, 3, 3])
-    h3 = rokhlin_entropy(l3, invariant_density(l3, 729))
+    h3 = rokhlin_entropy(l3, ulam_matrix(l3, N=729))
     ok = smb_dev < 1e-13 and abs(ow_mean - math.log(2)) <= 0.1 * math.log(2) \
         and abs(h3 - math.log(3)) < 1e-6
     assert report("10", ok,

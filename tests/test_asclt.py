@@ -15,7 +15,7 @@ from ergostat.measures import (
     default_checkpoints,
     kantorovich,
 )
-from ergostat.transfer import green_kubo_sigma2
+from ergostat.transfer import green_kubo_sigma2, ulam_matrix
 from oracles import rate_diagnostic
 
 
@@ -57,7 +57,7 @@ def test_determinism_bit_identical(doubling):
 
 def test_coboundary_refused(doubling):
     u = coboundary(doubling)
-    sigma2 = green_kubo_sigma2(doubling, u, N=1024)
+    sigma2 = green_kubo_sigma2(ulam_matrix(doubling, N=1024), u)
     with pytest.raises(DegenerateVarianceError):
         asclt_run(doubling, u, 2000, seed=1, checkpoints=[1000], sigma2=sigma2)
 

@@ -9,8 +9,10 @@ from ergostat.config import (
     build_observable,
     parse_config,
 )
+from ergostat import transfer
 from ergostat.errors import ConfigError
-from ergostat.cli import _write_csv, main, run
+from ergostat.cli import SUBCOMMANDS, _write_csv, main, run
+from test_golden import MAPS, SIZES
 
 MINIMAL = """
 [map]
@@ -97,7 +99,7 @@ def test_builders():
     pmap = build_map(cfg)
     assert pmap.name == "tent"
     u = build_observable(cfg, pmap)
-    assert abs(u(np.array([0.75]))[0] - 0.25) < 1e-6   # centered sawtooth
+    assert abs(u(np.array([0.75]))[0] - 0.25) < 1e-6   # sawtooth; the CLI centres it
 
 
 # -- runner -------------------------------------------------------------------
@@ -123,6 +125,38 @@ def test_degenerate_variance_exit_code(tmp_path):
     text = cfg_text(tmp_path / "o").replace("name = sawtooth", "name = coboundary")
     text = text.replace("resolution = 256", "resolution = 1024")
     assert run("asclt", parse_config(text)) == 3
+
+
+def test_one_operator_assembly_per_invocation(tmp_path, monkeypatch):
+    # density, centring, sigma^2, the pressure curve and the entropy runs
+    # all read one beta = 0 operator: the Ulam samples are assembled once
+    # per invocation, and not at all when nothing reads them
+    calls = []
+    assemble = transfer._ulam_samples
+
+    def counted(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(transfer, "_ulam_samples", counted)
+    runs = ([(sub, "orbit", True) for sub in SUBCOMMANDS]
+            + [(sub, "quadrature", True) for sub in ("sigma2", "asclt", "maxima")]
+            + [(sub, "orbit", False) for sub in ("sigma2", "rate-curve")])
+    builds = {}
+    for sub, method, center in runs:
+        text = (MAPS["perturbed-sawtooth"] + f"center = {str(center).lower()}\n"
+                + SIZES.format(outdir=tmp_path / f"{sub}-{method}-{center}"))
+        calls.clear()
+        assert run(sub, parse_config(text.replace("method = orbit", f"method = {method}"))) == 0
+        builds[sub, method, center] = len(calls)
+    assert builds == {key: int(key[2]) for key in runs}
+
+
+def test_map_past_256_branches_exits_3(tmp_path, capsys):
+    spec = "name = linear\nslopes = " + ", ".join(["300"] * 300)
+    cfg = parse_config(cfg_text(tmp_path / "o").replace("name = doubling", spec))
+    assert run("asclt", cfg) == 3
+    assert "at most 256" in capsys.readouterr().err
 
 
 def test_budget_exit_code(tmp_path):

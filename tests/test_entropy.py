@@ -7,7 +7,7 @@ import pytest
 
 from ergostat.errors import DegenerateVarianceError, DomainError
 from ergostat.maps import make_map, orbit, symbol_chunks
-from ergostat.transfer import invariant_density
+from ergostat.transfer import invariant_density, ulam_matrix
 from ergostat.entropy import (
     _RETURN_WINDOW,
     CylinderInterval,
@@ -103,11 +103,11 @@ def test_cylinder_iterates_track_symbols(doubling, perturbed):
 
 
 def test_cylinder_measures_partition_to_one(doubling, perturbed):
-    h2 = invariant_density(doubling, 1024)
+    h2 = invariant_density(ulam_matrix(doubling, N=1024))
     total = sum(cylinder_measure(h2, cylinder_interval(doubling, w))
                 for w in itertools.product((0, 1), repeat=10))
     assert total == pytest.approx(1.0, abs=1e-6)
-    hp = invariant_density(perturbed, 1024)
+    hp = invariant_density(ulam_matrix(perturbed, N=1024))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         total_p = sum(cylinder_measure(hp, cylinder_interval(perturbed, w))
@@ -116,18 +116,18 @@ def test_cylinder_measures_partition_to_one(doubling, perturbed):
 
 
 def test_cylinder_measure_examples(doubling):
-    h = invariant_density(doubling, 1024)
+    h = invariant_density(ulam_matrix(doubling, N=1024))
     assert cylinder_measure(h, cylinder_interval(doubling, [1, 0, 1])) == 2.0 ** -3
     assert cylinder_measure(h, cylinder_interval(doubling, [])) == pytest.approx(1.0, abs=1e-12)
     tent = make_map("tent")
-    ht = invariant_density(tent, 1024)
+    ht = invariant_density(ulam_matrix(tent, N=1024))
     c = cylinder_interval(tent, [0, 1])          # [0.25, 0.5)
     assert (c.lo, c.hi) == (0.25, 0.5)
     assert cylinder_measure(ht, c) == pytest.approx(0.25, abs=1e-3)
 
 
 def test_cylinder_resolution_warning(doubling):
-    h = invariant_density(doubling, 64)
+    h = invariant_density(ulam_matrix(doubling, N=64))
     with pytest.warns(UserWarning, match="resolution"):
         cylinder_measure(h, cylinder_interval(doubling, [0] * 12))
 
@@ -151,8 +151,7 @@ def test_inadmissible_word_rejected():
 def test_rokhlin_constant_slope(name, slopes, expected):
     pmap = make_map(name, slopes=slopes) if slopes else make_map(name)
     N = 729 if slopes else 1024
-    h = invariant_density(pmap, N)
-    assert rokhlin_entropy(pmap, h) == pytest.approx(expected, abs=1e-6)
+    assert rokhlin_entropy(pmap, ulam_matrix(pmap, N=N)) == pytest.approx(expected, abs=1e-6)
 
 
 # -- return times -------------------------------------------------------------
@@ -233,7 +232,7 @@ def test_return_time_exponential_law(doubling):
 # -- streaming log measures -----------------------------------------------------
 
 def test_log_measures_doubling_exact(doubling):
-    h = invariant_density(doubling, 2048)
+    h = invariant_density(ulam_matrix(doubling, N=2048))
     orb = orbit(doubling, seed=3, n=5000)
     lm = cylinder_log_measures(doubling, orb.symbols, h)
     ks = np.arange(1, 5001)
@@ -241,7 +240,8 @@ def test_log_measures_doubling_exact(doubling):
 
 
 def test_log_measures_smooth_match_direct(perturbed):
-    h = invariant_density(perturbed, 2048)
+    op = ulam_matrix(perturbed, N=2048)
+    h = invariant_density(op)
     orb = orbit(perturbed, seed=5, n=400)
     lm = cylinder_log_measures(perturbed, orb.symbols, h, points=orb.points)
     for k in (1, 4, 9, 15, 20):
@@ -251,7 +251,7 @@ def test_log_measures_smooth_match_direct(perturbed):
             direct = math.log(cylinder_measure(h, cyl))
         assert lm[k - 1] == pytest.approx(direct, abs=1e-9)
     # large depth: per-level measure decay approaches the entropy
-    h_rok = rokhlin_entropy(perturbed, h)
+    h_rok = rokhlin_entropy(perturbed, op)
     assert -lm[-1] / 400 == pytest.approx(h_rok, rel=0.05)
 
 
@@ -310,13 +310,14 @@ def test_smb_refused_for_constant_slope(doubling):
     # the degeneracy flag fires on the way to the refusal
     with pytest.warns(UserWarning, match="numerically zero"):
         with pytest.raises(DegenerateVarianceError):
-            smb_run(doubling, 500, seed=1, checkpoints=[500])
+            smb_run(doubling, ulam_matrix(doubling, N=2048), 500, seed=1, checkpoints=[500])
 
 
 def test_smb_perturbed_median_kappa_decreases(perturbed):
+    op = ulam_matrix(perturbed, N=2048)
     lo, hi = [], []
     for seed in range(1, 11):
-        diag = smb_run(perturbed, 10_000, seed=seed, checkpoints=[1000, 10_000])
+        diag = smb_run(perturbed, op, 10_000, seed=seed, checkpoints=[1000, 10_000])
         lo.append(diag.kappa_values[0])
         hi.append(diag.kappa_values[1])
         assert diag.kappa_values.max() < 0.15
@@ -326,7 +327,7 @@ def test_smb_perturbed_median_kappa_decreases(perturbed):
 def test_ow_run_doubling_refused(doubling):
     with pytest.warns(UserWarning, match="numerically zero"):
         with pytest.raises(DegenerateVarianceError):
-            ow_run(doubling, 20, seed=1, checkpoints=[20])
+            ow_run(doubling, ulam_matrix(doubling, N=2048), 20, seed=1, checkpoints=[20])
 
 
 def test_smb_atom_spread_matches_green_kubo(perturbed):
@@ -336,11 +337,11 @@ def test_smb_atom_spread_matches_green_kubo(perturbed):
     from ergostat.transfer import center_observable, green_kubo_sigma2
     from ergostat.maps import log_derivative, orbit as make_orbit
 
-    h_table = invariant_density(perturbed, 2048)
-    h = rokhlin_entropy(perturbed, h_table)
+    op = ulam_matrix(perturbed, N=2048)
+    h_table = invariant_density(op)
+    h = rokhlin_entropy(perturbed, op)
     sigma = math.sqrt(green_kubo_sigma2(
-        perturbed, center_observable(perturbed, log_derivative(perturbed), 2048),
-        "quadrature", N=2048))
+        op, center_observable(op, log_derivative(perturbed))))
     n = 2000
     finals = []
     for seed in range(1, 41):
@@ -353,7 +354,8 @@ def test_smb_atom_spread_matches_green_kubo(perturbed):
 
 
 def test_ow_run_perturbed_sandwich_and_entropy(perturbed):
-    diag = ow_run(perturbed, 18, seed=4, checkpoints=[18], cap=10**7)
+    diag = ow_run(perturbed, ulam_matrix(perturbed, N=2048), 18, seed=4, checkpoints=[18],
+                  cap=10**7)
     assert diag.kind == "ow"
     assert diag.censored == 0
     assert np.mean(diag.sandwich_ok) >= 0.5

@@ -6,7 +6,7 @@ from scipy.stats import binom
 
 from ergostat.errors import BudgetExceededError, DomainError
 from ergostat.maps import make_map, make_observable, coin, orbit, orbit_value_chunks
-from ergostat.transfer import RateFunction, legendre, pressure_curve
+from ergostat.transfer import RateFunction, legendre, pressure_curve, ulam_matrix
 from ergostat.erdos_renyi import (
     _moving_max_chunked,
     decoupling_check,
@@ -29,7 +29,7 @@ def doubling():
 
 @pytest.fixture(scope="module")
 def coin_rate(doubling):
-    curve = pressure_curve(doubling, coin(), np.linspace(-3, 3, 121), N=512)
+    curve = pressure_curve(ulam_matrix(doubling, N=512), coin(), np.linspace(-3, 3, 121))
     return legendre(curve, np.linspace(-0.45, 0.45, 181))
 
 

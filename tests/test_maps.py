@@ -52,6 +52,27 @@ def test_make_map_rejects_bad_descriptors():
         make_map("nosuchmap")
 
 
+def _full_branch_map(b):
+    """b linear full branches on a non-uniform partition: float-iterated."""
+    widths = 1.0 + np.arange(b) % 7
+    bp = np.concatenate([[0.0], np.cumsum(widths) / np.sum(widths)])
+    bp[-1] = 1.0
+    return make_map("custom", breakpoints=bp.tolist(), slopes=(1.0 / np.diff(bp)).tolist())
+
+
+def test_branch_count_fits_the_symbol_bytes():
+    # symbols are uint8: a 300-branch map would wrap branch 273 to 17
+    # (float-iterated) or fail to draw its symbols (symbolic)
+    for make in (lambda: _full_branch_map(300), lambda: make_map("linear", slopes=[300.0] * 300)):
+        with pytest.raises(MapDefinitionError, match="at most 256"):
+            make()
+    # 256 branches still give every symbol, in both orbit modes
+    for m in (_full_branch_map(256), make_map("linear", slopes=[256.0] * 256)):
+        o = orbit(m, seed=1, n=2000)
+        truth = np.searchsorted(m.breakpoints, o.points, side="right") - 1
+        assert np.array_equal(o.symbols, truth) and o.symbols.max() > 200
+
+
 def test_evaluate_examples():
     d = make_map("doubling")
     assert evaluate(d, 0.3) == pytest.approx((0.6, 0, 2.0))
@@ -387,9 +408,9 @@ def test_random_linear_maps_stream_or_refuse(m, seed, chunk):
         assert np.array_equal(cut, whole) and np.array_equal(whole, sawtooth()(o.points))
     if all(abs(abs(br.slope) * (br.hi - br.lo) - 1.0) < 1e-12 for br in m.branches):
         # full branches: the Ulam density integrates to 1 and F(0) = 0
-        assert np.sum(invariant_density(m, 64)) / 64 == pytest.approx(1.0, abs=1e-12)
-        assert np.log(ulam_matrix(m, None, 0.0, 64).leading_eigenvalue) == \
-            pytest.approx(0.0, abs=1e-12)
+        op = ulam_matrix(m, None, 0.0, 64)
+        assert np.sum(invariant_density(op)) / 64 == pytest.approx(1.0, abs=1e-12)
+        assert np.log(op.leading_eigenvalue) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_observable_regularity_required():

@@ -88,18 +88,18 @@ def test_power_iteration_against_dense_eigensolver():
 
 @pytest.mark.parametrize("name,N", [("doubling", 1024), ("tent", 1024)])
 def test_flat_density_exact_maps(name, N):
-    h = invariant_density(make_map(name), N)
+    h = invariant_density(ulam_matrix(make_map(name), N=N))
     assert np.max(np.abs(h - 1.0)) < 1e-3
 
 
 def test_flat_density_three_branch():
-    h = invariant_density(make_map("linear", slopes=[3, 3, 3]), 729)
+    h = invariant_density(ulam_matrix(make_map("linear", slopes=[3, 3, 3]), N=729))
     assert np.max(np.abs(h - 1.0)) < 1e-3
 
 
 def test_density_integrates_to_one():
     for name, N in (("perturbed-doubling", 512), ("doubling", 300)):
-        h = invariant_density(make_map(name), N)
+        h = invariant_density(ulam_matrix(make_map(name), N=N))
         assert np.sum(h) / N == pytest.approx(1.0, abs=1e-12)
         assert h.min() > 0
 
@@ -107,15 +107,15 @@ def test_density_integrates_to_one():
 # -- pressure -----------------------------------------------------------------
 
 def test_pressure_zero_observable():
-    curve = pressure_curve(make_map("doubling"), zero_observable(),
-                           np.linspace(-2, 2, 21), N=64)
+    curve = pressure_curve(ulam_matrix(make_map("doubling"), N=64), zero_observable(),
+                           np.linspace(-2, 2, 21))
     assert np.max(np.abs(curve.F_values)) < 1e-12
 
 
 def test_pressure_constant_observable_linear():
     c = 0.4
-    curve = pressure_curve(make_map("doubling"), const_observable(c),
-                           np.array([-1.0, 0.0, 1.0]), N=64)
+    curve = pressure_curve(ulam_matrix(make_map("doubling"), N=64), const_observable(c),
+                           np.array([-1.0, 0.0, 1.0]))
     assert np.max(np.abs(curve.F_values - c * curve.beta_grid)) < 1e-8
     assert curve.F_values[1] == 0.0
 
@@ -123,7 +123,7 @@ def test_pressure_constant_observable_linear():
 def test_pressure_coin_closed_form():
     # the even grid has no beta = 0 node: F is still shifted by log lambda(0)
     for grid in (np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), np.linspace(-2.0, 2.0, 4)):
-        curve = pressure_curve(make_map("doubling"), coin(), grid, N=1024)
+        curve = pressure_curve(ulam_matrix(make_map("doubling"), N=1024), coin(), grid)
         expected = np.log(np.cosh(curve.beta_grid / 2.0))
         assert np.max(np.abs(curve.F_values - expected)) < 1e-6
 
@@ -131,14 +131,15 @@ def test_pressure_coin_closed_form():
 def test_pressure_resolution_stability_coin():
     d = make_map("doubling")
     grid = np.array([0.0, 1.0])
-    f_low = pressure_curve(d, coin(), grid, N=1024).F_values[1]
-    f_high = pressure_curve(d, coin(), grid, N=4096).F_values[1]
+    f_low = pressure_curve(ulam_matrix(d, N=1024), coin(), grid).F_values[1]
+    f_high = pressure_curve(ulam_matrix(d, N=4096), coin(), grid).F_values[1]
     assert abs(f_low - f_high) < 1e-6
 
 
 def test_pressure_curve_assembles_once():
     # the Ulam samples do not depend on beta, so a 31-point grid evaluates
-    # the branches and u on exactly as many points as a 3-point grid
+    # the branches and u on exactly as many points as a 3-point grid,
+    # counting the assembly of the beta = 0 operator it reweights
     pd = make_map("perturbed-doubling")
     counted = [_counting(br) for br in pd.branches]
     pmap = replace(pd, branches=tuple(br for br, _ in counted))
@@ -152,7 +153,7 @@ def test_pressure_curve_assembles_once():
     def points(grid):
         for seen in [u_seen] + [seen for _, seen in counted]:
             seen.clear()
-        pressure_curve(pmap, u, grid, N=128)
+        pressure_curve(ulam_matrix(pmap, N=128), u, grid)
         return (sum(x.size for _, seen in counted for x in seen),
                 sum(x.size for x in u_seen))
 
@@ -185,21 +186,24 @@ def test_legendre_selfdual_quadratic():
 
 
 def test_legendre_minimum_zero_at_zero():
-    curve = pressure_curve(make_map("doubling"), coin(), np.linspace(-3, 3, 121), N=512)
+    curve = pressure_curve(ulam_matrix(make_map("doubling"), N=512), coin(),
+                           np.linspace(-3, 3, 121))
     rf = legendre(curve, np.linspace(-0.3, 0.3, 61))
     assert rf.phi(0.0) == pytest.approx(0.0, abs=1e-10)
     assert rf.phi_values.min() >= 0.0
 
 
 def test_legendre_coin_cramer_value():
-    curve = pressure_curve(make_map("doubling"), coin(), np.linspace(-3, 3, 121), N=512)
+    curve = pressure_curve(ulam_matrix(make_map("doubling"), N=512), coin(),
+                           np.linspace(-3, 3, 121))
     rf = legendre(curve, np.array([0.2]))
     assert rf.phi_values[0] == pytest.approx(bernoulli_cramer(0.2), abs=1e-4)
     assert rf.beta_of_alpha[0] == pytest.approx(math.log(1.4 / 0.6), abs=1e-5)
 
 
 def test_legendre_alpha_out_of_range():
-    curve = pressure_curve(make_map("doubling"), coin(), np.linspace(-1, 1, 41), N=256)
+    curve = pressure_curve(ulam_matrix(make_map("doubling"), N=256), coin(),
+                           np.linspace(-1, 1, 41))
     # F' of log cosh(beta/2) on [-1,1] stays within +/- tanh(1/2)/2 ~ 0.231
     with pytest.raises(DomainError):
         legendre(curve, np.array([0.45]))
@@ -218,7 +222,7 @@ def test_legendre_bitwise_equals_per_alpha_oracle(name, params, obs, betas):
     pmap = make_map(name, **params)
     u = {"coin": coin(), "sawtooth": sawtooth(), "log-deriv": log_derivative(pmap),
          "zero": zero_observable()}[obs]
-    curve = pressure_curve(pmap, u, np.linspace(-3, 3, betas), N=256)
+    curve = pressure_curve(ulam_matrix(pmap, N=256), u, np.linspace(-3, 3, betas))
     secants = np.diff(curve.F_values) / np.diff(curve.beta_grid)
     lo, hi = float(secants.min()), float(secants.max())
     grids = [np.linspace(lo, hi, 31), np.array([lo, hi]), np.array([0.5 * (lo + hi)])]
@@ -245,7 +249,8 @@ def test_golden_max_brackets_stop_on_their_own_steps():
 
 
 def test_legendre_biconjugate_recovers_pressure():
-    curve = pressure_curve(make_map("doubling"), coin(), np.linspace(-3, 3, 121), N=512)
+    curve = pressure_curve(ulam_matrix(make_map("doubling"), N=512), coin(),
+                           np.linspace(-3, 3, 121))
     rf = legendre(curve, np.linspace(-0.4, 0.4, 161))
     phi_s = CubicSpline(rf.alpha_grid, rf.phi_values)
     for beta in np.linspace(-1.0, 1.0, 9):
@@ -259,12 +264,12 @@ def test_legendre_biconjugate_recovers_pressure():
 
 def test_sigma2_sawtooth_quadrature():
     # oracle: C_j = 2^{-j}/12, summing to 1/4
-    s2 = green_kubo_sigma2(make_map("doubling"), sawtooth(), "quadrature", N=2048)
+    s2 = green_kubo_sigma2(ulam_matrix(make_map("doubling"), N=2048), sawtooth())
     assert s2 == pytest.approx(0.25, rel=0.02)
 
 
 def test_sigma2_sawtooth_orbit():
-    s2 = green_kubo_sigma2(make_map("doubling"), sawtooth(), "orbit",
+    s2 = green_kubo_sigma2(make_map("doubling"), sawtooth(),
                            orbit_length=2_000_000, seed=3)
     assert s2 == pytest.approx(0.25, rel=0.02)
 
@@ -276,7 +281,7 @@ def test_orbit_autocovariances_independent_of_blas_threads():
             "from ergostat.maps import make_map, sawtooth\n"
             "from ergostat.transfer import autocovariance_series\n"
             "c0, cj = autocovariance_series(make_map('perturbed-doubling'), sawtooth(),\n"
-            "                               method='orbit', orbit_length=20000)\n"
+            "                               orbit_length=20000)\n"
             "sys.stdout.write(float(c0).hex() + ' ' + cj.tobytes().hex())\n")
     src = str(Path(ergostat.__file__).resolve().parents[1])
     outs = []
@@ -289,19 +294,19 @@ def test_orbit_autocovariances_independent_of_blas_threads():
 
 
 def test_sigma2_coin_iid():
-    s2 = green_kubo_sigma2(make_map("doubling"), coin(), "quadrature", N=1024)
+    s2 = green_kubo_sigma2(ulam_matrix(make_map("doubling"), N=1024), coin())
     assert s2 == pytest.approx(0.25, rel=0.02)
 
 
 def test_sigma2_coboundary_vanishes():
-    s2 = green_kubo_sigma2(make_map("doubling"), coboundary(make_map("doubling")),
-                           "quadrature", N=2048)
+    d = make_map("doubling")
+    s2 = green_kubo_sigma2(ulam_matrix(d, N=2048), coboundary(d))
     assert abs(s2) < 1e-6
 
 
 def test_autocovariance_oracle_values():
     # independent quadrature of C_j = int (x-1/2)({2^j x}-1/2) dx = 2^{-j}/12
-    c0, cj = autocovariance_series(make_map("doubling"), sawtooth(), "quadrature", N=2048)
+    c0, cj = autocovariance_series(ulam_matrix(make_map("doubling"), N=2048), sawtooth())
     assert c0 == pytest.approx(1.0 / 12.0, rel=1e-3)
     for j in (1, 2, 3, 4):
         assert cj[j - 1] == pytest.approx(2.0**-j / 12.0, rel=1e-2)
@@ -309,9 +314,9 @@ def test_autocovariance_oracle_values():
 
 def test_sigma2_alpha_continuity():
     d = make_map("doubling")
-    curve = pressure_curve(d, coin(), np.linspace(-3, 3, 121), N=512)
+    curve = pressure_curve(ulam_matrix(d, N=512), coin(), np.linspace(-3, 3, 121))
     rf = legendre(curve, np.array([0.0]))
-    gk = green_kubo_sigma2(d, coin(), "quadrature", N=512)
+    gk = green_kubo_sigma2(ulam_matrix(d, N=512), coin())
     assert rf.sigma2_of_alpha[0] == pytest.approx(gk, rel=0.05)
 
 
@@ -319,8 +324,9 @@ def test_sigma2_alpha_continuity():
 
 def test_center_observable_zeroes_mean():
     pd = make_map("perturbed-doubling")
-    u = center_observable(pd, log_derivative(pd), N=1024)
-    h = invariant_density(pd, 1024)
+    op = ulam_matrix(pd, N=1024)
+    u = center_observable(op, log_derivative(pd))
+    h = invariant_density(op)
     centered_mean = float(np.sum(cell_average(u, 1024) * h) / 1024)
     assert abs(centered_mean) < 1e-12
-    assert observable_mean(pd, u, 1024, h) == pytest.approx(u.mu_mean, abs=1e-12)
+    assert observable_mean(op, u) == pytest.approx(u.mu_mean, abs=1e-12)
