@@ -51,7 +51,8 @@ from .erdos_renyi import (  # noqa: F401
     rate_estimator,
 )
 from .entropy import (  # noqa: F401
-    cylinder_interval,
+    EntropyConstants,
+    entropy_constants,
     ow_run,
     rokhlin_entropy,
     smb_run,

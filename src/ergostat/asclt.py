@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .maps import Observable, PiecewiseMap, orbit_value_chunks
 from .measures import GaussianLaw, HalfGaussianLaw, kantorovich_ladder
 from .transfer import require_nondegenerate
@@ -58,7 +59,7 @@ def normalized_statistic_atoms(pmap: PiecewiseMap, u: Observable, n: int, seed: 
 def _run(pmap, u, n, seed, checkpoints, sigma2, running_max: bool) -> AscltDiagnostics:
     sigma = float(np.sqrt(require_nondegenerate(sigma2)))
     if checkpoints is not None and checkpoints[-1] > n:
-        raise ValueError("horizon must reach the last checkpoint")
+        raise ConfigError([(0, "horizon must reach the last checkpoint")])
     law = HalfGaussianLaw(sigma) if running_max else GaussianLaw(sigma)
     atoms = normalized_statistic_atoms(pmap, u, n, seed, running_max=running_max)
     checkpoints, kappas = kantorovich_ladder(atoms, law, checkpoints)

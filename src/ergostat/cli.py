@@ -51,7 +51,7 @@ from .erdos_renyi import (
     ld_probability_mc,
     rate_estimator,
 )
-from .entropy import ow_run, smb_run
+from .entropy import entropy_constants, ow_run, smb_run
 
 SUBCOMMANDS = (
     "density", "pressure", "sigma2", "asclt", "maxima", "erdos-renyi",
@@ -171,11 +171,12 @@ def _run_sigma2(cfg, outdir, seeds):
     source = op if quadrature else pmap
     out = {}
     for s in seeds:
-        c0, cj = autocovariance_series(
-            source, u, orbit_length=cfg.get("sigma2", "orbit_length"), seed=s)
-        partial = c0 + 2.0 * np.cumsum(np.concatenate([[0.0], cj]))
-        rows = [(0, c0, partial[0])] + [
-            (j + 1, cj[j], partial[j + 1]) for j in range(len(cj))]
+        if s == seeds[0] or not quadrature:   # the seed does not enter the quadrature
+            c0, cj = autocovariance_series(
+                source, u, orbit_length=cfg.get("sigma2", "orbit_length"), seed=s)
+            partial = c0 + 2.0 * np.cumsum(np.concatenate([[0.0], cj]))
+            rows = [(0, c0, partial[0])] + [
+                (j + 1, cj[j], partial[j + 1]) for j in range(len(cj))]
         _write_csv(outdir / f"sigma2-{s}.csv",
                    ["lag", "covariance", "partial_sigma2"], rows)
         out[f"sigma2_seed_{s}"] = float(partial[-1])
@@ -276,7 +277,7 @@ def _run_ld_check(cfg, outdir, seeds):
 
 def _run_entropy(cfg, outdir, seeds, kind):
     pmap = build_map(cfg)
-    op = _operator(cfg, pmap)
+    consts = entropy_constants(pmap, _operator(cfg, pmap))
     if kind == "smb":
         n = cfg.get("run", "horizon")
     else:
@@ -284,15 +285,14 @@ def _run_entropy(cfg, outdir, seeds, kind):
     checkpoints = cfg.get("run", "checkpoints") or None
     eps = cfg.get("entropy", "epsilon")
     cap = cfg.get("entropy", "cap")
-    extra = {}
+    extra = {"h_rokhlin": consts.h, "sigma": consts.sigma}
 
     def one(seed):
         if kind == "smb":
-            return smb_run(pmap, op, n, seed, checkpoints=checkpoints)
-        return ow_run(pmap, op, n, seed, checkpoints=checkpoints, eps=eps, cap=cap)
+            return smb_run(pmap, consts, n, seed, checkpoints=checkpoints)
+        return ow_run(pmap, consts, n, seed, checkpoints=checkpoints, eps=eps, cap=cap)
 
     for diag in _map_over_seeds(one, seeds, _threads(cfg)):
-        h = diag.h_rokhlin
         ks = diag.k_values
         if kind == "smb":
             rows = [(int(k), mlm, a) for k, mlm, a in
@@ -304,7 +304,7 @@ def _run_entropy(cfg, outdir, seeds, kind):
             for i, k in enumerate(ks):
                 if diag.log_returns is None or not np.isfinite(diag.log_returns[i]):
                     continue      # censored
-                smb_atom = (diag.minus_log_mu[i] - k * h) / math.sqrt(k)
+                smb_atom = (diag.minus_log_mu[i] - k * consts.h) / math.sqrt(k)
                 ok = 1 if (i == 0 or bool(diag.sandwich_ok[i - 1])) else 0
                 rows.append((int(k), diag.minus_log_mu[i], diag.log_returns[i],
                              smb_atom, diag.atoms[i], ok))
@@ -313,8 +313,6 @@ def _run_entropy(cfg, outdir, seeds, kind):
                         "sandwich_ok"], rows)
             extra[f"censored_seed_{diag.seed}"] = diag.censored
         extra[f"kappa_final_seed_{diag.seed}"] = float(diag.kappa_values[-1])
-        extra["h_rokhlin"] = diag.h_rokhlin
-        extra["sigma"] = diag.sigma_used
     return extra
 
 
@@ -349,6 +347,9 @@ def run(subcommand: str, cfg: ExperimentConfig, seed_offset: int = 0) -> int:
             extra = _run_entropy(cfg, outdir, seeds, "smb")
         else:
             extra = _run_entropy(cfg, outdir, seeds, "ow")
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except BudgetExceededError as exc:
         print(f"budget cap: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -1,28 +1,26 @@
 """Cylinder partitions, return times, and entropy CLT experiments.
 
 The depth-k cylinder of x is the interval of points sharing x's first k
-branch symbols; widths shrink like eta^{-k}, so beyond ~50 levels the
-endpoints collapse in float64 and cylinder measures are tracked in log
-form instead: exact slope products for piecewise-linear maps, and for
+branch symbols; widths shrink like eta^{-k}, so after a few dozen levels
+the endpoints collapse in float64 and cylinder measures are tracked in
+log form instead: exact slope products for piecewise-linear maps, and for
 smooth maps an interval pullback over the innermost levels glued to a
 derivative chain along the orbit (distortion sums converge geometrically,
 so the glue error stays below ~1e-8).
 
 Return times R_k of the leading k-word are detected in the orbit's own
-symbol stream: the search for every k up to n restarts a vectorized
-first-occurrence search from R_{k-1} (returns are nested) and is censored
-at a hard symbol cap.
+symbol stream: R_k is the first start whose match with the leading word
+reaches k, so one scan over windows of starts finds every depth up to n at
+once, and it is censored at a hard symbol cap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError
 from .maps import PiecewiseMap, log_derivative, orbit, symbol_chunks
 from .measures import GaussianLaw, kantorovich_ladder
 from .transfer import (
@@ -34,50 +32,13 @@ from .transfer import (
 )
 
 RETURN_TIME_CAP = 10**9
-# start positions compared per vectorized step of the all-k return search
+# start positions filtered per vectorized step of the all-depth return scan
 _RETURN_WINDOW = 1 << 12
 # interval-pullback depth and center-chain depth for smooth-map cylinders;
 # the split balances endpoint collapse (an ulp-level inverse error over the
 # interval width) against the center-vs-mean-value error of the chain
 _EXACT_LEVELS = 20
 _CHAIN_LEVELS = 70
-
-
-@dataclass(frozen=True)
-class CylinderInterval:
-    lo: float
-    hi: float
-    depth: int
-    symbols: tuple
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-
-def cylinder_interval(pmap: PiecewiseMap, symbols) -> CylinderInterval:
-    """Interval of points whose first len(symbols) symbols match the word.
-
-    Backward pullback of the last symbol's cell through branch inverses;
-    empty intersections (possible for non-full-branch maps) are rejected
-    as inadmissible words.
-    """
-    word = tuple(int(s) for s in np.asarray(symbols).ravel())
-    if not word:
-        return CylinderInterval(0.0, 1.0, 0, ())
-    bp = pmap.breakpoints
-    s_last = word[-1]
-    lo, hi = float(bp[s_last]), float(bp[s_last + 1])
-    for s in reversed(word[:-1]):
-        br = pmap.branches[s]
-        img_lo, img_hi = br.image()
-        a, b = max(lo, img_lo), min(hi, img_hi)
-        if b - a <= 0.0:
-            raise DomainError(f"word {word} is inadmissible (empty pullback)")
-        x1 = float(br.inverse(a))
-        x2 = float(br.inverse(b))
-        lo, hi = (x1, x2) if x1 <= x2 else (x2, x1)
-    return CylinderInterval(lo, hi, len(word), word)
 
 
 def rokhlin_entropy(pmap: PiecewiseMap, op: UlamOperator) -> float:
@@ -102,22 +63,16 @@ def _log_density_average(density: np.ndarray, lo: float, hi: float) -> float:
 # return times
 # ---------------------------------------------------------------------------
 
-def _iter_symbols(symbols) -> Iterator[np.ndarray]:
-    if isinstance(symbols, np.ndarray):
-        yield symbols
-        return
-    yield from symbols
-
-
 def return_times_upto(symbols, n: int, cap: int = RETURN_TIME_CAP) -> np.ndarray:
     """R_k for every k <= n from one stream; censored entries are -1.
 
-    Exploits nesting (R_k is nondecreasing in k): the first occurrence of
-    the (k+1)-prefix is searched from R_k onward with vectorized window
-    comparison on a buffered stream, read only as far as the search window
+    R_k is the first start whose match with the leading word reaches k, so
+    one scan serves every depth: each window of starts is filtered level by
+    level against the word, and the first survivor at a level not yet found
+    is that level's R_k.  The stream is read only as far as the scan
     reaches: max R_k + n plus at most one window and one chunk.
     """
-    chunks = _iter_symbols(symbols)
+    chunks = iter([symbols] if isinstance(symbols, np.ndarray) else symbols)
     buf = np.empty(0, dtype=np.uint8)
     size = 0
 
@@ -136,32 +91,28 @@ def return_times_upto(symbols, n: int, cap: int = RETURN_TIME_CAP) -> np.ndarray
 
     if not extend(n):
         raise ValueError(f"stream shorter than the pattern depth {n}")
-    pattern = buf[:n].copy()
+    word = buf[:n].copy()
     out = np.full(n, -1, dtype=np.int64)
-    start = 1
-    for k in range(1, n + 1):
-        word = pattern[:k]
-        found = -1
-        pos = start
-        while pos <= cap:
-            hi = min(pos + _RETURN_WINDOW, cap + 1)
-            if not extend(hi + k - 1) and size < pos + k:
+    found = 0                                  # R_1 .. R_found are known
+    pos = 1
+    while found < n and pos <= cap:
+        hi = min(pos + _RETURN_WINDOW, cap + 1)
+        short = not extend(hi + n - 1)
+        hi = min(hi, size)
+        if hi <= pos:
+            break
+        cand = pos + np.flatnonzero(buf[pos:hi] == word[0])
+        for j in range(n):                     # cand: starts matching word[:j + 1]
+            if j:
+                if short:
+                    cand = cand[cand + j < size]
+                cand = cand[buf[cand + j] == word[j]]
+            if not len(cand):
                 break
-            hi = min(hi, size - k + 1)
-            if hi <= pos:
-                break
-            cand = pos + np.flatnonzero(buf[pos:hi] == word[0])
-            if len(cand) and k > 1:
-                windows = buf[cand[:, None] + np.arange(k)[None, :]]
-                cand = cand[np.all(windows == word[None, :], axis=1)]
-            if len(cand):
-                found = int(cand[0])
-                break
-            pos = hi
-        if found < 0:
-            break  # deeper prefixes cannot recur earlier; all censored
-        out[k - 1] = found
-        start = found
+            if j == found:
+                out[j] = cand[0]
+                found += 1
+        pos = hi
     return out
 
 
@@ -170,12 +121,12 @@ def return_times_upto(symbols, n: int, cap: int = RETURN_TIME_CAP) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def _inverse_by_symbol(pmap, sym, y):
-    """Preimage of each y[i] under branch sym[i]."""
+    """Preimage under branch sym[i] of each y[i], clipped to that branch's image."""
     x = np.empty(len(y))
     for s, br in enumerate(pmap.branches):
         m = sym == s
         if np.any(m):
-            x[m] = br.inverse(y[m])
+            x[m] = br.inverse(np.clip(y[m], *br.image()))
     return x
 
 
@@ -185,9 +136,10 @@ def _pullback_interval_layers(pmap, symbols, n, levels):
     Returns (lo, hi) arrays; for k <= levels the pullback is complete and
     [lo, hi] is the whole depth-k cylinder.
     """
-    lo = np.zeros(n)
-    hi = np.ones(n)
-    for d in range(min(levels, n)):
+    cells = symbols[:n].astype(np.intp)    # depth 1: the branch cells
+    lo = pmap.breakpoints[cells]
+    hi = pmap.breakpoints[cells + 1]
+    for d in range(1, min(levels, n)):
         sym = symbols[:n - d]                 # symbol s_{k-d} of each k > d
         x1 = _inverse_by_symbol(pmap, sym, lo[d:])
         x2 = _inverse_by_symbol(pmap, sym, hi[d:])
@@ -204,51 +156,43 @@ def cylinder_log_measures(pmap: PiecewiseMap, symbols: np.ndarray,
     maps get the k * log|s| form, exact to one ulp per entry).  Smooth
     maps: interval pullback over the innermost levels, then a derivative
     chain through pullback centers, then orbit-point prefix sums.
-    The density enters through its average over the cylinder; beyond a few
-    levels the cylinder sits inside the cell of the orbit's start point.
+    The density enters through its average over the leading pulled-back
+    cylinders; deeper ones sit inside the cell of an anchor point.
     """
     symbols = np.asarray(symbols)
     n = len(symbols)
     N = len(density)
-    all_linear = all(br.is_linear for br in pmap.branches)
-    if all_linear:
+    if all(br.is_linear for br in pmap.branches):
         slopes = np.array([abs(br.slope) for br in pmap.branches])
         if np.ptp(slopes) == 0.0:
             log_width = -np.arange(1, n + 1, dtype=float) * math.log(slopes[0])
         else:
             log_width = -np.cumsum(np.log(slopes)[symbols])
-        # interval location for the density factor: exact pullback of the
-        # leading word while widths are representable
+        # the density factor needs only where the leading cylinders lie, and
+        # an interval collapsed in float64 still has a place
         lead = min(n, 45)
-        cyl = [cylinder_interval(pmap, symbols[:k]) for k in range(1, lead + 1)]
-        log_h = np.empty(n)
-        for k, c in enumerate(cyl):
-            log_h[k] = _log_density_average(density, c.lo, c.hi)
-        if n > lead:
-            anchor = cyl[-1]
-            cell = min(int(0.5 * (anchor.lo + anchor.hi) * N), N - 1)
-            log_h[lead:] = math.log(density[cell])
-        return log_h + log_width
-
-    if points is None:
-        raise ValueError("smooth maps need the orbit points for the derivative chain")
-    exact = min(_EXACT_LEVELS, n)
-    lo, hi = _pullback_interval_layers(pmap, symbols, n, _EXACT_LEVELS)
-    acc = np.zeros(n)
-    # derivative chain through pullback centers for levels exact..exact+chain
-    c = 0.5 * (lo + hi)
-    for d in range(exact, min(_EXACT_LEVELS + _CHAIN_LEVELS, n)):
-        c[d:] = _inverse_by_symbol(pmap, symbols[:n - d], c[d:])
-        acc[d:] -= np.log(np.abs(pmap.derivative(c[d:])))
-    # orbit-point prefix sums for the remaining outer levels
-    depth = _EXACT_LEVELS + _CHAIN_LEVELS
-    if n > depth:
-        logd = np.log(np.abs(pmap.derivative(points)))
-        acc[depth:] -= np.cumsum(logd)[:n - depth]
-    log_width = np.log(hi - lo) + acc
-    cell = min(int(points[0] * N), N - 1)
-    log_h = np.full(n, math.log(density[cell]))
-    for k in range(exact):
+        lo, hi = _pullback_interval_layers(pmap, symbols[:lead], lead, lead)
+        anchor = 0.5 * (lo[-1] + hi[-1])
+    else:
+        if points is None:
+            raise ValueError("smooth maps need the orbit points for the derivative chain")
+        lead = min(_EXACT_LEVELS, n)
+        lo, hi = _pullback_interval_layers(pmap, symbols, n, _EXACT_LEVELS)
+        acc = np.zeros(n)
+        # derivative chain through pullback centers for levels lead..lead+chain
+        c = 0.5 * (lo + hi)
+        for d in range(lead, min(_EXACT_LEVELS + _CHAIN_LEVELS, n)):
+            c[d:] = _inverse_by_symbol(pmap, symbols[:n - d], c[d:])
+            acc[d:] -= np.log(np.abs(pmap.derivative(c[d:])))
+        # orbit-point prefix sums for the remaining outer levels
+        depth = _EXACT_LEVELS + _CHAIN_LEVELS
+        if n > depth:
+            logd = np.log(np.abs(pmap.derivative(points)))
+            acc[depth:] -= np.cumsum(logd)[:n - depth]
+        log_width = np.log(hi - lo) + acc
+        anchor = points[0]
+    log_h = np.full(n, math.log(density[min(int(anchor * N), N - 1)]))
+    for k in range(lead):
         log_h[k] = _log_density_average(density, lo[k], hi[k])
     return log_h + log_width
 
@@ -273,21 +217,35 @@ class EntropyDiagnostics:
     sandwich_ok: np.ndarray | None = None    # ow only, k >= 2
 
 
-def _entropy_run(pmap, op, n, seed, checkpoints, kind, eps, cap):
+@dataclass(frozen=True)
+class EntropyConstants:
+    """The seed-free part of an entropy run, read from pmap's beta = 0
+    operator: the invariant density, the Rokhlin entropy h, and sigma, the
+    square root of the Green-Kubo variance of u = log|f'| - h."""
+    density: np.ndarray
+    h: float
+    sigma: float
+
+
+def entropy_constants(pmap: PiecewiseMap, op: UlamOperator) -> EntropyConstants:
+    """Density, h and sigma once for every seed of a run; a degenerate
+    sigma^2 (constant-slope maps) is refused here, before any orbit work."""
     density = invariant_density(op)
     h = rokhlin_entropy(pmap, op)
     sigma2 = green_kubo_sigma2(op, log_derivative(pmap).with_mean(h))
-    sigma = math.sqrt(require_nondegenerate(sigma2))
+    return EntropyConstants(density, h, math.sqrt(require_nondegenerate(sigma2)))
+
+
+def _entropy_run(pmap, consts, n, seed, checkpoints, kind, eps, cap):
+    h, sigma = consts.h, consts.sigma
     orb = orbit(pmap, seed, n)
-    log_mu = cylinder_log_measures(pmap, orb.symbols, density, points=orb.points)
+    log_mu = cylinder_log_measures(pmap, orb.symbols, consts.density, points=orb.points)
     ks = np.arange(1, n + 1, dtype=float)
     minus_log_mu = -log_mu
+    log_returns = sandwich = keep = None
+    censored = 0
     if kind == "smb":
         atoms = (minus_log_mu - ks * h) / np.sqrt(ks)
-        log_returns = None
-        censored = 0
-        sandwich = None
-        keep = None
     else:
         stream = symbol_chunks(pmap, seed)   # same seed: the orbit's own stream
         rts = return_times_upto(stream, n, cap=cap)
@@ -309,19 +267,18 @@ def _entropy_run(pmap, op, n, seed, checkpoints, kind, eps, cap):
         censored=censored, sandwich_ok=sandwich)
 
 
-def smb_run(pmap: PiecewiseMap, op: UlamOperator, n: int, seed: int,
+def smb_run(pmap: PiecewiseMap, consts: EntropyConstants, n: int, seed: int,
             checkpoints=None) -> EntropyDiagnostics:
     """Cylinder-measure CLT: atoms (-log mu(P_k) - k h)/sqrt(k) against
-    N(0, sigma^2), with h the Rokhlin entropy and sigma^2 the Green-Kubo
-    variance of u = log|f'| - h, both from pmap's beta = 0 operator `op`.
-    Constant-slope maps are refused."""
-    return _entropy_run(pmap, op, n, seed, checkpoints, "smb", None, RETURN_TIME_CAP)
+    N(0, sigma^2), with the density, h and sigma from `entropy_constants`."""
+    return _entropy_run(pmap, consts, n, seed, checkpoints, "smb", None, RETURN_TIME_CAP)
 
 
-def ow_run(pmap: PiecewiseMap, op: UlamOperator, n: int, seed: int, checkpoints=None,
-           eps: float = 1.0, cap: int = RETURN_TIME_CAP) -> EntropyDiagnostics:
+def ow_run(pmap: PiecewiseMap, consts: EntropyConstants, n: int, seed: int,
+           checkpoints=None, eps: float = 1.0, cap: int = RETURN_TIME_CAP
+           ) -> EntropyDiagnostics:
     """Return-time CLT: atoms (log R_k - k h)/sqrt(k), with the cylinder
     sandwich flags on log[R_k mu(P_k)], h and sigma^2 as in `smb_run`.  Censored
     k are dropped from the empirical measure and counted; a checkpoint with
     every k censored raises `DomainError` (raise the cap or lower the depth)."""
-    return _entropy_run(pmap, op, n, seed, checkpoints, "ow", eps, cap)
+    return _entropy_run(pmap, consts, n, seed, checkpoints, "ow", eps, cap)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, ConfigError, DomainError
 from .maps import Observable, PiecewiseMap, orbit_value_chunks, trial_value_blocks
 from .transfer import RateFunction
 
@@ -144,7 +144,7 @@ def rate_estimator(u_values: np.ndarray, k_grid) -> RateCurveEstimate:
     n = len(u_values)
     k_grid = np.asarray(k_grid, dtype=np.int64)
     if n < 10 * int(k_grid.max()):
-        raise ValueError("trajectory should be at least 10x the largest window")
+        raise ConfigError([(0, "trajectory should be at least 10x the largest window")])
     prefix = np.concatenate([[0.0], np.cumsum(u_values)])
     levels = np.empty(len(k_grid))
     for i, k in enumerate(k_grid):

@@ -34,7 +34,7 @@ class BudgetExceededError(ErgostatError):
 
 
 class ConfigError(ErgostatError, ValueError):
-    """Configuration text failed to parse or validate.
+    """Configuration failed to parse or validate, or asks for a run that cannot be made.
 
     `issues` is a list of (line_number, message) pairs; line_number is 0 for
     file-level problems.
@@ -42,5 +42,5 @@ class ConfigError(ErgostatError, ValueError):
 
     def __init__(self, issues):
         self.issues = list(issues)
-        lines = "; ".join(f"line {ln}: {msg}" for ln, msg in self.issues)
+        lines = "; ".join(f"line {ln}: {msg}" if ln else msg for ln, msg in self.issues)
         super().__init__(lines or "invalid configuration")

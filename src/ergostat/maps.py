@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, MapDefinitionError
+from .errors import ConfigError, DomainError, MapDefinitionError
 
 # Mantissa bits reconstructed from the symbol tail in symbolic mode.
 _RECONSTRUCT_BITS = 53
@@ -442,7 +442,7 @@ def make_observable(name: str, pmap: PiecewiseMap | None = None, **params) -> Ob
         return coboundary(pmap)
     if key == "table":
         return table_observable(params["xs"], params["ys"])
-    raise ValueError(f"unknown observable {name!r}")
+    raise ConfigError([(0, f"unknown observable {name!r}")])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ prefix-function (KMP) single-depth return-time scan that checks
 `ergostat.entropy.return_times_upto`.  `kantorovich_bruteforce` is the
 adaptive-quadrature oracle of `ergostat.measures.kantorovich`, with the
 point-mass and interpolated comparison laws its checks use;
-`itinerary` (float-iterated branch symbols of a point) and
+`itinerary` (float-iterated branch symbols of a point),
+`cylinder_interval` (the pullback of one word, refusing an empty one) and
 `cylinder_measure` (cell-overlap measure of one cylinder) check the
 cylinder machinery of `ergostat.entropy`.  `evaluate` (image, branch and
 derivative of a point), `birkhoff_sums` (partial sums along an orbit) and
@@ -32,7 +33,7 @@ import numpy as np
 from scipy.stats import binom
 
 from ergostat.asclt import AscltDiagnostics
-from ergostat.entropy import RETURN_TIME_CAP, CylinderInterval
+from ergostat.entropy import RETURN_TIME_CAP
 from ergostat.errors import BudgetExceededError, DomainError
 from ergostat.maps import Observable, Orbit, PiecewiseMap, _symbol_tail_depth
 from ergostat.measures import HalfGaussianLaw, Law, WeightedEmpiricalMeasure
@@ -275,6 +276,43 @@ def kantorovich_bruteforce(emp: WeightedEmpiricalMeasure, law: Law,
 
 
 # -- cylinders ------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CylinderInterval:
+    lo: float
+    hi: float
+    depth: int
+    symbols: tuple
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
+
+
+def cylinder_interval(pmap: PiecewiseMap, symbols) -> CylinderInterval:
+    """Interval of points whose first len(symbols) symbols match the word.
+
+    Backward pullback of the last symbol's cell through branch inverses;
+    empty intersections (possible for non-full-branch maps) are rejected
+    as inadmissible words.
+    """
+    word = tuple(int(s) for s in np.asarray(symbols).ravel())
+    if not word:
+        return CylinderInterval(0.0, 1.0, 0, ())
+    bp = pmap.breakpoints
+    s_last = word[-1]
+    lo, hi = float(bp[s_last]), float(bp[s_last + 1])
+    for s in reversed(word[:-1]):
+        br = pmap.branches[s]
+        img_lo, img_hi = br.image()
+        a, b = max(lo, img_lo), min(hi, img_hi)
+        if b - a <= 0.0:
+            raise DomainError(f"word {word} is inadmissible (empty pullback)")
+        x1 = float(br.inverse(a))
+        x2 = float(br.inverse(b))
+        lo, hi = (x1, x2) if x1 <= x2 else (x2, x1)
+    return CylinderInterval(lo, hi, len(word), word)
+
 
 def itinerary(pmap: PiecewiseMap, x: float, n: int) -> np.ndarray:
     """First n branch symbols of x under float iteration.

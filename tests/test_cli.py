@@ -329,3 +329,69 @@ def test_entropy_subcommands(tmp_path):
     # doubling is refused (constant slope)
     text2 = cfg_text(out, extra)
     assert run("entropy-smb", parse_config(text2)) == 3
+
+
+def test_seed_free_work_once_per_invocation(tmp_path, monkeypatch):
+    # the density, h and sigma^2 of an entropy run and the quadrature
+    # autocovariance series of sigma2 do not depend on the seed: a two-seed
+    # invocation computes each of them once
+    from ergostat import cli, entropy
+
+    calls = []
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(entropy, "invariant_density")
+    count(entropy, "green_kubo_sigma2")
+    count(cli, "autocovariance_series")
+    for sub, method in (("entropy-smb", "orbit"), ("entropy-ow", "orbit"),
+                        ("sigma2", "quadrature")):
+        text = MAPS["perturbed-sawtooth"] + SIZES.format(outdir=tmp_path / sub)
+        calls.clear()
+        assert run(sub, parse_config(text.replace("method = orbit", f"method = {method}"))) == 0
+        if sub == "sigma2":
+            assert calls == ["autocovariance_series"]
+            out = tmp_path / sub
+            assert (out / "sigma2-1.csv").read_bytes() == (out / "sigma2-2.csv").read_bytes()
+        else:
+            assert calls == ["invariant_density", "green_kubo_sigma2"]
+
+
+FOUR_BRANCH = "name = custom\nbreakpoints = 0, 0.2, 0.4, 0.6, 1\nslopes = 5, 5, 5, 2.5"
+
+
+def test_entropy_smb_on_steep_full_branch_map(tmp_path):
+    # the float pullback of this map's cylinders collapses after about 28
+    # levels; the run must not refuse the orbit's own itinerary, and for a
+    # full-branch linear map -log mu(P_k) is the slope product sum
+    from ergostat.maps import make_map, orbit
+
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(cfg_text(tmp_path / "o").replace("name = doubling", FOUR_BRANCH))
+    assert main(["entropy-smb", "--config", str(cfg_path)]) == 0
+    rows = np.loadtxt(tmp_path / "o" / "entropy-smb-1.csv", delimiter=",", skiprows=1)
+    pmap = make_map("custom", breakpoints=[0, 0.2, 0.4, 0.6, 1], slopes=[5, 5, 5, 2.5])
+    exact = np.cumsum(np.log([5.0, 5.0, 5.0, 2.5])[orbit(pmap, 1, 2000).symbols])
+    assert np.max(np.abs(rows[:, 1] - exact)) <= 1e-11
+
+
+@pytest.mark.parametrize("sub,old,new", [
+    ("asclt", "horizon = 2000\ncheckpoints = 1000, 2000",
+     "horizon = 500\ncheckpoints = 100, 1000"),
+    ("rate-curve", "[ulam]", "[rate_curve]\ntrajectory_length = 1000\n\n[ulam]"),
+    ("asclt", "name = sawtooth", "name = nosuch"),
+], ids=["checkpoint-past-horizon", "trajectory-under-10-windows", "unknown-observable"])
+def test_unrunnable_config_exits_2(tmp_path, capsys, sub, old, new):
+    text = cfg_text(tmp_path / "o")
+    assert old in text
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(text.replace(old, new))
+    assert main([sub, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")

@@ -4,21 +4,29 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergostat.errors import DegenerateVarianceError, DomainError
 from ergostat.maps import make_map, orbit, symbol_chunks
 from ergostat.transfer import invariant_density, ulam_matrix
 from ergostat.entropy import (
     _RETURN_WINDOW,
-    CylinderInterval,
-    cylinder_interval,
+    _pullback_interval_layers,
     cylinder_log_measures,
+    entropy_constants,
     ow_run,
     return_times_upto,
     rokhlin_entropy,
     smb_run,
 )
-from oracles import cylinder_measure, itinerary, return_time
+from oracles import (
+    CylinderInterval,
+    cylinder_interval,
+    cylinder_measure,
+    itinerary,
+    return_time,
+)
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +149,49 @@ def test_inadmissible_word_rejected():
         cylinder_interval(m, [1, 1, 1, 1, 1, 1, 1, 1])
 
 
+@st.composite
+def _linear_map_words(draw):
+    """A random piecewise-linear map (full branches, or branches whose image
+    is a random subinterval) and a random word over its branches."""
+    b = draw(st.integers(2, 4))
+    inner = draw(st.lists(st.floats(0.05, 0.95), min_size=b - 1, max_size=b - 1,
+                          unique=True).filter(
+        lambda v: np.min(np.diff(np.sort([0.0, *v, 1.0]))) > 0.04))
+    bp = np.array([0.0, *sorted(inner), 1.0])
+    full = draw(st.booleans())
+    slopes, intercepts = [], []
+    for lo, w in zip(bp[:-1], np.diff(bp)):
+        magnitude = 1.0 / w if full else draw(st.floats(1.05, 1.0 / w))
+        span = magnitude * w
+        offset = 0.0 if full else draw(st.floats(0.0, max(0.0, 1.0 - span)))
+        s = magnitude if draw(st.booleans()) else -magnitude
+        slopes.append(s)
+        intercepts.append(offset - s * lo if s > 0 else offset + span - s * lo)
+    params = {"breakpoints": bp.tolist(), "slopes": slopes}
+    if not full:
+        params["intercepts"] = intercepts
+    word = draw(st.lists(st.integers(0, b - 1), min_size=1, max_size=40))
+    return make_map("custom", **params), word
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_linear_map_words())
+def test_layered_pullback_equals_per_word_oracle(case):
+    # every depth-k cylinder of the layered pullback has the endpoints of
+    # the per-word pullback, bit for bit, for as long as the oracle's
+    # interval stays nonempty (its float endpoints collapse, or a word of a
+    # map with short branch images is inadmissible)
+    pmap, word = case
+    n = len(word)
+    lo, hi = _pullback_interval_layers(pmap, np.array(word, dtype=np.uint8), n, n)
+    for k in range(1, n + 1):
+        try:
+            c = cylinder_interval(pmap, word[:k])
+        except DomainError:
+            break
+        assert (lo[k - 1], hi[k - 1]) == (c.lo, c.hi), k
+
+
 # -- Rokhlin entropy ----------------------------------------------------------
 
 @pytest.mark.parametrize("name,slopes,expected", [
@@ -216,6 +267,15 @@ def test_return_times_upto_independent_of_stream_chunking(name):
                 _counted(symbol_chunks(pmap, seed=seed, chunk=chunk), pulled), n)
             assert np.array_equal(got, expected)
             assert sum(pulled) <= expected.max() + n + _RETURN_WINDOW + chunk
+        # against the KMP oracle under the same chunkings: a cap that cuts
+        # inside a window, a stream that ends before R_n, a 3-symbol stream
+        inside = int(expected[n // 2] + expected[-1]) // 2
+        ended = whole[:expected[-1] + n - 1]
+        for stream, depth, cap in ((whole, n, inside), (ended, n, 10**9), (whole[:3], 3, 10**9)):
+            oracle = [return_time(stream, k, cap=cap) or -1 for k in range(1, depth + 1)]
+            for chunk in (1, 7, 4096, 1 << 20):
+                chunks = (stream[i:i + chunk] for i in range(0, len(stream), chunk))
+                assert return_times_upto(chunks, depth, cap=cap).tolist() == oracle
 
 
 def test_return_time_exponential_law(doubling):
@@ -237,6 +297,24 @@ def test_log_measures_doubling_exact(doubling):
     lm = cylinder_log_measures(doubling, orb.symbols, h)
     ks = np.arange(1, 5001)
     assert np.max(np.abs(-lm / ks - math.log(2.0))) < 1e-13
+
+
+@pytest.mark.parametrize("breakpoints,slopes", [
+    ([0.0, 0.3333333333333333, 1.0], [3.0, 1.5]),
+    ([0.0, 0.2, 0.4, 0.6, 1.0], [5.0, 5.0, 5.0, 2.5]),
+], ids=["3-1.5", "5-5-5-2.5"])
+def test_smb_full_branch_closed_form(breakpoints, slopes):
+    # a full-branch linear map preserves Lebesgue, so the Ulam density is 1
+    # and -log mu(P_k) = sum_{t<k} log|s_{i_t}|; the cylinders of the second
+    # map collapse in float64 after about 28 levels, short of the 45 the
+    # density factor pulls back
+    pmap = make_map("custom", breakpoints=breakpoints, slopes=slopes)
+    consts = entropy_constants(pmap, ulam_matrix(pmap, N=1024))
+    n = 5000
+    for seed in (1, 2, 3):
+        diag = smb_run(pmap, consts, n, seed=seed, checkpoints=[n])
+        exact = np.cumsum(np.log(slopes)[orbit(pmap, seed, n).symbols])
+        assert np.max(np.abs(diag.minus_log_mu - exact)) <= 1e-11, seed
 
 
 def test_log_measures_smooth_match_direct(perturbed):
@@ -310,14 +388,15 @@ def test_smb_refused_for_constant_slope(doubling):
     # the degeneracy flag fires on the way to the refusal
     with pytest.warns(UserWarning, match="numerically zero"):
         with pytest.raises(DegenerateVarianceError):
-            smb_run(doubling, ulam_matrix(doubling, N=2048), 500, seed=1, checkpoints=[500])
+            smb_run(doubling, entropy_constants(doubling, ulam_matrix(doubling, N=2048)), 500,
+                    seed=1, checkpoints=[500])
 
 
 def test_smb_perturbed_median_kappa_decreases(perturbed):
-    op = ulam_matrix(perturbed, N=2048)
+    consts = entropy_constants(perturbed, ulam_matrix(perturbed, N=2048))
     lo, hi = [], []
     for seed in range(1, 11):
-        diag = smb_run(perturbed, op, 10_000, seed=seed, checkpoints=[1000, 10_000])
+        diag = smb_run(perturbed, consts, 10_000, seed=seed, checkpoints=[1000, 10_000])
         lo.append(diag.kappa_values[0])
         hi.append(diag.kappa_values[1])
         assert diag.kappa_values.max() < 0.15
@@ -327,7 +406,8 @@ def test_smb_perturbed_median_kappa_decreases(perturbed):
 def test_ow_run_doubling_refused(doubling):
     with pytest.warns(UserWarning, match="numerically zero"):
         with pytest.raises(DegenerateVarianceError):
-            ow_run(doubling, ulam_matrix(doubling, N=2048), 20, seed=1, checkpoints=[20])
+            ow_run(doubling, entropy_constants(doubling, ulam_matrix(doubling, N=2048)), 20,
+                   seed=1, checkpoints=[20])
 
 
 def test_smb_atom_spread_matches_green_kubo(perturbed):
@@ -354,8 +434,8 @@ def test_smb_atom_spread_matches_green_kubo(perturbed):
 
 
 def test_ow_run_perturbed_sandwich_and_entropy(perturbed):
-    diag = ow_run(perturbed, ulam_matrix(perturbed, N=2048), 18, seed=4, checkpoints=[18],
-                  cap=10**7)
+    diag = ow_run(perturbed, entropy_constants(perturbed, ulam_matrix(perturbed, N=2048)), 18,
+                  seed=4, checkpoints=[18], cap=10**7)
     assert diag.kind == "ow"
     assert diag.censored == 0
     assert np.mean(diag.sandwich_ok) >= 0.5
