@@ -14,10 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -101,11 +99,6 @@ def _seeds(cfg: ExperimentConfig, seed_offset: int) -> list[int]:
     return sorted(int(s) + seed_offset for s in cfg.get("run", "seeds"))
 
 
-def _threads(cfg: ExperimentConfig) -> int:
-    env = os.environ.get("ERGOSTAT_THREADS")
-    return int(env) if env else cfg.get("run", "threads")
-
-
 def _operator(cfg: ExperimentConfig, pmap):
     """The map's beta = 0 Ulam operator: one assembly per invocation."""
     return ulam_matrix(pmap, None, 0.0, cfg.get("ulam", "resolution"))
@@ -135,14 +128,6 @@ def _rate_function(cfg: ExperimentConfig, op, u):
     alphas = np.linspace(cfg.get("rate", "alpha_min"), cfg.get("rate", "alpha_max"),
                          cfg.get("rate", "alpha_points"))
     return curve, legendre(curve, alphas)
-
-
-def _map_over_seeds(fn, seeds, threads):
-    """Evaluate fn per seed, in parallel when asked, results in seed order."""
-    if threads <= 1 or len(seeds) <= 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, seeds))
 
 
 # -- runners ------------------------------------------------------------------
@@ -195,14 +180,11 @@ def _run_asclt(cfg, outdir, seeds, running_max=False):
     checkpoints = cfg.get("run", "checkpoints") or None
     runner = maxima_run if running_max else asclt_run
     name = "maxima" if running_max else "asclt"
-
-    def one(seed):
-        return runner(pmap, u, horizon, seed, checkpoints=checkpoints, sigma2=sigma2)
-
-    for diag in _map_over_seeds(one, seeds, _threads(cfg)):
+    for s in seeds:
+        diag = runner(pmap, u, horizon, s, checkpoints=checkpoints, sigma2=sigma2)
         rows = [(diag.seed, int(n), k, r) for n, k, r in
                 zip(diag.checkpoints, diag.kappa_values, diag.normalized_rates)]
-        _write_csv(outdir / f"{name}-{diag.seed}.csv",
+        _write_csv(outdir / f"{name}-{s}.csv",
                    ["seed", "n", "kappa", "normalized_rate"], rows)
     return {"sigma2": sigma2, "horizon": horizon}
 
@@ -214,14 +196,11 @@ def _run_erdos_renyi(cfg, outdir, seeds):
     alpha = cfg.get("erdos_renyi", "alpha")
     k_grid = cfg.get("erdos_renyi", "k_grid")
     cap = cfg.get("erdos_renyi", "length_cap")
-
-    def one(seed):
-        return seed, er_law_check(pmap, u, alpha, rate, k_grid, seed, length_cap=cap)
-
-    for seed, ser in _map_over_seeds(one, seeds, _threads(cfg)):
+    for s in seeds:
+        ser = er_law_check(pmap, u, alpha, rate, k_grid, s, length_cap=cap)
         rows = [(int(k), m, fl, -ser.band, ser.band) for k, m, fl in
                 zip(ser.k_values, ser.M_values, ser.fluctuations)]
-        _write_csv(outdir / f"erdos-renyi-{seed}.csv",
+        _write_csv(outdir / f"erdos-renyi-{s}.csv",
                    ["k", "M_k", "fluctuation", "band_lo", "band_hi"], rows)
     return {"alpha": alpha, "beta": rate.beta(alpha), "phi": rate.phi(alpha)}
 
@@ -286,33 +265,28 @@ def _run_entropy(cfg, outdir, seeds, kind):
     eps = cfg.get("entropy", "epsilon")
     cap = cfg.get("entropy", "cap")
     extra = {"h_rokhlin": consts.h, "sigma": consts.sigma}
-
-    def one(seed):
+    for s in seeds:
         if kind == "smb":
-            return smb_run(pmap, consts, n, seed, checkpoints=checkpoints)
-        return ow_run(pmap, consts, n, seed, checkpoints=checkpoints, eps=eps, cap=cap)
-
-    for diag in _map_over_seeds(one, seeds, _threads(cfg)):
-        ks = diag.k_values
-        if kind == "smb":
+            diag = smb_run(pmap, consts, n, s, checkpoints=checkpoints)
             rows = [(int(k), mlm, a) for k, mlm, a in
-                    zip(ks, diag.minus_log_mu, diag.atoms)]
-            _write_csv(outdir / f"entropy-smb-{diag.seed}.csv",
+                    zip(diag.k_values, diag.minus_log_mu, diag.atoms)]
+            _write_csv(outdir / f"entropy-smb-{s}.csv",
                        ["k", "minus_log_mu", "smb_atom"], rows)
         else:
+            diag = ow_run(pmap, consts, n, s, checkpoints=checkpoints, eps=eps, cap=cap)
             rows = []
-            for i, k in enumerate(ks):
+            for i, k in enumerate(diag.k_values):
                 if diag.log_returns is None or not np.isfinite(diag.log_returns[i]):
                     continue      # censored
                 smb_atom = (diag.minus_log_mu[i] - k * consts.h) / math.sqrt(k)
                 ok = 1 if (i == 0 or bool(diag.sandwich_ok[i - 1])) else 0
                 rows.append((int(k), diag.minus_log_mu[i], diag.log_returns[i],
                              smb_atom, diag.atoms[i], ok))
-            _write_csv(outdir / f"entropy-ow-{diag.seed}.csv",
+            _write_csv(outdir / f"entropy-ow-{s}.csv",
                        ["k", "minus_log_mu", "log_Rk", "smb_atom", "ow_atom",
                         "sandwich_ok"], rows)
-            extra[f"censored_seed_{diag.seed}"] = diag.censored
-        extra[f"kappa_final_seed_{diag.seed}"] = float(diag.kappa_values[-1])
+            extra[f"censored_seed_{s}"] = diag.censored
+        extra[f"kappa_final_seed_{s}"] = float(diag.kappa_values[-1])
     return extra
 
 

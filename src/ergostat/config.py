@@ -38,7 +38,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "checkpoints": ("int_list", [], (lambda v: all(b > a for a, b in zip(v, v[1:])),
                                          "must be strictly increasing")),
         "output_dir": ("str", "out", None),
-        "threads": ("int", 1, _POSITIVE),
+        # kept only so that configs pinning it parse (and hash) as before
+        "threads": ("int", 1, (lambda v: v == 1, "must be 1: seeds run one after another")),
     },
     "ulam": {
         "resolution": ("int", 1024, (lambda v: v >= 2, "must be at least 2")),

@@ -158,9 +158,9 @@ def rate_estimator(u_values: np.ndarray, k_grid) -> RateCurveEstimate:
 # direct Monte Carlo large-deviation checks
 # ---------------------------------------------------------------------------
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
-                    ) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    z = 1.959963984540054               # the standard normal 97.5% quantile
     if trials <= 0:
         raise ValueError("trials must be positive")
     p = successes / trials

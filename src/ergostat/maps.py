@@ -33,6 +33,8 @@ _RECONSTRUCT_BITS = 53
 # Points per block of the reconstruction: the branch data of one block's
 # symbol tail is gathered once and its levels run in place.
 _RECONSTRUCT_BLOCK = 1 << 13
+# Midpoints of this many equal cells carry the expansion check of a map.
+_VALIDATE_GRID = 10_000
 
 
 @dataclass(frozen=True)
@@ -113,15 +115,14 @@ def _newton_inverse(fn, dfn, lo, hi, y):
 class PiecewiseMap:
     """Piecewise monotone expanding map of [0,1].
 
-    `expansion_exponent` m and `expansion_constant` eta certify
-    |(f^m)'| > eta on the partition (checked on a grid at construction).
+    `expansion_constant` eta > 1 certifies |f'| >= eta on the partition
+    (checked on a grid at construction).
     """
 
     name: str
     breakpoints: np.ndarray
     branches: tuple[Branch, ...]
-    expansion_exponent: int = 1
-    expansion_constant: float = 1.5
+    expansion_constant: float
     descriptor: dict = field(default_factory=dict)
 
     @property
@@ -169,18 +170,12 @@ class PiecewiseMap:
     def log_abs_derivative(self, x):
         return np.log(np.abs(self.derivative(x)))
 
-    def iterate_derivative(self, x, m: int):
-        """(f^m)'(x) by the chain rule."""
-        x = np.asarray(x, dtype=float)
-        acc = np.ones_like(x)
-        for _ in range(m):
-            acc = acc * self.derivative(x)
-            x = self.apply(x)
-        return acc
-
-    def validate(self, grid: int = 10_000) -> None:
+    def validate(self) -> None:
         """Check monotonicity, image containment, and the expansion bound on
         a grid; raises MapDefinitionError on failure."""
+        if self.expansion_constant <= 1.0:
+            raise MapDefinitionError(
+                f"{self.name}: eta={self.expansion_constant} is not expanding (need eta > 1)")
         if self.n_branches > 256:            # branch symbols are uint8
             raise MapDefinitionError(f"{self.name}: at most 256 branches (symbols are bytes)")
         bp = self.breakpoints
@@ -196,13 +191,13 @@ class PiecewiseMap:
                 raise MapDefinitionError(f"{self.name}: branch {i} is not monotone")
             if ys.min() < -1e-12 or ys.max() > 1 + 1e-12:
                 raise MapDefinitionError(f"{self.name}: branch {i} leaves [0,1]")
-        xs = np.linspace(0.0, 1.0, grid, endpoint=False) + 0.5 / grid
-        expansion = np.abs(self.iterate_derivative(xs, self.expansion_exponent))
+        xs = np.linspace(0.0, 1.0, _VALIDATE_GRID, endpoint=False) + 0.5 / _VALIDATE_GRID
+        expansion = np.abs(self.derivative(xs))
         # constant-slope maps attain eta exactly; allow a roundoff margin
         if expansion.min() < self.expansion_constant - 1e-9:
             raise MapDefinitionError(
-                f"{self.name}: |(f^{self.expansion_exponent})'| dips to "
-                f"{expansion.min():.6g} below eta={self.expansion_constant}"
+                f"{self.name}: |f'| dips to {expansion.min():.6g} "
+                f"below eta={self.expansion_constant}"
             )
 
 
@@ -223,30 +218,27 @@ def _linear_branch(lo: float, hi: float, slope: float, intercept: float) -> Bran
     )
 
 
-def _linear_map(name: str, slopes: Sequence[float], descriptor: dict) -> PiecewiseMap:
-    """Full-branch piecewise-linear map with the given slopes on a uniform
-    partition; each branch covers [0,1] (rising with slope>0, falling with
-    slope<0)."""
-    b = len(slopes)
-    if b < 2:
-        raise MapDefinitionError("need at least two branches")
-    bp = np.linspace(0.0, 1.0, b + 1)
+def _piecewise_linear(name: str, breakpoints, slopes: Sequence[float], intercepts,
+                      descriptor: dict) -> PiecewiseMap:
+    """Piecewise-linear map with the given slopes on the given partition.
+    Without intercepts each branch is anchored at 0 (rising) or 1 (falling)
+    at its left end, so on a uniform partition with |slope| = b it is full."""
+    bp = np.asarray(breakpoints, dtype=float)
+    if len(slopes) != len(bp) - 1:
+        raise MapDefinitionError("need one slope per partition interval")
     branches = []
     for i, s in enumerate(slopes):
         s = float(s)
-        if abs(s) <= 1.0:
-            raise MapDefinitionError(f"branch slope {s} is not expanding")
-        lo, hi = bp[i], bp[i + 1]
-        # anchor the branch image at 0 (rising) or 1 at the left end (falling)
-        intercept = -s * lo if s > 0 else 1.0 - s * lo
-        branches.append(_linear_branch(lo, hi, s, intercept))
-    eta = min(abs(float(s)) for s in slopes)
+        if intercepts is not None:
+            c = float(intercepts[i])
+        else:
+            c = -s * bp[i] if s > 0 else 1.0 - s * bp[i]
+        branches.append(_linear_branch(bp[i], bp[i + 1], s, c))
     m = PiecewiseMap(
         name=name,
         breakpoints=bp,
         branches=tuple(branches),
-        expansion_exponent=1,
-        expansion_constant=eta,
+        expansion_constant=min(abs(float(s)) for s in slopes),
         descriptor=descriptor,
     )
     m.validate()
@@ -281,7 +273,6 @@ def _perturbed_doubling(eps: float, descriptor: dict) -> PiecewiseMap:
         name="perturbed-doubling",
         breakpoints=np.array([0.0, 0.5, 1.0]),
         branches=branches,
-        expansion_exponent=1,
         expansion_constant=2.0 - eps * two_pi,
         descriptor=descriptor,
     )
@@ -298,15 +289,12 @@ def make_map(name: str, **params) -> PiecewiseMap:
     """
     key = name.strip().lower().replace("_", "-")
     descriptor = {"name": key, **params}
-    if key == "doubling":
-        return _linear_map("doubling", [2.0, 2.0], descriptor)
-    if key == "tent":
-        return _linear_map("tent", [2.0, -2.0], descriptor)
-    if key == "linear":
-        slopes = params.get("slopes")
+    if key in ("doubling", "tent", "linear"):
+        slopes = {"doubling": [2.0, 2.0], "tent": [2.0, -2.0]}.get(key, params.get("slopes"))
         if not slopes:
             raise MapDefinitionError("linear map needs a slopes list")
-        return _linear_map("linear", list(slopes), descriptor)
+        return _piecewise_linear(key, np.linspace(0.0, 1.0, len(slopes) + 1), slopes,
+                                 None, descriptor)
     if key == "perturbed-doubling":
         return _perturbed_doubling(float(params.get("eps", 0.05)), descriptor)
     if key == "custom":
@@ -314,28 +302,8 @@ def make_map(name: str, **params) -> PiecewiseMap:
         slopes = params.get("slopes")
         if bp is None or slopes is None:
             raise MapDefinitionError("custom map needs breakpoints and slopes")
-        bp = np.asarray(bp, dtype=float)
-        if len(slopes) != len(bp) - 1:
-            raise MapDefinitionError("need one slope per partition interval")
-        intercepts = params.get("intercepts")
-        branches = []
-        for i, s in enumerate(slopes):
-            s = float(s)
-            if intercepts is not None:
-                c = float(intercepts[i])
-            else:
-                c = -s * bp[i] if s > 0 else 1.0 - s * bp[i]
-            branches.append(_linear_branch(bp[i], bp[i + 1], s, c))
-        m = PiecewiseMap(
-            name="custom",
-            breakpoints=bp,
-            branches=tuple(branches),
-            expansion_constant=min(abs(float(s)) for s in slopes),
-            descriptor=descriptor,
-        )
-        m.validate()
-        return m
-    raise MapDefinitionError(f"unknown map descriptor {name!r}")
+        return _piecewise_linear("custom", bp, slopes, params.get("intercepts"), descriptor)
+    raise ConfigError([(0, f"unknown map {name!r}")])
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +366,14 @@ def log_derivative(pmap: PiecewiseMap) -> Observable:
     )
 
 
-def coboundary(pmap: PiecewiseMap, v: Callable[[np.ndarray], np.ndarray] | None = None,
-               v_lipschitz: float = 1.0) -> Observable:
-    """u = v - v o f; Birkhoff sums telescope, so the CLT variance is zero."""
-    if v is None:
-        v = lambda x: x
+def coboundary(pmap: PiecewiseMap) -> Observable:
+    """u = x - f(x); Birkhoff sums telescope, so the CLT variance is zero."""
     sup_df = float(np.max(np.abs(pmap.derivative(
         np.linspace(0.0, 1.0, 2048, endpoint=False) + 0.5 / 2048))))
     return Observable(
         f"coboundary({pmap.name})",
-        lambda x: v(np.asarray(x, dtype=float)) - v(pmap.apply(x)),
-        lipschitz_constant=v_lipschitz * (1.0 + sup_df),
+        lambda x: np.asarray(x, dtype=float) - pmap.apply(x),
+        lipschitz_constant=1.0 + sup_df,
     )
 
 

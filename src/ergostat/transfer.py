@@ -42,6 +42,13 @@ REFUSED_SIGMA2 = 1e-6
 # TAIL_RTOL * C_0
 MAX_LAG = 400
 TAIL_RTOL = 1e-9
+# power iteration stops at this relative 1-norm residual, or gives up
+POWER_TOL = 1e-12
+POWER_MAX_ITER = 100_000
+# a golden-section bracket stops shrinking at this width
+GOLDEN_TOL = 1e-10
+# midpoint samples per cell of a cell average
+CELL_QUAD_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -144,14 +151,13 @@ def _ulam_samples(pmap: PiecewiseMap, N: int, quad_points: int):
     return tuple(np.concatenate(a) for a in (rows, cols, lengths, points))
 
 
-def _power_iteration(mat: sparse.csr_matrix, tol: float = 1e-12,
-                     max_iter: int = 100_000) -> tuple[float, np.ndarray]:
+def _power_iteration(mat: sparse.csr_matrix) -> tuple[float, np.ndarray]:
     """Leading eigenpair of a nonnegative matrix; deterministic flat start,
     1-norm normalization, residual stopping test."""
     n = mat.shape[0]
     v = np.full(n, 1.0 / n)
     lam = 1.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = mat @ v
         s = float(np.sum(np.abs(w)))
         if s == 0.0:
@@ -159,11 +165,11 @@ def _power_iteration(mat: sparse.csr_matrix, tol: float = 1e-12,
         lam = s
         w = w / s
         residual = float(np.sum(np.abs(mat @ w - lam * w))) / lam
-        if residual <= tol:
+        if residual <= POWER_TOL:
             return lam, w
         v = w
     raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations",
+        f"power iteration did not converge in {POWER_MAX_ITER} iterations",
         residual=residual)
 
 
@@ -203,11 +209,11 @@ def invariant_density(op: UlamOperator) -> np.ndarray:
     return op.right_vector
 
 
-def cell_average(fn, N: int, quad_points: int = 64) -> np.ndarray:
+def cell_average(fn, N: int) -> np.ndarray:
     """Per-cell midpoint-quadrature averages of a function on [0,1]."""
-    q = (np.arange(quad_points) + 0.5) / quad_points
+    q = (np.arange(CELL_QUAD_POINTS) + 0.5) / CELL_QUAD_POINTS
     xs = (np.arange(N)[:, None] + q[None, :]) / N
-    return np.mean(np.asarray(fn(xs.ravel())).reshape(N, quad_points), axis=1)
+    return np.mean(np.asarray(fn(xs.ravel())).reshape(N, CELL_QUAD_POINTS), axis=1)
 
 
 def observable_mean(op: UlamOperator, u: Observable) -> float:
@@ -255,12 +261,12 @@ def pressure_curve(op: UlamOperator, u: Observable, beta_grid) -> PressureCurve:
     return PressureCurve(beta_grid=beta_grid, F_values=F)
 
 
-def _golden_max(fn, lo, hi, tol: float = 1e-10):
+def _golden_max(fn, lo, hi):
     """Golden-section maximizer of a unimodal fn on [lo, hi], elementwise.
 
     lo and hi may be arrays of brackets, and fn then maps an array of points
     (one per bracket) to their values.  Each bracket shrinks until it is
-    narrower than tol and then stays as it is, so every element takes the
+    narrower than GOLDEN_TOL and then stays as it is, so every element takes the
     steps a scalar search of its own bracket would take.  Returns (argmax,
     max); the argmax is a scalar for a scalar bracket.
     """
@@ -270,7 +276,7 @@ def _golden_max(fn, lo, hi, tol: float = 1e-10):
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
     while True:
-        live = b - a > tol
+        live = b - a > GOLDEN_TOL
         if not live.any():
             break
         left = fc >= fd

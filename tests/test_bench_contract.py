@@ -41,3 +41,16 @@ def test_tracer_hooks_bind_program_signatures(tmp_path):
     assert counts["transfer.ulam_matrix.calls"] > 0
     assert counts["measures.kantorovich.calls"] > 0
     assert counts["measures.kantorovich.atoms_generated"] > 0
+
+
+def test_every_benchmark_config_parses(tmp_path):
+    sys.path.insert(0, BENCH)
+    try:
+        from workloads import WORKLOADS
+        configs = [inv.config_text(str(tmp_path)) for make in WORKLOADS.values()
+                   for toy in (True, False) for inv in make(toy=toy)]
+    finally:
+        sys.path.remove(BENCH)
+    assert len(configs) > 2 * len(WORKLOADS)
+    for text in configs:
+        assert parse_config(text).get("run", "threads") == 1

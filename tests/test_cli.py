@@ -73,6 +73,20 @@ def test_type_mismatch_and_unknown_key():
     assert "horizon" in msgs and "unknown key 'wibble'" in msgs
 
 
+def test_threads_accepts_only_one(tmp_path, capsys):
+    # seeds run one after another; 1 still parses, with the hash it had
+    cfg = parse_config(MINIMAL + "threads = 1\n")
+    assert cfg.get("run", "threads") == 1
+    assert cfg.hash() == parse_config(MINIMAL).hash()
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(MINIMAL + "threads = 2\n")
+    assert main(["density", "--config", str(cfg_path)]) == 2
+    line = MINIMAL.count("\n") + 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: line {line}: 'threads' must be 1: "
+                   "seeds run one after another"]
+
+
 def test_missing_required_key():
     with pytest.raises(ConfigError) as err:
         parse_config("[map]\nname = tent\n")
@@ -230,17 +244,6 @@ def test_seed_offset(tmp_path):
     assert (out / "density-11.csv").exists()
 
 
-def test_thread_override_keeps_bytes(tmp_path, monkeypatch):
-    base = cfg_text(tmp_path / "one").replace("seeds = 1", "seeds = 1, 2, 3")
-    assert run("asclt", parse_config(base)) == 0
-    monkeypatch.setenv("ERGOSTAT_THREADS", "3")
-    threaded = base.replace(str(tmp_path / "one"), str(tmp_path / "many"))
-    assert run("asclt", parse_config(threaded)) == 0
-    for s in (1, 2, 3):
-        assert (tmp_path / "one" / f"asclt-{s}.csv").read_bytes() == \
-            (tmp_path / "many" / f"asclt-{s}.csv").read_bytes()
-
-
 def test_pressure_sigma2_ratecurve_subcommands(tmp_path):
     out = tmp_path / "full"
     extra = """
@@ -386,7 +389,9 @@ def test_entropy_smb_on_steep_full_branch_map(tmp_path):
      "horizon = 500\ncheckpoints = 100, 1000"),
     ("rate-curve", "[ulam]", "[rate_curve]\ntrajectory_length = 1000\n\n[ulam]"),
     ("asclt", "name = sawtooth", "name = nosuch"),
-], ids=["checkpoint-past-horizon", "trajectory-under-10-windows", "unknown-observable"])
+    ("density", "name = doubling", "name = nosuchmap"),
+], ids=["checkpoint-past-horizon", "trajectory-under-10-windows", "unknown-observable",
+        "unknown-map"])
 def test_unrunnable_config_exits_2(tmp_path, capsys, sub, old, new):
     text = cfg_text(tmp_path / "o")
     assert old in text

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergostat.errors import DomainError, MapDefinitionError
+from ergostat.errors import ConfigError, DomainError, MapDefinitionError
 from ergostat.maps import (
     Branch,
     coboundary,
@@ -39,7 +39,6 @@ def test_make_map_builtins():
     l3 = make_map("linear", slopes=[3, 3, 3])
     assert l3.n_branches == 3
     assert l3.expansion_constant == 3.0
-    assert l3.expansion_exponent == 1
     assert l3.dyadic_exact
 
 
@@ -48,7 +47,11 @@ def test_make_map_rejects_bad_descriptors():
         make_map("linear", slopes=[1.0, 3.0])          # not expanding
     with pytest.raises(MapDefinitionError):
         make_map("custom", breakpoints=[0.0, 0.7, 0.3, 1.0], slopes=[2, 2, 2])
-    with pytest.raises(MapDefinitionError):
+    # monotone branches inside [0, 1], but the second one contracts
+    with pytest.raises(MapDefinitionError, match="not expanding"):
+        make_map("custom", breakpoints=[0.0, 0.5, 1.0], slopes=[1.5, 0.5])
+    # a name that is no map is a configuration error, like an unknown observable
+    with pytest.raises(ConfigError):
         make_map("nosuchmap")
 
 
@@ -90,7 +93,7 @@ def test_evaluate_examples():
 def test_expansion_on_grid(name):
     m = make_map(name, slopes=[3, 3, 3]) if name == "linear" else make_map(name)
     xs = np.linspace(0.0, 1.0, 10_000, endpoint=False) + 0.5e-4
-    expansion = np.abs(m.iterate_derivative(xs, m.expansion_exponent))
+    expansion = np.abs(m.derivative(xs))
     assert expansion.min() >= m.expansion_constant - 1e-9
     assert m.expansion_constant > 1.0
 
