@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .maps import Observable, PiecewiseMap, orbit_value_chunks
-from .measures import GaussianLaw, HalfGaussianLaw, kantorovich_ladder
+from .measures import GaussianLaw, HalfGaussianLaw, default_checkpoints, kantorovich_ladder
 from .transfer import require_nondegenerate
 
 
@@ -58,8 +58,14 @@ def normalized_statistic_atoms(pmap: PiecewiseMap, u: Observable, n: int, seed: 
 
 def _run(pmap, u, n, seed, checkpoints, sigma2, running_max: bool) -> AscltDiagnostics:
     sigma = float(np.sqrt(require_nondegenerate(sigma2)))
-    if checkpoints is not None and checkpoints[-1] > n:
+    if checkpoints is None:
+        checkpoints = default_checkpoints(n)
+    if checkpoints[-1] > n:
         raise ConfigError([(0, "horizon must reach the last checkpoint")])
+    if checkpoints[0] < 4:
+        raise ConfigError([(0, f"first checkpoint must be at least 4, got {checkpoints[0]}: "
+                               "the rate normalization divides by sqrt(log log n) "
+                               "(without a ladder, a horizon under 1000 is the checkpoint)")])
     law = HalfGaussianLaw(sigma) if running_max else GaussianLaw(sigma)
     atoms = normalized_statistic_atoms(pmap, u, n, seed, running_max=running_max)
     checkpoints, kappas = kantorovich_ladder(atoms, law, checkpoints)

@@ -35,8 +35,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
         "seeds": ("int_list", [1], (lambda v: len(v) > 0, "needs at least one seed")),
         "horizon": ("int", 100_000, _POSITIVE),
-        "checkpoints": ("int_list", [], (lambda v: all(b > a for a, b in zip(v, v[1:])),
-                                         "must be strictly increasing")),
+        "checkpoints": ("int_list", [], (lambda v: all(b > a for a, b in zip([0] + v, v)),
+                                         "must be positive and strictly increasing")),
         "output_dir": ("str", "out", None),
         # kept only so that configs pinning it parse (and hash) as before
         "threads": ("int", 1, (lambda v: v == 1, "must be 1: seeds run one after another")),

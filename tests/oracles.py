@@ -5,7 +5,9 @@
 prefix-function (KMP) single-depth return-time scan that checks
 `ergostat.entropy.return_times_upto`.  `kantorovich_bruteforce` is the
 adaptive-quadrature oracle of `ergostat.measures.kantorovich`, with the
-point-mass and interpolated comparison laws its checks use;
+point-mass and interpolated comparison laws its checks use, and
+`kantorovich_reference` is its first closed form (timsort, law evaluated
+at both ends of every segment), which it must reproduce bit for bit;
 `itinerary` (float-iterated branch symbols of a point),
 `cylinder_interval` (the pullback of one word, refusing an empty one) and
 `cylinder_measure` (cell-overlap measure of one cylinder) check the
@@ -273,6 +275,46 @@ def kantorovich_bruteforce(emp: WeightedEmpiricalMeasure, law: Law,
         total += _adaptive_simpson(integrand, a, b, fa, fm, fb, seg_tol, depth=40)
     total += float(law.left_tail(-cutoff)) + float(law.right_tail(cutoff))
     return total
+
+
+def kantorovich_reference(emp: WeightedEmpiricalMeasure, law: Law) -> float:
+    """The closed-form kernel in its first form, which `kantorovich` must
+    reproduce bit for bit: a timsort (`kind="stable"`), equal atoms always
+    merged with `np.add.at`, and the law evaluated at both ends of every
+    segment."""
+    order = np.argsort(emp.positions, kind="stable")
+    pos = emp.positions[order]
+    w = emp.weights[order] / emp.normalizer
+    distinct = np.empty(len(pos), dtype=bool)
+    distinct[0] = True
+    np.not_equal(pos[1:], pos[:-1], out=distinct[1:])
+    idx = np.cumsum(distinct) - 1
+    merged = np.zeros(int(idx[-1]) + 1)
+    np.add.at(merged, idx, w)
+    pos = pos[distinct]
+    cum = np.cumsum(merged)
+    cum[-1] = 1.0
+
+    total = float(law.left_tail(pos[0])) + float(law.right_tail(pos[-1]))
+    if len(pos) == 1:
+        return total
+    a, b = pos[:-1], pos[1:]
+    c = cum[:-1]
+    fa, fb = law.cdf(a), law.cdf(b)
+    seg_int = law.cdf_integral(a, b)
+    seg_len = b - a
+    above = fa >= c
+    below = fb <= c
+    crossing = ~(above | below)
+    pieces = np.where(above, seg_int - c * seg_len,
+                      np.where(below, c * seg_len - seg_int, 0.0))
+    if np.any(crossing):
+        ac, bc, cc = a[crossing], b[crossing], c[crossing]
+        xs = law.cdf_inverse_in(ac, bc, cc)
+        left = cc * (xs - ac) - law.cdf_integral(ac, xs)
+        right = law.cdf_integral(xs, bc) - cc * (bc - xs)
+        pieces[crossing] = np.maximum(left, 0.0) + np.maximum(right, 0.0)
+    return total + float(np.sum(np.maximum(pieces, 0.0)))
 
 
 # -- cylinders ------------------------------------------------------------------

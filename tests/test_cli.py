@@ -390,8 +390,11 @@ def test_entropy_smb_on_steep_full_branch_map(tmp_path):
     ("rate-curve", "[ulam]", "[rate_curve]\ntrajectory_length = 1000\n\n[ulam]"),
     ("asclt", "name = sawtooth", "name = nosuch"),
     ("density", "name = doubling", "name = nosuchmap"),
+    ("asclt", "checkpoints = 1000, 2000", "checkpoints = 0, 2000"),
+    ("maxima", "checkpoints = 1000, 2000", "checkpoints = 2, 2000"),
+    ("asclt", "horizon = 2000\ncheckpoints = 1000, 2000", "horizon = 3"),
 ], ids=["checkpoint-past-horizon", "trajectory-under-10-windows", "unknown-observable",
-        "unknown-map"])
+        "unknown-map", "zero-checkpoint", "first-checkpoint-below-4", "horizon-below-4"])
 def test_unrunnable_config_exits_2(tmp_path, capsys, sub, old, new):
     text = cfg_text(tmp_path / "o")
     assert old in text

@@ -2,19 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from ergostat.asclt import normalized_statistic_atoms
 from ergostat.errors import DomainError
+from ergostat.maps import coin, make_map, sawtooth
 from ergostat.measures import (
     GaussianLaw,
     HalfGaussianLaw,
     WeightedEmpiricalMeasure,
+    _stable_argsort,
     build_empirical,
     default_checkpoints,
     kantorovich,
     kantorovich_ladder,
 )
-from oracles import DiracLaw, as_interpolated_law, kantorovich_bruteforce
+from oracles import DiracLaw, as_interpolated_law, kantorovich_bruteforce, kantorovich_reference
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -177,6 +182,65 @@ def test_law_vs_own_sample():
     sample = rng.normal(scale=1.0, size=n)
     emp = WeightedEmpiricalMeasure(sample, np.full(n, 1.0 / n), n)
     assert kantorovich(emp, GaussianLaw(1.0)) < 0.02
+
+
+# -- the stable sort and the first closed-form kernel ----------------------------
+
+def _small_integers_over(den):
+    return st.lists(st.integers(-6, 6), min_size=1, max_size=300).map(
+        lambda v: np.array(v, dtype=float) / den)
+
+
+_SORT_INPUTS = st.one_of(
+    _small_integers_over(3.0),
+    _small_integers_over(7.0),
+    st.lists(st.sampled_from([-0.0, 0.0, -1.0, 1.0]), min_size=1, max_size=300).map(np.array),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+             max_size=300).map(np.array),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_SORT_INPUTS, arrange=st.sampled_from(["drawn", "sorted", "reversed", "constant"]))
+@example(x=np.array([0.25]), arrange="drawn")
+@example(x=np.array([0.0, -0.0, 1.0 / 3.0, 0.0, -0.0, 1.0 / 3.0]), arrange="drawn")
+@example(x=np.full(40, 2.5), arrange="constant")
+@example(x=np.arange(50) / 7.0 % 1.0, arrange="reversed")
+def test_stable_argsort_is_numpy_stable_argsort(x, arrange):
+    if arrange == "sorted":
+        x = np.sort(x)
+    elif arrange == "reversed":
+        x = np.sort(x)[::-1].copy()
+    elif arrange == "constant":
+        x = np.full(len(x), x[0])
+    assert np.array_equal(_stable_argsort(x), np.argsort(x, kind="stable"))
+
+
+def test_kantorovich_equals_first_kernel_bitwise():
+    rng = np.random.default_rng(314)
+    for trial in range(200):
+        n = int(rng.integers(1, 2000))
+        if trial % 4 == 0:
+            x = rng.normal(size=n)                      # distinct atoms, no merge
+        else:
+            x = rng.integers(-40, 41, n) / (3.0 if trial % 2 else 7.0)
+            x[rng.random(n) < 0.1] = -0.0               # -0.0 ties 0.0
+        law = GaussianLaw(0.3 + rng.random()) if trial % 3 else \
+            HalfGaussianLaw(0.3 + rng.random())
+        emp = build_empirical(x)
+        assert kantorovich(emp, law).hex() == kantorovich_reference(emp, law).hex(), trial
+
+
+@pytest.mark.parametrize("obs", [sawtooth, coin], ids=["sawtooth", "coin"])
+def test_ladder_on_doubling_atoms_equals_first_kernel(obs):
+    # coin's S_k = 0 puts many tied atoms at 0.0, and running maxima tie more
+    doubling = make_map("doubling")
+    for running_max, law in ((False, GaussianLaw(0.5)), (True, HalfGaussianLaw(0.5))):
+        atoms = normalized_statistic_atoms(doubling, obs(), 300_000, 1,
+                                           running_max=running_max)
+        cps, kappas = kantorovich_ladder(atoms, law)
+        ref = [kantorovich_reference(build_empirical(atoms, m), law) for m in cps]
+        assert kappas.tobytes() == np.array(ref).tobytes()
 
 
 def test_bruteforce_cutoff_guard():
