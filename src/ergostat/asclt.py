@@ -56,8 +56,10 @@ def normalized_statistic_atoms(pmap: PiecewiseMap, u: Observable, n: int, seed: 
     return s / np.sqrt(np.arange(1, n + 1, dtype=float))
 
 
-def _run(pmap, u, n, seed, checkpoints, sigma2, running_max: bool) -> AscltDiagnostics:
-    sigma = float(np.sqrt(require_nondegenerate(sigma2)))
+def checkpoint_ladder(n: int, checkpoints=None):
+    """The checkpoints of a run to horizon n (`default_checkpoints(n)` when
+    None), or `ConfigError` when the horizon does not reach the last one or
+    the first is below 4."""
     if checkpoints is None:
         checkpoints = default_checkpoints(n)
     if checkpoints[-1] > n:
@@ -66,6 +68,12 @@ def _run(pmap, u, n, seed, checkpoints, sigma2, running_max: bool) -> AscltDiagn
         raise ConfigError([(0, f"first checkpoint must be at least 4, got {checkpoints[0]}: "
                                "the rate normalization divides by sqrt(log log n) "
                                "(without a ladder, a horizon under 1000 is the checkpoint)")])
+    return checkpoints
+
+
+def _run(pmap, u, n, seed, checkpoints, sigma2, running_max: bool) -> AscltDiagnostics:
+    sigma = float(np.sqrt(require_nondegenerate(sigma2)))
+    checkpoints = checkpoint_ladder(n, checkpoints)
     law = HalfGaussianLaw(sigma) if running_max else GaussianLaw(sigma)
     atoms = normalized_statistic_atoms(pmap, u, n, seed, running_max=running_max)
     checkpoints, kappas = kantorovich_ladder(atoms, law, checkpoints)

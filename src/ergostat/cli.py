@@ -42,7 +42,7 @@ from .transfer import (
     pressure_curve,
     ulam_matrix,
 )
-from .asclt import asclt_run, maxima_run
+from .asclt import asclt_run, checkpoint_ladder, maxima_run
 from .erdos_renyi import (
     decoupling_check,
     er_law_check,
@@ -106,15 +106,14 @@ def _operator(cfg: ExperimentConfig, pmap):
 
 def _setup(cfg: ExperimentConfig, reads_operator: bool = True):
     """(map, beta = 0 operator, observable centred against it when
-    `[observable] center` is set).  The operator is None unless the
-    subcommand reads it; runners drop it once read, so that the runs after
-    the spectral step do not hold its samples."""
+    `[observable] center` is set).  No operator is built (None) when
+    neither the subcommand nor the centring reads it."""
     pmap = build_map(cfg)
     u = build_observable(cfg, pmap)
     center = cfg.get("observable", "center")
     op = _operator(cfg, pmap) if reads_operator or center else None
     u = center_observable(op, u) if center else u
-    return pmap, op if reads_operator else None, u
+    return pmap, op, u
 
 
 def _pressure_curve(cfg: ExperimentConfig, op, u):
@@ -169,15 +168,15 @@ def _run_sigma2(cfg, outdir, seeds):
 
 
 def _run_asclt(cfg, outdir, seeds, running_max=False):
+    horizon = cfg.get("run", "horizon")
+    # a refused ladder exits before any sigma^2 work
+    checkpoints = checkpoint_ladder(horizon, cfg.get("run", "checkpoints") or None)
     sigma2 = cfg.get("sigma2", "value")            # NaN: compute it
     quadrature = cfg.get("sigma2", "method") == "quadrature"
     pmap, op, u = _setup(cfg, quadrature and math.isnan(sigma2))
     if math.isnan(sigma2):
         sigma2 = green_kubo_sigma2(op if quadrature else pmap, u,
                                    orbit_length=cfg.get("sigma2", "orbit_length"))
-    del op
-    horizon = cfg.get("run", "horizon")
-    checkpoints = cfg.get("run", "checkpoints") or None
     runner = maxima_run if running_max else asclt_run
     name = "maxima" if running_max else "asclt"
     for s in seeds:
@@ -192,7 +191,6 @@ def _run_asclt(cfg, outdir, seeds, running_max=False):
 def _run_erdos_renyi(cfg, outdir, seeds):
     pmap, op, u = _setup(cfg)
     _, rate = _rate_function(cfg, op, u)
-    del op
     alpha = cfg.get("erdos_renyi", "alpha")
     k_grid = cfg.get("erdos_renyi", "k_grid")
     cap = cfg.get("erdos_renyi", "length_cap")
@@ -233,7 +231,6 @@ def _run_rate_curve(cfg, outdir, seeds):
 def _run_ld_check(cfg, outdir, seeds):
     pmap, op, u = _setup(cfg)
     _, rate = _rate_function(cfg, op, u)
-    del op
     alpha = cfg.get("ld", "alpha")
     trials = cfg.get("ld", "trials")
     k_grid = cfg.get("ld", "k_grid")

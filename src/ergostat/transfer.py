@@ -10,11 +10,12 @@ and its Ulam matrix on N uniform cells has entries
 
 so that the right Perron vector at beta=0 is the cell-averaged invariant
 density h and log of the leading eigenvalue is the pressure F(beta).
-Piecewise-linear branches are assembled from exact preimages of cell
-boundaries; smooth branches use per-cell midpoint quadrature.  The
-samples do not depend on beta: the beta = 0 operator keeps them, and a
-pressure curve only reweights them.  Eigendata comes from power
-iteration on the (sparse) matrix.
+Every monotone branch is cut at the source-cell edges and at the exact
+preimages of the target-cell edges (bracketed Newton for smooth branches),
+and each piece is sampled once at its midpoint.  The samples do not
+depend on beta: the beta = 0 operator keeps them, and a pressure curve
+only reweights them.  Eigendata comes from power iteration on the
+(sparse) matrix.
 
 Derived objects: the pressure curve F with F(0)=0, its Legendre transform
 phi(alpha) with beta(alpha)=phi'(alpha), the curvature F''(beta) used as
@@ -109,41 +110,24 @@ def _spline(x, y):
 # matrix assembly
 # ---------------------------------------------------------------------------
 
-def _ulam_samples(pmap: PiecewiseMap, N: int, quad_points: int):
+def _ulam_samples(pmap: PiecewiseMap, N: int):
     """The beta-free part of the Ulam matrix: (rows, cols, lens, points) of
-    every sample of every branch, in branch order.  A sample of length
-    `lens` at `points` in source cell `cols` lands in target cell `rows`."""
+    every sample of every branch, in branch order.  A branch is cut at its
+    ends, the cell edges inside it and the preimages of the cell edges
+    inside its image; the midpoint `points` of each piece of length `lens`
+    in source cell `cols` lands in target cell `rows`."""
     if N < 2:
         raise ValueError("resolution must be at least 2")
     edges = np.arange(N + 1) / N
     rows, cols, lengths, points = [], [], [], []
     for br in pmap.branches:
-        if br.is_linear:
-            ylo, yhi = br.image()
-            inner_src = edges[(edges > br.lo + 1e-15) & (edges < br.hi - 1e-15)]
-            img_edges = edges[(edges > ylo + 1e-15) & (edges < yhi - 1e-15)]
-            pulled = (img_edges - br.intercept) / br.slope
-            cuts = np.unique(np.concatenate(
-                [[br.lo, br.hi], inner_src, pulled]))
-            mids = 0.5 * (cuts[1:] + cuts[:-1])
-            lens = np.diff(cuts)
-            keep = lens > 1e-15
-            mids, lens = mids[keep], lens[keep]
-        else:
-            # quad_points midpoint samples per source cell
-            first = int(np.floor(br.lo * N))
-            last = int(np.ceil(br.hi * N))
-            mids_list, lens_list = [], []
-            for j in range(first, last):
-                a = max(edges[j], br.lo)
-                b = min(edges[j + 1], br.hi)
-                if b - a <= 1e-15:
-                    continue
-                q = np.arange(quad_points)
-                mids_list.append(a + (q + 0.5) * (b - a) / quad_points)
-                lens_list.append(np.full(quad_points, (b - a) / quad_points))
-            mids = np.concatenate(mids_list)
-            lens = np.concatenate(lens_list)
+        ylo, yhi = br.image()
+        inner_src = edges[(edges > br.lo + 1e-15) & (edges < br.hi - 1e-15)]
+        img_edges = edges[(edges > ylo + 1e-15) & (edges < yhi - 1e-15)]
+        cuts = np.unique(np.concatenate([[br.lo, br.hi], inner_src, br.inverse(img_edges)]))
+        lens = np.diff(cuts)
+        keep = lens > 1e-15
+        mids, lens = 0.5 * (cuts[1:] + cuts[:-1])[keep], lens[keep]
         rows.append(np.clip((br(mids) * N).astype(np.int64), 0, N - 1))
         cols.append(np.clip((mids * N).astype(np.int64), 0, N - 1))
         lengths.append(lens)
@@ -193,10 +177,14 @@ def ulam_matrix(pmap: PiecewiseMap, u: Observable | None = None, beta: float = 0
     At beta = 0 it is the operator that everything spectral reads.
     Resolutions below ~16 are only useful for inspecting the assembly
     itself (e.g. the 2x2 doubling matrix is [[1/2,1/2],[1/2,1/2]]).
+    `quad_points` does nothing and accepts only 64: every branch is cut
+    exactly, without quadrature samples.
     """
+    if quad_points != 64:
+        raise ValueError("quad_points accepts only 64: branches are cut exactly")
     if beta != 0.0 and u is None:
         raise ValueError("weighted operator needs an observable")
-    samples = _ulam_samples(pmap, N, quad_points)
+    samples = _ulam_samples(pmap, N)
     w = 1.0 if beta == 0.0 else np.exp(beta * u(samples[3]))
     return _operator(samples, w, N)
 

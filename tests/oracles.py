@@ -20,7 +20,11 @@ from the exact binomial law.  `reconstruct_points` (one gather per level
 over the whole stream) and `legendre_per_alpha` (one scalar golden-section
 search per alpha, `golden_max`) are the level-by-level and per-alpha forms
 that `ergostat.maps.points_from_symbols` and `ergostat.transfer.legendre`
-must reproduce bit for bit.
+must reproduce bit for bit.  `linear_cut_samples` is the affine-preimage
+Ulam assembly that `ergostat.transfer` must reproduce bit for bit on
+linear maps, and `chebyshev_transfer` is the exponentially convergent
+Chebyshev collocation of the transfer operator of a full-branch map, the
+reference for every Ulam spectral constant (density, h, sigma^2, F).
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -499,3 +504,138 @@ def binomial_band(trials: int, p: float, tail: float = 0.005) -> tuple[int, int,
     lo = int(binom.ppf(tail, trials, p))
     hi = int(binom.isf(tail, trials, p))
     return lo, hi, float(binom.cdf(lo - 1, trials, p) + binom.sf(hi, trials, p))
+
+
+def linear_cut_samples(pmap: PiecewiseMap, N: int):
+    """(rows, cols, lens, points) of the Ulam samples of a piecewise-linear
+    map, cut at the source-cell edges and at the affine preimages
+    (y - intercept) / slope of the target-cell edges: the linear-branch
+    formula that `ergostat.transfer._ulam_samples` must reproduce bit for
+    bit."""
+    edges = np.arange(N + 1) / N
+    rows, cols, lengths, points = [], [], [], []
+    for br in pmap.branches:
+        ylo, yhi = br.image()
+        inner_src = edges[(edges > br.lo + 1e-15) & (edges < br.hi - 1e-15)]
+        img_edges = edges[(edges > ylo + 1e-15) & (edges < yhi - 1e-15)]
+        pulled = (img_edges - br.intercept) / br.slope
+        cuts = np.unique(np.concatenate([[br.lo, br.hi], inner_src, pulled]))
+        mids = 0.5 * (cuts[1:] + cuts[:-1])
+        lens = np.diff(cuts)
+        keep = lens > 1e-15
+        mids, lens = mids[keep], lens[keep]
+        rows.append(np.clip((br(mids) * N).astype(np.int64), 0, N - 1))
+        cols.append(np.clip((mids * N).astype(np.int64), 0, N - 1))
+        lengths.append(lens)
+        points.append(mids)
+    return tuple(np.concatenate(a) for a in (rows, cols, lengths, points))
+
+
+def _clenshaw_curtis(n: int) -> np.ndarray:
+    """Clenshaw-Curtis weights of the n second-kind Chebyshev points of
+    [0, 1] (Trefethen, Spectral Methods in MATLAB, `clencurt`)."""
+    m = n - 1
+    theta = np.pi * np.arange(1, m) / m
+    v = np.ones(m - 1)
+    for k in range(1, (m - 1) // 2 + 1):
+        v -= 2.0 * np.cos(2 * k * theta) / (4 * k * k - 1)
+    if m % 2 == 0:
+        v -= np.cos(m * theta) / (m * m - 1)    # the k = m/2 term counts once
+    end = 1.0 / (m * m - 1) if m % 2 == 0 else 1.0 / (m * m)
+    return 0.5 * np.concatenate([[end], 2.0 * v / m, [end]])
+
+
+@dataclass(frozen=True)
+class ChebyshevTransfer:
+    """Chebyshev collocation of the transfer operator of a full-branch map
+    with analytic branches, which converges exponentially in the number of
+    nodes (Wormell, "Spectral Galerkin methods for transfer operators in
+    uniformly expanding dynamics", Numer. Math. 2019).
+
+    Functions are held by their values at n second-kind Chebyshev points
+    y_j of [0, 1], read between nodes by barycentric Lagrange
+    interpolation and integrated by Clenshaw-Curtis weights q.  The
+    operator weighted by w is
+
+        (L_w v)(y_j) = sum_i w(g_i(y_j)) v(g_i(y_j)) / |f'(g_i(y_j))| ,
+
+    g_i the inverse of branch i, and w is read on branch i as its limit
+    from inside the branch (g clipped to [lo, nextafter(hi, 0)]), so a
+    branch-constant observable such as `coin` takes its own branch's
+    value at the breakpoint.  Since integral L_w v = integral w v, every
+    mu-integral below is q . (L_w h), which keeps a discontinuity of w
+    at a breakpoint out of the interpolant.
+    """
+
+    pmap: PiecewiseMap
+    nodes: np.ndarray
+    q: np.ndarray
+    pre: tuple            # per branch: (g clipped into the branch, 1/|f'(g)|, Lagrange rows at g)
+
+    def operator(self, w=None) -> np.ndarray:
+        """The n x n matrix of L_w; w maps points to weights (None: 1)."""
+        return sum((inv_df if w is None else w(g) * inv_df)[:, None] * basis
+                   for g, inv_df, basis in self.pre)
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        """Invariant density at the nodes: the eigenvector at eigenvalue 1,
+        normalised so that q . h = 1, as the least-squares solution of
+        (A - I) h = 0 bordered by q . h = 1."""
+        n = len(self.nodes)
+        system = np.vstack([self.operator() - np.eye(n), self.q])
+        return np.linalg.lstsq(system, np.eye(n + 1)[-1], rcond=None)[0]
+
+    def integral(self, w) -> float:
+        """mu-integral of w."""
+        return float(self.q @ (self.operator(w) @ self.density))
+
+    def entropy(self) -> float:
+        """Rokhlin entropy h = integral of log|f'| against mu."""
+        return self.integral(self.pmap.log_abs_derivative)
+
+    def sigma2(self, u: Observable) -> float:
+        """Green-Kubo sigma^2 = C_0 + 2 sum_j C_j of u - E_mu u, with
+        C_j = integral ubar L^j(ubar h) = q . (L_ubar L^(j-1) L_ubar h)."""
+        mean = self.integral(u)
+
+        def ubar(x):
+            return u(x) - mean
+
+        a, au, h = self.operator(), self.operator(ubar), self.density
+        c0 = self.integral(lambda x: ubar(x) ** 2)
+        row, v = self.q @ au, au @ h
+        total = c0
+        for _ in range(2000):
+            c = float(row @ v)
+            total += 2.0 * c
+            if abs(c) <= 1e-18 * c0:
+                return total
+            v = a @ v
+        raise AssertionError("correlations did not decay within 2000 lags")
+
+    def pressure(self, u: Observable, betas) -> np.ndarray:
+        """F(beta): log of the leading eigenvalue of L_{e^{beta u}}."""
+        return np.array([np.log(np.max(np.linalg.eigvals(
+            self.operator(lambda x, b=b: np.exp(b * u(x)))).real)) for b in betas])
+
+
+def chebyshev_transfer(pmap: PiecewiseMap, n: int) -> ChebyshevTransfer:
+    """`ChebyshevTransfer` of a full-branch map on n nodes."""
+    nodes = np.sin(0.5 * np.pi * np.arange(n) / (n - 1)) ** 2
+    bary = (-1.0) ** np.arange(n)
+    bary[[0, -1]] *= 0.5
+    pre = []
+    for br in pmap.branches:
+        ylo, yhi = br.image()
+        if abs(ylo) > _BREAKPOINT_TOL or abs(yhi - 1.0) > _BREAKPOINT_TOL:
+            raise ValueError("the Chebyshev reference needs full branches")
+        g = br.inverse(nodes)
+        diff = g[:, None] - nodes[None, :]
+        hit = diff == 0.0
+        c = bary / np.where(hit, 1.0, diff)
+        basis = c / c.sum(axis=1, keepdims=True)
+        basis[hit.any(axis=1)] = hit[hit.any(axis=1)]
+        inside = np.clip(g, br.lo, np.nextafter(br.hi, 0.0))
+        pre.append((inside, 1.0 / np.abs(br.derivative(g)), basis))
+    return ChebyshevTransfer(pmap, nodes, _clenshaw_curtis(n), tuple(pre))

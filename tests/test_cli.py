@@ -403,3 +403,23 @@ def test_unrunnable_config_exits_2(tmp_path, capsys, sub, old, new):
     assert main([sub, "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+@pytest.mark.parametrize("ladder", ["horizon = 3", "horizon = 2000\ncheckpoints = 1000, 5000",
+                                    "horizon = 2000\ncheckpoints = 2, 2000"])
+def test_refused_ladder_exits_before_sigma2(tmp_path, monkeypatch, ladder):
+    # the checkpoint ladder is checked before sigma^2 is estimated, so a
+    # config that will be refused runs no autocovariance series
+    calls = []
+    series = transfer.autocovariance_series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return series(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "autocovariance_series", counted)
+    for sub, method in (("asclt", "orbit"), ("maxima", "orbit"), ("asclt", "quadrature")):
+        text = cfg_text(tmp_path / "o", f"\n[sigma2]\nmethod = {method}\n")
+        text = text.replace("horizon = 2000\ncheckpoints = 1000, 2000", ladder)
+        assert run(sub, parse_config(text)) == 2
+    assert calls == []
