@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .maps import Observable, PiecewiseMap, orbit_value_chunks
-from .measures import GaussianLaw, HalfGaussianLaw, default_checkpoints, kantorovich_ladder
+from .measures import GaussianLaw, HalfGaussianLaw, checkpoints_within, kantorovich_ladder
 from .transfer import require_nondegenerate
 
 
@@ -57,13 +57,9 @@ def normalized_statistic_atoms(pmap: PiecewiseMap, u: Observable, n: int, seed: 
 
 
 def checkpoint_ladder(n: int, checkpoints=None):
-    """The checkpoints of a run to horizon n (`default_checkpoints(n)` when
-    None), or `ConfigError` when the horizon does not reach the last one or
-    the first is below 4."""
-    if checkpoints is None:
-        checkpoints = default_checkpoints(n)
-    if checkpoints[-1] > n:
-        raise ConfigError([(0, "horizon must reach the last checkpoint")])
+    """`checkpoints_within(n, checkpoints)`, also refusing with `ConfigError`
+    a first checkpoint below 4."""
+    checkpoints = checkpoints_within(n, checkpoints)
     if checkpoints[0] < 4:
         raise ConfigError([(0, f"first checkpoint must be at least 4, got {checkpoints[0]}: "
                                "the rate normalization divides by sqrt(log log n) "

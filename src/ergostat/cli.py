@@ -50,6 +50,7 @@ from .erdos_renyi import (
     rate_estimator,
 )
 from .entropy import entropy_constants, ow_run, smb_run
+from .measures import checkpoints_within
 
 SUBCOMMANDS = (
     "density", "pressure", "sigma2", "asclt", "maxima", "erdos-renyi",
@@ -252,13 +253,14 @@ def _run_ld_check(cfg, outdir, seeds):
 
 
 def _run_entropy(cfg, outdir, seeds, kind):
-    pmap = build_map(cfg)
-    consts = entropy_constants(pmap, _operator(cfg, pmap))
     if kind == "smb":
         n = cfg.get("run", "horizon")
     else:
         n = cfg.get("entropy", "depth")
-    checkpoints = cfg.get("run", "checkpoints") or None
+    # a refused ladder exits before the operator is built
+    checkpoints = checkpoints_within(n, cfg.get("run", "checkpoints") or None)
+    pmap = build_map(cfg)
+    consts = entropy_constants(pmap, _operator(cfg, pmap))
     eps = cfg.get("entropy", "epsilon")
     cap = cfg.get("entropy", "cap")
     extra = {"h_rokhlin": consts.h, "sigma": consts.sigma}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import PiecewiseMap, log_derivative, orbit, symbol_chunks
-from .measures import GaussianLaw, kantorovich_ladder
+from .measures import GaussianLaw, checkpoints_within, kantorovich_ladder
 from .transfer import (
     UlamOperator,
     green_kubo_sigma2,
@@ -238,6 +238,7 @@ def entropy_constants(pmap: PiecewiseMap, op: UlamOperator) -> EntropyConstants:
 
 def _entropy_run(pmap, consts, n, seed, checkpoints, kind, eps, cap):
     h, sigma = consts.h, consts.sigma
+    checkpoints = checkpoints_within(n, checkpoints)
     orb = orbit(pmap, seed, n)
     log_mu = cylinder_log_measures(pmap, orb.symbols, consts.density, points=orb.points)
     ks = np.arange(1, n + 1, dtype=float)

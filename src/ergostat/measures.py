@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -52,6 +52,10 @@ class Law:
 
     def cdf_antiderivative(self, x):
         raise NotImplementedError
+
+    def cdf_and_antiderivative(self, x):
+        """(cdf(x), cdf_antiderivative(x)); a law may share work between them."""
+        return self.cdf(x), self.cdf_antiderivative(x)
 
     @property
     def tail_constant(self) -> float:
@@ -100,8 +104,12 @@ class GaussianLaw(Law):
         return ndtr(np.asarray(x, dtype=float) / self.sigma)
 
     def cdf_antiderivative(self, x):
+        return self.cdf_and_antiderivative(x)[1]
+
+    def cdf_and_antiderivative(self, x):
         z = np.asarray(x, dtype=float) / self.sigma
-        return x * ndtr(z) + self.sigma * _phi(z)
+        F = ndtr(z)
+        return F, x * F + self.sigma * _phi(z)
 
     @property
     def tail_constant(self) -> float:
@@ -125,11 +133,17 @@ class HalfGaussianLaw(Law):
         return np.where(x > 0.0, 2.0 * ndtr(x / self.sigma) - 1.0, 0.0)
 
     def cdf_antiderivative(self, x):
+        return self.cdf_and_antiderivative(x)[1]
+
+    def cdf_and_antiderivative(self, x):
+        # for x > 0, ndtr(z) is the ndtr(x / sigma) of cdf
         x = np.asarray(x, dtype=float)
         xp = np.maximum(x, 0.0)
         z = xp / self.sigma
-        val = 2.0 * (xp * ndtr(z) + self.sigma * _phi(z)) - xp - 2.0 * self.sigma * _phi(0.0)
-        return np.where(x > 0.0, val, 0.0)
+        p = ndtr(z)
+        val = 2.0 * (xp * p + self.sigma * _phi(z)) - xp - 2.0 * self.sigma * _phi(0.0)
+        right = x > 0.0
+        return np.where(right, 2.0 * p - 1.0, 0.0), np.where(right, val, 0.0)
 
     @property
     def tail_constant(self) -> float:
@@ -245,7 +259,7 @@ def kantorovich(emp: WeightedEmpiricalMeasure, law: Law) -> float:
         return total
 
     # one law evaluation per distinct atom, read at both segment ends
-    F, I = law.cdf(pos), law.cdf_antiderivative(pos)
+    F, I = law.cdf_and_antiderivative(pos)
     a, b = pos[:-1], pos[1:]
     c = cum[:-1]
     fa, fb = F[:-1], F[1:]
@@ -284,6 +298,17 @@ def default_checkpoints(horizon: int) -> np.ndarray:
     if levels[-1] != horizon:
         levels.append(horizon)
     return np.array(levels, dtype=np.int64)
+
+
+def checkpoints_within(n: int, checkpoints=None) -> np.ndarray:
+    """The checkpoints of a run of n atoms (`default_checkpoints(n)` when
+    None), or `ConfigError` when n does not reach the last one."""
+    if checkpoints is None:
+        return default_checkpoints(n)
+    if checkpoints[-1] > n:
+        raise ConfigError([(0, f"last checkpoint {checkpoints[-1]} is past the run's {n} atoms "
+                               "(its horizon, or its depth for entropy-ow)")])
+    return checkpoints
 
 
 def kantorovich_ladder(atoms: np.ndarray, law: Law, checkpoints=None,

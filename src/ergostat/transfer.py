@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.interpolate import CubicSpline
 
 from .errors import ConvergenceError, DegenerateVarianceError, DomainError
 from .maps import Observable, PiecewiseMap, orbit_value_chunks
@@ -102,8 +101,82 @@ class RateFunction:
         return float(np.interp(alpha, self.alpha_grid, self.beta_of_alpha))
 
 
-def _spline(x, y):
-    return CubicSpline(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+# ---------------------------------------------------------------------------
+# cubic spline
+# ---------------------------------------------------------------------------
+
+def _dgtsv(dl: list, d: list, du: list, b: list) -> list:
+    """Solution of the tridiagonal system with sub-, main and
+    super-diagonals dl, d, du and right-hand side b (all overwritten):
+    LAPACK dgtsv's Gaussian elimination with partial pivoting, operation
+    for operation on Python floats."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:                       # swap rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
+            if i < n - 2:           # dl[i] holds the second superdiagonal
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    b[-1] = b[-1] / d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
+@dataclass(frozen=True)
+class _PiecewiseCubic:
+    """c[0] s^3 + c[1] s^2 + c[2] s + c[3], s = t - x[i], on [x[i], x[i+1]);
+    the end pieces extrapolate.  Intervals and sums as in scipy's PPoly."""
+
+    x: np.ndarray
+    c: np.ndarray                 # shape (4, len(x) - 1)
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        # clip(searchsorted(x, t, "right") - 1, 0, len(x) - 2), as PPoly picks
+        i = np.searchsorted(self.x[1:-1], t, "right")
+        s = t - self.x[i]
+        c0, c1, c2, c3 = self.c[:, i]
+        s2 = s * s
+        return (0.0 + c3) + c2 * s + c1 * s2 + c0 * (s2 * s)
+
+
+def _spline(x, y) -> _PiecewiseCubic:
+    """Not-a-knot cubic interpolant of y at the increasing x, bit for bit
+    scipy's `CubicSpline(x, y)` for len(x) == 2 and len(x) >= 4: its
+    tridiagonal slope system with not-a-knot end rows, solved by `_dgtsv`
+    as `solve_banded` does, and its Hermite coefficients.  Three points
+    give the parabola through them (scipy solves that case densely, which
+    agrees to rounding only)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    n = len(x)
+    if n == 2:
+        m = np.array([slope[0], slope[0]])
+    elif n == 3:
+        curv = (slope[1] - slope[0]) / (x[2] - x[0])
+        m = slope[0] + curv * np.array([-dx[0], dx[0], dx[0] + 2.0 * dx[1]])
+    else:
+        rhs = np.empty(n)
+        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        # `**` on a float64 scalar is libm pow, as in scipy: not always x * x
+        rhs[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d0
+        rhs[-1] = (dx[-1]**2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+        m = np.array(_dgtsv(np.append(dx[1:], d1).tolist(), diag.tolist(),
+                            np.append(d0, dx[:-1]).tolist(), rhs.tolist()))
+    t = (m[:-1] + m[1:] - 2 * slope) / dx
+    return _PiecewiseCubic(x, np.stack((t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +210,19 @@ def _ulam_samples(pmap: PiecewiseMap, N: int):
 
 def _power_iteration(mat: sparse.csr_matrix) -> tuple[float, np.ndarray]:
     """Leading eigenpair of a nonnegative matrix; deterministic flat start,
-    1-norm normalization, residual stopping test."""
+    1-norm normalization, residual stopping test.  One matvec per step:
+    the residual's product is the next step's."""
     n = mat.shape[0]
-    v = np.full(n, 1.0 / n)
-    lam = 1.0
+    w = mat @ np.full(n, 1.0 / n)
     for _ in range(POWER_MAX_ITER):
-        w = mat @ v
-        s = float(np.sum(np.abs(w)))
-        if s == 0.0:
+        lam = float(np.sum(np.abs(w)))
+        if lam == 0.0:
             raise ConvergenceError("power iteration hit the zero vector")
-        lam = s
-        w = w / s
-        residual = float(np.sum(np.abs(mat @ w - lam * w))) / lam
+        v = w / lam
+        w = mat @ v
+        residual = float(np.sum(np.abs(w - lam * v))) / lam
         if residual <= POWER_TOL:
-            return lam, w
-        v = w
+            return lam, v
     raise ConvergenceError(
         f"power iteration did not converge in {POWER_MAX_ITER} iterations",
         residual=residual)

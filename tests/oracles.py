@@ -18,13 +18,16 @@ small readers of program objects that only the tests use.
 `binomial_band` gives the acceptance band of a Monte Carlo success count
 from the exact binomial law.  `reconstruct_points` (one gather per level
 over the whole stream) and `legendre_per_alpha` (one scalar golden-section
-search per alpha, `golden_max`) are the level-by-level and per-alpha forms
-that `ergostat.maps.points_from_symbols` and `ergostat.transfer.legendre`
-must reproduce bit for bit.  `linear_cut_samples` is the affine-preimage
-Ulam assembly that `ergostat.transfer` must reproduce bit for bit on
-linear maps, and `chebyshev_transfer` is the exponentially convergent
-Chebyshev collocation of the transfer operator of a full-branch map, the
-reference for every Ulam spectral constant (density, h, sigma^2, F).
+search per alpha, `golden_max`, over scipy's `CubicSpline`) are the
+level-by-level and per-alpha forms that `ergostat.maps.points_from_symbols`
+and `ergostat.transfer.legendre` must reproduce bit for bit, and
+`power_iteration_reference` (two matvecs per step) is the loop that
+`ergostat.transfer._power_iteration` must reproduce bit for bit.
+`linear_cut_samples` is the affine-preimage Ulam assembly that
+`ergostat.transfer` must reproduce bit for bit on linear maps, and
+`chebyshev_transfer` is the exponentially convergent Chebyshev
+collocation of the transfer operator of a full-branch map, the reference
+for every Ulam spectral constant (density, h, sigma^2, F).
 """
 
 from __future__ import annotations
@@ -37,14 +40,16 @@ from functools import cached_property
 from typing import Iterator
 
 import numpy as np
+from scipy import sparse
+from scipy.interpolate import CubicSpline
 from scipy.stats import binom
 
 from ergostat.asclt import AscltDiagnostics
 from ergostat.entropy import RETURN_TIME_CAP
-from ergostat.errors import BudgetExceededError, DomainError
+from ergostat.errors import BudgetExceededError, ConvergenceError, DomainError
 from ergostat.maps import Observable, Orbit, PiecewiseMap, _symbol_tail_depth
 from ergostat.measures import HalfGaussianLaw, Law, WeightedEmpiricalMeasure
-from ergostat.transfer import PressureCurve, RateFunction, _spline
+from ergostat.transfer import POWER_MAX_ITER, POWER_TOL, PressureCurve, RateFunction
 
 _BREAKPOINT_TOL = 1e-14
 
@@ -448,7 +453,7 @@ def legendre_per_alpha(curve: PressureCurve, alpha_grid) -> RateFunction:
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     step = 1e-3
     bg, F = curve.beta_grid, curve.F_values
-    s = _spline(bg, F)
+    s = CubicSpline(bg, F)
     phi = np.empty(len(alpha_grid))
     beta_star = np.empty(len(alpha_grid))
     sig2 = np.empty(len(alpha_grid))
@@ -460,6 +465,23 @@ def legendre_per_alpha(curve: PressureCurve, alpha_grid) -> RateFunction:
                    + float(s(b - step))) / step**2
     return RateFunction(alpha_grid=alpha_grid, phi_values=phi,
                         beta_of_alpha=beta_star, sigma2_of_alpha=sig2)
+
+
+def power_iteration_reference(mat: sparse.csr_matrix) -> tuple[float, np.ndarray]:
+    """Leading eigenpair by power iteration from the flat start, with a
+    fresh matvec for each step's residual."""
+    n = mat.shape[0]
+    v = np.full(n, 1.0 / n)
+    for _ in range(POWER_MAX_ITER):
+        w = mat @ v
+        s = float(np.sum(np.abs(w)))
+        if s == 0.0:
+            raise ConvergenceError("power iteration hit the zero vector")
+        w = w / s
+        if float(np.sum(np.abs(mat @ w - s * w))) / s <= POWER_TOL:
+            return s, w
+        v = w
+    raise ConvergenceError("power iteration did not converge")
 
 
 # -- readers of program objects -------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from ergostat.cli import SUBCOMMANDS, run
 from ergostat.config import parse_config
-from test_golden import MAPS, SIZES
+from test_golden import MAPS, config_text
 
 BENCH = str(Path(__file__).resolve().parent.parent / "bench")
 
@@ -30,7 +30,7 @@ def test_tracer_hooks_bind_program_signatures(tmp_path):
             codes = {}
             for sub in SUBCOMMANDS:
                 tracer.begin_invocation()
-                text = MAPS["perturbed-sawtooth"] + SIZES.format(outdir=tmp_path / sub)
+                text = config_text(MAPS["perturbed-sawtooth"], sub, tmp_path / sub)
                 codes[sub] = run(sub, parse_config(text))
         finally:
             tracer.uninstall()

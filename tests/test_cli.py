@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ergostat
 from ergostat.config import (
     build_map,
     build_observable,
@@ -12,7 +17,7 @@ from ergostat.config import (
 from ergostat import transfer
 from ergostat.errors import ConfigError
 from ergostat.cli import SUBCOMMANDS, _write_csv, main, run
-from test_golden import MAPS, SIZES
+from test_golden import MAPS, config_text
 
 MINIMAL = """
 [map]
@@ -158,8 +163,8 @@ def test_one_operator_assembly_per_invocation(tmp_path, monkeypatch):
             + [(sub, "orbit", False) for sub in ("sigma2", "rate-curve")])
     builds = {}
     for sub, method, center in runs:
-        text = (MAPS["perturbed-sawtooth"] + f"center = {str(center).lower()}\n"
-                + SIZES.format(outdir=tmp_path / f"{sub}-{method}-{center}"))
+        text = config_text(MAPS["perturbed-sawtooth"] + f"center = {str(center).lower()}\n",
+                           sub, tmp_path / f"{sub}-{method}-{center}")
         calls.clear()
         assert run(sub, parse_config(text.replace("method = orbit", f"method = {method}"))) == 0
         builds[sub, method, center] = len(calls)
@@ -324,7 +329,7 @@ def test_entropy_subcommands(tmp_path):
     out = tmp_path / "e"
     extra = "\n[entropy]\ndepth = 12\ncap = 1000000\n"
     text = cfg_text(out, extra).replace("name = doubling", "name = perturbed-doubling")
-    cfg = parse_config(text)
+    cfg = parse_config(text.replace("checkpoints = 1000, 2000", "checkpoints = 6, 12"))
     assert run("entropy-ow", cfg) == 0
     rows = (out / "entropy-ow-1.csv").read_text().strip().splitlines()
     assert rows[0] == "k,minus_log_mu,log_Rk,smb_atom,ow_atom,sandwich_ok"
@@ -355,7 +360,7 @@ def test_seed_free_work_once_per_invocation(tmp_path, monkeypatch):
     count(cli, "autocovariance_series")
     for sub, method in (("entropy-smb", "orbit"), ("entropy-ow", "orbit"),
                         ("sigma2", "quadrature")):
-        text = MAPS["perturbed-sawtooth"] + SIZES.format(outdir=tmp_path / sub)
+        text = config_text(MAPS["perturbed-sawtooth"], sub, tmp_path / sub)
         calls.clear()
         assert run(sub, parse_config(text.replace("method = orbit", f"method = {method}"))) == 0
         if sub == "sigma2":
@@ -366,6 +371,7 @@ def test_seed_free_work_once_per_invocation(tmp_path, monkeypatch):
             assert calls == ["invariant_density", "green_kubo_sigma2"]
 
 
+TWO_SLOPE = "name = custom\nbreakpoints = 0, 0.3333333333333333, 1\nslopes = 3, 1.5"
 FOUR_BRANCH = "name = custom\nbreakpoints = 0, 0.2, 0.4, 0.6, 1\nslopes = 5, 5, 5, 2.5"
 
 
@@ -393,10 +399,15 @@ def test_entropy_smb_on_steep_full_branch_map(tmp_path):
     ("asclt", "checkpoints = 1000, 2000", "checkpoints = 0, 2000"),
     ("maxima", "checkpoints = 1000, 2000", "checkpoints = 2, 2000"),
     ("asclt", "horizon = 2000\ncheckpoints = 1000, 2000", "horizon = 3"),
+    ("entropy-smb", "checkpoints = 1000, 2000", "checkpoints = 1000, 5000"),
+    ("entropy-ow", "checkpoints = 1000, 2000", "checkpoints = 5, 20\n\n[entropy]\ndepth = 10"),
 ], ids=["checkpoint-past-horizon", "trajectory-under-10-windows", "unknown-observable",
-        "unknown-map", "zero-checkpoint", "first-checkpoint-below-4", "horizon-below-4"])
+        "unknown-map", "zero-checkpoint", "first-checkpoint-below-4", "horizon-below-4",
+        "entropy-checkpoint-past-horizon", "entropy-checkpoint-past-depth"])
 def test_unrunnable_config_exits_2(tmp_path, capsys, sub, old, new):
     text = cfg_text(tmp_path / "o")
+    if sub.startswith("entropy"):     # doubling's constant slope would be refused
+        text = text.replace("name = doubling", TWO_SLOPE)
     assert old in text
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(text.replace(old, new))
@@ -423,3 +434,17 @@ def test_refused_ladder_exits_before_sigma2(tmp_path, monkeypatch, ladder):
         text = text.replace("horizon = 2000\ncheckpoints = 1000, 2000", ladder)
         assert run(sub, parse_config(text)) == 2
     assert calls == []
+
+
+def test_cold_start_skips_unused_scipy_packages():
+    # each CLI process pays for what `import ergostat.cli` loads; the
+    # Legendre spline lives in ergostat.transfer, so scipy.interpolate and
+    # the packages it pulls in stay unloaded
+    code = ("import sys, ergostat.cli\n"
+            "print(' '.join(m for m in ('scipy.interpolate', 'scipy.optimize', 'scipy.linalg')\n"
+            "               if m in sys.modules))\n")
+    src = str(Path(ergostat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""

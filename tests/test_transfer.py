@@ -33,8 +33,16 @@ from ergostat.transfer import (
     pressure_curve,
     ulam_matrix,
     _golden_max,
+    _power_iteration,
+    _spline,
 )
-from oracles import chebyshev_transfer, golden_max, legendre_per_alpha, linear_cut_samples
+from oracles import (
+    chebyshev_transfer,
+    golden_max,
+    legendre_per_alpha,
+    linear_cut_samples,
+    power_iteration_reference,
+)
 from test_maps import _counting
 
 
@@ -93,6 +101,20 @@ def test_power_iteration_against_dense_eigensolver():
     eigs = np.linalg.eigvals(dense)
     lam_dense = float(np.max(eigs.real))
     assert op.leading_eigenvalue == pytest.approx(lam_dense, rel=1e-10)
+
+
+@pytest.mark.parametrize("name,params,obs,N,betas", [
+    ("doubling", {}, coin, 1024, 31),
+    ("perturbed-doubling", {"eps": 0.05}, sawtooth, 512, 11),
+])
+def test_power_iteration_bitwise_equals_two_matvec_loop(name, params, obs, N, betas):
+    # the residual's product is reused as the next step's: same iterates
+    pmap = make_map(name, **params)
+    for beta in np.linspace(-3, 3, betas):
+        mat = ulam_matrix(pmap, obs(), beta, N=N).matrix
+        lam, v = _power_iteration(mat)
+        lam_ref, v_ref = power_iteration_reference(mat)
+        assert (lam, v.tobytes()) == (lam_ref, v_ref.tobytes()), beta
 
 
 # -- invariant density --------------------------------------------------------
@@ -269,6 +291,64 @@ def test_legendre_biconjugate_recovers_pressure():
                              rf.alpha_grid[0], rf.alpha_grid[-1])
         f_here = float(np.interp(beta, curve.beta_grid, curve.F_values))
         assert val == pytest.approx(f_here, abs=1e-6)
+
+
+# -- cubic spline -------------------------------------------------------------
+
+def _spline_grids():
+    rng = np.random.default_rng(11)
+    grids = [np.linspace(-3.0, 3.0, n) for n in (4, 5, 6, 7, 10, 39, 121, 301)]
+    grids += [np.sort(rng.uniform(-2.0, 2.0, n)) for n in (4, 5, 6, 8, 13, 39, 121)]
+    # spacings that make dgtsv swap rows, inside and at the last row
+    grids += [np.cumsum(np.concatenate(([0.0], gaps)))
+              for gaps in ([1, 1, 100], [1, 1, 1, 100], [1, 1, 100, 1, 1, 100, 1])]
+    grids += [np.cumsum(np.exp(rng.normal(scale=3.0, size=n))) for n in (6, 9, 20, 40)]
+    return [(x, y) for x in grids
+            for y in (np.cos(x), rng.normal(size=len(x)), 1e-3 * rng.normal(size=len(x)))]
+
+
+def _spline_points(x, rng):
+    span = x[-1] - x[0]
+    return np.concatenate([rng.uniform(x[0] - 0.2 * span, x[-1] + 0.2 * span, 200),
+                           x, x + 1e-3, x - 1e-3, [x[0] - span, x[-1] + span]])
+
+
+def test_spline_bitwise_equals_scipy():
+    rng = np.random.default_rng(12)
+    for x, y in _spline_grids():
+        got, want = _spline(x, y), CubicSpline(x, y)
+        t = _spline_points(x, rng)
+        assert got.c.tobytes() == want.c.tobytes(), len(x)
+        assert got(t).tobytes() == want(t).tobytes(), len(x)
+        assert got(x[1]) == want(x[1])
+
+
+def test_spline_two_points_bitwise_equals_scipy():
+    # both end slopes are the secant, through the Hermite formula
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        x, y = np.sort(rng.uniform(-2.0, 2.0, 2)), rng.normal(size=2)
+        got, want = _spline(x, y), CubicSpline(x, y)
+        assert got.c.tobytes() == want.c.tobytes()
+        t = _spline_points(x, rng)
+        assert got(t).tobytes() == want(t).tobytes()
+
+
+def test_spline_three_points_is_the_parabola():
+    # scipy solves this case as a dense 3x3 system through LAPACK gesv,
+    # whose bits a transcription does not reproduce; both are the parabola
+    # through the points up to rounding.  With gaps of at least 0.3 on
+    # [0, 1] that system's condition number is below 30, and evaluating on
+    # [-1, 2] scales errors by at most 8, so 2^11 ulps of max|y| bound the
+    # gap (about 350 ulps measured).
+    rng = np.random.default_rng(14)
+    t = np.linspace(-1.0, 2.0, 301)
+    for _ in range(200):
+        x, y = np.array([0.0, rng.uniform(0.3, 0.7), 1.0]), rng.normal(size=3)
+        got, want = _spline(x, y), CubicSpline(x, y)
+        assert np.max(np.abs(got(t) - want(t))) <= 2.0**11 * np.finfo(float).eps * np.max(np.abs(y))
+        assert np.max(np.abs(got.c[0])) <= 1e-12 * np.max(np.abs(y))     # no cubic term
+        assert got(x).tolist() == pytest.approx(y.tolist(), rel=1e-14, abs=1e-14)
 
 
 # -- Green-Kubo variance ------------------------------------------------------
