@@ -189,19 +189,31 @@ def _run_asclt(cfg, outdir, seeds, running_max=False):
     return {"sigma2": sigma2, "horizon": horizon}
 
 
+def _window_sums(units) -> dict:
+    """Manifest record of how window sums ran: on integer weights in one
+    power-of-two unit, or on floats (when any of them did)."""
+    units = set(units)
+    if len(units) != 1 or None in units:
+        return {"window_sums": "float"}
+    return {"window_sums": "integer", "window_unit": units.pop()}
+
+
 def _run_erdos_renyi(cfg, outdir, seeds):
     pmap, op, u = _setup(cfg)
     _, rate = _rate_function(cfg, op, u)
     alpha = cfg.get("erdos_renyi", "alpha")
     k_grid = cfg.get("erdos_renyi", "k_grid")
     cap = cfg.get("erdos_renyi", "length_cap")
+    units = []
     for s in seeds:
         ser = er_law_check(pmap, u, alpha, rate, k_grid, s, length_cap=cap)
+        units.append(ser.window_unit)
         rows = [(int(k), m, fl, -ser.band, ser.band) for k, m, fl in
                 zip(ser.k_values, ser.M_values, ser.fluctuations)]
         _write_csv(outdir / f"erdos-renyi-{s}.csv",
                    ["k", "M_k", "fluctuation", "band_lo", "band_hi"], rows)
-    return {"alpha": alpha, "beta": rate.beta(alpha), "phi": rate.phi(alpha)}
+    return {"alpha": alpha, "beta": rate.beta(alpha), "phi": rate.phi(alpha),
+            **_window_sums(units)}
 
 
 def _run_rate_curve(cfg, outdir, seeds):
@@ -236,20 +248,22 @@ def _run_ld_check(cfg, outdir, seeds):
     trials = cfg.get("ld", "trials")
     k_grid = cfg.get("ld", "k_grid")
     r_grid = cfg.get("ld", "r_grid")
-
+    units = []
     for s in seeds:
         rows = []
         for k in k_grid:
             est = ld_probability_mc(pmap, u, alpha, int(k), trials, s, rate)
             rows.append((int(k), est.p_hat, est.ci_lo, est.ci_hi, est.normalized_ratio))
+            units.append(est.window_unit)
         if r_grid:
             dk = cfg.get("ld", "decoupling_k")
             for row in decoupling_check(pmap, u, alpha, dk, r_grid, trials, s, rate):
                 rows.append((row.r, row.joint_p, row.ci_lo, row.ci_hi,
                              row.product_ratio))
+                units.append(row.window_unit)
         _write_csv(outdir / f"ld-check-{s}.csv",
                    ["k_or_r", "p_hat", "ci_lo", "ci_hi", "normalized_ratio"], rows)
-    return {"alpha": alpha, "trials": trials}
+    return {"alpha": alpha, "trials": trials, **_window_sums(units)}
 
 
 def _run_entropy(cfg, outdir, seeds, kind):

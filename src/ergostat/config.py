@@ -17,6 +17,7 @@ from .errors import ConfigError
 # kinds: int, float, str, bool, int_list, float_list
 # constraint: (predicate, message) or None; None default means required-if-used
 _POSITIVE = (lambda v: v > 0, "must be positive")
+_WINDOWS = (lambda v: all(x > 0 for x in v), "window lengths must be positive")
 
 SCHEMA: dict[str, dict[str, tuple]] = {
     "map": {
@@ -61,19 +62,19 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "erdos_renyi": {
         "alpha": ("float", 0.2, None),
-        "k_grid": ("int_list", [50, 100, 200], (lambda v: all(x > 0 for x in v),
-                                                "window lengths must be positive")),
+        "k_grid": ("int_list", [50, 100, 200], _WINDOWS),
         "length_cap": ("int", 2**32, _POSITIVE),
     },
     "rate_curve": {
         "trajectory_length": ("int", 2**20, _POSITIVE),
-        "k_grid": ("int_list", [], None),
+        "k_grid": ("int_list", [], _WINDOWS),          # empty: the default grid
     },
     "ld": {
         "alpha": ("float", 0.2, None),
-        "k_grid": ("int_list", [50, 100], None),
+        "k_grid": ("int_list", [50, 100], _WINDOWS),
         "trials": ("int", 1_000_000, (lambda v: v >= 10_000, "needs at least 1e4 trials")),
-        "r_grid": ("int_list", [], None),
+        "r_grid": ("int_list", [], (lambda v: all(x >= 0 for x in v),
+                                    "shifts must be nonnegative")),
         "decoupling_k": ("int", 50, _POSITIVE),
     },
     "entropy": {

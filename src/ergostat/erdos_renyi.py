@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError, DomainError
-from .maps import Observable, PiecewiseMap, orbit_value_chunks, trial_value_blocks
+from .maps import Observable, PiecewiseMap, _orbit_values, trial_value_blocks
 from .transfer import RateFunction
 
 LENGTH_CAP = 2**32          # hard cap on required stream length
@@ -33,25 +34,43 @@ MC_EXPONENT_CAP = 12.0      # direct MC refuses when k*phi(alpha) exceeds this
 # window maxima
 # ---------------------------------------------------------------------------
 
-def _moving_max_chunked(chunks, k: int, n_windows: int) -> tuple[float, int]:
+def _accumulator(dtype: np.dtype, n: int) -> type:
+    """The dtype that sums up to n values of `dtype` exactly: float64 for
+    floats; for integer weights int32 when no such sum can overflow it
+    (half the memory traffic of int64), else int64."""
+    if dtype.kind != "i":
+        return np.float64
+    return np.int32 if n * (int(np.iinfo(dtype).max) + 1) < 2**31 else np.int64
+
+
+def _moving_max_chunked(chunks, k: int, n_windows: int):
     """Streaming scan over numpy value chunks: max window sum over windows
     j = 0..n_windows-1, keeping only a k-deep prefix history.
 
     Window j has sum c_{j+k} - c_j with c_t the prefix sum of the first t
     values; valid end indices e = j + k run from k to n_windows + k - 1.
+    Float chunks carry absolute float64 prefixes.  Integer chunks (exact
+    weights) carry prefixes relative to the start of each chunk, so an int32
+    accumulator cannot overflow on a long stream, and return an int maximum.
     """
     needed = n_windows + k - 1            # values consumed in total
-    hist = np.zeros(1)                    # prefix values c_{consumed-len+1..consumed}
+    hist = None                           # prefix values c_{consumed-len+1..consumed}
     best = -np.inf
     best_j = -1
     consumed = 0
     for chunk in chunks:
-        chunk = np.asarray(chunk, dtype=float)
+        chunk = np.asarray(chunk)
         take = min(len(chunk), needed - consumed)
         if take <= 0:
             break
-        prefixes = hist[-1] + np.cumsum(chunk[:take])
-        ext = np.concatenate([hist, prefixes])
+        acc = _accumulator(chunk.dtype, k + take)
+        if hist is None:
+            hist = np.zeros(1, dtype=acc)
+        ext = np.empty(len(hist) + take, dtype=acc)
+        ext[:len(hist)] = hist
+        np.cumsum(chunk[:take], dtype=acc, out=ext[len(hist):])
+        if acc is np.float64:
+            ext[len(hist):] += hist[-1]
         lo = consumed - len(hist) + 1     # prefix index of ext[0]
         e_start = max(k, consumed + 1)
         e_end = consumed + take
@@ -60,10 +79,12 @@ def _moving_max_chunked(chunks, k: int, n_windows: int) -> tuple[float, int]:
             sums = ext[i0:i1] - ext[i0 - k : i1 - k]
             i = int(np.argmax(sums))
             if sums[i] > best:
-                best = float(sums[i])
+                best = sums[i].item()
                 best_j = int(e_start + i - k)
         consumed += take
         hist = ext[-(k + 1):]
+        if acc is not np.float64:
+            hist = hist - hist[-1]
         if consumed >= needed:
             break
     if consumed < needed:
@@ -83,6 +104,7 @@ class ErdosRenyiSeries:
     averages: np.ndarray          # M_k / k
     fluctuations: np.ndarray      # (M_k - k alpha) / log k
     band: float                   # 1/(2 beta)
+    window_unit: float | None     # unit of integer window sums; None: float sums
 
 
 def er_law_check(pmap: PiecewiseMap, u: Observable, alpha: float, rate: RateFunction,
@@ -91,7 +113,10 @@ def er_law_check(pmap: PiecewiseMap, u: Observable, alpha: float, rate: RateFunc
 
     Emits M_k, M_k/k, the fluctuation (M_k - k alpha)/log k, and the band
     half-width 1/(2 beta).  Streams of required length [exp(k phi(alpha))]
-    beyond `length_cap` are refused.
+    beyond `length_cap` are refused.  An observable of small dyadic branch
+    values on a symbolic map is scanned as integer weights, and M_k is the
+    integer maximum times their unit: the bits of the float scan, whose
+    prefix sums are exact for such values (see `maps._unit_weights`).
     """
     if alpha == 0.0:
         raise DomainError("alpha must be nonzero (phi(0)=0 gives no windows)")
@@ -102,6 +127,7 @@ def er_law_check(pmap: PiecewiseMap, u: Observable, alpha: float, rate: RateFunc
     k_grid = np.asarray(k_grid, dtype=np.int64)
     m_vals = np.empty(len(k_grid))
     counts = np.empty(len(k_grid), dtype=np.int64)
+    units = []
     for i, k in enumerate(k_grid):
         k = int(k)
         needed = math.exp(k * phi)
@@ -112,15 +138,18 @@ def er_law_check(pmap: PiecewiseMap, u: Observable, alpha: float, rate: RateFunc
         # at least the j=0 window even when exp(k phi) has not outgrown k yet
         length = max(int(needed), k)
         n_windows = max(length - k + 1, 1)
-        m_vals[i], _ = _moving_max_chunked(
-            orbit_value_chunks(pmap, u, seed, length), k, n_windows)
+        unit, chunks = _orbit_values(pmap, u, seed, length, 1 << 20, exact=True)
+        best, _ = _moving_max_chunked(chunks, k, n_windows)
+        m_vals[i] = best if unit is None else best * unit
         counts[i] = n_windows
+        units.append(unit)
     logs = np.log(k_grid.astype(float))
     return ErdosRenyiSeries(
         alpha=alpha, beta=beta, k_values=k_grid, window_counts=counts,
         M_values=m_vals, averages=m_vals / k_grid,
         fluctuations=(m_vals - k_grid * alpha) / logs,
-        band=1.0 / (2.0 * beta))
+        band=1.0 / (2.0 * beta),
+        window_unit=units[0] if units and None not in units else None)
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +216,29 @@ class LdEstimate:
     ci_hi: float
     normalized_ratio: float
     one_sided: bool               # zero successes: only the upper bound binds
+    window_unit: float | None     # unit of integer trial sums; None: float sums
 
 
 def _trial_sums(pmap: PiecewiseMap, u: Observable, k: int, r: int, trials: int,
-                seed: int):
-    """Yield (S_k, S_k o f^r) pairs over independent Lebesgue starts, chunked."""
-    for vals in trial_value_blocks(pmap, u, k + r, trials, seed):
-        csum = np.cumsum(vals, axis=1)
-        yield csum[:, k - 1], csum[:, r + k - 1] - (csum[:, r - 1] if r > 0 else 0.0)
+                seed: int) -> tuple[float | None, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """(unit, pairs): (S_k, S_k o f^r) pairs over independent Lebesgue
+    starts, chunked.  Integer weights sum each row in integers, in any
+    order (r = 0 needs one sum), and scale by their unit once; float values
+    keep their row-wise prefix sums."""
+    if k < 1 or r < 0:
+        raise ValueError("need a window length k >= 1 and a shift r >= 0")
+    unit, blocks = trial_value_blocks(pmap, u, k + r, trials, seed)
+
+    def pairs():
+        for vals in blocks:
+            if unit is None:
+                csum = np.cumsum(vals, axis=1)
+                yield csum[:, k - 1], csum[:, r + k - 1] - (csum[:, r - 1] if r > 0 else 0.0)
+            else:
+                acc = _accumulator(vals.dtype, k)
+                first = vals[:, :k].sum(axis=1, dtype=acc) * unit
+                yield first, (vals[:, r:r + k].sum(axis=1, dtype=acc) * unit if r else first)
+    return unit, pairs()
 
 
 def ld_probability_mc(pmap: PiecewiseMap, u: Observable, alpha: float, k: int,
@@ -215,14 +259,15 @@ def ld_probability_mc(pmap: PiecewiseMap, u: Observable, alpha: float, k: int,
             "sampler over the tilted measure would be required")
     threshold = k * alpha
     successes = 0
-    for s_first, _ in _trial_sums(pmap, u, k, 0, trials, seed):
+    unit, pairs = _trial_sums(pmap, u, k, 0, trials, seed)
+    for s_first, _ in pairs:
         successes += int(np.sum(s_first > threshold))
     p_hat = successes / trials
     lo, hi = wilson_interval(successes, trials)
     ratio = p_hat * abs(beta) * math.sqrt(k) * math.exp(k * phi)
     return LdEstimate(k=k, alpha=alpha, trials=trials, successes=successes,
                       p_hat=p_hat, ci_lo=lo, ci_hi=hi, normalized_ratio=ratio,
-                      one_sided=(successes == 0))
+                      one_sided=(successes == 0), window_unit=unit)
 
 
 @dataclass(frozen=True)
@@ -232,6 +277,7 @@ class DecouplingRow:
     ci_lo: float
     ci_hi: float
     product_ratio: float          # joint / single^2 (roughly 1 at r = k)
+    window_unit: float | None     # unit of integer trial sums; None: float sums
 
 
 def decoupling_check(pmap: PiecewiseMap, u: Observable, alpha: float, k: int,
@@ -256,7 +302,8 @@ def decoupling_check(pmap: PiecewiseMap, u: Observable, alpha: float, k: int,
         r = int(r)
         joint = 0
         first = 0
-        for s_first, s_shift in _trial_sums(pmap, u, k, r, trials, seed):
+        unit, pairs = _trial_sums(pmap, u, k, r, trials, seed)
+        for s_first, s_shift in pairs:
             joint += int(np.sum((s_first > threshold) & (s_shift > threshold)))
             first += int(np.sum(s_first > threshold))
         if single is None:
@@ -265,5 +312,6 @@ def decoupling_check(pmap: PiecewiseMap, u: Observable, alpha: float, k: int,
         lo, hi = wilson_interval(joint, trials)
         denom = single * single
         rows.append(DecouplingRow(r=r, joint_p=p, ci_lo=lo, ci_hi=hi,
-                                  product_ratio=(p / denom if denom > 0 else math.inf)))
+                                  product_ratio=(p / denom if denom > 0 else math.inf),
+                                  window_unit=unit))
     return rows

@@ -624,16 +624,77 @@ def _branch_values(pmap: PiecewiseMap, u: Observable) -> np.ndarray | None:
     return u(xs[:, 0])
 
 
+# Integer weights of a branch-value table stay below 2^15 in magnitude, so
+# they gather as int8/int16 and their sums accumulate in int32/int64.
+_WEIGHT_BITS = 15
+
+
+def _unit_weights(table: np.ndarray, length: int) -> tuple[np.ndarray, float] | None:
+    """(weights, unit) with table == weights * unit exactly: small integers
+    times the largest power-of-two unit that makes every entry an integer.
+
+    Given only when |weights| < 2^15 and max |weights| * length < 2^53.  Then
+    every float sum of at most `length` table values is an exact multiple of
+    the unit, so integer sums times the unit carry its bits.  A table with a
+    -0.0 entry (whose float sums can end at -0.0), or with no entry of normal
+    size, is left to float sums.
+    """
+    peak = float(np.max(np.abs(table)))
+    if not 2.0**-960 < peak < 2.0**960 or np.any(np.signbit(table) & (table == 0.0)):
+        return None
+    top = math.frexp(peak)[1]                  # 2^(top-1) <= peak < 2^top
+    for q in range(top - 1, top - 1 - _WEIGHT_BITS, -1):
+        unit = math.ldexp(1.0, q)
+        weights = table / unit
+        if np.all(weights == np.rint(weights)):
+            wmax = float(np.max(np.abs(weights)))
+            if wmax * length >= 2.0**53:
+                return None
+            return weights.astype(np.int8 if wmax < 2**7 else np.int16), unit
+    return None
+
+
+def _table_reader(pmap: PiecewiseMap, u: Observable, mode: str, length: int, exact: bool
+                  ) -> tuple[Callable[[np.ndarray], np.ndarray] | None, float | None]:
+    """How a stream of `length` values in orbit mode `mode` reads u: (read, unit).
+
+    `read` maps branch symbols to values when the orbit is symbolic and u is
+    certified constant on each branch cell, and is None when u must be
+    evaluated at points.  With `exact`, a table of small dyadic values is
+    read as its integer weights (see `_unit_weights`) and `unit` is their
+    unit; otherwise `unit` is None and the values are floats.
+    """
+    table = _branch_values(pmap, u) if mode == _SYMBOLIC else None
+    view = _unit_weights(table, length) if exact and table is not None else None
+    if view is None:
+        return (None if table is None else table.__getitem__), None
+    weights, unit = view
+    # np.take gathers 1- and 2-byte items faster than fancy indexing does
+    return weights.take, unit
+
+
+def _orbit_values(pmap: PiecewiseMap, u: Observable, seed: int, total: int, chunk: int,
+                  exact: bool) -> tuple[float | None, Iterator[np.ndarray]]:
+    """(unit, chunks): u along the orbit of `seed`, `total` values in all, in
+    chunks of at most `chunk`.  With `exact`, a symbolic orbit of a table of
+    small dyadic values yields integer weights with u = unit * weight;
+    otherwise unit is None and the chunks are float values."""
+    mode = _orbit_mode(pmap)
+    read, unit = _table_reader(pmap, u, mode, total, exact)
+
+    def chunks():
+        for syms, pts in _orbit_chunks(pmap, seed, total, chunk, mode, points=read is None):
+            yield u(pts) if read is None else read(syms)
+    return unit, chunks()
+
+
 def orbit_value_chunks(pmap: PiecewiseMap, u: Observable, seed: int, total: int,
                        chunk: int = 1 << 20) -> Iterator[np.ndarray]:
     """Stream u along the orbit of `seed` in chunks, `total` values in all,
     O(chunk) memory.  Symbolic orbits read an observable certified constant
     on each branch cell from its branch-value table, without reconstructing
     points (bitwise the same values)."""
-    mode = _orbit_mode(pmap)
-    table = _branch_values(pmap, u) if mode == _SYMBOLIC else None
-    for syms, pts in _orbit_chunks(pmap, seed, total, chunk, mode, points=table is None):
-        yield u(pts) if table is None else table[syms]
+    yield from _orbit_values(pmap, u, seed, total, chunk, exact=False)[1]
 
 
 def symbol_chunks(pmap: PiecewiseMap, seed: int, chunk: int = 1 << 12,
@@ -645,34 +706,41 @@ def symbol_chunks(pmap: PiecewiseMap, seed: int, chunk: int = 1 << 12,
 
 
 def trial_value_blocks(pmap: PiecewiseMap, u: Observable, span: int, trials: int,
-                       seed: int, chunk: int = 1 << 14) -> Iterator[np.ndarray]:
-    """u along `span` steps from each of `trials` independent Lebesgue
-    starts, as (rows, span) blocks of at most `chunk` rows.
+                       seed: int, chunk: int = 1 << 14
+                       ) -> tuple[float | None, Iterator[np.ndarray]]:
+    """(unit, blocks): u along `span` steps from each of `trials`
+    independent Lebesgue starts, as (rows, span) blocks of at most `chunk`
+    rows.
 
     Symbolic maps cut disjoint rows from the seed's symbol stream (exactly
     independent trials); a row holds `span` symbols, plus the reconstruction
-    lookahead unless u is read from its branch-value table.  Float maps
-    iterate uniform starts drawn from the seed, all rows of a block at once.
+    lookahead unless u is read from its branch-value table.  A table of
+    small dyadic values is read as integer weights, u = unit * weight (see
+    `_unit_weights`); otherwise unit is None and the blocks are float values.
+    Float maps iterate uniform starts drawn from the seed, all rows of a
+    block at once.
     """
     mode = _orbit_mode(pmap)
-    if mode == _SYMBOLIC:
-        table = _branch_values(pmap, u)
-        width = span if table is not None else span + _symbol_tail_depth(pmap)
-        src = _SymbolSource(seed, pmap.n_branches)
-    else:
-        gen = _rng(seed)
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        if mode == _SYMBOLIC:
-            block = src.take(m * width).reshape(m, width)
-            yield table[block] if table is not None else u(points_from_symbols(pmap, block, span))
-        else:
-            x = gen.random(m)
-            vals = np.empty((m, span))
-            for j in range(span):
-                vals[:, j] = u(x)
-                x = pmap.apply(x)
-            yield vals
-        done += m
+    read, unit = _table_reader(pmap, u, mode, span, exact=True)
 
+    def blocks():
+        if mode == _SYMBOLIC:
+            width = span if read is not None else span + _symbol_tail_depth(pmap)
+            src = _SymbolSource(seed, pmap.n_branches)
+        else:
+            gen = _rng(seed)
+        done = 0
+        while done < trials:
+            m = min(chunk, trials - done)
+            if mode == _SYMBOLIC:
+                block = src.take(m * width).reshape(m, width)
+                yield read(block) if read is not None else u(points_from_symbols(pmap, block, span))
+            else:
+                x = gen.random(m)
+                vals = np.empty((m, span))
+                for j in range(span):
+                    vals[:, j] = u(x)
+                    x = pmap.apply(x)
+                yield vals
+            done += m
+    return unit, blocks()

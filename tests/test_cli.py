@@ -401,9 +401,16 @@ def test_entropy_smb_on_steep_full_branch_map(tmp_path):
     ("asclt", "horizon = 2000\ncheckpoints = 1000, 2000", "horizon = 3"),
     ("entropy-smb", "checkpoints = 1000, 2000", "checkpoints = 1000, 5000"),
     ("entropy-ow", "checkpoints = 1000, 2000", "checkpoints = 5, 20\n\n[entropy]\ndepth = 10"),
+    ("rate-curve", "[ulam]", "[rate_curve]\nk_grid = -20\n\n[ulam]"),
+    ("rate-curve", "[ulam]", "[rate_curve]\nk_grid = 0, 20\n\n[ulam]"),
+    ("ld-check", "[ulam]", "[ld]\nk_grid = 0, 50\n\n[ulam]"),
+    ("ld-check", "[ulam]", "[ld]\nk_grid = -5\n\n[ulam]"),
+    ("ld-check", "[ulam]", "[ld]\nr_grid = -3\n\n[ulam]"),
 ], ids=["checkpoint-past-horizon", "trajectory-under-10-windows", "unknown-observable",
         "unknown-map", "zero-checkpoint", "first-checkpoint-below-4", "horizon-below-4",
-        "entropy-checkpoint-past-horizon", "entropy-checkpoint-past-depth"])
+        "entropy-checkpoint-past-horizon", "entropy-checkpoint-past-depth",
+        "rate-curve-negative-window", "rate-curve-zero-window", "ld-zero-window",
+        "ld-negative-window", "ld-negative-shift"])
 def test_unrunnable_config_exits_2(tmp_path, capsys, sub, old, new):
     text = cfg_text(tmp_path / "o")
     if sub.startswith("entropy"):     # doubling's constant slope would be refused
@@ -414,6 +421,31 @@ def test_unrunnable_config_exits_2(tmp_path, capsys, sub, old, new):
     assert main([sub, "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def test_empty_window_grids_still_run(tmp_path):
+    # an empty rate-curve grid means the default one; an empty
+    # erdos-renyi grid writes a header-only CSV
+    assert parse_config(MINIMAL + "\n[rate_curve]\nk_grid =\n").get("rate_curve", "k_grid") == []
+    out = tmp_path / "o"
+    text = config_text(MAPS["doubling-coin"], "erdos-renyi", out).replace(
+        "k_grid = 10, 20, 40\n", "k_grid =\n")
+    assert run("erdos-renyi", parse_config(text)) == 0
+    assert (out / "erdos-renyi-1.csv").read_text() == "k,M_k,fluctuation,band_lo,band_hi\n"
+
+
+@pytest.mark.parametrize("sub", ["erdos-renyi", "ld-check"])
+@pytest.mark.parametrize("name,expected", [
+    ("doubling-coin", {"window_sums": "integer", "window_unit": 0.5}),
+    ("perturbed-sawtooth", {"window_sums": "float"}),
+])
+def test_manifest_names_the_window_sum_path(tmp_path, sub, name, expected):
+    # the coin's +-1/2 table is summed as +-1 weights; a float-iterated map
+    # and a Lipschitz observable keep float sums
+    out = tmp_path / "o"
+    assert run(sub, parse_config(config_text(MAPS[name], sub, out))) == 0
+    manifest = json.loads((out / f"{sub}-manifest.json").read_text())
+    assert {key: manifest[key] for key in manifest if key.startswith("window_")} == expected
 
 
 @pytest.mark.parametrize("ladder", ["horizon = 3", "horizon = 2000\ncheckpoints = 1000, 5000",

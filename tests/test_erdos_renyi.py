@@ -1,14 +1,22 @@
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
+from ergostat import erdos_renyi, maps
 from ergostat.errors import BudgetExceededError, DomainError
-from ergostat.maps import make_map, make_observable, coin, orbit, orbit_value_chunks
+from ergostat.maps import (
+    Observable, make_map, make_observable, coin, orbit, orbit_value_chunks, sawtooth,
+)
 from ergostat.transfer import RateFunction, legendre, pressure_curve, ulam_matrix
 from ergostat.erdos_renyi import (
     _moving_max_chunked,
+    _trial_sums,
     decoupling_check,
     er_law_check,
     ld_probability_mc,
@@ -91,6 +99,115 @@ def test_chunked_scan_edges_equal_oracle(k):
                     (n_windows, chunk, stop)
             with pytest.raises(ValueError):
                 _moving_max_chunked(chunks(needed - 1), k, n_windows)
+
+
+# -- integer window sums ------------------------------------------------------
+
+def branch_constant(pmap, values):
+    """u = values[i] on branch cell i, certified by its total variation."""
+    table = np.asarray(values, dtype=float)
+    return Observable("branch-constant", lambda x: table[pmap.branch_index(x)],
+                      variation_bound=float(np.sum(np.abs(np.diff(table)))))
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.sampled_from([2, 3, 4]), signs=st.lists(st.sampled_from([1, -1]), min_size=4,
+                                                   max_size=4),
+       nums=st.lists(st.integers(-300, 300), min_size=4, max_size=4), p=st.integers(0, 8),
+       k=st.integers(1, 40), n_windows=st.integers(1, 2000),
+       chunk=st.integers(1, 3000), seed=st.integers(0, 2**16))
+# int16 weights over chunks of 2^17 values accumulate in int64
+@example(b=2, signs=[1, -1, 1, 1], nums=[-300, 7, 0, 0], p=3, k=40, n_windows=300_000,
+         chunk=1 << 17, seed=5)
+def test_integer_sums_are_the_float_sums_bit_for_bit(b, signs, nums, p, k, n_windows, chunk,
+                                                     seed):
+    # full-branch uniform linear maps iterate symbolically; a branch-constant
+    # observable of values n_i / 2^p is read as integer weights n_i, unit 2^-p
+    assume(any(nums[:b]))                   # an all-zero table keeps float sums
+    pmap = make_map("linear", slopes=[b * sgn for sgn in signs[:b]])
+    u = branch_constant(pmap, [n / 2**p for n in nums[:b]])
+    total = n_windows + k - 1
+    unit, chunks = maps._orbit_values(pmap, u, seed, total, chunk, exact=True)
+    assert unit is not None and unit >= 2.0**-p
+    chunks = list(chunks)
+    assert all(c.dtype.kind == "i" for c in chunks)
+    best, best_j = _moving_max_chunked(iter(chunks), k, n_windows)
+    f_best, f_j = _moving_max_chunked(
+        orbit_value_chunks(pmap, u, seed, total, chunk=chunk), k, n_windows)
+    assert (bits(best * unit), best_j) == (bits(f_best), f_j)
+
+    for r in sorted({0, 1, k}):
+        unit, pairs = _trial_sums(pmap, u, k, r, 300, seed)
+        got = [np.concatenate(side) for side in zip(*pairs)]
+        with mock.patch.object(maps, "_unit_weights", return_value=None):
+            f_unit, f_pairs = _trial_sums(pmap, u, k, r, 300, seed)
+            want = [np.concatenate(side) for side in zip(*f_pairs)]
+        assert unit is not None and f_unit is None
+        assert [bits(g) for g in got] == [bits(w) for w in want], r
+
+
+@pytest.mark.parametrize("u", [
+    branch_constant(make_map("doubling"), [0.1, -0.3]),     # not small multiples of 2^-p
+    coin().with_mean(1e-12),                                 # a centring left a tiny mean
+    branch_constant(make_map("doubling"), [-0.0, 0.5]),     # float sums can end at -0.0
+])
+def test_float_sums_for_tables_without_small_dyadic_weights(doubling, u):
+    assert maps._orbit_values(doubling, u, 1, 1000, 1 << 20, exact=True)[0] is None
+    assert maps.trial_value_blocks(doubling, u, 50, 100, 1)[0] is None
+
+
+def test_float_sums_past_the_exact_length():
+    # |weight| * length must stay below 2^53, where float prefix sums are exact
+    d = make_map("doubling")
+    assert maps._orbit_values(d, coin(), 1, 2**53 - 1, 1 << 20, exact=True)[0] == 0.5
+    assert maps._orbit_values(d, coin(), 1, 2**53, 1 << 20, exact=True)[0] is None
+    wide = branch_constant(d, [-300 / 4, 1 / 4])             # weights -300 and 1
+    assert maps._orbit_values(d, wide, 1, 2**53 // 300, 1 << 20, exact=True)[0] == 0.25
+    assert maps._orbit_values(d, wide, 1, 2**53 // 300 + 1, 1 << 20, exact=True)[0] is None
+
+
+def test_float_sums_on_float_iterated_maps():
+    pd = make_map("perturbed-doubling", eps=0.05)
+    assert maps._orbit_values(pd, coin(), 1, 1000, 1 << 20, exact=True)[0] is None
+    assert maps._orbit_values(make_map("doubling"), sawtooth(), 1, 1000, 1 << 20,
+                              exact=True)[0] is None
+
+
+def test_coin_window_and_trial_sums_run_on_integers(monkeypatch, doubling, coin_rate):
+    # the fast path of the fair-coin instance: a change that hands float
+    # chunks to the scan or float blocks to the trial sums fails here
+    seen = []
+
+    def watched(chunks):
+        for c in chunks:
+            seen.append(c.dtype)
+            yield c
+
+    kernel, blocks = erdos_renyi._moving_max_chunked, erdos_renyi.trial_value_blocks
+    monkeypatch.setattr(erdos_renyi, "_moving_max_chunked",
+                        lambda chunks, k, n: kernel(watched(chunks), k, n))
+
+    def watched_blocks(*args, **kwargs):
+        unit, out = blocks(*args, **kwargs)
+        return unit, watched(out)
+
+    monkeypatch.setattr(erdos_renyi, "trial_value_blocks", watched_blocks)
+    ser = er_law_check(doubling, coin(), 0.2, coin_rate, [20, 60], seed=1)
+    est = ld_probability_mc(doubling, coin(), 0.1, 50, 10_000, seed=1, rate=coin_rate)
+    rows = decoupling_check(doubling, coin(), 0.1, 20, [0, 5], 10_000, seed=1, rate=coin_rate)
+    assert len(seen) >= 5 and {d.kind for d in seen} == {"i"}, seen
+    assert ser.window_unit == est.window_unit == 0.5
+    assert [row.window_unit for row in rows] == [0.5, 0.5]
+
+
+def test_trial_sums_refuse_empty_windows_and_negative_shifts(doubling):
+    for k, r in ((0, 0), (-5, 0), (10, -3)):
+        with pytest.raises(ValueError):
+            _trial_sums(doubling, coin(), k, r, 100, seed=1)
 
 
 # -- er_law_check -------------------------------------------------------------
