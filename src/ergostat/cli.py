@@ -2,7 +2,7 @@
 
 Every subcommand validates its configuration, runs the experiment per
 seed, and writes `<subcommand>-<seed>.csv` files plus a JSON manifest
-(config hash, package and library versions, wall time).  CSV numbers are
+(config hash, package and numpy versions, wall time).  CSV numbers are
 written with 17 significant digits so reruns are byte-identical and
 reimports are lossless.  Exit codes: 0 success, 2 configuration error,
 3 numeric failure (degenerate variance, convergence, domain), 4 budget
@@ -19,7 +19,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import (
@@ -66,18 +65,22 @@ EXIT_BUDGET = 4
 def _column_format(column) -> str:
     """%d for a column of integers, %.17g for one of floats; a mixed column
     is refused, since %d would silently truncate its floats."""
-    kinds = {issubclass(t, (int, np.integer)) for t in set(map(type, column))}
+    if isinstance(column, np.ndarray):
+        kinds = {column.dtype.kind in "biu"}
+    else:
+        kinds = {issubclass(t, (int, np.integer)) for t in set(map(type, column))}
     if len(kinds) > 1:
         raise TypeError("a CSV column mixes integers and floats")
     return "%d" if True in kinds else "%.17g"
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    rows = [tuple(row) for row in rows]
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """One CSV of equally long columns (arrays or sequences), formatted a
+    row at a time straight from the columns: no row is kept as a tuple."""
     lines = [",".join(header)]
-    if rows:
-        fmt = ",".join(_column_format(col) for col in zip(*rows))
-        lines += [fmt % row for row in rows]
+    if columns and len(columns[0]):
+        fmt = ",".join(_column_format(col) for col in columns)
+        lines += map(fmt.__mod__, zip(*columns))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -88,7 +91,6 @@ def _write_manifest(outdir: Path, subcommand: str, cfg: ExperimentConfig,
         "config_hash": cfg.hash(),
         "ergostat_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "wall_time_s": round(wall, 3),
         **extra,
     }
@@ -135,18 +137,19 @@ def _rate_function(cfg: ExperimentConfig, op, u):
 def _run_density(cfg, outdir, seeds):
     N = cfg.get("ulam", "resolution")
     h = invariant_density(_operator(cfg, build_map(cfg)))
-    rows = [(i, (i + 0.5) / N, h[i]) for i in range(N)]
+    cells = np.arange(N)
+    columns = [cells, (cells + 0.5) / N, h]
     for s in seeds:
-        _write_csv(outdir / f"density-{s}.csv", ["cell", "midpoint", "density"], rows)
+        _write_csv(outdir / f"density-{s}.csv", ["cell", "midpoint", "density"], columns)
     return {"resolution": N}
 
 
 def _run_pressure(cfg, outdir, seeds):
     _, op, u = _setup(cfg)
     curve = _pressure_curve(cfg, op, u)
-    rows = list(zip(curve.beta_grid, curve.F_values))
+    columns = [curve.beta_grid, curve.F_values]
     for s in seeds:
-        _write_csv(outdir / f"pressure-{s}.csv", ["beta", "pressure"], rows)
+        _write_csv(outdir / f"pressure-{s}.csv", ["beta", "pressure"], columns)
     return {"beta_points": len(curve.beta_grid)}
 
 
@@ -160,10 +163,9 @@ def _run_sigma2(cfg, outdir, seeds):
             c0, cj = autocovariance_series(
                 source, u, orbit_length=cfg.get("sigma2", "orbit_length"), seed=s)
             partial = c0 + 2.0 * np.cumsum(np.concatenate([[0.0], cj]))
-            rows = [(0, c0, partial[0])] + [
-                (j + 1, cj[j], partial[j + 1]) for j in range(len(cj))]
+            columns = [np.arange(len(partial)), np.concatenate([[c0], cj]), partial]
         _write_csv(outdir / f"sigma2-{s}.csv",
-                   ["lag", "covariance", "partial_sigma2"], rows)
+                   ["lag", "covariance", "partial_sigma2"], columns)
         out[f"sigma2_seed_{s}"] = float(partial[-1])
     return out
 
@@ -182,10 +184,10 @@ def _run_asclt(cfg, outdir, seeds, running_max=False):
     name = "maxima" if running_max else "asclt"
     for s in seeds:
         diag = runner(pmap, u, horizon, s, checkpoints=checkpoints, sigma2=sigma2)
-        rows = [(diag.seed, int(n), k, r) for n, k, r in
-                zip(diag.checkpoints, diag.kappa_values, diag.normalized_rates)]
+        columns = [np.full(len(diag.checkpoints), diag.seed), diag.checkpoints,
+                   diag.kappa_values, diag.normalized_rates]
         _write_csv(outdir / f"{name}-{s}.csv",
-                   ["seed", "n", "kappa", "normalized_rate"], rows)
+                   ["seed", "n", "kappa", "normalized_rate"], columns)
     return {"sigma2": sigma2, "horizon": horizon}
 
 
@@ -208,10 +210,11 @@ def _run_erdos_renyi(cfg, outdir, seeds):
     for s in seeds:
         ser = er_law_check(pmap, u, alpha, rate, k_grid, s, length_cap=cap)
         units.append(ser.window_unit)
-        rows = [(int(k), m, fl, -ser.band, ser.band) for k, m, fl in
-                zip(ser.k_values, ser.M_values, ser.fluctuations)]
+        n = len(ser.k_values)
+        columns = [ser.k_values, ser.M_values, ser.fluctuations,
+                   np.full(n, -ser.band), np.full(n, ser.band)]
         _write_csv(outdir / f"erdos-renyi-{s}.csv",
-                   ["k", "M_k", "fluctuation", "band_lo", "band_hi"], rows)
+                   ["k", "M_k", "fluctuation", "band_lo", "band_hi"], columns)
     return {"alpha": alpha, "beta": rate.beta(alpha), "phi": rate.phi(alpha),
             **_window_sums(units)}
 
@@ -220,7 +223,7 @@ def _run_rate_curve(cfg, outdir, seeds):
     pmap, _, u = _setup(cfg, False)
     N = cfg.get("rate_curve", "trajectory_length")
     k_grid = cfg.get("rate_curve", "k_grid") or \
-        np.unique(np.geomspace(20, 200, 15).astype(int)).tolist()
+        sorted(set(np.geomspace(20, 200, 15).astype(int).tolist()))
     know_phi = (cfg.get("observable", "name") == "coin" and pmap.dyadic_exact
                 and pmap.n_branches == 2)
 
@@ -230,14 +233,12 @@ def _run_rate_curve(cfg, outdir, seeds):
     for s in seeds:
         vals = np.concatenate(list(orbit_value_chunks(pmap, u, s, N)))
         est = rate_estimator(vals, k_grid)
+        columns = [est.levels, est.rate_estimates]
+        header = ["m_k", "logN_over_k"]
         if know_phi:
-            rows = [(m, r, cramer(min(abs(m), 0.499)))
-                    for m, r in zip(est.levels, est.rate_estimates)]
-            header = ["m_k", "logN_over_k", "phi_true"]
-        else:
-            rows = list(zip(est.levels, est.rate_estimates))
-            header = ["m_k", "logN_over_k"]
-        _write_csv(outdir / f"rate-curve-{s}.csv", header, rows)
+            columns.append([cramer(min(abs(m), 0.499)) for m in est.levels])
+            header.append("phi_true")
+        _write_csv(outdir / f"rate-curve-{s}.csv", header, columns)
     return {"trajectory_length": N, "k_grid": list(map(int, k_grid))}
 
 
@@ -262,7 +263,7 @@ def _run_ld_check(cfg, outdir, seeds):
                              row.product_ratio))
                 units.append(row.window_unit)
         _write_csv(outdir / f"ld-check-{s}.csv",
-                   ["k_or_r", "p_hat", "ci_lo", "ci_hi", "normalized_ratio"], rows)
+                   ["k_or_r", "p_hat", "ci_lo", "ci_hi", "normalized_ratio"], list(zip(*rows)))
     return {"alpha": alpha, "trials": trials, **_window_sums(units)}
 
 
@@ -281,10 +282,8 @@ def _run_entropy(cfg, outdir, seeds, kind):
     for s in seeds:
         if kind == "smb":
             diag = smb_run(pmap, consts, n, s, checkpoints=checkpoints)
-            rows = [(int(k), mlm, a) for k, mlm, a in
-                    zip(diag.k_values, diag.minus_log_mu, diag.atoms)]
-            _write_csv(outdir / f"entropy-smb-{s}.csv",
-                       ["k", "minus_log_mu", "smb_atom"], rows)
+            _write_csv(outdir / f"entropy-smb-{s}.csv", ["k", "minus_log_mu", "smb_atom"],
+                       [diag.k_values, diag.minus_log_mu, diag.atoms])
         else:
             diag = ow_run(pmap, consts, n, s, checkpoints=checkpoints, eps=eps, cap=cap)
             rows = []
@@ -297,7 +296,7 @@ def _run_entropy(cfg, outdir, seeds, kind):
                              smb_atom, diag.atoms[i], ok))
             _write_csv(outdir / f"entropy-ow-{s}.csv",
                        ["k", "minus_log_mu", "log_Rk", "smb_atom", "ow_atom",
-                        "sandwich_ok"], rows)
+                        "sandwich_ok"], list(zip(*rows)))
             extra[f"censored_seed_{s}"] = diag.censored
         extra[f"kappa_final_seed_{s}"] = float(diag.kappa_values[-1])
     return extra

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 from .errors import ConfigError, DomainError, MapDefinitionError
 
@@ -461,8 +462,8 @@ def _orbit_mode(pmap: PiecewiseMap) -> str:
     return _FLOAT
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+def _rng(seed: int) -> Generator:
+    return Generator(PCG64(seed))
 
 
 _SYMBOL_BLOCK = 1 << 16

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError, DomainError
 
@@ -32,7 +31,159 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _phi(z):
-    return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
+    e = np.square(z)            # in place where it can: fewer large temporaries
+    e *= -0.5
+    e = np.exp(e)
+    e /= _SQRT_2PI
+    return e
+
+
+# ---------------------------------------------------------------------------
+# the standard normal CDF
+# ---------------------------------------------------------------------------
+
+# Cephes ndtr, erf and erfc (Moshier) as scipy.special 1.17 runs them:
+#   x = a / sqrt(2);  ndtr = 0.5 + 0.5 erf(x) for |x| < 1,
+#   erf(x) = x T(x^2) / U(x^2),  0.5 erfc(|x|) = 0.5 exp(-x^2) P(|x|) / Q(|x|)
+# (R / S from |x| = 8 on), and ndtr = 1 - 0.5 erfc(|x|) for x > 0, else
+# 0.5 erfc(|x|).  Coefficients run from the highest power down; U, Q and S
+# are monic, their leading 1 left out (Cephes's p1evl).
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2          # 0.5 erfc(|x|) is 0 past x^2 = MAXLOG
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_T0, _T1, _T2, _T3, _T4 = _ERF_T
+_U0, _U1, _U2, _U3, _U4 = _ERF_U
+# arrays up to this size are evaluated one Python float at a time, which
+# costs less than the vector path's fixed numpy overhead
+_SCALAR_MAX = 24
+# the vector path works in blocks this long, which stay in cache
+_BLOCK = 1 << 15
+
+
+def _horner(x, coef):
+    """coef[0] x^n + ... + coef[n] by Horner's rule, Cephes's polevl; in
+    place after the first step when x is an array."""
+    y = coef[0] * x
+    y += coef[1]
+    for c in coef[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def _columns(num, den) -> tuple:
+    """The quotient num / den (den monic) as (2, 1) coefficient columns,
+    so that `_horner` of an array gives its numerator and denominator as
+    two rows at once.  The denominator gets its leading 1.0 and the
+    numerator leading zeros, which change no bit of a Horner step."""
+    den = (1.0, *den)
+    num = (0.0,) * (len(den) - len(num)) + num
+    return tuple(np.array([[p], [q]]) for p, q in zip(num, den))
+
+
+_ERF_COLUMNS = _columns(_ERF_T, _ERF_U)
+_ERFC_COLUMNS = _columns(_ERFC_P, _ERFC_Q)
+_ERFC_FAR_COLUMNS = _columns(_ERFC_R, _ERFC_S)
+
+
+def _ndtr_float(a: float) -> float:
+    """`ndtr` of one Python float, with its bits."""
+    x = a * _SQRT1_2
+    t = x * x
+    if t < 1.0:                 # unrolled: each bisection step lands here
+        num = (((_T0 * t + _T1) * t + _T2) * t + _T3) * t + _T4
+        den = ((((t + _U0) * t + _U1) * t + _U2) * t + _U3) * t + _U4
+        return 0.5 + 0.5 * (x * num / den)
+    if not t <= _MAXLOG:        # erfc underflows; or NaN
+        return math.nan if x != x else (1.0 if x > 0.0 else 0.0)
+    z = abs(x)
+    num, den = (_ERFC_P, _ERFC_Q) if z < 8.0 else (_ERFC_R, _ERFC_S)
+    e = 0.5 * (math.exp(-t) * _horner(z, num) / _horner(z, (1.0, *den)))
+    return 1.0 - e if x > 0.0 else e
+
+
+def _libm_exp(v: np.ndarray) -> np.ndarray:
+    """exp with the bits of the C library's exp (and of math.exp), which
+    numpy's SIMD float exp does not always give: the complex exp of a real
+    number calls the C library's exp and multiplies by cos 0 = 1."""
+    c = v.astype(complex)
+    np.exp(c, out=c)
+    return c.real
+
+
+def _erf_side(x: np.ndarray) -> np.ndarray:
+    """ndtr = 0.5 + 0.5 erf(x), for |x| < 1 (and NaN, which it keeps)."""
+    t = x * x
+    num, den = _horner(t, _ERF_COLUMNS)
+    num *= x
+    num /= den
+    num *= 0.5
+    num += 0.5
+    return num
+
+
+def _erfc_side(x: np.ndarray) -> np.ndarray:
+    """ndtr = 1 - 0.5 erfc(|x|) for x >= 1, 0.5 erfc(|x|) for x <= -1.
+    0.5 erfc(|x|) is 0 past x^2 = MAXLOG, and |x| is clipped at 27 there,
+    so that every quotient stays finite."""
+    z = np.minimum(np.abs(x), 27.0)
+    t = z * z
+    num, den = quot = _horner(z, _ERFC_COLUMNS)
+    big = np.flatnonzero(z >= 8.0)
+    if len(big):
+        quot[:, big] = _horner(z[big], _ERFC_FAR_COLUMNS)
+    num *= _libm_exp(-t)
+    num /= den
+    num *= 0.5
+    num[t > _MAXLOG] = 0.0
+    return np.where(x > 0.0, 1.0 - num, num)
+
+
+def _fill(y: np.ndarray, side, x: np.ndarray, at: np.ndarray) -> None:
+    """y[at] = side(x[at]), a cache-sized block at a time, and on slices
+    when `at` is one run of indices, as each side of a sorted array is
+    (bar the |x| >= 1 side of one that reaches past both -1 and 1)."""
+    if not len(at):
+        return
+    lo, hi = int(at[0]), int(at[-1]) + 1
+    if hi - lo == len(at):
+        for i in range(lo, hi, _BLOCK):
+            block = slice(i, min(i + _BLOCK, hi))
+            y[block] = side(x[block])
+    else:
+        for i in range(0, len(at), _BLOCK):
+            block = at[i:i + _BLOCK]
+            y[block] = side(x[block])
+
+
+def ndtr(a):
+    """Standard normal CDF, bit for bit `scipy.special.ndtr`; NaN in gives
+    NaN out.  Scalars and small arrays go through `_ndtr_float`, larger
+    arrays through `_erf_side` and `_erfc_side`."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 0:
+        return np.float64(_ndtr_float(float(a)))
+    if a.size <= _SCALAR_MAX:
+        return np.array([_ndtr_float(v) for v in a.ravel().tolist()]).reshape(a.shape)
+    x = a.ravel() * _SQRT1_2
+    far = np.abs(x) >= 1.0
+    y = np.empty(x.shape)
+    _fill(y, _erf_side, x, np.flatnonzero(~far))
+    _fill(y, _erfc_side, x, np.flatnonzero(far))
+    return y.reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +200,10 @@ class Law:
 
     def cdf(self, x):
         raise NotImplementedError
+
+    def cdf_float(self, x: float) -> float:
+        """cdf at one Python float, with the bits `cdf` gives on an array."""
+        return float(self.cdf(x))
 
     def cdf_antiderivative(self, x):
         raise NotImplementedError
@@ -74,11 +229,18 @@ class Law:
         return self.tail_constant - x + self.cdf_antiderivative(x)
 
     def cdf_inverse_in(self, a, b, p):
-        """Vectorized crossing point of level p in [a, b] by bisection.
+        """Vectorized crossing point of level p in [a, b] by 60 bisection
+        steps.
 
         Assumes F(a) <= p <= F(b); a step CDF jumping over p lands on the
-        jump location, which splits the segment correctly as well.
+        jump location, which splits the segment correctly as well.  A few
+        crossings are bisected one at a time on Python floats with
+        `cdf_float`, which takes the same steps.
         """
+        if np.size(p) <= _SCALAR_MAX:
+            return np.array([_bisect(self.cdf_float, lo, hi, level) for lo, hi, level in
+                             zip(np.ravel(a).tolist(), np.ravel(b).tolist(),
+                                 np.ravel(p).tolist())]).reshape(np.shape(p))
         a = np.array(a, dtype=float, copy=True)
         b = np.array(b, dtype=float, copy=True)
         p = np.asarray(p, dtype=float)
@@ -88,6 +250,22 @@ class Law:
             a = np.where(below, mid, a)
             b = np.where(below, b, mid)
         return 0.5 * (a + b)
+
+
+def _bisect(cdf, a: float, b: float, p: float) -> float:
+    """60 bisection steps on Python floats.  A step that leaves the
+    bracket as it was is repeated by every later one, so it ends them."""
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        if cdf(mid) < p:
+            if a == mid:
+                break
+            a = mid
+        else:
+            if b == mid:
+                break
+            b = mid
+    return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)
@@ -103,13 +281,19 @@ class GaussianLaw(Law):
     def cdf(self, x):
         return ndtr(np.asarray(x, dtype=float) / self.sigma)
 
+    def cdf_float(self, x: float) -> float:
+        return _ndtr_float(x / self.sigma)
+
     def cdf_antiderivative(self, x):
         return self.cdf_and_antiderivative(x)[1]
 
     def cdf_and_antiderivative(self, x):
         z = np.asarray(x, dtype=float) / self.sigma
         F = ndtr(z)
-        return F, x * F + self.sigma * _phi(z)
+        I = _phi(z)
+        I *= self.sigma
+        I += x * F
+        return F, I
 
     @property
     def tail_constant(self) -> float:
@@ -132,6 +316,9 @@ class HalfGaussianLaw(Law):
         x = np.asarray(x, dtype=float)
         return np.where(x > 0.0, 2.0 * ndtr(x / self.sigma) - 1.0, 0.0)
 
+    def cdf_float(self, x: float) -> float:
+        return 2.0 * _ndtr_float(x / self.sigma) - 1.0 if x > 0.0 else 0.0
+
     def cdf_antiderivative(self, x):
         return self.cdf_and_antiderivative(x)[1]
 
@@ -141,7 +328,12 @@ class HalfGaussianLaw(Law):
         xp = np.maximum(x, 0.0)
         z = xp / self.sigma
         p = ndtr(z)
-        val = 2.0 * (xp * p + self.sigma * _phi(z)) - xp - 2.0 * self.sigma * _phi(0.0)
+        val = _phi(z)           # 2 (xp p + sigma phi(z)) - xp - 2 sigma phi(0)
+        val *= self.sigma
+        val += xp * p
+        val *= 2.0
+        val -= xp
+        val -= 2.0 * self.sigma * _phi(0.0)
         right = x > 0.0
         return np.where(right, 2.0 * p - 1.0, 0.0), np.where(right, val, 0.0)
 
@@ -211,12 +403,6 @@ class WeightedEmpiricalMeasure:
         np.add.at(merged, idx, w)
         return pos[distinct], merged
 
-    def support(self) -> np.ndarray:
-        return self._sorted[0]
-
-    def normalized_weights(self) -> np.ndarray:
-        return self._sorted[1]
-
     def cdf(self, x):
         pos, w = self._sorted
         cum = np.cumsum(w)
@@ -262,23 +448,23 @@ def kantorovich(emp: WeightedEmpiricalMeasure, law: Law) -> float:
     F, I = law.cdf_and_antiderivative(pos)
     a, b = pos[:-1], pos[1:]
     c = cum[:-1]
-    fa, fb = F[:-1], F[1:]
-    seg_int = I[1:] - I[:-1]                   # int_a^b F
-    seg_len = b - a
-
-    above = fa >= c                            # F >= c on the whole segment
-    below = fb <= c                            # F <= c on the whole segment
+    above = F[:-1] >= c                        # F >= c on the whole segment
+    below = F[1:] <= c                         # F <= c on the whole segment
     crossing = ~(above | below)
 
-    pieces = np.where(above, seg_int - c * seg_len,
-                      np.where(below, c * seg_len - seg_int, 0.0))
+    # int_a^b F - c (b - a) where F >= c; its negation, c (b - a) - int_a^b F,
+    # where F <= c; crossing segments are split below
+    pieces = b - a
+    pieces *= c
+    np.subtract(I[1:] - I[:-1], pieces, out=pieces)
+    np.negative(pieces, out=pieces, where=~above)
     if np.any(crossing):
         ac, bc, cc = a[crossing], b[crossing], c[crossing]
         xs = law.cdf_inverse_in(ac, bc, cc)
         left = cc * (xs - ac) - law.cdf_integral(ac, xs)
         right = law.cdf_integral(xs, bc) - cc * (bc - xs)
         pieces[crossing] = np.maximum(left, 0.0) + np.maximum(right, 0.0)
-    return total + float(np.sum(np.maximum(pieces, 0.0)))
+    return total + float(np.sum(np.maximum(pieces, 0.0, out=pieces)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ density h and log of the leading eigenvalue is the pressure F(beta).
 Every monotone branch is cut at the source-cell edges and at the exact
 preimages of the target-cell edges (bracketed Newton for smooth branches),
 and each piece is sampled once at its midpoint.  The samples do not
-depend on beta: the beta = 0 operator keeps them, and a pressure curve
-only reweights them.  Eigendata comes from power iteration on the
-(sparse) matrix.
+depend on beta, nor does the sparse layout they sum into: the beta = 0
+operator keeps both, and a pressure curve only reweights the samples.
+Eigendata comes from power iteration on the sparse matrix.
 
 Derived objects: the pressure curve F with F(0)=0, its Legendre transform
 phi(alpha) with beta(alpha)=phi'(alpha), the curvature F''(beta) used as
@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConvergenceError, DegenerateVarianceError, DomainError
 from .maps import Observable, PiecewiseMap, orbit_value_chunks
@@ -52,10 +52,80 @@ CELL_QUAD_POINTS = 64
 
 
 @dataclass(frozen=True)
+class CSRMatrix:
+    """Square sparse matrix in the canonical CSR layout that scipy's
+    `coo_matrix(...).tocsr()` gives: rows in order, increasing columns in
+    each row, duplicates summed.  `slot` is the entry that each
+    coordinate-form input was summed into, so the same coordinates with new
+    values cost one `reweighted`.  `lanes[k]` holds the k-th entry of every
+    row (`nnz` past a row's end), for the matvec; it is None when a few long
+    rows would pad it to more than twice the entries."""
+
+    data: np.ndarray
+    indices: np.ndarray           # int32 column of each entry
+    indptr: np.ndarray            # int32 start of each row
+    slot: np.ndarray              # entry of each coordinate-form input
+    lanes: np.ndarray | None      # (longest row, n) entry indices
+
+    @classmethod
+    def from_coo(cls, values, rows, cols, n: int) -> CSRMatrix:
+        """The n x n matrix with the values summed at (rows, cols).
+
+        The inputs are put in (row, column) order by a stable sort, and
+        duplicates are summed from 0.0 in input order, as scipy's
+        `coo_tocsr`, `csr_sort_indices` and `csr_sum_duplicates` do (its
+        `std::sort` is an insertion sort, hence stable, on rows of up to
+        16 entries; longer rows could reorder three or more duplicates).
+        """
+        order = np.lexsort((cols, rows))
+        r, c = rows[order], cols[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        slot = np.empty(len(order), dtype=np.intp)
+        slot[order] = np.cumsum(first) - 1
+        r, nnz = r[first], int(np.count_nonzero(first))
+        counts = np.bincount(r, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        lanes = None
+        if counts.max(initial=0) * n <= 2 * nnz:
+            lanes = np.full((counts.max(initial=0), n), nnz)
+            lanes[np.arange(nnz) - indptr[r], r] = np.arange(nnz)
+        pattern = cls(None, c[first].astype(np.int32), indptr, slot, lanes)
+        return pattern.reweighted(values)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = len(self.indptr) - 1
+        return n, n
+
+    def reweighted(self, values) -> CSRMatrix:
+        """The matrix with the same coordinates and new input values."""
+        data = np.bincount(self.slot, weights=values, minlength=len(self.indices))
+        return replace(self, data=data)
+
+    @cached_property
+    def _lane_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Values and columns of the lanes; 0.0 at column n past a row's end."""
+        return (np.append(self.data, 0.0)[self.lanes],
+                np.append(self.indices, self.shape[0])[self.lanes])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        # each row summed from 0.0 in column order: scipy's csr_matvec bits
+        n = self.shape[0]
+        if self.lanes is None:
+            rows = np.repeat(np.arange(n), np.diff(self.indptr))
+            return np.bincount(rows, weights=self.data * x[self.indices], minlength=n)
+        values, cols = self._lane_terms
+        terms = values * np.concatenate((x, (0.0,)))[cols]
+        return np.add.reduce(terms, axis=0, initial=0.0)
+
+
+@dataclass(frozen=True)
 class UlamOperator:
     """Discretized weighted transfer operator with leading eigendata."""
 
-    matrix: sparse.csr_matrix
+    matrix: CSRMatrix
     leading_eigenvalue: float
     right_vector: np.ndarray      # Perron density values per cell, integrates to 1
     samples: tuple                # beta-free (rows, cols, lens, points) of _ulam_samples
@@ -197,7 +267,9 @@ def _ulam_samples(pmap: PiecewiseMap, N: int):
         ylo, yhi = br.image()
         inner_src = edges[(edges > br.lo + 1e-15) & (edges < br.hi - 1e-15)]
         img_edges = edges[(edges > ylo + 1e-15) & (edges < yhi - 1e-15)]
-        cuts = np.unique(np.concatenate([[br.lo, br.hi], inner_src, br.inverse(img_edges)]))
+        # sorted distinct cuts, as np.unique gives them (without loading numpy.ma)
+        cuts = np.sort(np.concatenate([[br.lo, br.hi], inner_src, br.inverse(img_edges)]))
+        cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
         lens = np.diff(cuts)
         keep = lens > 1e-15
         mids, lens = 0.5 * (cuts[1:] + cuts[:-1])[keep], lens[keep]
@@ -208,19 +280,19 @@ def _ulam_samples(pmap: PiecewiseMap, N: int):
     return tuple(np.concatenate(a) for a in (rows, cols, lengths, points))
 
 
-def _power_iteration(mat: sparse.csr_matrix) -> tuple[float, np.ndarray]:
+def _power_iteration(mat: CSRMatrix) -> tuple[float, np.ndarray]:
     """Leading eigenpair of a nonnegative matrix; deterministic flat start,
     1-norm normalization, residual stopping test.  One matvec per step:
     the residual's product is the next step's."""
     n = mat.shape[0]
     w = mat @ np.full(n, 1.0 / n)
     for _ in range(POWER_MAX_ITER):
-        lam = float(np.sum(np.abs(w)))
+        lam = float(np.abs(w).sum())       # np.sum's pairwise sum, without its wrapper
         if lam == 0.0:
             raise ConvergenceError("power iteration hit the zero vector")
         v = w / lam
         w = mat @ v
-        residual = float(np.sum(np.abs(w - lam * v))) / lam
+        residual = float(np.abs(w - lam * v).sum()) / lam
         if residual <= POWER_TOL:
             return lam, v
     raise ConvergenceError(
@@ -228,12 +300,15 @@ def _power_iteration(mat: sparse.csr_matrix) -> tuple[float, np.ndarray]:
         residual=residual)
 
 
-def _operator(samples, w, N: int) -> UlamOperator:
-    """Ulam matrix of the samples weighted by w (e^{beta u} at the sample
-    points, or 1.0 at beta = 0) and its right Perron pair."""
-    rows, cols, lens, _ = samples
-    width = 1.0 / N
-    mat = sparse.coo_matrix((lens * w / width, (rows, cols)), shape=(N, N)).tocsr()
+def _cell_values(samples, w, N: int) -> np.ndarray:
+    """Matrix contributions of the samples weighted by w (e^{beta u} at
+    the sample points, or 1.0 at beta = 0)."""
+    return samples[2] * w / (1.0 / N)
+
+
+def _operator(mat: CSRMatrix, samples) -> UlamOperator:
+    """The Ulam matrix of the samples with its right Perron pair."""
+    width = 1.0 / mat.shape[0]
     lam, right = _power_iteration(mat)
     right = right / (np.sum(right) * width)          # integrate to 1
     if right.min() <= 0:
@@ -257,7 +332,8 @@ def ulam_matrix(pmap: PiecewiseMap, u: Observable | None = None, beta: float = 0
         raise ValueError("weighted operator needs an observable")
     samples = _ulam_samples(pmap, N)
     w = 1.0 if beta == 0.0 else np.exp(beta * u(samples[3]))
-    return _operator(samples, w, N)
+    rows, cols = samples[:2]
+    return _operator(CSRMatrix.from_coo(_cell_values(samples, w, N), rows, cols, N), samples)
 
 
 def invariant_density(op: UlamOperator) -> np.ndarray:
@@ -294,7 +370,8 @@ def pressure_curve(op: UlamOperator, u: Observable, beta_grid) -> PressureCurve:
     """F(beta) = log lambda(beta), shifted so F(0) = 0 exactly.
 
     Each beta reweights the samples of the beta = 0 operator by e^{beta u},
-    u taken at the sample points once.  If power iteration fails at the
+    u taken at the sample points once, into the matrix layout of that
+    operator.  If power iteration fails at the
     edge of the grid the curve is truncated symmetrically with a warning.
     """
     beta_grid = np.asarray(beta_grid, dtype=float)
@@ -306,7 +383,8 @@ def pressure_curve(op: UlamOperator, u: Observable, beta_grid) -> PressureCurve:
             logs[i] = np.log(op.leading_eigenvalue)
             continue
         try:
-            logs[i] = np.log(_operator(samples, np.exp(b * u_points), N).leading_eigenvalue)
+            mat = op.matrix.reweighted(_cell_values(samples, np.exp(b * u_points), N))
+            logs[i] = np.log(_operator(mat, samples).leading_eigenvalue)
         except ConvergenceError:
             pass
     ok = np.isfinite(logs)
@@ -417,7 +495,7 @@ def autocovariance_series(source: UlamOperator | PiecewiseMap, u: Observable,
             w = ubar * h
             while True:
                 w = source.matrix @ w
-                yield float(np.sum(ubar * w) * width)
+                yield float((ubar * w).sum() * width)
 
         return c0, _certified_lags(covariances(), TAIL_RTOL * max(c0, 1e-300))
     vals = np.concatenate(list(orbit_value_chunks(source, u, seed, orbit_length)))

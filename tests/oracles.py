@@ -28,6 +28,12 @@ and `ergostat.transfer.legendre` must reproduce bit for bit, and
 `chebyshev_transfer` is the exponentially convergent Chebyshev
 collocation of the transfer operator of a full-branch map, the reference
 for every Ulam spectral constant (density, h, sigma^2, F).
+`scipy_csr` (scipy's `coo_matrix(...).tocsr()`) and `as_scipy` are the
+sparse layout and matvec that `ergostat.transfer.CSRMatrix` must
+reproduce, and `dense` reads one out as an array;
+`bisection_reference` is the vectorized 60-step bisection that
+`Law.cdf_inverse_in` must reproduce on every crossing; `support` and
+`normalized_weights` read a weighted empirical measure.
 """
 
 from __future__ import annotations
@@ -49,7 +55,8 @@ from ergostat.entropy import RETURN_TIME_CAP
 from ergostat.errors import BudgetExceededError, ConvergenceError, DomainError
 from ergostat.maps import Observable, Orbit, PiecewiseMap, _symbol_tail_depth
 from ergostat.measures import HalfGaussianLaw, Law, WeightedEmpiricalMeasure
-from ergostat.transfer import POWER_MAX_ITER, POWER_TOL, PressureCurve, RateFunction
+from ergostat.transfer import (POWER_MAX_ITER, POWER_TOL, CSRMatrix, PressureCurve,
+                               RateFunction)
 
 _BREAKPOINT_TOL = 1e-14
 
@@ -216,6 +223,29 @@ class InterpolatedLaw(Law):
     @property
     def tail_constant(self) -> float:
         return float(self.xs[-1] - self._Is[-1])
+
+
+def support(emp: WeightedEmpiricalMeasure) -> np.ndarray:
+    """The distinct atom positions of emp, sorted."""
+    return emp._sorted[0]
+
+
+def normalized_weights(emp: WeightedEmpiricalMeasure) -> np.ndarray:
+    """The weights of `support(emp)`, merged and normalized to total 1."""
+    return emp._sorted[1]
+
+
+def bisection_reference(law: Law, a, b, p) -> np.ndarray:
+    """Crossing points of level p in [a, b]: 60 bisection steps on whole
+    arrays, with the law's array CDF."""
+    a = np.array(a, dtype=float, copy=True)
+    b = np.array(b, dtype=float, copy=True)
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        below = law.cdf(mid) < p
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
+    return 0.5 * (a + b)
 
 
 def as_interpolated_law(emp: WeightedEmpiricalMeasure) -> InterpolatedLaw:
@@ -467,7 +497,21 @@ def legendre_per_alpha(curve: PressureCurve, alpha_grid) -> RateFunction:
                         beta_of_alpha=beta_star, sigma2_of_alpha=sig2)
 
 
-def power_iteration_reference(mat: sparse.csr_matrix) -> tuple[float, np.ndarray]:
+def scipy_csr(values, rows, cols, n: int) -> sparse.csr_matrix:
+    """scipy's n x n CSR matrix of the values summed at (rows, cols)."""
+    return sparse.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def as_scipy(mat: CSRMatrix) -> sparse.csr_matrix:
+    """The same arrays as a scipy CSR matrix, for its matvec."""
+    return sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+
+
+def dense(mat: CSRMatrix) -> np.ndarray:
+    return as_scipy(mat).toarray()
+
+
+def power_iteration_reference(mat: CSRMatrix) -> tuple[float, np.ndarray]:
     """Leading eigenpair by power iteration from the flat start, with a
     fresh matvec for each step's residual."""
     n = mat.shape[0]

@@ -208,13 +208,21 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
     rows += [(2**70, np.int64(0), math.inf, -math.inf, False, np.float32(0.0)),
              (0, np.int64(2**62), math.nan, -0.0, True, np.float32(1e-40))]
     header = ["a", "b", "c", "d", "e", "f"]
-    _write_csv(tmp_path / "x.csv", header, rows)
     expected = "\n".join([",".join(header)] + [",".join(map(per_value, r)) for r in rows])
+    columns = list(zip(*rows))
+    _write_csv(tmp_path / "x.csv", header, columns)
     assert (tmp_path / "x.csv").read_text() == expected + "\n"
+    # the same columns as numpy arrays, as the runners pass them
+    arrays = [np.array(col) for col in columns[1:]]
+    _write_csv(tmp_path / "arrays.csv", header[1:], arrays)
+    assert (tmp_path / "arrays.csv").read_text() == "\n".join(
+        [",".join(header[1:])] + [",".join(map(per_value, r[1:])) for r in rows]) + "\n"
     _write_csv(tmp_path / "empty.csv", header, [])
     assert (tmp_path / "empty.csv").read_text() == "a,b,c,d,e,f\n"
+    _write_csv(tmp_path / "empty.csv", header, [np.array([])] * 6)
+    assert (tmp_path / "empty.csv").read_text() == "a,b,c,d,e,f\n"
     with pytest.raises(TypeError, match="mixes"):
-        _write_csv(tmp_path / "mixed.csv", ["k"], [(1,), (3.7,)])
+        _write_csv(tmp_path / "mixed.csv", ["k"], [(1, 3.7)])
 
 
 def test_all_csv_fields_finite(tmp_path):
@@ -468,15 +476,39 @@ def test_refused_ladder_exits_before_sigma2(tmp_path, monkeypatch, ladder):
     assert calls == []
 
 
-def test_cold_start_skips_unused_scipy_packages():
-    # each CLI process pays for what `import ergostat.cli` loads; the
-    # Legendre spline lives in ergostat.transfer, so scipy.interpolate and
-    # the packages it pulls in stay unloaded
-    code = ("import sys, ergostat.cli\n"
-            "print(' '.join(m for m in ('scipy.interpolate', 'scipy.optimize', 'scipy.linalg')\n"
-            "               if m in sys.modules))\n")
+def _fresh_interpreter(code: str) -> str:
+    """Standard output of code run by a fresh interpreter that imports
+    ergostat and the test helpers from this checkout."""
     src = str(Path(ergostat.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == ""
+    paths = [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cold_start_skips_unused_scipy_packages():
+    # each CLI process pays for what `import ergostat.cli` loads; the normal
+    # CDF, the sparse Ulam matrix and the Legendre spline live in ergostat,
+    # so no scipy module is loaded at all
+    code = ("import sys, ergostat.cli\n"
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert _fresh_interpreter(code).strip() == ""
+
+
+def test_invocations_load_no_module():
+    # what a run needs is loaded by `import ergostat.cli`, so no invocation
+    # pays an import: numpy loads numpy.random at the first Generator and
+    # numpy.ma at the first np.unique
+    code = ("import sys, tempfile\n"
+            "from pathlib import Path\n"
+            "from ergostat.cli import SUBCOMMANDS, run\n"
+            "from ergostat.config import parse_config\n"
+            "from test_golden import MAPS, config_text\n"
+            "before = set(sys.modules)\n"
+            "with tempfile.TemporaryDirectory() as tmp:\n"
+            "    for name in ('doubling-coin', 'perturbed-sawtooth'):\n"
+            "        for sub in SUBCOMMANDS:\n"
+            "            out = Path(tmp) / name / sub\n"
+            "            run(sub, parse_config(config_text(MAPS[name], sub, out)))\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    assert _fresh_interpreter(code).strip() == ""

@@ -9,17 +9,31 @@ from scipy.integrate import quad
 from ergostat.asclt import normalized_statistic_atoms
 from ergostat.errors import DomainError
 from ergostat.maps import coin, make_map, sawtooth
+from scipy.special import ndtr as scipy_ndtr
+
 from ergostat.measures import (
+    _SCALAR_MAX,
     GaussianLaw,
     HalfGaussianLaw,
     WeightedEmpiricalMeasure,
+    _libm_exp,
+    _ndtr_float,
     _stable_argsort,
     build_empirical,
     default_checkpoints,
     kantorovich,
     kantorovich_ladder,
+    ndtr,
 )
-from oracles import DiracLaw, as_interpolated_law, kantorovich_bruteforce, kantorovich_reference
+from oracles import (
+    DiracLaw,
+    as_interpolated_law,
+    bisection_reference,
+    kantorovich_bruteforce,
+    kantorovich_reference,
+    normalized_weights,
+    support,
+)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -28,9 +42,9 @@ EULER_GAMMA = 0.5772156649015329
 
 def test_build_empirical_merges_equal_atoms():
     emp = build_empirical([0.0, 0.0, 0.0], 3)
-    assert emp.support().tolist() == [0.0]
+    assert support(emp).tolist() == [0.0]
     assert emp.normalizer == pytest.approx(11.0 / 6.0, abs=1e-12)
-    assert emp.normalized_weights().sum() == pytest.approx(1.0, abs=1e-12)
+    assert normalized_weights(emp).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_harmonic_normalizer_large_n():
@@ -42,18 +56,92 @@ def test_single_atom_measure():
     emp = build_empirical([3.25], 1)
     assert emp.normalizer == 1.0
     assert emp.n == 1
-    assert emp.support().tolist() == [3.25]
+    assert support(emp).tolist() == [3.25]
 
 
 def test_total_mass_normalized():
     rng = np.random.default_rng(3)
     emp = build_empirical(rng.normal(size=500), 500)
-    assert abs(emp.normalized_weights().sum() - 1.0) < 1e-12
+    assert abs(normalized_weights(emp).sum() - 1.0) < 1e-12
 
 
 def test_non_finite_atoms_rejected():
     with pytest.raises(DomainError):
         WeightedEmpiricalMeasure(np.array([0.0, np.nan]), np.array([1.0, 0.5]), 2)
+
+
+# -- the normal CDF against scipy's -------------------------------------------
+
+def _ndtr_inputs() -> np.ndarray:
+    """Both sides of |x| = 1 and |x| = 8 (x = a / sqrt 2) and of the MAXLOG
+    underflow (a near -37.7), signed zeros, infinities, NaN, and random
+    values across the range."""
+    rng = np.random.default_rng(2024)
+    edges = np.array([math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.782712893384)])
+    near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    return np.concatenate([near, -near, [0.0, -0.0, np.inf, -np.inf, np.nan],
+                           np.linspace(-37.8, -37.6, 4001), rng.normal(size=20000) * 3.0,
+                           rng.uniform(-45.0, 45.0, 20000), rng.uniform(-1.5, 1.5, 5000)])
+
+
+def test_ndtr_bitwise_equals_scipy():
+    a = _ndtr_inputs()
+    # drawn order gathers each side, sorted order reads it as slices
+    for x in (a, np.sort(a), np.sort(a)[::-1].copy()):
+        assert ndtr(x).tobytes() == scipy_ndtr(x).tobytes()
+    assert np.array([_ndtr_float(v) for v in a.tolist()]).tobytes() == scipy_ndtr(a).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, _SCALAR_MAX, _SCALAR_MAX + 1, 100])
+def test_ndtr_sizes_and_shapes_equal_scipy(n):
+    # both sides of the scalar/vector threshold, 0-d and 2-d inputs
+    a = _ndtr_inputs()
+    for start in range(0, len(a) - n, 997):
+        x = a[start:start + n]
+        assert ndtr(x).tobytes() == scipy_ndtr(x).tobytes(), start
+    grid = a[:6 * n].reshape(6, n)
+    got = ndtr(grid)
+    assert got.shape == grid.shape and got.tobytes() == scipy_ndtr(grid).tobytes()
+    for v in a[:50]:
+        for scalar in (float(v), np.float64(v), np.array(v)):
+            got, want = ndtr(scalar), scipy_ndtr(scalar)
+            assert type(got) is type(want) and np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_libm_exp_bitwise_equals_math_exp():
+    # the complex route the vector path takes to the C library's exp, over the
+    # arguments -x^2 it sees (1 <= x^2 <= MAXLOG) and beyond
+    rng = np.random.default_rng(7)
+    v = np.concatenate([-rng.uniform(1.0, 709.8, 200000), rng.uniform(-745.5, 709.0, 20000),
+                        [-0.0, 0.0, -1.0, -709.782712893384, -745.2]])
+    assert _libm_exp(v).tobytes() == np.array([math.exp(x) for x in v.tolist()]).tobytes()
+
+
+@pytest.mark.parametrize("law", [GaussianLaw(0.7), HalfGaussianLaw(0.7)], ids=["gauss", "half"])
+def test_cdf_float_is_cdf_bitwise(law):
+    a = _ndtr_inputs()
+    a = a[np.isfinite(a)]
+    assert np.array([law.cdf_float(v) for v in a.tolist()]).tobytes() == law.cdf(a).tobytes()
+
+
+@pytest.mark.parametrize("law", [GaussianLaw(0.7), HalfGaussianLaw(0.7), DiracLaw(0.25)],
+                         ids=["gauss", "half", "dirac"])
+@pytest.mark.parametrize("n", [1, 5, _SCALAR_MAX, _SCALAR_MAX + 1, 60])
+def test_cdf_inverse_in_equals_vector_bisection(law, n):
+    # crossings bisected one at a time on Python floats, with steps that stop
+    # once the bracket no longer moves, land where 60 steps on arrays land,
+    # levels at either end of the bracket included
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        ends = np.sort(rng.uniform(-3.0, 3.0, n + 1))
+        a, b = ends[:-1], ends[1:]
+        fa, fb = law.cdf(a), law.cdf(b)
+        u = rng.random(n)
+        u[rng.random(n) < 0.1] = 0.0
+        u[rng.random(n) < 0.1] = 1.0
+        p = fa + u * (fb - fa)
+        got = law.cdf_inverse_in(a, b, p)
+        assert got.tobytes() == bisection_reference(law, a, b, p).tobytes()
 
 
 # -- laws --------------------------------------------------------------------
@@ -100,11 +188,11 @@ def test_two_atom_value_oracle():
     emp = WeightedEmpiricalMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 2)
     closed = kantorovich(emp, GaussianLaw(1.0))
     brute = kantorovich_bruteforce(emp, GaussianLaw(1.0))
-    from scipy.special import ndtr
+
     def femp(x):
         return 0.0 if x < -1 else (0.5 if x < 1 else 1.0)
     pieces = [(-30, -1), (-1, 0), (0, 1), (1, 30)]
-    independent = sum(quad(lambda x: abs(femp(x) - ndtr(x)), a, b,
+    independent = sum(quad(lambda x: abs(femp(x) - scipy_ndtr(x)), a, b,
                            limit=500, epsabs=1e-13)[0] for a, b in pieces)
     assert closed == pytest.approx(TWO_ATOM_KAPPA, abs=1e-9)
     assert brute == pytest.approx(TWO_ATOM_KAPPA, abs=1e-8)
@@ -167,8 +255,8 @@ def test_triangle_inequality_random_triples():
         d_direct = kantorovich(emp, gauss)
         d_via_mid = kantorovich(emp, mid)
         # law-to-law leg by quadrature, one smooth piece per node interval
-        lo = min(float(emp.support()[0]), -10.0 * gauss.sigma) - 1.0
-        hi = max(float(emp.support()[-1]), 10.0 * gauss.sigma) + 1.0
+        lo = min(float(support(emp)[0]), -10.0 * gauss.sigma) - 1.0
+        hi = max(float(support(emp)[-1]), 10.0 * gauss.sigma) + 1.0
         cuts = [lo] + [float(x) for x in mid.xs if lo < x < hi] + [hi]
         leg = sum(quad(lambda x: abs(float(mid.cdf(x)) - float(gauss.cdf(x))),
                        a, b, limit=60)[0]

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 import ergostat
@@ -22,6 +24,7 @@ from ergostat.maps import (
     sawtooth,
 )
 from ergostat.transfer import (
+    CSRMatrix,
     PressureCurve,
     autocovariance_series,
     cell_average,
@@ -37,11 +40,14 @@ from ergostat.transfer import (
     _spline,
 )
 from oracles import (
+    as_scipy,
     chebyshev_transfer,
+    dense,
     golden_max,
     legendre_per_alpha,
     linear_cut_samples,
     power_iteration_reference,
+    scipy_csr,
 )
 from test_maps import _counting
 
@@ -65,7 +71,7 @@ def const_observable(c):
 
 def test_doubling_two_cell_matrix():
     op = ulam_matrix(make_map("doubling"), None, 0.0, N=2)
-    assert np.allclose(op.matrix.toarray(), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+    assert np.allclose(dense(op.matrix), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
     assert op.leading_eigenvalue == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(op.right_vector, [1.0, 1.0], atol=1e-12)
 
@@ -97,8 +103,7 @@ def test_eigenvalue_one_at_beta_zero():
 
 def test_power_iteration_against_dense_eigensolver():
     op = ulam_matrix(make_map("doubling"), coin(), 1.3, N=64)
-    dense = op.matrix.toarray()
-    eigs = np.linalg.eigvals(dense)
+    eigs = np.linalg.eigvals(dense(op.matrix))
     lam_dense = float(np.max(eigs.real))
     assert op.leading_eigenvalue == pytest.approx(lam_dense, rel=1e-10)
 
@@ -115,6 +120,113 @@ def test_power_iteration_bitwise_equals_two_matvec_loop(name, params, obs, N, be
         lam, v = _power_iteration(mat)
         lam_ref, v_ref = power_iteration_reference(mat)
         assert (lam, v.tobytes()) == (lam_ref, v_ref.tobytes()), beta
+
+
+# -- the sparse layout against scipy's ---------------------------------------
+
+def _assert_csr_matches_scipy(mat: CSRMatrix, values, rows, cols, n, tolerated=()):
+    """Layout, data and matvec bits of mat against scipy's CSR of the same
+    coordinates.  Data may differ by rounding only in the `tolerated` rows."""
+    ref = scipy_csr(values, rows, cols, n)
+    assert mat.shape == ref.shape
+    for part in ("indices", "indptr"):
+        got, want = getattr(mat, part), getattr(ref, part)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    exact = ~np.isin(np.repeat(np.arange(n), np.diff(mat.indptr)), tolerated)
+    assert mat.data[exact].tobytes() == ref.data[exact].tobytes()
+    assert np.allclose(mat.data, ref.data, rtol=8 * np.finfo(float).eps, atol=0.0)
+    x = np.random.default_rng(n).random(n)
+    assert (mat @ x).tobytes() == (as_scipy(mat) @ x).tobytes()
+
+
+@pytest.mark.parametrize("head", ["doubling-coin", "tent-coin", "perturbed-sawtooth",
+                                  "two-slope-sawtooth"])
+@pytest.mark.parametrize("N", [128, 1024])
+def test_csr_bitwise_equals_scipy_on_golden_maps(head, N):
+    from ergostat.config import build_map, parse_config
+    from test_golden import MAPS
+    pmap = build_map(parse_config(MAPS[head]))
+    op = ulam_matrix(pmap, N=N)
+    rows, cols, _, points = op.samples
+    assert op.matrix.lanes is not None
+    _assert_csr_matches_scipy(op.matrix, transfer._cell_values(op.samples, 1.0, N),
+                              rows, cols, N)
+    # a pressure curve's reweighting, in the beta = 0 operator's layout
+    values = transfer._cell_values(op.samples, np.exp(1.3 * sawtooth()(points)), N)
+    _assert_csr_matches_scipy(op.matrix.reweighted(values), values, rows, cols, N)
+
+
+def _long_rows_with_triples(rows, cols, n):
+    """Rows of more than 16 entries that sum three or more into one cell:
+    there scipy's std::sort (no longer an insertion sort) may reorder the
+    summands, which moves the sum by rounding."""
+    per_cell = np.bincount(rows * n + cols, minlength=n * n).reshape(n, n)
+    return np.flatnonzero((per_cell.sum(axis=1) > 16) & (per_cell.max(axis=1) >= 3))
+
+
+@st.composite
+def _offset_linear_maps(draw):
+    """Linear maps of 2-12 branches whose images sit anywhere in [0, 1],
+    often clustered, so that some cells collect far more than 16 entries."""
+    b = draw(st.integers(2, 12))
+    inner = draw(st.lists(st.floats(0.02, 0.98), min_size=b - 1, max_size=b - 1,
+                          unique=True).filter(
+        lambda v: np.min(np.diff(np.sort([0.0, *v, 1.0]))) > 0.01))
+    bp = np.array([0.0, *sorted(inner), 1.0])
+    slopes, intercepts = [], []
+    for lo, hi in zip(bp[:-1], bp[1:]):
+        top = 1.0 / (hi - lo)
+        s = draw(st.floats(1.05, min(top, 4.0))) if top > 1.05 else top
+        s = s if draw(st.booleans()) else -s
+        free = 1.0 - abs(s) * (hi - lo)
+        offset = draw(st.sampled_from([0.0, free / 2, free])) if free > 0 else 0.0
+        slopes.append(s)
+        intercepts.append(offset - s * (lo if s > 0 else hi))
+    return make_map("custom", breakpoints=bp.tolist(), slopes=slopes, intercepts=intercepts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pmap=_offset_linear_maps(), N=st.integers(2, 48), seed=st.integers(0, 2**32 - 1))
+@example(pmap=make_map("custom", breakpoints=np.linspace(0.0, 1.0, 13).tolist(),
+                       slopes=[1.2] * 12, intercepts=[-1.2 * k / 12 for k in range(12)]),
+         N=8, seed=0)
+def test_csr_bitwise_equals_scipy_on_linear_maps(pmap, N, seed):
+    rows, cols, lens, _ = transfer._ulam_samples(pmap, N)
+    values = lens * np.random.default_rng(seed).uniform(0.1, 10.0, len(lens)) / (1.0 / N)
+    mat = CSRMatrix.from_coo(values, rows, cols, N)
+    _assert_csr_matches_scipy(mat, values, rows, cols, N, _long_rows_with_triples(rows, cols, N))
+
+
+def test_csr_from_coo_against_scipy_on_long_rows():
+    # rows of 40 entries over 5 columns: scipy's introsort takes over past 16
+    # entries, yet the layout and every cell of at most two summands agree
+    rng = np.random.default_rng(11)
+    n = 5
+    rows, cols = rng.integers(0, n, 200), rng.integers(0, n, 200)
+    values = rng.random(200) * 10.0 ** rng.integers(-8, 8, 200)
+    mat = CSRMatrix.from_coo(values, rows, cols, n)
+    assert np.bincount(rows, minlength=n).max() > 16
+    _assert_csr_matches_scipy(mat, values, rows, cols, n, _long_rows_with_triples(rows, cols, n))
+    for times in (2, 3):             # every cell twice, and three times in rows of 15
+        cells = rng.permutation(np.repeat(np.arange(n * n), times))
+        rows, cols = cells // n, cells % n
+        values = rng.random(len(cells)) * 10.0 ** rng.integers(-3, 3, len(cells))
+        mat = CSRMatrix.from_coo(values, rows, cols, n)
+        _assert_csr_matches_scipy(mat, values, rows, cols, n)
+    # 64 rows of 40 distinct columns: a matvec sums 40 lanes in column order
+    rows, cols = np.repeat(np.arange(64), 40), np.concatenate(
+        [rng.choice(64, 40, replace=False) for _ in range(64)])
+    values = rng.random(len(rows))
+    mat = CSRMatrix.from_coo(values, rows, cols, 64)
+    assert mat.lanes is not None and len(mat.lanes) == 40
+    _assert_csr_matches_scipy(mat, values, rows, cols, 64)
+    # one row far longer than the rest is not padded: the matvec sums by bincount
+    rows = np.concatenate([np.zeros(30, dtype=int), np.arange(40)])
+    cols = np.concatenate([np.arange(30), np.arange(40)])
+    values = rng.random(len(rows))
+    mat = CSRMatrix.from_coo(values, rows, cols, 40)
+    assert mat.lanes is None
+    _assert_csr_matches_scipy(mat, values, rows, cols, 40)
 
 
 # -- invariant density --------------------------------------------------------
@@ -466,7 +578,7 @@ def test_linear_maps_cut_as_before(name, params):
         want = linear_cut_samples(pmap, N)
         for got, ref in zip(op.samples, want):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-        mat = transfer._operator(want, 1.0, N).matrix
+        mat = scipy_csr(transfer._cell_values(want, 1.0, N), want[0], want[1], N)
         for part in ("data", "indices", "indptr"):
             assert getattr(op.matrix, part).tobytes() == getattr(mat, part).tobytes()
 
