@@ -461,8 +461,9 @@ def kantorovich(emp: WeightedEmpiricalMeasure, law: Law) -> float:
     if np.any(crossing):
         ac, bc, cc = a[crossing], b[crossing], c[crossing]
         xs = law.cdf_inverse_in(ac, bc, cc)
-        left = cc * (xs - ac) - law.cdf_integral(ac, xs)
-        right = law.cdf_integral(xs, bc) - cc * (bc - xs)
+        ix = law.cdf_antiderivative(xs)        # I at the segment ends is known
+        left = cc * (xs - ac) - (ix - I[:-1][crossing])
+        right = (I[1:][crossing] - ix) - cc * (bc - xs)
         pieces[crossing] = np.maximum(left, 0.0) + np.maximum(right, 0.0)
     return total + float(np.sum(np.maximum(pieces, 0.0, out=pieces)))
 
