@@ -66,9 +66,9 @@ _ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.204895398080966
            1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 _T0, _T1, _T2, _T3, _T4 = _ERF_T
 _U0, _U1, _U2, _U3, _U4 = _ERF_U
-# arrays up to this size are evaluated one Python float at a time, which
-# costs less than the vector path's fixed numpy overhead
-_SCALAR_MAX = 24
+# arrays up to this size are evaluated one Python float at a time: the
+# vector path's fixed cost of about 50 us is worth 50-100 scalar values
+_SCALAR_MAX = 64
 # the vector path works in blocks this long, which stay in cache
 _BLOCK = 1 << 15
 
@@ -229,27 +229,15 @@ class Law:
         return self.tail_constant - x + self.cdf_antiderivative(x)
 
     def cdf_inverse_in(self, a, b, p):
-        """Vectorized crossing point of level p in [a, b] by 60 bisection
-        steps.
+        """Crossing points of levels p in brackets [a, b] (arrays), each by
+        60 bisection steps on Python floats with `cdf_float`.
 
         Assumes F(a) <= p <= F(b); a step CDF jumping over p lands on the
-        jump location, which splits the segment correctly as well.  A few
-        crossings are bisected one at a time on Python floats with
-        `cdf_float`, which takes the same steps.
+        jump location, which splits the segment correctly as well.
         """
-        if np.size(p) <= _SCALAR_MAX:
-            return np.array([_bisect(self.cdf_float, lo, hi, level) for lo, hi, level in
-                             zip(np.ravel(a).tolist(), np.ravel(b).tolist(),
-                                 np.ravel(p).tolist())]).reshape(np.shape(p))
-        a = np.array(a, dtype=float, copy=True)
-        b = np.array(b, dtype=float, copy=True)
-        p = np.asarray(p, dtype=float)
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            below = self.cdf(mid) < p
-            a = np.where(below, mid, a)
-            b = np.where(below, b, mid)
-        return 0.5 * (a + b)
+        return np.array([_bisect(self.cdf_float, lo, hi, level) for lo, hi, level in
+                         zip(np.ravel(a).tolist(), np.ravel(b).tolist(),
+                             np.ravel(p).tolist())]).reshape(np.shape(p))
 
 
 def _bisect(cdf, a: float, b: float, p: float) -> float:

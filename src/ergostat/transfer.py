@@ -58,14 +58,15 @@ class CSRMatrix:
     each row, duplicates summed.  `slot` is the entry that each
     coordinate-form input was summed into, so the same coordinates with new
     values cost one `reweighted`.  `lanes[k]` holds the k-th entry of every
-    row (`nnz` past a row's end), for the matvec; it is None when a few long
-    rows would pad it to more than twice the entries."""
+    row (`nnz` past a row's end), for the matvec.  An expanding branch's
+    preimage of a cell meets at most two cells, so an Ulam row has at most
+    two entries per branch and the padding stays small."""
 
     data: np.ndarray
     indices: np.ndarray           # int32 column of each entry
     indptr: np.ndarray            # int32 start of each row
     slot: np.ndarray              # entry of each coordinate-form input
-    lanes: np.ndarray | None      # (longest row, n) entry indices
+    lanes: np.ndarray             # (longest row, n) entry indices
 
     @classmethod
     def from_coo(cls, values, rows, cols, n: int) -> CSRMatrix:
@@ -87,10 +88,8 @@ class CSRMatrix:
         counts = np.bincount(r, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(counts, out=indptr[1:])
-        lanes = None
-        if counts.max(initial=0) * n <= 2 * nnz:
-            lanes = np.full((counts.max(initial=0), n), nnz)
-            lanes[np.arange(nnz) - indptr[r], r] = np.arange(nnz)
+        lanes = np.full((counts.max(initial=0), n), nnz)
+        lanes[np.arange(nnz) - indptr[r], r] = np.arange(nnz)
         pattern = cls(None, c[first].astype(np.int32), indptr, slot, lanes)
         return pattern.reweighted(values)
 
@@ -112,10 +111,6 @@ class CSRMatrix:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         # each row summed from 0.0 in column order: scipy's csr_matvec bits
-        n = self.shape[0]
-        if self.lanes is None:
-            rows = np.repeat(np.arange(n), np.diff(self.indptr))
-            return np.bincount(rows, weights=self.data * x[self.indices], minlength=n)
         values, cols = self._lane_terms
         terms = values * np.concatenate((x, (0.0,)))[cols]
         return np.add.reduce(terms, axis=0, initial=0.0)

@@ -126,7 +126,7 @@ def test_cdf_float_is_cdf_bitwise(law):
 
 @pytest.mark.parametrize("law", [GaussianLaw(0.7), HalfGaussianLaw(0.7), DiracLaw(0.25)],
                          ids=["gauss", "half", "dirac"])
-@pytest.mark.parametrize("n", [1, 5, _SCALAR_MAX, _SCALAR_MAX + 1, 60])
+@pytest.mark.parametrize("n", [1, 5, 32, 60])
 def test_cdf_inverse_in_equals_vector_bisection(law, n):
     # crossings bisected one at a time on Python floats, with steps that stop
     # once the bracket no longer moves, land where 60 steps on arrays land,
