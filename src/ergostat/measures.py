@@ -69,7 +69,7 @@ _U0, _U1, _U2, _U3, _U4 = _ERF_U
 # arrays up to this size are evaluated one Python float at a time: the
 # vector path's fixed cost of about 50 us is worth 50-100 scalar values
 _SCALAR_MAX = 64
-# the vector path works in blocks this long, which stay in cache
+# the vector path works in blocks this long, whose temporaries stay in cache
 _BLOCK = 1 << 15
 
 
@@ -152,23 +152,6 @@ def _erfc_side(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, 1.0 - num, num)
 
 
-def _fill(y: np.ndarray, side, x: np.ndarray, at: np.ndarray) -> None:
-    """y[at] = side(x[at]), a cache-sized block at a time, and on slices
-    when `at` is one run of indices, as each side of a sorted array is
-    (bar the |x| >= 1 side of one that reaches past both -1 and 1)."""
-    if not len(at):
-        return
-    lo, hi = int(at[0]), int(at[-1]) + 1
-    if hi - lo == len(at):
-        for i in range(lo, hi, _BLOCK):
-            block = slice(i, min(i + _BLOCK, hi))
-            y[block] = side(x[block])
-    else:
-        for i in range(0, len(at), _BLOCK):
-            block = at[i:i + _BLOCK]
-            y[block] = side(x[block])
-
-
 def ndtr(a):
     """Standard normal CDF, bit for bit `scipy.special.ndtr`; NaN in gives
     NaN out.  Scalars and small arrays go through `_ndtr_float`, larger
@@ -179,10 +162,13 @@ def ndtr(a):
     if a.size <= _SCALAR_MAX:
         return np.array([_ndtr_float(v) for v in a.ravel().tolist()]).reshape(a.shape)
     x = a.ravel() * _SQRT1_2
-    far = np.abs(x) >= 1.0
     y = np.empty(x.shape)
-    _fill(y, _erf_side, x, np.flatnonzero(~far))
-    _fill(y, _erfc_side, x, np.flatnonzero(far))
+    for i in range(0, len(x), _BLOCK):
+        xb, yb = x[i:i + _BLOCK], y[i:i + _BLOCK]
+        far = np.abs(xb) >= 1.0
+        near = ~far
+        yb[near] = _erf_side(xb[near])
+        yb[far] = _erfc_side(xb[far])
     return y.reshape(a.shape)
 
 

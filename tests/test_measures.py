@@ -86,7 +86,7 @@ def _ndtr_inputs() -> np.ndarray:
 
 def test_ndtr_bitwise_equals_scipy():
     a = _ndtr_inputs()
-    # drawn order gathers each side, sorted order reads it as slices
+    # drawn, sorted and reversed orders, each over two blocks
     for x in (a, np.sort(a), np.sort(a)[::-1].copy()):
         assert ndtr(x).tobytes() == scipy_ndtr(x).tobytes()
     assert np.array([_ndtr_float(v) for v in a.tolist()]).tobytes() == scipy_ndtr(a).tobytes()
