@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,11 +51,6 @@ from .erdos_renyi import (
 )
 from .entropy import entropy_constants, ow_run, smb_run
 from .measures import checkpoints_within
-
-SUBCOMMANDS = (
-    "density", "pressure", "sigma2", "asclt", "maxima", "erdos-renyi",
-    "rate-curve", "ld-check", "entropy-smb", "entropy-ow",
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,7 +95,13 @@ def _write_manifest(outdir: Path, subcommand: str, cfg: ExperimentConfig,
 
 
 def _seeds(cfg: ExperimentConfig, seed_offset: int) -> list[int]:
-    return sorted(int(s) + seed_offset for s in cfg.get("run", "seeds"))
+    """The configured seeds plus the offset, or `ConfigError` when one of
+    them is negative (the random generators refuse it)."""
+    seeds = sorted(int(s) + seed_offset for s in cfg.get("run", "seeds"))
+    if seeds[0] < 0:
+        raise ConfigError([(0, f"seed {seeds[0]} is negative: [run] seeds plus "
+                               "--seed-offset must be at least 0")])
+    return seeds
 
 
 def _operator(cfg: ExperimentConfig, pmap):
@@ -302,37 +304,34 @@ def _run_entropy(cfg, outdir, seeds, kind):
     return extra
 
 
+# subcommand -> runner(cfg, outdir, seeds), returning the manifest's extra fields
+RUNNERS = {
+    "density": _run_density,
+    "pressure": _run_pressure,
+    "sigma2": _run_sigma2,
+    "asclt": _run_asclt,
+    "maxima": partial(_run_asclt, running_max=True),
+    "erdos-renyi": _run_erdos_renyi,
+    "rate-curve": _run_rate_curve,
+    "ld-check": _run_ld_check,
+    "entropy-smb": partial(_run_entropy, kind="smb"),
+    "entropy-ow": partial(_run_entropy, kind="ow"),
+}
+SUBCOMMANDS = tuple(RUNNERS)
+
+
 def run(subcommand: str, cfg: ExperimentConfig, seed_offset: int = 0) -> int:
     """Execute one subcommand; returns the process exit code."""
-    if subcommand not in SUBCOMMANDS:
+    if subcommand not in RUNNERS:
         print(f"unknown subcommand {subcommand!r}; choose from {', '.join(SUBCOMMANDS)}",
               file=sys.stderr)
         return EXIT_CONFIG
     outdir = Path(cfg.get("run", "output_dir"))
     outdir.mkdir(parents=True, exist_ok=True)
-    seeds = _seeds(cfg, seed_offset)
     start = time.perf_counter()
     try:
-        if subcommand == "density":
-            extra = _run_density(cfg, outdir, seeds)
-        elif subcommand == "pressure":
-            extra = _run_pressure(cfg, outdir, seeds)
-        elif subcommand == "sigma2":
-            extra = _run_sigma2(cfg, outdir, seeds)
-        elif subcommand == "asclt":
-            extra = _run_asclt(cfg, outdir, seeds)
-        elif subcommand == "maxima":
-            extra = _run_asclt(cfg, outdir, seeds, running_max=True)
-        elif subcommand == "erdos-renyi":
-            extra = _run_erdos_renyi(cfg, outdir, seeds)
-        elif subcommand == "rate-curve":
-            extra = _run_rate_curve(cfg, outdir, seeds)
-        elif subcommand == "ld-check":
-            extra = _run_ld_check(cfg, outdir, seeds)
-        elif subcommand == "entropy-smb":
-            extra = _run_entropy(cfg, outdir, seeds, "smb")
-        else:
-            extra = _run_entropy(cfg, outdir, seeds, "ow")
+        seeds = _seeds(cfg, seed_offset)
+        extra = RUNNERS[subcommand](cfg, outdir, seeds)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

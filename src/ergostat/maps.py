@@ -227,6 +227,8 @@ def _piecewise_linear(name: str, breakpoints, slopes: Sequence[float], intercept
     bp = np.asarray(breakpoints, dtype=float)
     if len(slopes) != len(bp) - 1:
         raise MapDefinitionError("need one slope per partition interval")
+    if intercepts is not None and len(intercepts) != len(slopes):
+        raise MapDefinitionError("need one intercept per slope")
     branches = []
     for i, s in enumerate(slopes):
         s = float(s)
@@ -382,8 +384,10 @@ def table_observable(xs: Sequence[float], ys: Sequence[float]) -> Observable:
     """Piecewise-linear interpolation of sample points."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if len(xs) < 2 or np.any(np.diff(xs) <= 0):
-        raise ValueError("table needs at least two strictly increasing x values")
+    if (len(xs) < 2 or len(ys) != len(xs) or np.any(np.diff(xs) <= 0)
+            or not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys)))):
+        raise ConfigError([(0, "table observable needs at least two strictly increasing "
+                               "finite xs and one finite ys value for each")])
     slopes = np.diff(ys) / np.diff(xs)
     return Observable(
         "table",

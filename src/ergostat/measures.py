@@ -9,8 +9,8 @@ Against a purely atomic measure the empirical CDF is piecewise constant,
 so the integral splits into inter-atom segments on which the integrand is
 |c - F(x)| with constant c.  F is monotone, hence each segment crosses
 level c at most once and every piece has a closed form in terms of the
-CDF antiderivative.  Both tails are handled analytically.  The result is
-exact up to roundoff.
+CDF antiderivative, as do both tails.  The result is exact up to
+roundoff.
 
 `kantorovich_ladder` is the one checkpoint loop of the almost-sure CLT
 runs: the distance from a law to the 1/k-weighted measure of the first m
@@ -177,42 +177,24 @@ def ndtr(a):
 # ---------------------------------------------------------------------------
 
 class Law:
-    """A distribution with closed-form CDF, CDF antiderivative, and tails.
+    """A limit law as `kantorovich` reads it.
 
-    Subclasses define cdf(x), antiderivative I(x) = int_{-inf}^x F (so
-    I doubles as the left tail), and the first absolute moment constant
-    `tail_constant` = lim_{t->inf} (t - I(t)) used for the right tail.
+    `cdf_and_antiderivative(x)` gives, on an array x, the CDF F and its
+    antiderivative I(x) = int_{-inf}^x F, which is also the left tail;
+    `cdf_float` gives F at one Python float with the same bits; and
+    `tail_constant` = lim_{t->inf} (t - I(t)) makes tail_constant - x + I(x)
+    the right tail int_x^inf (1 - F).
     """
 
-    def cdf(self, x):
+    def cdf_and_antiderivative(self, x):
         raise NotImplementedError
 
     def cdf_float(self, x: float) -> float:
-        """cdf at one Python float, with the bits `cdf` gives on an array."""
-        return float(self.cdf(x))
-
-    def cdf_antiderivative(self, x):
         raise NotImplementedError
-
-    def cdf_and_antiderivative(self, x):
-        """(cdf(x), cdf_antiderivative(x)); a law may share work between them."""
-        return self.cdf(x), self.cdf_antiderivative(x)
 
     @property
     def tail_constant(self) -> float:
         raise NotImplementedError
-
-    def cdf_integral(self, a, b):
-        """int_a^b F(x) dx."""
-        return self.cdf_antiderivative(b) - self.cdf_antiderivative(a)
-
-    def left_tail(self, x):
-        """int_{-inf}^x F(t) dt."""
-        return self.cdf_antiderivative(x)
-
-    def right_tail(self, x):
-        """int_x^inf (1 - F(t)) dt."""
-        return self.tail_constant - x + self.cdf_antiderivative(x)
 
     def cdf_inverse_in(self, a, b, p):
         """Crossing points of levels p in brackets [a, b] (arrays), each by
@@ -249,17 +231,11 @@ class GaussianLaw(Law):
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
-    def cdf(self, x):
-        return ndtr(np.asarray(x, dtype=float) / self.sigma)
+        if not (math.isfinite(self.sigma) and self.sigma > 0):     # NaN too
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
     def cdf_float(self, x: float) -> float:
         return _ndtr_float(x / self.sigma)
-
-    def cdf_antiderivative(self, x):
-        return self.cdf_and_antiderivative(x)[1]
 
     def cdf_and_antiderivative(self, x):
         z = np.asarray(x, dtype=float) / self.sigma
@@ -283,21 +259,13 @@ class HalfGaussianLaw(Law):
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > 0.0, 2.0 * ndtr(x / self.sigma) - 1.0, 0.0)
+        if not (math.isfinite(self.sigma) and self.sigma > 0):     # NaN too
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
     def cdf_float(self, x: float) -> float:
         return 2.0 * _ndtr_float(x / self.sigma) - 1.0 if x > 0.0 else 0.0
 
-    def cdf_antiderivative(self, x):
-        return self.cdf_and_antiderivative(x)[1]
-
     def cdf_and_antiderivative(self, x):
-        # for x > 0, ndtr(z) is the ndtr(x / sigma) of cdf
         x = np.asarray(x, dtype=float)
         xp = np.maximum(x, 0.0)
         z = xp / self.sigma
@@ -348,7 +316,6 @@ class WeightedEmpiricalMeasure:
 
     positions: np.ndarray
     weights: np.ndarray
-    n: int
 
     def __post_init__(self):
         if len(self.positions) != len(self.weights):
@@ -377,12 +344,6 @@ class WeightedEmpiricalMeasure:
         np.add.at(merged, idx, w)
         return pos[distinct], merged
 
-    def cdf(self, x):
-        pos, w = self._sorted
-        cum = np.cumsum(w)
-        idx = np.searchsorted(pos, np.asarray(x, dtype=float), side="right")
-        return np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-
 
 def build_empirical(values, n: int | None = None) -> WeightedEmpiricalMeasure:
     """Empirical measure (1/D_n) sum_k (1/k) delta_{values[k-1]}.
@@ -395,7 +356,7 @@ def build_empirical(values, n: int | None = None) -> WeightedEmpiricalMeasure:
     if n < 1 or len(values) < n:
         raise ValueError("need at least n values, n >= 1")
     weights = 1.0 / np.arange(1, n + 1, dtype=float)
-    return WeightedEmpiricalMeasure(positions=values[:n].copy(), weights=weights, n=n)
+    return WeightedEmpiricalMeasure(positions=values[:n].copy(), weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +369,16 @@ def kantorovich(emp: WeightedEmpiricalMeasure, law: Law) -> float:
     Piecewise closed form: on each inter-atom segment the empirical CDF is
     a constant c and |c - F| integrates via the antiderivative of F,
     splitting at the unique crossing F^{-1}(c) when it falls inside the
-    segment.  Tails are analytic.
+    segment.  Both tails come from the antiderivative at the outer atoms.
     """
     pos, w = emp._sorted
     cum = np.cumsum(w)
     cum[-1] = 1.0  # guard the float total
 
-    total = float(law.left_tail(pos[0])) + float(law.right_tail(pos[-1]))
-    if len(pos) == 1:
-        return total
-
-    # one law evaluation per distinct atom, read at both segment ends
+    # one law evaluation per distinct atom, read at both segment ends and
+    # for the tails; one atom leaves no segment, only the tails
     F, I = law.cdf_and_antiderivative(pos)
+    total = float(I[0]) + float(law.tail_constant - pos[-1] + I[-1])
     a, b = pos[:-1], pos[1:]
     c = cum[:-1]
     above = F[:-1] >= c                        # F >= c on the whole segment
@@ -435,7 +394,7 @@ def kantorovich(emp: WeightedEmpiricalMeasure, law: Law) -> float:
     if np.any(crossing):
         ac, bc, cc = a[crossing], b[crossing], c[crossing]
         xs = law.cdf_inverse_in(ac, bc, cc)
-        ix = law.cdf_antiderivative(xs)        # I at the segment ends is known
+        ix = law.cdf_and_antiderivative(xs)[1]  # I at the segment ends is known
         left = cc * (xs - ac) - (ix - I[:-1][crossing])
         right = (I[1:][crossing] - ix) - cc * (bc - xs)
         pieces[crossing] = np.maximum(left, 0.0) + np.maximum(right, 0.0)
@@ -496,5 +455,5 @@ def kantorovich_ladder(atoms: np.ndarray, law: Law, checkpoints=None,
                 raise DomainError(
                     f"every atom up to checkpoint {m} was censored; no measure to compare")
             pos, w = pos[sel], w[sel]
-        kappas[i] = kantorovich(WeightedEmpiricalMeasure(pos, w, len(pos)), law)
+        kappas[i] = kantorovich(WeightedEmpiricalMeasure(pos, w), law)
     return checkpoints, kappas

@@ -26,7 +26,7 @@ sigma(alpha)^2, and the Green-Kubo variance
 
 from __future__ import annotations
 
-import itertools
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -464,7 +464,7 @@ def _certified_lags(covariances, threshold: float) -> np.ndarray:
         cj.append(c)
         if j >= 11 and abs(cj[-2]) < threshold and abs(cj[-1]) <= 0.95 * abs(cj[-2]) + threshold:
             return np.array(cj[:j - 1])
-    raise ConvergenceError(f"correlation tail not certified within {MAX_LAG} lags")
+    raise ConvergenceError(f"correlation tail not certified within {len(cj)} lags")
 
 
 def autocovariance_series(source: UlamOperator | PiecewiseMap, u: Observable,
@@ -499,8 +499,9 @@ def autocovariance_series(source: UlamOperator | PiecewiseMap, u: Observable,
     # numpy's pairwise sum, not a BLAS dot: a threaded dot's bits
     # depend on the BLAS thread count and CPU kernel
     c0 = float(np.sum(vals * vals) / n)
-    covariances = (float(np.sum(vals[:-j] * vals[j:]) / (n - j))
-                   for j in itertools.count(1))
+    # an orbit of n values has no pairs at lag n or beyond: a short orbit
+    # runs out of lags uncertified
+    covariances = (float(np.sum(vals[:-j] * vals[j:]) / (n - j)) for j in range(1, n))
     threshold = max(TAIL_RTOL * c0, 3.0 * c0 / np.sqrt(n))
     return c0, _certified_lags(covariances, threshold)
 
@@ -527,7 +528,11 @@ def require_nondegenerate(sigma2: float) -> float:
     """sigma^2 itself, or `DegenerateVarianceError` at or below
     `REFUSED_SIGMA2`: the observable is a coboundary (or numerically
     indistinguishable from one, as log|f'| of a constant-slope map is) and
-    the CLT limit law degenerates."""
+    the CLT limit law degenerates.  A sigma^2 that is not a finite number
+    (NaN included) is refused too."""
+    if not math.isfinite(sigma2):
+        raise DegenerateVarianceError(f"sigma^2 = {sigma2} is not a finite number; "
+                                      "the run is refused")
     if sigma2 <= REFUSED_SIGMA2:
         raise DegenerateVarianceError(
             f"sigma^2 = {sigma2:.3g} <= {REFUSED_SIGMA2:g}: the observable is a "

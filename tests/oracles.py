@@ -33,7 +33,9 @@ sparse layout and matvec that `ergostat.transfer.CSRMatrix` must
 reproduce, and `dense` reads one out as an array;
 `bisection_reference` is the vectorized 60-step bisection that
 `Law.cdf_inverse_in` must reproduce on every crossing; `support` and
-`normalized_weights` read a weighted empirical measure.
+`normalized_weights` read a weighted empirical measure; `law_cdf`,
+`left_tail`, `right_tail` and `cdf_integral` read a law's
+`cdf_and_antiderivative` pair.
 """
 
 from __future__ import annotations
@@ -179,11 +181,12 @@ class DiracLaw(Law):
 
     a: float
 
-    def cdf(self, x):
-        return (np.asarray(x, dtype=float) >= self.a).astype(float)
+    def cdf_and_antiderivative(self, x):
+        x = np.asarray(x, dtype=float)
+        return (x >= self.a).astype(float), np.maximum(x - self.a, 0.0)
 
-    def cdf_antiderivative(self, x):
-        return np.maximum(np.asarray(x, dtype=float) - self.a, 0.0)
+    def cdf_float(self, x: float) -> float:
+        return 1.0 if x >= self.a else 0.0
 
     @property
     def tail_constant(self) -> float:
@@ -205,12 +208,12 @@ class InterpolatedLaw(Law):
         self._Is = np.concatenate(
             [[0.0], np.cumsum(0.5 * (self.cs[1:] + self.cs[:-1]) * np.diff(self.xs))])
 
-    def cdf(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.xs, self.cs,
-                         left=0.0, right=1.0)
+    def cdf_float(self, x: float) -> float:
+        return float(np.interp(x, self.xs, self.cs, left=0.0, right=1.0))
 
-    def cdf_antiderivative(self, x):
+    def cdf_and_antiderivative(self, x):
         x = np.asarray(x, dtype=float)
+        F = np.interp(x, self.xs, self.cs, left=0.0, right=1.0)
         idx = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, len(self.xs) - 2)
         x0, x1 = self.xs[idx], self.xs[idx + 1]
         c0, c1 = self.cs[idx], self.cs[idx + 1]
@@ -218,11 +221,31 @@ class InterpolatedLaw(Law):
         dx = np.clip(x, x0, x1) - x0
         inside = self._Is[idx] + c0 * dx + 0.5 * slope * dx * dx
         after = self._Is[-1] + (x - self.xs[-1])
-        return np.where(x <= self.xs[0], 0.0, np.where(x >= self.xs[-1], after, inside))
+        return F, np.where(x <= self.xs[0], 0.0, np.where(x >= self.xs[-1], after, inside))
 
     @property
     def tail_constant(self) -> float:
         return float(self.xs[-1] - self._Is[-1])
+
+
+def law_cdf(law: Law, x):
+    """F(x), from the law's pair."""
+    return law.cdf_and_antiderivative(x)[0]
+
+
+def left_tail(law: Law, x):
+    """int_{-inf}^x F(t) dt, the antiderivative itself."""
+    return law.cdf_and_antiderivative(x)[1]
+
+
+def right_tail(law: Law, x):
+    """int_x^inf (1 - F(t)) dt."""
+    return law.tail_constant - x + law.cdf_and_antiderivative(x)[1]
+
+
+def cdf_integral(law: Law, a, b):
+    """int_a^b F(x) dx."""
+    return law.cdf_and_antiderivative(b)[1] - law.cdf_and_antiderivative(a)[1]
 
 
 def support(emp: WeightedEmpiricalMeasure) -> np.ndarray:
@@ -242,7 +265,7 @@ def bisection_reference(law: Law, a, b, p) -> np.ndarray:
     b = np.array(b, dtype=float, copy=True)
     for _ in range(60):
         mid = 0.5 * (a + b)
-        below = law.cdf(mid) < p
+        below = law_cdf(law, mid) < p
         a = np.where(below, mid, a)
         b = np.where(below, b, mid)
     return 0.5 * (a + b)
@@ -293,7 +316,7 @@ def kantorovich_bruteforce(emp: WeightedEmpiricalMeasure, law: Law,
         return cum[idx]
 
     def integrand(x):
-        return abs(femp(x) - float(law.cdf(x)))
+        return abs(femp(x) - law.cdf_float(x))
 
     # subdivide at atom positions and at law kinks (Dirac atom, half-Gaussian 0)
     nodes = [-cutoff, cutoff]
@@ -313,7 +336,7 @@ def kantorovich_bruteforce(emp: WeightedEmpiricalMeasure, law: Law,
         eps = 1e-12 * max(1.0, abs(a), abs(b))
         fa, fm, fb = integrand(a + eps), integrand(0.5 * (a + b)), integrand(b - eps)
         total += _adaptive_simpson(integrand, a, b, fa, fm, fb, seg_tol, depth=40)
-    total += float(law.left_tail(-cutoff)) + float(law.right_tail(cutoff))
+    total += float(left_tail(law, -cutoff)) + float(right_tail(law, cutoff))
     return total
 
 
@@ -335,13 +358,13 @@ def kantorovich_reference(emp: WeightedEmpiricalMeasure, law: Law) -> float:
     cum = np.cumsum(merged)
     cum[-1] = 1.0
 
-    total = float(law.left_tail(pos[0])) + float(law.right_tail(pos[-1]))
+    total = float(left_tail(law, pos[0])) + float(right_tail(law, pos[-1]))
     if len(pos) == 1:
         return total
     a, b = pos[:-1], pos[1:]
     c = cum[:-1]
-    fa, fb = law.cdf(a), law.cdf(b)
-    seg_int = law.cdf_integral(a, b)
+    fa, fb = law_cdf(law, a), law_cdf(law, b)
+    seg_int = cdf_integral(law, a, b)
     seg_len = b - a
     above = fa >= c
     below = fb <= c
@@ -351,8 +374,8 @@ def kantorovich_reference(emp: WeightedEmpiricalMeasure, law: Law) -> float:
     if np.any(crossing):
         ac, bc, cc = a[crossing], b[crossing], c[crossing]
         xs = law.cdf_inverse_in(ac, bc, cc)
-        left = cc * (xs - ac) - law.cdf_integral(ac, xs)
-        right = law.cdf_integral(xs, bc) - cc * (bc - xs)
+        left = cc * (xs - ac) - cdf_integral(law, ac, xs)
+        right = cdf_integral(law, xs, bc) - cc * (bc - xs)
         pieces[crossing] = np.maximum(left, 0.0) + np.maximum(right, 0.0)
     return total + float(np.sum(np.maximum(pieces, 0.0)))
 

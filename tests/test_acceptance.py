@@ -152,7 +152,7 @@ def reference_kappas(values: np.ndarray, law, running_max: bool) -> np.ndarray:
         s = np.maximum.accumulate(s, axis=1)
     atoms = s / np.sqrt(np.arange(1, n + 1))
     weights = 1.0 / np.arange(1, n + 1)
-    return np.array([kantorovich(WeightedEmpiricalMeasure(a, weights, n), law)
+    return np.array([kantorovich(WeightedEmpiricalMeasure(a, weights), law)
                      for a in atoms])
 
 
@@ -232,7 +232,7 @@ def test_criterion_04_kantorovich_oracles():
 
     # two-atom case: the adaptive-quadrature oracle (and scipy.integrate)
     # give 0.53537732155; the closed form must match both to 1e-8
-    emp2 = WeightedEmpiricalMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 2)
+    emp2 = WeightedEmpiricalMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
     two_closed = kantorovich(emp2, g1)
     two_brute = kantorovich_bruteforce(emp2, g1)
     dev_two = abs(two_closed - 0.5353773215478800)

@@ -16,7 +16,7 @@ from ergostat.measures import (
     kantorovich,
 )
 from ergostat.transfer import green_kubo_sigma2, ulam_matrix
-from oracles import rate_diagnostic
+from oracles import left_tail, rate_diagnostic, right_tail
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +35,7 @@ def test_small_run_matches_direct_construction(doubling):
     u = sawtooth()
     diag = asclt_run(doubling, u, 4, seed=5, checkpoints=[4], sigma2=0.25)
     atoms = normalized_statistic_atoms(doubling, u, 4, seed=5)
-    emp = WeightedEmpiricalMeasure(atoms, 1.0 / np.arange(1, 5), 4)
+    emp = WeightedEmpiricalMeasure(atoms, 1.0 / np.arange(1, 5))
     assert diag.kappa_values[0] == kantorovich(emp, GaussianLaw(0.5))
 
 
@@ -99,8 +99,8 @@ def test_single_atom_maxima_measure(doubling):
     assert direct >= 0
     law = HalfGaussianLaw(0.5)
     s1 = float(atom[0])
-    expected = float(law.left_tail(s1) + law.right_tail(s1)) if s1 >= 0 else \
-        -s1 + float(law.right_tail(0.0))
+    expected = float(left_tail(law, s1) + right_tail(law, s1)) if s1 >= 0 else \
+        -s1 + float(right_tail(law, 0.0))
     assert direct == pytest.approx(expected, abs=1e-12)
 
 

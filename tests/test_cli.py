@@ -178,6 +178,29 @@ def test_map_past_256_branches_exits_3(tmp_path, capsys):
     assert "at most 256" in capsys.readouterr().err
 
 
+def test_custom_map_short_of_intercepts_exits_3(tmp_path, capsys):
+    spec = "name = custom\nbreakpoints = 0, 0.5, 1\nslopes = 2, 2\nintercepts = 0"
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(cfg_text(tmp_path / "o").replace("name = doubling", spec))
+    assert main(["asclt", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err.splitlines() == ["numeric failure: need one intercept per slope"]
+
+
+@pytest.mark.parametrize("sub", ["asclt", "sigma2"])
+def test_orbit_shorter_than_its_lags_exits_3(tmp_path, capsys, sub):
+    # 5 orbit values have 4 lags and no certified tail: the run is refused
+    # instead of writing a NaN sigma^2
+    out = tmp_path / "o"
+    text = cfg_text(out).replace("name = doubling", "name = perturbed-doubling").replace(
+        "[ulam]", "[sigma2]\nmethod = orbit\norbit_length = 5\n\n[ulam]")
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(text)
+    assert main([sub, "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure: ")
+    assert not any("nan" in p.read_text() for p in out.glob("*.csv"))
+
+
 def test_budget_exit_code(tmp_path):
     extra = "\n[erdos_renyi]\nalpha = 0.25\nk_grid = 4000\nlength_cap = 1000000\n"
     text = cfg_text(tmp_path / "o", extra).replace("name = sawtooth", "name = coin")
@@ -414,11 +437,19 @@ def test_entropy_smb_on_steep_full_branch_map(tmp_path):
     ("ld-check", "[ulam]", "[ld]\nk_grid = 0, 50\n\n[ulam]"),
     ("ld-check", "[ulam]", "[ld]\nk_grid = -5\n\n[ulam]"),
     ("ld-check", "[ulam]", "[ld]\nr_grid = -3\n\n[ulam]"),
+    ("asclt", "name = sawtooth", "name = table"),
+    ("asclt", "name = sawtooth", "name = table\nxs = 0, 0.5, 1\nys = 1, 2"),
+    ("asclt", "name = sawtooth", "name = table\nxs = 0, 0.5, 0.5, 1\nys = 1, 2, 3, 4"),
+    ("pressure", "name = sawtooth", "name = table\nxs = 0, 1\nys = nan, 1"),
+    ("density", "seeds = 1", "seeds = 2, -1"),
+    ("asclt --seed-offset=-2", "seeds = 1", "seeds = 1, 5"),
 ], ids=["checkpoint-past-horizon", "trajectory-under-10-windows", "unknown-observable",
         "unknown-map", "zero-checkpoint", "first-checkpoint-below-4", "horizon-below-4",
         "entropy-checkpoint-past-horizon", "entropy-checkpoint-past-depth",
         "rate-curve-negative-window", "rate-curve-zero-window", "ld-zero-window",
-        "ld-negative-window", "ld-negative-shift"])
+        "ld-negative-window", "ld-negative-shift", "table-without-points",
+        "table-unequal-lengths", "table-repeated-x", "table-nan-value",
+        "negative-seed", "negative-seed-offset"])
 def test_unrunnable_config_exits_2(tmp_path, capsys, sub, old, new):
     text = cfg_text(tmp_path / "o")
     if sub.startswith("entropy"):     # doubling's constant slope would be refused
@@ -426,7 +457,7 @@ def test_unrunnable_config_exits_2(tmp_path, capsys, sub, old, new):
     assert old in text
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(text.replace(old, new))
-    assert main([sub, "--config", str(cfg_path)]) == 2
+    assert main([*sub.split(), "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
 

@@ -14,7 +14,7 @@ from scipy.interpolate import CubicSpline
 import ergostat
 from ergostat import transfer
 from ergostat.entropy import rokhlin_entropy
-from ergostat.errors import DomainError
+from ergostat.errors import DegenerateVarianceError, DomainError
 from ergostat.maps import (
     Observable,
     coboundary,
@@ -34,6 +34,7 @@ from ergostat.transfer import (
     legendre,
     observable_mean,
     pressure_curve,
+    require_nondegenerate,
     ulam_matrix,
     _golden_max,
     _power_iteration,
@@ -497,6 +498,13 @@ def test_sigma2_coboundary_vanishes():
     d = make_map("doubling")
     s2 = green_kubo_sigma2(ulam_matrix(d, N=2048), coboundary(d))
     assert abs(s2) < 1e-6
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_require_nondegenerate_refuses_non_finite(value):
+    # NaN compares False with the floor, so it needs its own refusal
+    with pytest.raises(DegenerateVarianceError, match="not a finite number"):
+        require_nondegenerate(value)
 
 
 def test_autocovariance_oracle_values():
