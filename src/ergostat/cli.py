@@ -77,6 +77,9 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     if columns and len(columns[0]):
         fmt = ",".join(_column_format(col) for col in columns)
         lines += map(fmt.__mod__, zip(*columns))
+    # the output directory comes with the first artifact, so a run refused
+    # before it writes one leaves no directory behind
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -91,6 +94,7 @@ def _write_manifest(outdir: Path, subcommand: str, cfg: ExperimentConfig,
         **extra,
     }
     path = outdir / f"{subcommand.replace(' ', '')}-manifest.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -327,7 +331,6 @@ def run(subcommand: str, cfg: ExperimentConfig, seed_offset: int = 0) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     outdir = Path(cfg.get("run", "output_dir"))
-    outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     try:
         seeds = _seeds(cfg, seed_offset)

@@ -45,10 +45,6 @@ class Branch:
     Linear branches carry slope/intercept and have exact inverses; smooth
     branches are given by callables and invert by bracketed Newton steps on
     `dfn` (monotonicity keeps the root in the bracket, so it stays correct).
-    A smooth branch may carry `scalar`, the same formula as `fn` on one
-    Python float, which must give the bits of `fn` on an array; float
-    iteration steps with it (a linear `fn` already maps a float to a float,
-    so linear branches leave it None).
     """
 
     lo: float
@@ -57,7 +53,6 @@ class Branch:
     dfn: Callable[[np.ndarray], np.ndarray]
     slope: float | None = None          # set for linear branches
     intercept: float | None = None
-    scalar: Callable[[float], float] | None = None
 
     @property
     def is_linear(self) -> bool:
@@ -117,13 +112,16 @@ class PiecewiseMap:
     """Piecewise monotone expanding map of [0,1].
 
     `expansion_constant` eta > 1 certifies |f'| >= eta on the partition
-    (checked on a grid at construction).
+    (checked on a grid at construction).  `scalar` is the whole map on one
+    Python float, returning a Python float: the branch of `branch_index`,
+    its formula and the clip of `apply`, bitwise `apply` on an array.
     """
 
     name: str
     breakpoints: np.ndarray
     branches: tuple[Branch, ...]
     expansion_constant: float
+    scalar: Callable[[float], float]
     descriptor: dict = field(default_factory=dict)
 
     @property
@@ -207,7 +205,6 @@ class PiecewiseMap:
 # ---------------------------------------------------------------------------
 
 def _linear_branch(lo: float, hi: float, slope: float, intercept: float) -> Branch:
-    # Python floats, so that a scalar step stays off numpy scalars
     slope, intercept = float(slope), float(intercept)
     return Branch(
         lo=lo,
@@ -237,11 +234,23 @@ def _piecewise_linear(name: str, breakpoints, slopes: Sequence[float], intercept
         else:
             c = -s * bp[i] if s > 0 else 1.0 - s * bp[i]
         branches.append(_linear_branch(bp[i], bp[i + 1], s, c))
+    # Python floats, so that the twin stays off numpy scalars
+    inner = bp[1:-1].tolist()
+    S = [br.slope for br in branches]
+    C = [br.intercept for br in branches]
+
+    def scalar(x):
+        # the branch of branch_index: [a_i, a_{i+1}), and the last one at 1
+        i = bisect_right(inner, x)
+        x = S[i] * x + C[i]
+        return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+
     m = PiecewiseMap(
         name=name,
         breakpoints=bp,
         branches=tuple(branches),
         expansion_constant=min(abs(float(s)) for s in slopes),
+        scalar=scalar,
         descriptor=descriptor,
     )
     m.validate()
@@ -260,23 +269,26 @@ def _perturbed_doubling(eps: float, descriptor: dict) -> PiecewiseMap:
         raise MapDefinitionError("perturbed doubling needs 0 < eps < 1/(2 pi)")
     two_pi = 2.0 * math.pi
 
-    def branch(shift, sin):
-        # one formula for the array and the scalar form; 2x - 0.0 is bitwise
-        # 2x, and math.sin gives the bits of np.sin
-        return lambda x: 2.0 * x - shift + eps * sin(two_pi * x)
+    def branch(shift):
+        return lambda x: 2.0 * x - shift + eps * np.sin(two_pi * x)
 
     def df(x):
         return 2.0 + eps * two_pi * np.cos(two_pi * x)
 
-    branches = tuple(
-        Branch(lo=lo, hi=hi, fn=branch(shift, np.sin), dfn=df,
-               scalar=branch(shift, math.sin))
-        for lo, hi, shift in ((0.0, 0.5, 0.0), (0.5, 1.0, 1.0)))
+    def scalar(x):
+        # the operations of `branch` in its order; 2x - 0.0 is bitwise 2x,
+        # and math.sin gives the bits of np.sin
+        x = 2.0 * x - (0.0 if x < 0.5 else 1.0) + eps * math.sin(two_pi * x)
+        return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+
+    branches = tuple(Branch(lo=lo, hi=hi, fn=branch(shift), dfn=df)
+                     for lo, hi, shift in ((0.0, 0.5, 0.0), (0.5, 1.0, 1.0)))
     m = PiecewiseMap(
         name="perturbed-doubling",
         breakpoints=np.array([0.0, 0.5, 1.0]),
         branches=branches,
         expansion_constant=2.0 - eps * two_pi,
+        scalar=scalar,
         descriptor=descriptor,
     )
     m.validate()
@@ -527,28 +539,17 @@ def points_from_symbols(pmap: PiecewiseMap, symbols: np.ndarray, n: int) -> np.n
     return x
 
 
-def _scalar_step(br: Branch) -> Callable[[float], float]:
-    """br on one Python float, bitwise `br.fn` on an array: its scalar twin,
-    else `fn` itself (a smooth branch without a twin steps on numpy
-    scalars, slower but with the same bits)."""
-    return br.scalar or br.fn
-
-
 def _float_orbit_chunk(pmap: PiecewiseMap, x: float, m: int) -> tuple[np.ndarray, float]:
     """Fill a chunk of a float-iterated orbit starting at x in [0, 1];
-    returns the chunk and the next start point.  Scalar fast path: each step
-    is one branch twin on a Python float, bitwise PiecewiseMap.apply."""
-    inner = pmap.breakpoints[1:-1].tolist()
-    steps = [_scalar_step(br) for br in pmap.branches]
-    out = np.empty(m, dtype=float)
+    returns the chunk and the next start point.  Each step is one call of
+    the map's scalar twin, bitwise PiecewiseMap.apply; the points go
+    through a memoryview (8 B each, where a list would hold 32 B)."""
+    step = pmap.scalar
+    out = np.empty(m)
+    mv = memoryview(out)
     for t in range(m):
-        out[t] = x
-        # the branch of branch_index: [a_i, a_{i+1}), and the last one at 1
-        x = steps[bisect_right(inner, x)](x)
-        if x < 0.0:
-            x = 0.0
-        elif x > 1.0:
-            x = 1.0
+        mv[t] = x
+        x = step(x)
     return out, x
 
 

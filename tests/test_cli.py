@@ -460,6 +460,8 @@ def test_unrunnable_config_exits_2(tmp_path, capsys, sub, old, new):
     assert main([*sub.split(), "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+    # the output directory comes with the first artifact: none is left behind
+    assert not (tmp_path / "o").exists()
 
 
 def test_empty_window_grids_still_run(tmp_path):

@@ -18,7 +18,7 @@ from ergostat.maps import (
     sawtooth,
     symbol_chunks,
 )
-from ergostat.maps import _RECONSTRUCT_BLOCK, _scalar_step, _symbol_tail_depth
+from ergostat.maps import _RECONSTRUCT_BLOCK, _symbol_tail_depth
 from ergostat.transfer import invariant_density, ulam_matrix
 from oracles import birkhoff_sums, evaluate, reconstruct_points
 
@@ -212,7 +212,9 @@ def test_float_orbit_dyadic_degeneracy_documented():
 
 
 # every built-in linear map, the 3, 1.5 map, a custom map with explicit
-# intercepts, and perturbed doubling at its default and a large eps
+# intercepts, perturbed doubling at its default and a large eps, and full
+# branches on 0, 0.31, 1 whose float images of 1 (1 + 2^-52 and -2^-52)
+# only the clip of apply brings back into [0, 1]
 _TWIN_MAPS = [
     ("doubling", {}),
     ("tent", {}),
@@ -222,42 +224,43 @@ _TWIN_MAPS = [
                 "intercepts": [0.0, 1.5]}),
     ("perturbed-doubling", {"eps": 0.05}),
     ("perturbed-doubling", {"eps": 0.15}),
+    ("custom", {"breakpoints": [0.0, 0.31, 1.0], "slopes": [1 / 0.31, 1 / 0.69]}),
+    ("custom", {"breakpoints": [0.0, 0.31, 1.0], "slopes": [1 / 0.31, -1 / 0.69]}),
 ]
+
+
+def _assert_twin_is_apply(pmap, xs):
+    """The map's scalar twin gives the bytes of `apply` on an array, as a
+    Python float: an np.float64 keeps the bits but steps several times
+    slower."""
+    got = [pmap.scalar(x) for x in np.asarray(xs, dtype=float).tolist()]
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == pmap.apply(xs).tobytes()
+
+
+def _twin_points(pmap, xs):
+    """xs, the breakpoints and their float neighbours, 0 and 1 - ulp."""
+    bp = pmap.breakpoints
+    return np.concatenate([xs, bp, np.nextafter(bp, 0.0), np.nextafter(bp, 1.0),
+                           [0.0, np.nextafter(1.0, 0.0)]])
 
 
 @pytest.mark.parametrize("name,params", _TWIN_MAPS)
 def test_scalar_twins_give_vector_bytes(name, params):
-    # float iteration steps each branch on one Python float; its bits must
-    # be those of the branch on an array, or float orbits drift from apply
+    # float iteration steps the whole map on one Python float; its bits must
+    # be those of apply on an array, or float orbits drift from apply
     pmap = make_map(name, **params)
-    bp = pmap.breakpoints
-    xs = np.concatenate([np.random.default_rng(5).random(100_000), bp,
-                         np.nextafter(bp, 0.0), np.nextafter(bp, 1.0),
-                         [0.0, np.nextafter(1.0, 0.0)]])
-    for br in pmap.branches:
-        assert (br.scalar is None) == br.is_linear
-        step = _scalar_step(br)
-        got = np.array([step(x) for x in xs.tolist()])
-        assert got.tobytes() == br.fn(xs).tobytes()
-    if pmap.branches[0].is_linear:
-        assert all(type(v) is float for br in pmap.branches
-                   for v in (br.slope, br.intercept))
+    _assert_twin_is_apply(pmap, _twin_points(pmap, np.random.default_rng(5).random(100_000)))
 
 
 def test_float_orbit_consecutive_points_exact():
     maps = [make_map("perturbed-doubling", eps=eps) for eps in (0.05, 0.15)]
     maps.append(make_map("custom", breakpoints=[0.0, 1.0 / 3.0, 1.0], slopes=[3.0, 1.5]))
-    # smooth branches without a scalar twin step with fn on numpy scalars
-    no_twins = replace(maps[1], branches=tuple(replace(br, scalar=None)
-                                               for br in maps[1].branches))
     for pmap in maps:
         for seed in (1, 6, 77, 2024):
             o = orbit(pmap, seed=seed, n=3000)
             assert o.mode == "float-iterate"
             assert np.array_equal(o.points[1:], pmap.apply(o.points[:-1]))
-            if pmap is maps[1]:
-                assert orbit(no_twins, seed=seed, n=3000).points.tobytes() == \
-                    o.points.tobytes()
     with pytest.raises(ValueError, match="not in"):
         orbit(maps[0], seed=0, n=3, x0=-0.25)
 
@@ -414,6 +417,12 @@ def test_random_linear_maps_stream_or_refuse(m, seed, chunk):
         op = ulam_matrix(m, None, 0.0, 64)
         assert np.sum(invariant_density(op)) / 64 == pytest.approx(1.0, abs=1e-12)
         assert np.log(op.leading_eigenvalue) == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=_linear_maps(), seed=st.integers(0, 2**32 - 1))
+def test_random_linear_map_twins_give_apply_bytes(m, seed):
+    _assert_twin_is_apply(m, _twin_points(m, np.random.default_rng(seed).random(200)))
 
 
 def test_observable_regularity_required():
