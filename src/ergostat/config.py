@@ -9,6 +9,7 @@ constraint violations are reported with their line numbers.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -49,7 +50,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "method": ("str", "quadrature",
                    (lambda v: v in ("quadrature", "orbit"), "must be quadrature or orbit")),
         "orbit_length": ("int", 10_000_000, _POSITIVE),
-        "value": ("float", float("nan"), None),          # NaN = compute it
+        "value": ("float", float("nan"),                 # NaN = compute it
+                  (lambda v: math.isnan(v) or 0.0 < v < math.inf,
+                   "must be positive and finite (leave it out to compute sigma^2)")),
     },
     "pressure": {
         "beta_max": ("float", 3.0, _POSITIVE),

@@ -117,13 +117,17 @@ def er_law_check(pmap: PiecewiseMap, u: Observable, alpha: float, rate: RateFunc
     values on a symbolic map is scanned as integer weights, and M_k is the
     integer maximum times their unit: the bits of the float scan, whose
     prefix sums are exact for such values (see `maps._unit_weights`).
+    alpha = 0, an alpha off the rate function's grid and an alpha with
+    beta(alpha) <= 0 (at or below the mean) raise `DomainError`.
     """
     if alpha == 0.0:
         raise DomainError("alpha must be nonzero (phi(0)=0 gives no windows)")
-    if not (rate.alpha_grid[0] <= alpha <= rate.alpha_grid[-1]):
-        raise DomainError("alpha outside the tabulated rate function")
     phi = rate.phi(alpha)
     beta = rate.beta(alpha)
+    if not beta > 0.0:
+        raise DomainError(
+            f"alpha = {alpha!r} has beta(alpha) = {beta!r}, not positive: the law of window "
+            "maxima holds only above the mean, where beta(alpha) > 0")
     k_grid = np.asarray(k_grid, dtype=np.int64)
     m_vals = np.empty(len(k_grid))
     counts = np.empty(len(k_grid), dtype=np.int64)

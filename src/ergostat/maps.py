@@ -31,6 +31,9 @@ from .errors import ConfigError, DomainError, MapDefinitionError
 
 # Mantissa bits reconstructed from the symbol tail in symbolic mode.
 _RECONSTRUCT_BITS = 53
+# (slope, intercept) of each branch of the binary shift x -> 2x mod 1, whose
+# points are read from symbol words (-0.0 == 0.0, and x - -0.0 is x)
+_BINARY_SHIFT = [(2.0, 0.0), (2.0, -1.0)]
 # Points per block of the reconstruction: the branch data of one block's
 # symbol tail is gathered once and its levels run in place.
 _RECONSTRUCT_BLOCK = 1 << 13
@@ -519,12 +522,15 @@ def points_from_symbols(pmap: PiecewiseMap, symbols: np.ndarray, n: int) -> np.n
     follows position t; the truncation error is below one float ulp.
     Requires len(symbols) >= n + T.  2-d input reconstructs each row.
     Each block of points gathers the branch data of its symbol tail once
-    and runs the T levels in place on contiguous slices of it.
+    and runs the T levels in place on contiguous slices of it; the binary
+    shift reads its points from symbol words instead (`_binary_shift_points`).
     """
     symbols = np.asarray(symbols)
     depth = _symbol_tail_depth(pmap)
     if symbols.shape[-1] < n + depth:
         raise ValueError("symbol stream too short for point reconstruction")
+    if [(br.slope, br.intercept) for br in pmap.branches] == _BINARY_SHIFT:
+        return _binary_shift_points(symbols, n)
     slopes = np.array([br.slope for br in pmap.branches])
     intercepts = np.array([br.intercept for br in pmap.branches])
     x = np.full(symbols.shape[:-1] + (n,), 0.5)
@@ -536,6 +542,39 @@ def points_from_symbols(pmap: PiecewiseMap, symbols: np.ndarray, n: int) -> np.n
         for d in range(depth - 1, -1, -1):
             np.subtract(xb, c[..., d : d + m], out=xb)
             np.divide(xb, s[..., d : d + m], out=xb)
+    return x
+
+
+def _binary_shift_points(symbols: np.ndarray, n: int) -> np.ndarray:
+    """`points_from_symbols` of the binary shift: x_t = float(2 J_t + 1) 2^-54,
+    J_t the 53-bit word s_t s_{t+1} ... s_{t+52}, bit for bit the levels
+    x -> (x + s)/2 from x = 1/2.
+
+    Each level but the last is exact.  The last adds s_t to a number with
+    53 fractional bits, so 1 + x needs 54 bits and rounds once, half to
+    even; the int64 -> float64 conversion of the 54-bit 2 J_t + 1 rounds
+    the same way, and the halving and the power-of-two scale are exact.
+    Words are built per block from the packed bits: the 8 bytes at byte q
+    (eight shifted ORs) hold the words of points 8q ... 8q + 7.
+    """
+    lead = symbols.shape[:-1]
+    x = np.empty(lead + (n,))
+    for a in range(0, n, _RECONSTRUCT_BLOCK):
+        m = min(_RECONSTRUCT_BLOCK, n - a)
+        q = -(-m // 8)
+        packed = np.zeros(lead + (q + 7,), dtype=np.uint8)
+        bits = np.packbits(symbols[..., a : a + m + _RECONSTRUCT_BITS - 1], axis=-1)
+        packed[..., : bits.shape[-1]] = bits
+        word = np.zeros(lead + (q,), dtype=np.uint64)
+        for i in range(8):
+            word |= packed[..., i : i + q].astype(np.uint64) << np.uint64(56 - 8 * i)
+        odd = np.empty(lead + (q, 8), dtype=np.uint64)
+        for r in range(8):
+            # the top 54 bits from bit r on, with the last one set: 2 J + 1
+            odd[..., r] = (word << np.uint64(r)) >> np.uint64(10)
+        odd |= np.uint64(1)
+        odd = odd.reshape(lead + (8 * q,))[..., :m]
+        np.multiply(odd.view(np.int64), 2.0**-54, out=x[..., a : a + m])
     return x
 
 

@@ -332,17 +332,43 @@ class WeightedEmpiricalMeasure:
     def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct sorted positions with merged normalized weights."""
         order = _stable_argsort(self.positions)
-        pos = self.positions[order]
-        w = self.weights[order] / self.normalizer
-        distinct = np.empty(len(pos), dtype=bool)
-        distinct[0] = True
-        np.not_equal(pos[1:], pos[:-1], out=distinct[1:])
-        if distinct.all():
-            return pos, w
-        idx = np.cumsum(distinct) - 1
-        merged = np.zeros(int(idx[-1]) + 1)
-        np.add.at(merged, idx, w)
-        return pos[distinct], merged
+        return _merge_ties(self.positions[order], self.weights[order] / self.normalizer)[:2]
+
+    def _law_at_atoms(self, law: Law) -> tuple[np.ndarray, np.ndarray]:
+        """`law.cdf_and_antiderivative` at the distinct sorted positions."""
+        return law.cdf_and_antiderivative(self._sorted[0])
+
+
+def _merge_ties(pos: np.ndarray, w: np.ndarray):
+    """(positions, weights, distinct) for sorted positions: the distinct
+    positions, their summed weights, and the mask of the first atom of each
+    run of equal positions (None when every position is distinct)."""
+    distinct = np.empty(len(pos), dtype=bool)
+    distinct[0] = True
+    np.not_equal(pos[1:], pos[:-1], out=distinct[1:])
+    if distinct.all():
+        return pos, w, None
+    idx = np.cumsum(distinct) - 1
+    merged = np.zeros(int(idx[-1]) + 1)
+    np.add.at(merged, idx, w)
+    return pos[distinct], merged, distinct
+
+
+@dataclass(frozen=True)
+class _CheckpointMeasure(WeightedEmpiricalMeasure):
+    """The measure of one checkpoint of `kantorovich_ladder`, carrying its
+    sorted view and the values of the ladder's law there, both gathered
+    from the ladder's one sort and one law evaluation: view = (positions,
+    weights, F, I) at the distinct sorted positions."""
+
+    view: tuple
+
+    @property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.view[:2]
+
+    def _law_at_atoms(self, law: Law) -> tuple[np.ndarray, np.ndarray]:
+        return self.view[2:]
 
 
 def build_empirical(values, n: int | None = None) -> WeightedEmpiricalMeasure:
@@ -377,7 +403,7 @@ def kantorovich(emp: WeightedEmpiricalMeasure, law: Law) -> float:
 
     # one law evaluation per distinct atom, read at both segment ends and
     # for the tails; one atom leaves no segment, only the tails
-    F, I = law.cdf_and_antiderivative(pos)
+    F, I = emp._law_at_atoms(law)
     total = float(I[0]) + float(law.tail_constant - pos[-1] + I[-1])
     a, b = pos[:-1], pos[1:]
     c = cum[:-1]
@@ -441,13 +467,22 @@ def kantorovich_ladder(atoms: np.ndarray, law: Law, checkpoints=None,
     `keep` mask drops atoms from every checkpoint's measure (their weights
     leave the normalizer too); a checkpoint that keeps no atom raises
     `DomainError`.
+
+    The kept atoms of the last checkpoint are sorted once and the law is
+    evaluated on them once.  From the last checkpoint down, each one takes
+    its atoms from the next one's sorted arrays by their index, and
+    `kantorovich` runs on a measure that carries them.  Every kappa keeps
+    the bits of `kantorovich` on that checkpoint's measure alone: the
+    stable order of a prefix is the stable order of the whole without the
+    later atoms, F and I are elementwise, and each normalizer is still the
+    sum of its checkpoint's weights in index order.
     """
     if checkpoints is None:
         checkpoints = default_checkpoints(len(atoms))
     checkpoints = np.asarray(checkpoints, dtype=np.int64)
     weights = 1.0 / np.arange(1, len(atoms) + 1, dtype=float)
-    kappas = np.empty(len(checkpoints))
-    for i, m in enumerate(checkpoints):
+    measures = []
+    for m in checkpoints:
         pos, w = atoms[:m], weights[:m]
         if keep is not None:
             sel = keep[:m]
@@ -455,5 +490,28 @@ def kantorovich_ladder(atoms: np.ndarray, law: Law, checkpoints=None,
                 raise DomainError(
                     f"every atom up to checkpoint {m} was censored; no measure to compare")
             pos, w = pos[sel], w[sel]
-        kappas[i] = kantorovich(WeightedEmpiricalMeasure(pos, w), law)
+        measures.append((pos, w))
+    last = atoms[:checkpoints.max(initial=0)]
+    if keep is None:
+        rank = _stable_argsort(last)               # the atom index at each sorted place
+    else:
+        kept = np.flatnonzero(keep[:len(last)])
+        rank = kept[_stable_argsort(last[kept])]
+    ordered = atoms[rank]
+    # a non-finite atom is refused below, when its checkpoint's measure is built
+    with np.errstate(invalid="ignore"):
+        F, I = law.cdf_and_antiderivative(ordered)
+    cols = (rank, ordered, weights[rank], F, I)
+    kappas = np.empty(len(checkpoints))
+    for i in range(len(checkpoints) - 1, -1, -1):
+        pos, w = measures[i]
+        inside = cols[0] < checkpoints[i]
+        if not inside.all():
+            at = np.flatnonzero(inside)
+            cols = tuple(c.take(at) for c in cols)
+        _, spos, sw, Fm, Im = cols
+        spos, sw, distinct = _merge_ties(spos, sw / float(np.sum(w)))
+        if distinct is not None:
+            Fm, Im = Fm[distinct], Im[distinct]
+        kappas[i] = kantorovich(_CheckpointMeasure(pos, w, (spos, sw, Fm, Im)), law)
     return checkpoints, kappas

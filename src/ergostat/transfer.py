@@ -160,10 +160,20 @@ class RateFunction:
             raise ConvergenceError("beta(alpha) is not monotone")
 
     def phi(self, alpha: float) -> float:
-        return float(np.interp(alpha, self.alpha_grid, self.phi_values))
+        return float(np.interp(self._on_grid(alpha), self.alpha_grid, self.phi_values))
 
     def beta(self, alpha: float) -> float:
-        return float(np.interp(alpha, self.alpha_grid, self.beta_of_alpha))
+        return float(np.interp(self._on_grid(alpha), self.alpha_grid, self.beta_of_alpha))
+
+    def _on_grid(self, alpha: float) -> float:
+        """alpha itself, or `DomainError` when it lies outside the tabulated
+        grid, where interpolation would clamp it to an end value."""
+        lo, hi = float(self.alpha_grid[0]), float(self.alpha_grid[-1])
+        if not lo <= alpha <= hi:          # NaN too
+            raise DomainError(
+                f"alpha = {alpha!r} lies outside the tabulated rate function's grid "
+                f"[{lo!r}, {hi!r}]; widen it with [rate] alpha_min and alpha_max")
+        return alpha
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ arguments by name: `ulam_matrix(pmap, u, beta, N, quad_points)`, `n` of
 `asclt_run`, `maxima_run`, `smb_run` and `ow_run`, and `emp` of
 `kantorovich`.  bench/test_bench.py lies outside this suite, so a
 signature change in the program could break a traced benchmark pass while
-every test here stays green.  This test runs the ten subcommands once under
-the tracer, on perturbed doubling with the sawtooth observable at the
-sizes of test_golden.py.
+every test here stays green.  The first test runs the ten subcommands once
+under the tracer, on perturbed doubling with the sawtooth observable at the
+sizes of test_golden.py; the second checks the point and Kantorovich counts
+of one symbolic (doubling) asclt run.
 """
 
 import sys
@@ -41,6 +42,33 @@ def test_tracer_hooks_bind_program_signatures(tmp_path):
     assert counts["transfer.ulam_matrix.calls"] > 0
     assert counts["measures.kantorovich.calls"] > 0
     assert counts["measures.kantorovich.atoms_generated"] > 0
+
+
+def test_traced_doubling_asclt_counts_points_and_ladder_calls(tmp_path):
+    # the symbolic path: every orbit point comes from points_from_symbols
+    # (quadrature sigma^2 reads no orbit), and every checkpoint of every
+    # seed is one kantorovich call on that checkpoint's atoms
+    sys.path.insert(0, BENCH)
+    try:
+        from spans import Tracer
+        tracer = Tracer()
+        tracer.install()
+        try:
+            text = config_text(MAPS["doubling-sawtooth"], "asclt", tmp_path).replace(
+                "method = orbit", "method = quadrature")
+            cfg = parse_config(text)
+            code = run("asclt", cfg)
+        finally:
+            tracer.uninstall()
+    finally:
+        sys.path.remove(BENCH)
+    assert code == 0
+    seeds, horizon = cfg.get("run", "seeds"), cfg.get("run", "horizon")
+    checkpoints = cfg.get("run", "checkpoints")
+    counts = tracer.counts
+    assert counts["maps.points_from_symbols.points"] == horizon * len(seeds)
+    assert counts["measures.kantorovich.calls"] == len(checkpoints) * len(seeds)
+    assert counts["measures.kantorovich.atoms_sorted"] == sum(checkpoints) * len(seeds)
 
 
 def test_every_benchmark_config_parses(tmp_path):

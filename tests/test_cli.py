@@ -186,6 +186,25 @@ def test_custom_map_short_of_intercepts_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["numeric failure: need one intercept per slope"]
 
 
+@pytest.mark.parametrize("sub,alpha,says", [
+    ("ld-check", 0.4, "outside the tabulated rate function's grid [-0.3, 0.3]"),
+    ("erdos-renyi", 0.4, "outside the tabulated rate function's grid [-0.3, 0.3]"),
+    ("erdos-renyi", -0.2, "not positive"),
+])
+def test_alpha_without_a_rate_law_exits_3(tmp_path, capsys, sub, alpha, says):
+    # before, ld-check at 0.4 read phi and beta at 0.3 (normalized_ratio
+    # 0.0304 instead of about 0.28), and erdos-renyi at -0.2 wrote a band
+    # with band_lo 0.590 > band_hi -0.590; both exited 0
+    section = sub.replace("-", "_").replace("check", "").rstrip("_")
+    text = cfg_text(tmp_path / "o").replace("name = sawtooth", "name = coin").replace(
+        "[ulam]", f"[{section}]\nalpha = {alpha}\nk_grid = 50\n\n[ulam]")
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(text)
+    assert main([sub, "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure: ") and says in err[0]
+
+
 @pytest.mark.parametrize("sub", ["asclt", "sigma2"])
 def test_orbit_shorter_than_its_lags_exits_3(tmp_path, capsys, sub):
     # 5 orbit values have 4 lags and no certified tail: the run is refused
@@ -443,13 +462,16 @@ def test_entropy_smb_on_steep_full_branch_map(tmp_path):
     ("pressure", "name = sawtooth", "name = table\nxs = 0, 1\nys = nan, 1"),
     ("density", "seeds = 1", "seeds = 2, -1"),
     ("asclt --seed-offset=-2", "seeds = 1", "seeds = 1, 5"),
+    ("asclt", "[ulam]", "[sigma2]\nvalue = -1\n\n[ulam]"),
+    ("maxima", "[ulam]", "[sigma2]\nvalue = 0\n\n[ulam]"),
 ], ids=["checkpoint-past-horizon", "trajectory-under-10-windows", "unknown-observable",
         "unknown-map", "zero-checkpoint", "first-checkpoint-below-4", "horizon-below-4",
         "entropy-checkpoint-past-horizon", "entropy-checkpoint-past-depth",
         "rate-curve-negative-window", "rate-curve-zero-window", "ld-zero-window",
         "ld-negative-window", "ld-negative-shift", "table-without-points",
         "table-unequal-lengths", "table-repeated-x", "table-nan-value",
-        "negative-seed", "negative-seed-offset"])
+        "negative-seed", "negative-seed-offset", "negative-sigma2-value",
+        "zero-sigma2-value"])
 def test_unrunnable_config_exits_2(tmp_path, capsys, sub, old, new):
     text = cfg_text(tmp_path / "o")
     if sub.startswith("entropy"):     # doubling's constant slope would be refused

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import warnings
 
@@ -442,3 +443,32 @@ def test_ow_run_perturbed_sandwich_and_entropy(perturbed):
     # (1/n) log R_n estimates the entropy at this depth
     assert diag.log_returns[-1] / 18 == pytest.approx(diag.h_rokhlin, rel=0.35)
     assert np.all(diag.kappa_values >= 0)
+
+
+def test_censored_ow_ladder_equals_kept_atom_distances(perturbed, tmp_path):
+    # at cap 3000 the return times of k = 13 and 14 (seed 3) are censored and
+    # their atoms are NaN; each checkpoint's kappa is the distance of the
+    # measure of its kept atoms alone, bit for bit
+    from ergostat.cli import run
+    from ergostat.config import parse_config
+    from ergostat.measures import GaussianLaw, WeightedEmpiricalMeasure, kantorovich
+
+    consts = entropy_constants(perturbed, ulam_matrix(perturbed, N=1024))
+    cps = [4, 8, 13, 14]
+    diag = ow_run(perturbed, consts, 14, seed=3, checkpoints=cps, cap=3000)
+    assert diag.censored > 0
+    keep = np.isfinite(diag.atoms)
+    assert not keep[-1]
+    weights = 1.0 / np.arange(1, 15)
+    law = GaussianLaw(diag.sigma_used)
+    expected = [kantorovich(WeightedEmpiricalMeasure(diag.atoms[:m][keep[:m]],
+                                                     weights[:m][keep[:m]]), law) for m in cps]
+    assert diag.kappa_values.tobytes() == np.array(expected).tobytes()
+    # the same run through the CLI exits 0 and records the censoring
+    text = ("[map]\nname = perturbed-doubling\n\n[observable]\nname = sawtooth\n\n"
+            f"[run]\nseeds = 3\ncheckpoints = 4, 8, 13, 14\noutput_dir = {tmp_path}\n\n"
+            "[entropy]\ndepth = 14\ncap = 3000\n")
+    assert run("entropy-ow", parse_config(text)) == 0
+    manifest = json.loads((tmp_path / "entropy-ow-manifest.json").read_text())
+    assert manifest["censored_seed_3"] == diag.censored
+    assert manifest["kappa_final_seed_3"] == expected[-1]

@@ -288,6 +288,15 @@ def test_er_rejects_alpha_zero(doubling, coin_rate):
         er_law_check(doubling, coin(), 0.0, coin_rate, [50], seed=1)
 
 
+@pytest.mark.parametrize("alpha,says", [(-0.2, "not positive"), (0.5, "outside"),
+                                        (math.nan, "outside")])
+def test_er_rejects_alpha_below_the_mean_or_off_the_grid(doubling, coin_rate, alpha, says):
+    # below the mean beta(alpha) < 0, and the band +/- 1/(2 beta) came out
+    # upside down (band_lo 0.590 > band_hi -0.590 at alpha = -0.2)
+    with pytest.raises(DomainError, match=says):
+        er_law_check(doubling, coin(), alpha, coin_rate, [50], seed=1)
+
+
 def test_er_budget_cap(doubling, coin_rate):
     with pytest.raises(BudgetExceededError):
         er_law_check(doubling, coin(), 0.4, coin_rate, [500], seed=1, length_cap=10**6)

@@ -185,15 +185,31 @@ def test_symbolic_orbit_never_collapses():
     ("custom", {"breakpoints": [0, 0.5, 1], "slopes": [2, 2]}),
 ])
 def test_points_from_symbols_bitwise_equals_level_oracle(name, params):
-    # blocked, in-place reconstruction: the same bytes as one gather per level
+    # blocked, in-place reconstruction (and the binary shift's symbol words):
+    # the same bytes as one gather per level
     pmap = make_map(name, **params)
     depth, B = _symbol_tail_depth(pmap), _RECONSTRUCT_BLOCK
     rng = np.random.default_rng(11)
-    for n in (1, B - 1, B, B + 1, 3 * B + 5):
+    for n in (1, 7, 8, 9, B - 1, B, B + 1, 3 * B + 5):
         syms = rng.integers(0, pmap.n_branches, n + depth + 9, dtype=np.uint8)
         got = points_from_symbols(pmap, syms, n)
         assert got.shape == (n,)
         assert got.tobytes() == reconstruct_points(pmap, syms, n).tobytes(), n
+    # adversarial words for the binary shift, whose last level rounds: all
+    # ones (x carries up to 1.0), all zeros, alternating bits, and runs of
+    # ones ending in a zero (54-bit odd words, so every rounding is a tie)
+    length = 3 * B + depth + 70
+    runs = np.concatenate([np.r_[np.ones(r, dtype=np.uint8), 0] for r in range(1, 70)])
+    words = {"ones": np.ones(length, dtype=np.uint8),
+             "zeros": np.zeros(length, dtype=np.uint8),
+             "alternating": np.arange(length, dtype=np.uint8) % 2,
+             "runs": np.resize(runs, length)}
+    for label, word in words.items():
+        for n in (1, 7, 8, 9, B + 1, 3 * B + 5):
+            got = points_from_symbols(pmap, word, n)
+            assert got.tobytes() == reconstruct_points(pmap, word, n).tobytes(), (label, n)
+    if name == "doubling":
+        assert points_from_symbols(pmap, words["ones"], 9).tolist() == [1.0] * 9
     for rows, span in ((1, 1), (64, 20), (3, B + 5)):
         block = rng.integers(0, pmap.n_branches, (rows, span + depth), dtype=np.uint8)
         got = points_from_symbols(pmap, block, span)

@@ -26,6 +26,7 @@ from ergostat.maps import (
 from ergostat.transfer import (
     CSRMatrix,
     PressureCurve,
+    RateFunction,
     autocovariance_series,
     cell_average,
     center_observable,
@@ -329,6 +330,19 @@ def test_legendre_minimum_zero_at_zero():
     rf = legendre(curve, np.linspace(-0.3, 0.3, 61))
     assert rf.phi(0.0) == pytest.approx(0.0, abs=1e-10)
     assert rf.phi_values.min() >= 0.0
+
+
+def test_rate_function_refuses_alpha_off_its_grid():
+    # np.interp would clamp: phi(0.4) read phi(0.3) on a +/-0.3 grid
+    rf = RateFunction(alpha_grid=np.array([-0.3, 0.0, 0.3]),
+                      phi_values=np.array([0.09, 0.0, 0.09]),
+                      beta_of_alpha=np.array([-0.6, 0.0, 0.6]),
+                      sigma2_of_alpha=np.ones(3))
+    assert (rf.phi(0.3), rf.beta(-0.3), rf.phi(0.15)) == (0.09, -0.6, 0.045)
+    for alpha in (0.4, -0.30000000000000004, math.nan, math.inf):
+        for lookup in (rf.phi, rf.beta):
+            with pytest.raises(DomainError, match=r"\[rate\] alpha_min and alpha_max"):
+                lookup(alpha)
 
 
 def test_legendre_coin_cramer_value():
