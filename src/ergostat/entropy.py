@@ -209,6 +209,7 @@ class EntropyDiagnostics:
     sigma_used: float
     k_values: np.ndarray
     minus_log_mu: np.ndarray
+    smb_atoms: np.ndarray         # (-log mu(P_k) - k h)/sqrt(k), both kinds
     atoms: np.ndarray             # the normalized statistic per k
     checkpoints: np.ndarray
     kappa_values: np.ndarray
@@ -243,11 +244,10 @@ def _entropy_run(pmap, consts, n, seed, checkpoints, kind, eps, cap):
     log_mu = cylinder_log_measures(pmap, orb.symbols, consts.density, points=orb.points)
     ks = np.arange(1, n + 1, dtype=float)
     minus_log_mu = -log_mu
+    atoms = smb_atoms = (minus_log_mu - ks * h) / np.sqrt(ks)
     log_returns = sandwich = keep = None
     censored = 0
-    if kind == "smb":
-        atoms = (minus_log_mu - ks * h) / np.sqrt(ks)
-    else:
+    if kind == "ow":
         stream = symbol_chunks(pmap, seed)   # same seed: the orbit's own stream
         rts = return_times_upto(stream, n, cap=cap)
         censored = int(np.sum(rts < 0))
@@ -263,8 +263,8 @@ def _entropy_run(pmap, consts, n, seed, checkpoints, kind, eps, cap):
     checkpoints, kappas = kantorovich_ladder(atoms, GaussianLaw(sigma), checkpoints, keep)
     return EntropyDiagnostics(
         kind=kind, seed=seed, h_rokhlin=h, sigma_used=sigma,
-        k_values=np.arange(1, n + 1), minus_log_mu=minus_log_mu, atoms=atoms,
-        checkpoints=checkpoints, kappa_values=kappas, log_returns=log_returns,
+        k_values=np.arange(1, n + 1), minus_log_mu=minus_log_mu, smb_atoms=smb_atoms,
+        atoms=atoms, checkpoints=checkpoints, kappa_values=kappas, log_returns=log_returns,
         censored=censored, sandwich_ok=sandwich)
 
 

@@ -30,6 +30,17 @@ LENGTH_CAP = 2**32          # hard cap on required stream length
 MC_EXPONENT_CAP = 12.0      # direct MC refuses when k*phi(alpha) exceeds this
 
 
+def _above_mean(rate: RateFunction, alpha: float, law: str) -> tuple[float, float]:
+    """(phi(alpha), beta(alpha)), or `DomainError` when beta(alpha) <= 0:
+    alpha lies at or below the mean, where `law` does not hold."""
+    phi, beta = rate.phi(alpha), rate.beta(alpha)
+    if not beta > 0.0:
+        raise DomainError(
+            f"alpha = {alpha!r} has beta(alpha) = {beta!r}, not positive: {law} "
+            "holds only above the mean, where beta(alpha) > 0")
+    return phi, beta
+
+
 # ---------------------------------------------------------------------------
 # window maxima
 # ---------------------------------------------------------------------------
@@ -122,12 +133,7 @@ def er_law_check(pmap: PiecewiseMap, u: Observable, alpha: float, rate: RateFunc
     """
     if alpha == 0.0:
         raise DomainError("alpha must be nonzero (phi(0)=0 gives no windows)")
-    phi = rate.phi(alpha)
-    beta = rate.beta(alpha)
-    if not beta > 0.0:
-        raise DomainError(
-            f"alpha = {alpha!r} has beta(alpha) = {beta!r}, not positive: the law of window "
-            "maxima holds only above the mean, where beta(alpha) > 0")
+    phi, beta = _above_mean(rate, alpha, "the law of window maxima")
     k_grid = np.asarray(k_grid, dtype=np.int64)
     m_vals = np.empty(len(k_grid))
     counts = np.empty(len(k_grid), dtype=np.int64)
@@ -245,30 +251,40 @@ def _trial_sums(pmap: PiecewiseMap, u: Observable, k: int, r: int, trials: int,
     return unit, pairs()
 
 
-def ld_probability_mc(pmap: PiecewiseMap, u: Observable, alpha: float, k: int,
-                      trials: int, seed: int, rate: RateFunction) -> LdEstimate:
-    """Estimate P(S_k > k alpha) over independent Lebesgue starts.
-
-    Refuses when k*phi(alpha) exceeds the direct-MC feasibility cap (the
-    target probability would sit below the resolvable floor e^{-12}).
-    """
+def _exceedances(pmap: PiecewiseMap, u: Observable, alpha: float, k: int, r: int,
+                 trials: int, seed: int, rate: RateFunction
+                 ) -> tuple[int, int, float, float, float | None]:
+    """(first, joint, phi, beta, unit) over `trials` Lebesgue starts: the
+    counts of S_k > k alpha and of that with S_k o f^r > k alpha, the rate
+    data at alpha, and the unit of integer trial sums (None: float sums).
+    Refuses fewer than 1e4 trials, beta(alpha) <= 0, and k phi(alpha) past
+    the direct-MC cap (a target probability below the floor e^{-12})."""
     if trials < 10_000:
         raise ValueError("need at least 1e4 trials")
-    phi = rate.phi(alpha)
-    beta = rate.beta(alpha)
+    phi, beta = _above_mean(rate, alpha, "the sharp large-deviation prefactor")
     if k * phi > MC_EXPONENT_CAP:
         raise BudgetExceededError(
             f"k*phi(alpha) = {k * phi:.2f} > {MC_EXPONENT_CAP}: direct Monte "
             "Carlo cannot resolve the target probability; an importance "
             "sampler over the tilted measure would be required")
     threshold = k * alpha
-    successes = 0
-    unit, pairs = _trial_sums(pmap, u, k, 0, trials, seed)
-    for s_first, _ in pairs:
-        successes += int(np.sum(s_first > threshold))
+    first = joint = 0
+    unit, pairs = _trial_sums(pmap, u, k, r, trials, seed)
+    for s_first, s_shift in pairs:
+        over = s_first > threshold
+        first += int(np.sum(over))
+        joint += int(np.sum(over & (s_shift > threshold)))
+    return first, joint, phi, beta, unit
+
+
+def ld_probability_mc(pmap: PiecewiseMap, u: Observable, alpha: float, k: int,
+                      trials: int, seed: int, rate: RateFunction) -> LdEstimate:
+    """Estimate P(S_k > k alpha) over independent Lebesgue starts; refused
+    as `_exceedances` refuses."""
+    successes, _, phi, beta, unit = _exceedances(pmap, u, alpha, k, 0, trials, seed, rate)
     p_hat = successes / trials
     lo, hi = wilson_interval(successes, trials)
-    ratio = p_hat * abs(beta) * math.sqrt(k) * math.exp(k * phi)
+    ratio = p_hat * beta * math.sqrt(k) * math.exp(k * phi)
     return LdEstimate(k=k, alpha=alpha, trials=trials, successes=successes,
                       p_hat=p_hat, ci_lo=lo, ci_hi=hi, normalized_ratio=ratio,
                       one_sided=(successes == 0), window_unit=unit)
@@ -291,31 +307,18 @@ def decoupling_check(pmap: PiecewiseMap, u: Observable, alpha: float, k: int,
 
     Descriptive decay table for the decoupling bound C e^{-k phi - r c};
     the product_ratio column compares against independence of the windows.
+    Refused as `_exceedances` refuses.
     """
-    if trials < 10_000:
-        raise ValueError("need at least 1e4 trials")
-    phi = rate.phi(alpha)
-    if k * phi > MC_EXPONENT_CAP:
-        raise BudgetExceededError(
-            f"k*phi(alpha) = {k * phi:.2f} > {MC_EXPONENT_CAP}: joint "
-            "exceedance below the direct-MC floor")
-    threshold = k * alpha
     rows = []
     single = None
     for r in np.asarray(r_grid, dtype=np.int64):
-        r = int(r)
-        joint = 0
-        first = 0
-        unit, pairs = _trial_sums(pmap, u, k, r, trials, seed)
-        for s_first, s_shift in pairs:
-            joint += int(np.sum((s_first > threshold) & (s_shift > threshold)))
-            first += int(np.sum(s_first > threshold))
+        first, joint, _, _, unit = _exceedances(pmap, u, alpha, k, int(r), trials, seed, rate)
         if single is None:
             single = first / trials
         p = joint / trials
         lo, hi = wilson_interval(joint, trials)
         denom = single * single
-        rows.append(DecouplingRow(r=r, joint_p=p, ci_lo=lo, ci_hi=hi,
+        rows.append(DecouplingRow(r=int(r), joint_p=p, ci_lo=lo, ci_hi=hi,
                                   product_ratio=(p / denom if denom > 0 else math.inf),
                                   window_unit=unit))
     return rows

@@ -1,8 +1,8 @@
 """Piecewise expanding interval maps, observables, and orbit generation.
 
 A map is a finite family of monotone C2 branches on a partition of [0,1].
-This module is the only one that knows how an orbit is made; `_orbit_mode`
-decides it once per map:
+This module is the only one that knows how an orbit is made;
+`PiecewiseMap.orbit_mode` decides it once per map object:
 
 - symbolic, for uniform b-branch full-branch linear maps with |slope| = b
   (doubling, tent, "linear", and custom maps of that shape): the
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -141,33 +142,50 @@ class PiecewiseMap:
         return uniform and all(br.is_linear and abs(br.slope) == b and _is_full_branch(br)
                                for br in self.branches)
 
+    @cached_property
+    def orbit_mode(self) -> str:
+        """How orbits of this map are made: the one place this is decided,
+        once per map object.  A refused map raises `DomainError` at every
+        read, since an exception is not cached."""
+        if self.dyadic_exact:
+            return _SYMBOLIC
+        if not all(br.is_linear for br in self.branches):
+            return _FLOAT
+        if all(math.frexp(abs(br.slope))[0] == 0.5 for br in self.branches):
+            raise DomainError(
+                f"{self.name}: every slope is a power of two, so float iteration "
+                "sheds a mantissa bit per step and collapses within ~53 steps, and "
+                "the map is not a uniform full-branch map with exact symbolic orbits")
+        for x in _rng(0).random(_PROBE_STARTS):
+            pts, nxt = _float_orbit_chunk(self, float(x), _RECENT)
+            if np.any(pts == nxt):
+                raise _cycle_error(self, f"from {float(x)!r}")
+        return _FLOAT
+
     def branch_index(self, x):
         """Index i with x in [a_i, a_{i+1})."""
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.breakpoints, x, side="right") - 1
         return np.clip(idx, 0, self.n_branches - 1).astype(np.uint8)
 
+    def _per_branch(self, x, method):
+        """method(branch, points) on the points of each branch, vectorized."""
+        x = np.asarray(x, dtype=float)
+        idx = self.branch_index(x)
+        out = np.empty_like(x, dtype=float)
+        for i, br in enumerate(self.branches):
+            mask = idx == i
+            if np.any(mask):
+                out[mask] = method(br, x[mask])
+        return out
+
     def apply(self, x):
         """f(x), vectorized; accepts x in [0,1)."""
-        x = np.asarray(x, dtype=float)
-        idx = self.branch_index(x)
-        out = np.empty_like(x, dtype=float)
-        for i, br in enumerate(self.branches):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = br(x[mask])
         # guard against roundoff pushing an endpoint infinitesimally outside
-        return np.clip(out, 0.0, 1.0)
+        return np.clip(self._per_branch(x, Branch.__call__), 0.0, 1.0)
 
     def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = self.branch_index(x)
-        out = np.empty_like(x, dtype=float)
-        for i, br in enumerate(self.branches):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = br.derivative(x[mask])
-        return out
+        return self._per_branch(x, Branch.derivative)
 
     def log_abs_derivative(self, x):
         return np.log(np.abs(self.derivative(x)))
@@ -463,24 +481,6 @@ def _cycle_error(pmap: PiecewiseMap, orbit_of: str) -> DomainError:
                        "float iteration of this map degenerates")
 
 
-def _orbit_mode(pmap: PiecewiseMap) -> str:
-    """How orbits of pmap are made: the one place this is decided."""
-    if pmap.dyadic_exact:
-        return _SYMBOLIC
-    if not all(br.is_linear for br in pmap.branches):
-        return _FLOAT
-    if all(math.frexp(abs(br.slope))[0] == 0.5 for br in pmap.branches):
-        raise DomainError(
-            f"{pmap.name}: every slope is a power of two, so float iteration "
-            "sheds a mantissa bit per step and collapses within ~53 steps, and "
-            "the map is not a uniform full-branch map with exact symbolic orbits")
-    for x in _rng(0).random(_PROBE_STARTS):
-        pts, nxt = _float_orbit_chunk(pmap, float(x), _RECENT)
-        if np.any(pts == nxt):
-            raise _cycle_error(pmap, f"from {float(x)!r}")
-    return _FLOAT
-
-
 def _rng(seed: int) -> Generator:
     return Generator(PCG64(seed))
 
@@ -593,15 +593,15 @@ def _float_orbit_chunk(pmap: PiecewiseMap, x: float, m: int) -> tuple[np.ndarray
 
 
 def _orbit_chunks(pmap: PiecewiseMap, seed: int, total: int | None, chunk: int,
-                  mode: str, points: bool = True
+                  points: bool = True
                   ) -> Iterator[tuple[np.ndarray | None, np.ndarray | None]]:
     """The orbit of `seed` as (symbols, points) chunks of at most `chunk`
-    steps, `total` steps in all (None: without end).
+    steps, `total` steps in all (None: without end), in `pmap.orbit_mode`.
 
     Symbolic mode draws the branch symbols from the seed's `_SymbolSource` and
     carries the reconstruction lookahead across chunks; `points=False`
-    skips the reconstruction and yields None for points.  Float mode starts
-    at a uniform draw from the seed, carries the current point across
+    yields the drawn symbols as they are and None for points.  Float mode
+    starts at a uniform draw from the seed, carries the current point across
     chunks and yields None for symbols (readers take `pmap.branch_index`);
     it raises DomainError in place of a chunk after which the orbit returns
     to one of its last _RECENT points.  The stream does not depend on `chunk`.
@@ -613,13 +613,16 @@ def _orbit_chunks(pmap: PiecewiseMap, seed: int, total: int | None, chunk: int,
             yield m
             done += m
 
-    if mode == _SYMBOLIC:
+    if pmap.orbit_mode == _SYMBOLIC:
         src = _SymbolSource(seed, pmap.n_branches)
-        ahead = _symbol_tail_depth(pmap) if points else 0
-        syms = src.take(ahead) if ahead else np.empty(0, dtype=np.uint8)
+        if not points:
+            for m in sizes():
+                yield src.take(m), None
+            return
+        syms = src.take(_symbol_tail_depth(pmap))
         for m in sizes():
             syms = np.concatenate([syms, src.take(m)])
-            yield syms[:m], (points_from_symbols(pmap, syms, m) if points else None)
+            yield syms[:m], points_from_symbols(pmap, syms, m)
             syms = syms[m:]
     else:
         x = float(_rng(seed).random())
@@ -635,8 +638,8 @@ def _orbit_chunks(pmap: PiecewiseMap, seed: int, total: int | None, chunk: int,
 def orbit(pmap: PiecewiseMap, seed: int, n: int, x0: float | None = None) -> Orbit:
     """The first n points of the orbit of `seed`, with their symbols.
 
-    The map decides the mode (see `_orbit_mode`); x0 instead float-iterates
-    from that point, whatever the map.
+    The map decides the mode (see `PiecewiseMap.orbit_mode`); x0 instead
+    float-iterates from that point, whatever the map.
     """
     if n < 1:
         raise ValueError("orbit length must be >= 1")
@@ -645,9 +648,8 @@ def orbit(pmap: PiecewiseMap, seed: int, n: int, x0: float | None = None) -> Orb
             raise ValueError(f"orbit start {x0!r} is not in [0, 1]")
         pts, _ = _float_orbit_chunk(pmap, float(x0), n)
         return Orbit(seed=seed, mode=_FLOAT, points=pts, symbols=pmap.branch_index(pts))
-    mode = _orbit_mode(pmap)
-    syms, pts = next(_orbit_chunks(pmap, seed, n, n, mode))
-    return Orbit(seed=seed, mode=mode, points=pts,
+    syms, pts = next(_orbit_chunks(pmap, seed, n, n))
+    return Orbit(seed=seed, mode=pmap.orbit_mode, points=pts,
                  symbols=pmap.branch_index(pts) if syms is None else syms)
 
 
@@ -699,9 +701,9 @@ def _unit_weights(table: np.ndarray, length: int) -> tuple[np.ndarray, float] | 
     return None
 
 
-def _table_reader(pmap: PiecewiseMap, u: Observable, mode: str, length: int, exact: bool
+def _table_reader(pmap: PiecewiseMap, u: Observable, length: int, exact: bool
                   ) -> tuple[Callable[[np.ndarray], np.ndarray] | None, float | None]:
-    """How a stream of `length` values in orbit mode `mode` reads u: (read, unit).
+    """How a stream of `length` values along an orbit of pmap reads u: (read, unit).
 
     `read` maps branch symbols to values when the orbit is symbolic and u is
     certified constant on each branch cell, and is None when u must be
@@ -709,7 +711,7 @@ def _table_reader(pmap: PiecewiseMap, u: Observable, mode: str, length: int, exa
     read as its integer weights (see `_unit_weights`) and `unit` is their
     unit; otherwise `unit` is None and the values are floats.
     """
-    table = _branch_values(pmap, u) if mode == _SYMBOLIC else None
+    table = _branch_values(pmap, u) if pmap.orbit_mode == _SYMBOLIC else None
     view = _unit_weights(table, length) if exact and table is not None else None
     if view is None:
         return (None if table is None else table.__getitem__), None
@@ -724,11 +726,10 @@ def _orbit_values(pmap: PiecewiseMap, u: Observable, seed: int, total: int, chun
     chunks of at most `chunk`.  With `exact`, a symbolic orbit of a table of
     small dyadic values yields integer weights with u = unit * weight;
     otherwise unit is None and the chunks are float values."""
-    mode = _orbit_mode(pmap)
-    read, unit = _table_reader(pmap, u, mode, total, exact)
+    read, unit = _table_reader(pmap, u, total, exact)
 
     def chunks():
-        for syms, pts in _orbit_chunks(pmap, seed, total, chunk, mode, points=read is None):
+        for syms, pts in _orbit_chunks(pmap, seed, total, chunk, points=read is None):
             yield u(pts) if read is None else read(syms)
     return unit, chunks()
 
@@ -746,7 +747,7 @@ def symbol_chunks(pmap: PiecewiseMap, seed: int, chunk: int = 1 << 12,
                   limit: int | None = None) -> Iterator[np.ndarray]:
     """Stream the branch symbols of the orbit of `seed` in chunks (without
     end unless `limit` is given).  The stream does not depend on `chunk`."""
-    for syms, pts in _orbit_chunks(pmap, seed, limit, chunk, _orbit_mode(pmap), points=False):
+    for syms, pts in _orbit_chunks(pmap, seed, limit, chunk, points=False):
         yield pmap.branch_index(pts) if syms is None else syms
 
 
@@ -765,27 +766,21 @@ def trial_value_blocks(pmap: PiecewiseMap, u: Observable, span: int, trials: int
     Float maps iterate uniform starts drawn from the seed, all rows of a
     block at once.
     """
-    mode = _orbit_mode(pmap)
-    read, unit = _table_reader(pmap, u, mode, span, exact=True)
+    read, unit = _table_reader(pmap, u, span, exact=True)
 
-    def blocks():
-        if mode == _SYMBOLIC:
-            width = span if read is not None else span + _symbol_tail_depth(pmap)
-            src = _SymbolSource(seed, pmap.n_branches)
-        else:
-            gen = _rng(seed)
-        done = 0
-        while done < trials:
-            m = min(chunk, trials - done)
-            if mode == _SYMBOLIC:
-                block = src.take(m * width).reshape(m, width)
-                yield read(block) if read is not None else u(points_from_symbols(pmap, block, span))
-            else:
-                x = gen.random(m)
-                vals = np.empty((m, span))
-                for j in range(span):
-                    vals[:, j] = u(x)
-                    x = pmap.apply(x)
-                yield vals
-            done += m
-    return unit, blocks()
+    def symbolic_blocks():
+        width = span if read is not None else span + _symbol_tail_depth(pmap)
+        for syms, _ in _orbit_chunks(pmap, seed, trials * width, chunk * width, points=False):
+            block = syms.reshape(-1, width)
+            yield read(block) if read is not None else u(points_from_symbols(pmap, block, span))
+
+    def float_blocks():
+        gen = _rng(seed)
+        for done in range(0, trials, chunk):
+            x = gen.random(min(chunk, trials - done))
+            vals = np.empty((len(x), span))
+            for j in range(span):
+                vals[:, j] = u(x)
+                x = pmap.apply(x)
+            yield vals
+    return unit, (symbolic_blocks() if pmap.orbit_mode == _SYMBOLIC else float_blocks())

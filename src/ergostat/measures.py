@@ -251,33 +251,24 @@ class GaussianLaw(Law):
         return 0.0
 
 
-@dataclass(frozen=True)
-class HalfGaussianLaw(Law):
+class HalfGaussianLaw(GaussianLaw):
     """Law of sigma * |Z| (equivalently sigma * sup_{t<=1} B_t), Z standard
-    normal: CDF 0 for x <= 0 and 2*Phi(x/sigma) - 1 beyond."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0):     # NaN too
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+    normal: CDF 0 for x <= 0 and 2*Phi(x/sigma) - 1 beyond.  Both F and I
+    are folded from the Gaussian pair at x+ = max(x, 0): F = 2 F_G - 1 and
+    I = 2 I_G - x+ - 2 sigma phi(0) for x > 0."""
 
     def cdf_float(self, x: float) -> float:
-        return 2.0 * _ndtr_float(x / self.sigma) - 1.0 if x > 0.0 else 0.0
+        return 2.0 * super().cdf_float(x) - 1.0 if x > 0.0 else 0.0
 
     def cdf_and_antiderivative(self, x):
         x = np.asarray(x, dtype=float)
         xp = np.maximum(x, 0.0)
-        z = xp / self.sigma
-        p = ndtr(z)
-        val = _phi(z)           # 2 (xp p + sigma phi(z)) - xp - 2 sigma phi(0)
-        val *= self.sigma
-        val += xp * p
-        val *= 2.0
-        val -= xp
-        val -= 2.0 * self.sigma * _phi(0.0)
+        F, I = super().cdf_and_antiderivative(xp)
+        I *= 2.0
+        I -= xp
+        I -= 2.0 * self.sigma * _phi(0.0)
         right = x > 0.0
-        return np.where(right, 2.0 * p - 1.0, 0.0), np.where(right, val, 0.0)
+        return np.where(right, 2.0 * F - 1.0, 0.0), np.where(right, I, 0.0)
 
     @property
     def tail_constant(self) -> float:

@@ -293,8 +293,8 @@ def _power_iteration(mat: CSRMatrix) -> tuple[float, np.ndarray]:
     w = mat @ np.full(n, 1.0 / n)
     for _ in range(POWER_MAX_ITER):
         lam = float(np.abs(w).sum())       # np.sum's pairwise sum, without its wrapper
-        if lam == 0.0:
-            raise ConvergenceError("power iteration hit the zero vector")
+        if not 0.0 < lam < math.inf:       # NaN too
+            raise ConvergenceError(f"power iteration hit a vector of 1-norm {lam!r}")
         v = w / lam
         w = mat @ v
         residual = float(np.abs(w - lam * v).sum()) / lam
@@ -376,8 +376,10 @@ def pressure_curve(op: UlamOperator, u: Observable, beta_grid) -> PressureCurve:
 
     Each beta reweights the samples of the beta = 0 operator by e^{beta u},
     u taken at the sample points once, into the matrix layout of that
-    operator.  If power iteration fails at the
-    edge of the grid the curve is truncated symmetrically with a warning.
+    operator.  A beta fails when a weight overflows or power iteration
+    fails; the curve is then truncated, with a warning, to the |beta|
+    below the smallest failing one, and a curve left with fewer than two
+    points raises `ConvergenceError`.
     """
     beta_grid = np.asarray(beta_grid, dtype=float)
     samples, N = op.samples, len(op.right_vector)
@@ -388,16 +390,25 @@ def pressure_curve(op: UlamOperator, u: Observable, beta_grid) -> PressureCurve:
             logs[i] = np.log(op.leading_eigenvalue)
             continue
         try:
-            mat = op.matrix.reweighted(_cell_values(samples, np.exp(b * u_points), N))
-            logs[i] = np.log(_operator(mat, samples).leading_eigenvalue)
+            # an overflowing weight or iterate fails this beta
+            with np.errstate(over="ignore", invalid="ignore"):
+                weights = np.exp(b * u_points)
+                if not np.all(np.isfinite(weights)):
+                    continue
+                mat = op.matrix.reweighted(_cell_values(samples, weights, N))
+                logs[i] = np.log(_operator(mat, samples).leading_eigenvalue)
         except ConvergenceError:
             pass
     ok = np.isfinite(logs)
     if not ok.all():
-        lo = np.max(np.abs(beta_grid[~ok]))
+        lo = np.min(np.abs(beta_grid[~ok]))
         keep = np.abs(beta_grid) < lo - 1e-15
+        if np.count_nonzero(keep) < 2:
+            raise ConvergenceError(
+                f"pressure curve fails at |beta| = {lo:.3g}, leaving fewer than two "
+                "points inside; lower [pressure] beta_max")
         warnings.warn(f"pressure curve truncated to |beta| < {lo:.3g} "
-                      "(eigen-iteration failed outside)")
+                      "(weights overflowed or eigen-iteration failed outside)")
         beta_grid, logs = beta_grid[keep], logs[keep]
     F = logs - np.log(op.leading_eigenvalue)       # exactly 0.0 at beta = 0
     return PressureCurve(beta_grid=beta_grid, F_values=F)

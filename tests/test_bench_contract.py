@@ -42,6 +42,11 @@ def test_tracer_hooks_bind_program_signatures(tmp_path):
     assert counts["transfer.ulam_matrix.calls"] > 0
     assert counts["measures.kantorovich.calls"] > 0
     assert counts["measures.kantorovich.atoms_generated"] > 0
+    # the merged orbit, symbol and exceedance layers still feed their hooks
+    assert counts["erdos_renyi.ld_probability_mc.trials"] > 0
+    assert counts["erdos_renyi.er_law_check.windows"] > 0
+    assert counts["maps.symbol_chunks.symbols"] > 0
+    assert counts["maps.orbit_value_chunks.values"] > 0
 
 
 def test_traced_doubling_asclt_counts_points_and_ladder_calls(tmp_path):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -190,11 +191,13 @@ def test_custom_map_short_of_intercepts_exits_3(tmp_path, capsys):
     ("ld-check", 0.4, "outside the tabulated rate function's grid [-0.3, 0.3]"),
     ("erdos-renyi", 0.4, "outside the tabulated rate function's grid [-0.3, 0.3]"),
     ("erdos-renyi", -0.2, "not positive"),
+    ("ld-check", -0.1, "not positive"),
 ])
 def test_alpha_without_a_rate_law_exits_3(tmp_path, capsys, sub, alpha, says):
     # before, ld-check at 0.4 read phi and beta at 0.3 (normalized_ratio
-    # 0.0304 instead of about 0.28), and erdos-renyi at -0.2 wrote a band
-    # with band_lo 0.590 > band_hi -0.590; both exited 0
+    # 0.0304 instead of about 0.28), erdos-renyi at -0.2 wrote a band
+    # with band_lo 0.590 > band_hi -0.590, and ld-check at -0.1, below the
+    # mean, wrote a prefactor ratio of 7.08; all exited 0
     section = sub.replace("-", "_").replace("check", "").rstrip("_")
     text = cfg_text(tmp_path / "o").replace("name = sawtooth", "name = coin").replace(
         "[ulam]", f"[{section}]\nalpha = {alpha}\nk_grid = 50\n\n[ulam]")
@@ -203,6 +206,22 @@ def test_alpha_without_a_rate_law_exits_3(tmp_path, capsys, sub, alpha, says):
     assert main([sub, "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numeric failure: ") and says in err[0]
+
+
+def test_pressure_grid_past_overflow_exits_3_at_once(tmp_path, capsys):
+    # e^{beta u} overflows at every beta != 0: before, the run warned,
+    # exited 0 and wrote nan rows at +-1500 after 100 000 power-iteration
+    # steps on a NaN iterate (4.7 s)
+    text = cfg_text(tmp_path / "o").replace("name = sawtooth", "name = coin").replace(
+        "resolution = 256", "resolution = 64\n\n[pressure]\nbeta_max = 3000\nbeta_points = 5")
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(text)
+    start = time.perf_counter()
+    assert main(["pressure", "--config", str(cfg_path)]) == 3
+    assert time.perf_counter() - start < 3.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure: ")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("sub", ["asclt", "sigma2"])
@@ -464,6 +483,7 @@ def test_entropy_smb_on_steep_full_branch_map(tmp_path):
     ("asclt --seed-offset=-2", "seeds = 1", "seeds = 1, 5"),
     ("asclt", "[ulam]", "[sigma2]\nvalue = -1\n\n[ulam]"),
     ("maxima", "[ulam]", "[sigma2]\nvalue = 0\n\n[ulam]"),
+    ("erdos-renyi", "[ulam]", "[rate]\nalpha_min = 0.3\nalpha_max = -0.3\n\n[ulam]"),
 ], ids=["checkpoint-past-horizon", "trajectory-under-10-windows", "unknown-observable",
         "unknown-map", "zero-checkpoint", "first-checkpoint-below-4", "horizon-below-4",
         "entropy-checkpoint-past-horizon", "entropy-checkpoint-past-depth",
@@ -471,7 +491,7 @@ def test_entropy_smb_on_steep_full_branch_map(tmp_path):
         "ld-negative-window", "ld-negative-shift", "table-without-points",
         "table-unequal-lengths", "table-repeated-x", "table-nan-value",
         "negative-seed", "negative-seed-offset", "negative-sigma2-value",
-        "zero-sigma2-value"])
+        "zero-sigma2-value", "reversed-rate-grid"])
 def test_unrunnable_config_exits_2(tmp_path, capsys, sub, old, new):
     text = cfg_text(tmp_path / "o")
     if sub.startswith("entropy"):     # doubling's constant slope would be refused

@@ -17,7 +17,9 @@ from ergostat.maps import (
     points_from_symbols,
     sawtooth,
     symbol_chunks,
+    trial_value_blocks,
 )
+from ergostat import maps
 from ergostat.maps import _RECONSTRUCT_BLOCK, _symbol_tail_depth
 from ergostat.transfer import invariant_density, ulam_matrix
 from oracles import birkhoff_sums, evaluate, reconstruct_points
@@ -375,6 +377,55 @@ def test_degenerate_float_maps_refused():
     # x0 still float-iterates any map from that point
     assert orbit(make_map("custom", breakpoints=[0.0, 0.5, 1.0], slopes=[2.0, 1.5]),
                  seed=0, n=3, x0=0.25).points.tolist() == [0.25, 0.5, 0.0]
+
+
+def test_orbit_mode_decided_once_per_map(monkeypatch):
+    # the cycle probe of a linear map runs _PROBE_STARTS float orbits of
+    # _RECENT steps; four readers of one map object share one probe
+    probes = []
+    step = maps._float_orbit_chunk
+
+    def counted(pmap, x, m):
+        if m == maps._RECENT:
+            probes.append(m)
+        return step(pmap, x, m)
+
+    monkeypatch.setattr(maps, "_float_orbit_chunk", counted)
+    m = make_map("custom", breakpoints=[0.0, 1.0 / 3.0, 1.0], slopes=[3.0, 1.5])
+    orbit(m, 1, 100)
+    next(symbol_chunks(m, 1, limit=100))
+    next(orbit_value_chunks(m, sawtooth(), 1, 100))
+    next(trial_value_blocks(m, sawtooth(), 5, 3, 1)[1])
+    assert m.orbit_mode == "float-iterate"
+    assert len(probes) == maps._PROBE_STARTS
+    # a refused map is refused by every reader, every time
+    halves = make_map("custom", breakpoints=[0.0, 0.25, 0.5, 1.0], slopes=[4.0, 4.0, 2.0])
+    for _ in range(2):
+        for read in (lambda: orbit(halves, 1, 10),
+                     lambda: next(symbol_chunks(halves, 1)),
+                     lambda: next(orbit_value_chunks(halves, sawtooth(), 1, 10)),
+                     lambda: next(trial_value_blocks(halves, sawtooth(), 5, 3, 1)[1])):
+            with pytest.raises(DomainError, match="power of two"):
+                read()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+def test_symbolic_trial_rows_cut_the_symbol_stream(chunk):
+    # row after row from the seed's one symbol stream: span symbols for a
+    # branch-value table, span plus the reconstruction lookahead at points
+    d = make_map("doubling")
+    span, trials, seed = 11, 40, 3
+    unit, blocks = trial_value_blocks(d, coin(), span, trials, seed, chunk=chunk)
+    rows = np.concatenate(list(blocks))
+    syms = np.concatenate(list(symbol_chunks(d, seed, limit=trials * span)))
+    assert np.array_equal(rows * unit, maps._branch_values(d, coin())[syms].reshape(trials, span))
+    width = span + _symbol_tail_depth(d)
+    assert width == span + 53
+    unit, blocks = trial_value_blocks(d, sawtooth(), span, trials, seed, chunk=chunk)
+    syms = np.concatenate(list(symbol_chunks(d, seed, limit=trials * width)))
+    want = sawtooth()(points_from_symbols(d, syms.reshape(trials, width), span))
+    assert unit is None
+    assert np.concatenate(list(blocks)).tobytes() == want.tobytes()
 
 
 # random custom piecewise-linear maps: dyadic or generic partitions, each

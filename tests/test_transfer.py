@@ -14,7 +14,7 @@ from scipy.interpolate import CubicSpline
 import ergostat
 from ergostat import transfer
 from ergostat.entropy import rokhlin_entropy
-from ergostat.errors import DegenerateVarianceError, DomainError
+from ergostat.errors import ConvergenceError, DegenerateVarianceError, DomainError
 from ergostat.maps import (
     Observable,
     coboundary,
@@ -299,6 +299,42 @@ def test_pressure_curve_assembles_once():
     few = points(np.linspace(-1.0, 1.0, 3))
     assert min(few) > 0
     assert points(np.linspace(-1.0, 1.0, 31)) == few
+
+
+def test_pressure_truncates_below_the_smallest_failing_beta(monkeypatch):
+    # failures at |beta| >= 2.5 on a 13-point grid: before, the curve was cut
+    # below the largest failing |beta| and kept F = NaN at +-2.5, and every
+    # phi of its Legendre transform was NaN
+    op = ulam_matrix(make_map("doubling"), N=128)
+    grid = np.linspace(-3.0, 3.0, 13)
+    betas = iter(b for b in grid if b != 0.0)       # the curve's order of solves
+    solve = transfer._operator
+
+    def failing(mat, samples):
+        if abs(next(betas)) >= 2.5:
+            raise ConvergenceError("forced failure")
+        return solve(mat, samples)
+
+    monkeypatch.setattr(transfer, "_operator", failing)
+    with pytest.warns(UserWarning, match=r"truncated to \|beta\| < 2\.5 "):
+        curve = pressure_curve(op, coin(), grid)
+    assert curve.beta_grid.tolist() == grid[2:-2].tolist()
+    assert np.all(np.isfinite(curve.F_values))
+    assert np.all(np.isfinite(legendre(curve, np.linspace(-0.2, 0.2, 5)).phi_values))
+
+
+def test_pressure_curve_refuses_overflowing_weights():
+    # e^{beta u} overflows at every beta != 0 of this grid: each such beta
+    # fails without a warning, and the one point left is no curve
+    op = ulam_matrix(make_map("doubling"), N=64)
+    with pytest.raises(ConvergenceError, match="fewer than two points"):
+        pressure_curve(op, coin(), np.linspace(-3000.0, 3000.0, 5))
+
+
+def test_power_iteration_refuses_a_non_finite_iterate():
+    mat = CSRMatrix.from_coo(np.array([np.inf, 1.0]), np.array([0, 1]), np.array([0, 1]), 2)
+    with pytest.raises(ConvergenceError, match="1-norm inf"):
+        _power_iteration(mat)
 
 
 def test_pressure_curve_rejects_nonconvex():
