@@ -224,8 +224,7 @@ def _run_rate_curve(cfg, outdir, seeds):
     N = cfg.get("rate_curve", "trajectory_length")
     k_grid = cfg.get("rate_curve", "k_grid") or \
         sorted(set(np.geomspace(20, 200, 15).astype(int).tolist()))
-    know_phi = (cfg.get("observable", "name") == "coin" and pmap.dyadic_exact
-                and pmap.n_branches == 2)
+    know_phi = u.name == "coin" and pmap.dyadic_exact and pmap.n_branches == 2
 
     def cramer(a):
         return (0.5 + a) * math.log1p(2 * a) + (0.5 - a) * math.log1p(-2 * a)

@@ -207,19 +207,10 @@ def serialize_config_values(values: dict) -> str:
 
 
 def build_map(cfg: ExperimentConfig):
+    """The map of `[map]`: `maps.make_map` reads the keys of its name."""
     from .maps import make_map
 
-    sec = cfg["map"]
-    params = {}
-    if sec["slopes"]:
-        params["slopes"] = sec["slopes"]
-    if sec["breakpoints"]:
-        params["breakpoints"] = sec["breakpoints"]
-    if sec["intercepts"]:
-        params["intercepts"] = sec["intercepts"]
-    if sec["name"].replace("_", "-") == "perturbed-doubling":
-        params["eps"] = sec["eps"]
-    return make_map(sec["name"], **params)
+    return make_map(**cfg["map"])
 
 
 def build_observable(cfg: ExperimentConfig, pmap):
@@ -227,7 +218,4 @@ def build_observable(cfg: ExperimentConfig, pmap):
     from .maps import make_observable
 
     sec = cfg["observable"]
-    params = {}
-    if sec["name"] == "table":
-        params = {"xs": sec["xs"], "ys": sec["ys"]}
-    return make_observable(sec["name"], pmap=pmap, **params)
+    return make_observable(sec["name"], pmap=pmap, xs=sec["xs"], ys=sec["ys"])

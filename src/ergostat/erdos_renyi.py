@@ -6,12 +6,12 @@ The window maximum over an orbit stream,
 
 obeys M_k/k -> alpha with fluctuations (M_k - k alpha)/log k confined to
 the band +/- 1/(2 beta), beta = phi'(alpha).  Window counts grow like
-exp(k phi(alpha)), so orbit streams are consumed in chunks with a k-lag
-prefix-sum scan and are never materialized in full.  The same module hosts
-the rate-function estimator (read the Erdos-Renyi law backwards: the level
-reached by k-windows over N samples satisfies phi(m(k)) ~ log(N)/k) and
-direct Monte Carlo checks of the sharp large-deviation prefactor and of
-joint-exceedance decoupling.
+exp(k phi(alpha)), so one orbit stream per call is consumed in chunks by
+one prefix-sum scan for the whole k grid and is never materialized in full.
+The same scan serves the rate-function estimator (read the Erdos-Renyi law
+backwards: the level reached by k-windows over N samples satisfies
+phi(m(k)) ~ log(N)/k).  The module also hosts direct Monte Carlo checks
+of the sharp large-deviation prefactor and of joint-exceedance decoupling.
 """
 
 from __future__ import annotations
@@ -54,27 +54,31 @@ def _accumulator(dtype: np.dtype, n: int) -> type:
     return np.int32 if n * (int(np.iinfo(dtype).max) + 1) < 2**31 else np.int64
 
 
-def _moving_max_chunked(chunks, k: int, n_windows: int):
-    """Streaming scan over numpy value chunks: max window sum over windows
-    j = 0..n_windows-1, keeping only a k-deep prefix history.
+def _moving_max_chunked(chunks, k_grid, n_windows) -> list[tuple]:
+    """Streaming scan over numpy value chunks: for each window length k of
+    `k_grid`, with its window count n of `n_windows`, the max window sum over
+    windows j = 0..n-1 and the first j that reaches it, (best, best_j) in grid
+    order.  One prefix history max(k) deep serves the whole grid, and each k
+    gets the bits of its own one-k scan.
 
     Window j has sum c_{j+k} - c_j with c_t the prefix sum of the first t
-    values; valid end indices e = j + k run from k to n_windows + k - 1.
+    values; valid end indices e = j + k run from k to n + k - 1.
     Float chunks carry absolute float64 prefixes.  Integer chunks (exact
     weights) carry prefixes relative to the start of each chunk, so an int32
-    accumulator cannot overflow on a long stream, and return an int maximum.
+    accumulator cannot overflow on a long stream, and return int maxima.
     """
-    needed = n_windows + k - 1            # values consumed in total
+    ks = [int(k) for k in k_grid]
+    ends = [int(n) + k - 1 for k, n in zip(ks, n_windows)]    # values each k reads
+    needed, deep = max(ends, default=0), max(ks, default=0)
     hist = None                           # prefix values c_{consumed-len+1..consumed}
-    best = -np.inf
-    best_j = -1
+    best = [(-np.inf, -1)] * len(ks)
     consumed = 0
     for chunk in chunks:
         chunk = np.asarray(chunk)
         take = min(len(chunk), needed - consumed)
         if take <= 0:
             break
-        acc = _accumulator(chunk.dtype, k + take)
+        acc = _accumulator(chunk.dtype, deep + take)
         if hist is None:
             hist = np.zeros(1, dtype=acc)
         ext = np.empty(len(hist) + take, dtype=acc)
@@ -83,24 +87,24 @@ def _moving_max_chunked(chunks, k: int, n_windows: int):
         if acc is np.float64:
             ext[len(hist):] += hist[-1]
         lo = consumed - len(hist) + 1     # prefix index of ext[0]
-        e_start = max(k, consumed + 1)
-        e_end = consumed + take
-        if e_end >= e_start:
-            i0, i1 = e_start - lo, e_end + 1 - lo
-            sums = ext[i0:i1] - ext[i0 - k : i1 - k]
-            i = int(np.argmax(sums))
-            if sums[i] > best:
-                best = sums[i].item()
-                best_j = int(e_start + i - k)
+        buf = np.empty(take, dtype=acc)   # one buffer per chunk for each k's sums in turn
+        for i, (k, end) in enumerate(zip(ks, ends)):
+            e_start, e_end = max(k, consumed + 1), min(consumed + take, end)
+            if e_end >= e_start:
+                i0, i1 = e_start - lo, e_end + 1 - lo
+                sums = np.subtract(ext[i0:i1], ext[i0 - k : i1 - k], out=buf[:i1 - i0])
+                j = int(np.argmax(sums))
+                if sums[j] > best[i][0]:
+                    best[i] = (sums[j].item(), e_start + j - k)
         consumed += take
-        hist = ext[-(k + 1):]
+        hist = ext[-(deep + 1):]
         if acc is not np.float64:
             hist = hist - hist[-1]
         if consumed >= needed:
             break
     if consumed < needed:
         raise ValueError(f"stream ended after {consumed} of {needed} values")
-    return best, best_j
+    return best
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,10 @@ def er_law_check(pmap: PiecewiseMap, u: Observable, alpha: float, rate: RateFunc
     """Window maxima over the [exp(k phi(alpha))] - k windows of the almost-sure law.
 
     Emits M_k, M_k/k, the fluctuation (M_k - k alpha)/log k, and the band
-    half-width 1/(2 beta).  Streams of required length [exp(k phi(alpha))]
-    beyond `length_cap` are refused.  An observable of small dyadic branch
+    half-width 1/(2 beta).  A grid with a required stream length
+    [exp(k phi(alpha))] beyond `length_cap` is refused before anything is
+    drawn; otherwise one stream, as long as the longest k needs, serves every
+    k (each reads its own prefix of it).  An observable of small dyadic branch
     values on a symbolic map is scanned as integer weights, and M_k is the
     integer maximum times their unit: the bits of the float scan, whose
     prefix sums are exact for such values (see `maps._unit_weights`).
@@ -135,31 +141,28 @@ def er_law_check(pmap: PiecewiseMap, u: Observable, alpha: float, rate: RateFunc
         raise DomainError("alpha must be nonzero (phi(0)=0 gives no windows)")
     phi, beta = _above_mean(rate, alpha, "the law of window maxima")
     k_grid = np.asarray(k_grid, dtype=np.int64)
-    m_vals = np.empty(len(k_grid))
-    counts = np.empty(len(k_grid), dtype=np.int64)
-    units = []
-    for i, k in enumerate(k_grid):
-        k = int(k)
-        needed = math.exp(k * phi)
+    lengths = []
+    for k in k_grid.tolist():
+        needed = math.exp(k * phi) if k * phi < 709.0 else math.inf    # not OverflowError
         if needed > length_cap:
             raise BudgetExceededError(
                 f"k={k}: required stream length exp(k phi)={needed:.3g} "
                 f"exceeds the cap {length_cap:g}")
         # at least the j=0 window even when exp(k phi) has not outgrown k yet
-        length = max(int(needed), k)
-        n_windows = max(length - k + 1, 1)
-        unit, chunks = _orbit_values(pmap, u, seed, length, 1 << 20, exact=True)
-        best, _ = _moving_max_chunked(chunks, k, n_windows)
-        m_vals[i] = best if unit is None else best * unit
-        counts[i] = n_windows
-        units.append(unit)
+        lengths.append(max(int(needed), k))
+    counts = np.array(lengths, dtype=np.int64) - k_grid + 1
+    # one stream serves every k: each reads its own prefix of it
+    unit, maxima = None, []
+    if len(k_grid):
+        unit, chunks = _orbit_values(pmap, u, seed, max(lengths), 1 << 20, exact=True)
+        maxima = _moving_max_chunked(chunks, k_grid, counts)
+    m_vals = np.array([best for best, _ in maxima], dtype=float) * (unit or 1.0)
     logs = np.log(k_grid.astype(float))
     return ErdosRenyiSeries(
         alpha=alpha, beta=beta, k_values=k_grid, window_counts=counts,
         M_values=m_vals, averages=m_vals / k_grid,
         fluctuations=(m_vals - k_grid * alpha) / logs,
-        band=1.0 / (2.0 * beta),
-        window_unit=units[0] if units and None not in units else None)
+        band=1.0 / (2.0 * beta), window_unit=unit)
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +187,8 @@ def rate_estimator(u_values: np.ndarray, k_grid) -> RateCurveEstimate:
     k_grid = np.asarray(k_grid, dtype=np.int64)
     if n < 10 * int(k_grid.max()):
         raise ConfigError([(0, "trajectory should be at least 10x the largest window")])
-    prefix = np.concatenate([[0.0], np.cumsum(u_values)])
-    levels = np.empty(len(k_grid))
-    for i, k in enumerate(k_grid):
-        k = int(k)
-        levels[i] = float(np.max(prefix[k:] - prefix[:-k])) / k
+    maxima = _moving_max_chunked([u_values], k_grid, n - k_grid + 1)
+    levels = np.array([best for best, _ in maxima]) / k_grid
     return RateCurveEstimate(N=n, k_values=k_grid, levels=levels,
                              rate_estimates=np.log(float(n)) / k_grid)
 

@@ -316,30 +316,36 @@ def _perturbed_doubling(eps: float, descriptor: dict) -> PiecewiseMap:
     return m
 
 
-def make_map(name: str, **params) -> PiecewiseMap:
-    """Build a map from a descriptor.
+def _key(name: str) -> str:
+    """A map's or an observable's name as its constructor reads it: case,
+    surrounding blanks, and `_` versus `-` do not matter."""
+    return name.strip().lower().replace("_", "-")
 
-    Built-ins: "doubling", "tent", "linear" (params: slopes),
-    "perturbed-doubling" (params: eps, default 0.05), "custom"
-    (params: breakpoints, slopes [, intercepts]).
+
+def make_map(name: str, slopes: Sequence[float] = (), breakpoints: Sequence[float] = (),
+             intercepts: Sequence[float] = (), eps: float = 0.05) -> PiecewiseMap:
+    """Build a map from the keys of a `[map]` section; each map reads its own
+    keys, and an empty list is a key left out.
+
+    Built-ins: "doubling", "tent", "linear" (slopes), "perturbed-doubling"
+    (eps), "custom" (breakpoints, slopes [, intercepts]).  An unknown name,
+    or a map short of a key it needs, raises ConfigError.
     """
-    key = name.strip().lower().replace("_", "-")
-    descriptor = {"name": key, **params}
-    if key in ("doubling", "tent", "linear"):
-        slopes = {"doubling": [2.0, 2.0], "tent": [2.0, -2.0]}.get(key, params.get("slopes"))
-        if not slopes:
-            raise MapDefinitionError("linear map needs a slopes list")
-        return _piecewise_linear(key, np.linspace(0.0, 1.0, len(slopes) + 1), slopes,
-                                 None, descriptor)
+    key = _key(name)
     if key == "perturbed-doubling":
-        return _perturbed_doubling(float(params.get("eps", 0.05)), descriptor)
-    if key == "custom":
-        bp = params.get("breakpoints")
-        slopes = params.get("slopes")
-        if bp is None or slopes is None:
-            raise MapDefinitionError("custom map needs breakpoints and slopes")
-        return _piecewise_linear("custom", bp, slopes, params.get("intercepts"), descriptor)
-    raise ConfigError([(0, f"unknown map {name!r}")])
+        return _perturbed_doubling(float(eps), {"name": key, "eps": eps})
+    reads = {"doubling": {}, "tent": {}, "linear": {"slopes": slopes},
+             "custom": {"breakpoints": breakpoints, "slopes": slopes, "intercepts": intercepts}}
+    if key not in reads:
+        raise ConfigError([(0, f"unknown map {name!r}")])
+    missing = [k for k, v in reads[key].items() if k != "intercepts" and not len(v)]
+    if missing:
+        raise ConfigError([(0, f"{key} map needs {' and '.join(missing)}")])
+    if key != "custom":
+        slopes = {"doubling": [2.0, 2.0], "tent": [2.0, -2.0]}.get(key, slopes)
+        breakpoints, intercepts = np.linspace(0.0, 1.0, len(slopes) + 1), ()
+    return _piecewise_linear(key, breakpoints, slopes, intercepts if len(intercepts) else None,
+                             {"name": key, **reads[key]})
 
 
 # ---------------------------------------------------------------------------
@@ -429,22 +435,22 @@ def table_observable(xs: Sequence[float], ys: Sequence[float]) -> Observable:
     )
 
 
-def make_observable(name: str, pmap: PiecewiseMap | None = None, **params) -> Observable:
-    key = name.strip().lower().replace("_", "-")
+def make_observable(name: str, pmap: PiecewiseMap | None = None,
+                    xs: Sequence[float] = (), ys: Sequence[float] = ()) -> Observable:
+    """Build an observable from the `name`, `xs` and `ys` keys of an
+    `[observable]` section: "sawtooth", "coin", "log-deriv" and "coboundary"
+    (which read the map), and "table" (xs, ys)."""
+    key = _key(name)
     if key == "sawtooth":
         return sawtooth()
     if key == "coin":
         return coin()
-    if key in ("log-deriv", "log-derivative"):
+    if key in ("log-deriv", "log-derivative", "coboundary"):
         if pmap is None:
-            raise ValueError("log-deriv observable needs the map")
-        return log_derivative(pmap)
-    if key == "coboundary":
-        if pmap is None:
-            raise ValueError("coboundary observable needs the map")
-        return coboundary(pmap)
+            raise ValueError(f"{key} observable needs the map")
+        return coboundary(pmap) if key == "coboundary" else log_derivative(pmap)
     if key == "table":
-        return table_observable(params["xs"], params["ys"])
+        return table_observable(xs, ys)
     raise ConfigError([(0, f"unknown observable {name!r}")])
 
 

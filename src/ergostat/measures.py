@@ -20,7 +20,7 @@ atoms, at each checkpoint m of a ladder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -303,10 +303,16 @@ def _stable_argsort(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightedEmpiricalMeasure:
-    """Atoms with harmonic weights 1/k, normalized by D_n = sum_{k<=n} 1/k."""
+    """Atoms with harmonic weights 1/k, normalized by D_n = sum_{k<=n} 1/k.
+
+    `view`, when given, is the measure's sorted view with one law's values
+    there, (positions, weights, F, I) at the distinct sorted positions, as
+    `kantorovich_ladder` gathers it; `kantorovich` then reads it for that law.
+    """
 
     positions: np.ndarray
     weights: np.ndarray
+    view: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.positions) != len(self.weights):
@@ -322,11 +328,15 @@ class WeightedEmpiricalMeasure:
     @cached_property
     def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct sorted positions with merged normalized weights."""
+        if self.view is not None:
+            return self.view[:2]
         order = _stable_argsort(self.positions)
         return _merge_ties(self.positions[order], self.weights[order] / self.normalizer)[:2]
 
     def _law_at_atoms(self, law: Law) -> tuple[np.ndarray, np.ndarray]:
         """`law.cdf_and_antiderivative` at the distinct sorted positions."""
+        if self.view is not None:
+            return self.view[2:]
         return law.cdf_and_antiderivative(self._sorted[0])
 
 
@@ -343,23 +353,6 @@ def _merge_ties(pos: np.ndarray, w: np.ndarray):
     merged = np.zeros(int(idx[-1]) + 1)
     np.add.at(merged, idx, w)
     return pos[distinct], merged, distinct
-
-
-@dataclass(frozen=True)
-class _CheckpointMeasure(WeightedEmpiricalMeasure):
-    """The measure of one checkpoint of `kantorovich_ladder`, carrying its
-    sorted view and the values of the ladder's law there, both gathered
-    from the ladder's one sort and one law evaluation: view = (positions,
-    weights, F, I) at the distinct sorted positions."""
-
-    view: tuple
-
-    @property
-    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.view[:2]
-
-    def _law_at_atoms(self, law: Law) -> tuple[np.ndarray, np.ndarray]:
-        return self.view[2:]
 
 
 def build_empirical(values, n: int | None = None) -> WeightedEmpiricalMeasure:
@@ -472,16 +465,10 @@ def kantorovich_ladder(atoms: np.ndarray, law: Law, checkpoints=None,
         checkpoints = default_checkpoints(len(atoms))
     checkpoints = np.asarray(checkpoints, dtype=np.int64)
     weights = 1.0 / np.arange(1, len(atoms) + 1, dtype=float)
-    measures = []
-    for m in checkpoints:
-        pos, w = atoms[:m], weights[:m]
-        if keep is not None:
-            sel = keep[:m]
-            if not np.any(sel):
-                raise DomainError(
-                    f"every atom up to checkpoint {m} was censored; no measure to compare")
-            pos, w = pos[sel], w[sel]
-        measures.append((pos, w))
+    # the checkpoints increase, so the first one keeps the fewest atoms
+    if keep is not None and len(checkpoints) and not np.any(keep[:checkpoints[0]]):
+        raise DomainError(f"every atom up to checkpoint {checkpoints[0]} was censored; "
+                          "no measure to compare")
     last = atoms[:checkpoints.max(initial=0)]
     if keep is None:
         rank = _stable_argsort(last)               # the atom index at each sorted place
@@ -495,8 +482,11 @@ def kantorovich_ladder(atoms: np.ndarray, law: Law, checkpoints=None,
     cols = (rank, ordered, weights[rank], F, I)
     kappas = np.empty(len(checkpoints))
     for i in range(len(checkpoints) - 1, -1, -1):
-        pos, w = measures[i]
-        inside = cols[0] < checkpoints[i]
+        m = checkpoints[i]
+        pos, w = atoms[:m], weights[:m]
+        if keep is not None:
+            pos, w = pos[keep[:m]], w[keep[:m]]
+        inside = cols[0] < m
         if not inside.all():
             at = np.flatnonzero(inside)
             cols = tuple(c.take(at) for c in cols)
@@ -504,5 +494,5 @@ def kantorovich_ladder(atoms: np.ndarray, law: Law, checkpoints=None,
         spos, sw, distinct = _merge_ties(spos, sw / float(np.sum(w)))
         if distinct is not None:
             Fm, Im = Fm[distinct], Im[distinct]
-        kappas[i] = kantorovich(_CheckpointMeasure(pos, w, (spos, sw, Fm, Im)), law)
+        kappas[i] = kantorovich(WeightedEmpiricalMeasure(pos, w, (spos, sw, Fm, Im)), law)
     return checkpoints, kappas

@@ -8,14 +8,15 @@ signature change in the program could break a traced benchmark pass while
 every test here stays green.  The first test runs the ten subcommands once
 under the tracer, on perturbed doubling with the sawtooth observable at the
 sizes of test_golden.py; the second checks the point and Kantorovich counts
-of one symbolic (doubling) asclt run.
+of one symbolic (doubling) asclt run.  The last one parses every
+benchmark config and builds its map and observable.
 """
 
 import sys
 from pathlib import Path
 
 from ergostat.cli import SUBCOMMANDS, run
-from ergostat.config import parse_config
+from ergostat.config import build_map, build_observable, parse_config
 from test_golden import MAPS, config_text
 
 BENCH = str(Path(__file__).resolve().parent.parent / "bench")
@@ -86,4 +87,8 @@ def test_every_benchmark_config_parses(tmp_path):
         sys.path.remove(BENCH)
     assert len(configs) > 2 * len(WORKLOADS)
     for text in configs:
-        assert parse_config(text).get("run", "threads") == 1
+        cfg = parse_config(text)
+        assert cfg.get("run", "threads") == 1
+        # the constructors read these configs' keys as the benchmark means them
+        pmap = build_map(cfg)
+        build_observable(cfg, pmap)

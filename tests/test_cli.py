@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -11,12 +12,14 @@ import pytest
 
 import ergostat
 from ergostat.config import (
+    SCHEMA,
     build_map,
     build_observable,
     parse_config,
 )
 from ergostat import transfer
 from ergostat.errors import ConfigError
+from ergostat.maps import make_map, make_observable
 from ergostat.cli import SUBCOMMANDS, _write_csv, main, run
 from test_golden import MAPS, config_text
 
@@ -53,6 +56,14 @@ def test_minimal_config_gets_defaults():
     assert cfg.get("run", "seeds") == [1]
     assert cfg.get("ulam", "resolution") == 1024
     assert cfg.get("sigma2", "method") == "quadrature"
+
+
+def test_constructors_take_the_keys_of_their_sections():
+    # one owner per key: make_map reads the whole [map] section, and
+    # make_observable all of [observable] but `center`, which the CLI applies
+    assert set(inspect.signature(make_map).parameters) == set(SCHEMA["map"])
+    assert set(inspect.signature(make_observable).parameters) == \
+        set(SCHEMA["observable"]) - {"center"} | {"pmap"}
 
 
 def test_unknown_section_lists_valid_ones():
@@ -484,6 +495,9 @@ def test_entropy_smb_on_steep_full_branch_map(tmp_path):
     ("asclt", "[ulam]", "[sigma2]\nvalue = -1\n\n[ulam]"),
     ("maxima", "[ulam]", "[sigma2]\nvalue = 0\n\n[ulam]"),
     ("erdos-renyi", "[ulam]", "[rate]\nalpha_min = 0.3\nalpha_max = -0.3\n\n[ulam]"),
+    ("density", "name = doubling", "name = linear"),
+    ("density", "name = doubling", "name = custom\nslopes = 2, 2"),
+    ("density", "name = doubling", "name = Custom\nbreakpoints = 0, 0.5, 1"),
 ], ids=["checkpoint-past-horizon", "trajectory-under-10-windows", "unknown-observable",
         "unknown-map", "zero-checkpoint", "first-checkpoint-below-4", "horizon-below-4",
         "entropy-checkpoint-past-horizon", "entropy-checkpoint-past-depth",
@@ -491,7 +505,8 @@ def test_entropy_smb_on_steep_full_branch_map(tmp_path):
         "ld-negative-window", "ld-negative-shift", "table-without-points",
         "table-unequal-lengths", "table-repeated-x", "table-nan-value",
         "negative-seed", "negative-seed-offset", "negative-sigma2-value",
-        "zero-sigma2-value", "reversed-rate-grid"])
+        "zero-sigma2-value", "reversed-rate-grid", "linear-without-slopes",
+        "custom-without-breakpoints", "custom-without-slopes"])
 def test_unrunnable_config_exits_2(tmp_path, capsys, sub, old, new):
     text = cfg_text(tmp_path / "o")
     if sub.startswith("entropy"):     # doubling's constant slope would be refused
@@ -515,6 +530,46 @@ def test_empty_window_grids_still_run(tmp_path):
         "k_grid = 10, 20, 40\n", "k_grid =\n")
     assert run("erdos-renyi", parse_config(text)) == 0
     assert (out / "erdos-renyi-1.csv").read_text() == "k,M_k,fluctuation,band_lo,band_hi\n"
+    # no window was summed, on integers or otherwise
+    manifest = json.loads((out / "erdos-renyi-manifest.json").read_text())
+    assert manifest["window_sums"] == "float" and "window_unit" not in manifest
+
+
+SPELLINGS = [
+    # (subcommand, section, canonical name, its keys, other spellings)
+    ("density", "map", "perturbed-doubling", "eps = 0.1",
+     ["Perturbed-Doubling", "PERTURBED_DOUBLING"]),
+    ("pressure", "observable", "table", "xs = 0, 1\nys = 0, 1", ["Table"]),
+    ("rate-curve", "observable", "coin", "", ["Coin", " coin "]),
+]
+
+
+@pytest.mark.parametrize("sub,section,name,keys,spellings", SPELLINGS,
+                         ids=[case[0] for case in SPELLINGS])
+def test_a_name_spelling_writes_the_canonical_bytes(tmp_path, sub, section, name, keys,
+                                                    spellings):
+    # before, Perturbed-Doubling ran at the default eps = 0.05, Table lost
+    # its xs and ys (KeyError), and Coin dropped rate-curve's phi_true column
+    def written(spelling, eps=None):
+        out = tmp_path / f"o{len(list(tmp_path.iterdir()))}"
+        text = cfg_text(out, "\n[ulam]\nresolution = 64\n\n[rate_curve]\n"
+                             "trajectory_length = 4096\nk_grid = 20, 40\n")
+        default = "doubling" if section == "map" else "sawtooth"
+        text = text.replace(f"name = {default}", f"name = {name}\n{keys}")
+        if eps is not None:
+            text = text.replace("eps = 0.1", f"eps = {eps}")
+        cfg = parse_config(text)
+        cfg.values[section]["name"] = spelling   # blanks too: the parser strips them
+        assert run(sub, cfg) == 0
+        return (out / f"{sub}-1.csv").read_bytes()
+
+    canonical = written(name)
+    for spelling in spellings:
+        assert written(spelling) == canonical, spelling
+    if sub == "density":
+        assert written(name, eps=0.05) != canonical      # eps is read
+    if sub == "rate-curve":
+        assert canonical.startswith(b"m_k,logN_over_k,phi_true\n")
 
 
 @pytest.mark.parametrize("sub", ["erdos-renyi", "ld-check"])

@@ -78,8 +78,8 @@ def test_chunked_scan_matches_flat(doubling):
     expected = (float(np.max(sums[:nw])), int(np.argmax(sums[:nw])))
     for chunk in (64, 500, 10**6):
         got = _moving_max_chunked(
-            orbit_value_chunks(doubling, u, seed=7, total=length, chunk=chunk), k, nw)
-        assert got == expected
+            orbit_value_chunks(doubling, u, seed=7, total=length, chunk=chunk), [k], [nw])
+        assert got == [expected]
 
 
 @pytest.mark.parametrize("k", [1, 2, 100])
@@ -95,10 +95,41 @@ def test_chunked_scan_edges_equal_oracle(k):
                 return (vals[i : min(i + chunk, stop)] for i in range(0, stop, chunk))
             # the stream may run past the last window or end exactly there
             for stop in (len(vals), needed):
-                assert _moving_max_chunked(chunks(stop), k, n_windows) == expected, \
+                assert _moving_max_chunked(chunks(stop), [k], [n_windows]) == [expected], \
                     (n_windows, chunk, stop)
             with pytest.raises(ValueError):
-                _moving_max_chunked(chunks(needed - 1), k, n_windows)
+                _moving_max_chunked(chunks(needed - 1), [k], [n_windows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(ks=st.lists(st.integers(1, 60), min_size=1, max_size=6), data=st.data(),
+       chunk=st.integers(1, 80), kind=st.sampled_from(["int8", "exact-float", "float"]),
+       extra=st.integers(0, 50), seed=st.integers(0, 2**16))
+# a repeated, unsorted grid with one single-window k, and k far past the chunk
+@example(ks=[40, 3, 40, 1], data=None, chunk=7, kind="float", extra=0, seed=1)
+@example(ks=[60, 2], data=None, chunk=1, kind="int8", extra=3, seed=2)
+def test_grid_scan_equals_one_k_scans(ks, data, chunk, kind, extra, seed):
+    # the grid scan shares one prefix history between its k; each k must
+    # still get the bits of its own one-k scan, and where every sum is exact
+    # (small integers, as weights or as floats) the oracle's value and index
+    n_windows = ([1] * len(ks) if data is None
+                 else [data.draw(st.integers(1, 300)) for _ in ks])
+    total = max(n + k - 1 for k, n in zip(ks, n_windows)) + extra
+    rng = np.random.default_rng(seed)
+    vals = (rng.normal(size=total) if kind == "float"
+            else rng.integers(-3, 4, size=total).astype(np.int8 if kind == "int8" else float))
+
+    def chunks():
+        return (vals[i:i + chunk] for i in range(0, total, chunk))
+
+    got = _moving_max_chunked(chunks(), ks, n_windows)
+    assert len(got) == len(ks)
+    for k, n, (best, best_j) in zip(ks, n_windows, got):
+        (one, one_j), = _moving_max_chunked(chunks(), [k], [n])
+        assert (bits(best), best_j) == (bits(one), one_j), (k, n)
+        assert isinstance(best, int) == (kind == "int8")
+        if kind != "float":
+            assert (best, best_j) == moving_max(vals[:n + k - 1], k), (k, n)
 
 
 # -- integer window sums ------------------------------------------------------
@@ -135,9 +166,9 @@ def test_integer_sums_are_the_float_sums_bit_for_bit(b, signs, nums, p, k, n_win
     assert unit is not None and unit >= 2.0**-p
     chunks = list(chunks)
     assert all(c.dtype.kind == "i" for c in chunks)
-    best, best_j = _moving_max_chunked(iter(chunks), k, n_windows)
-    f_best, f_j = _moving_max_chunked(
-        orbit_value_chunks(pmap, u, seed, total, chunk=chunk), k, n_windows)
+    (best, best_j), = _moving_max_chunked(iter(chunks), [k], [n_windows])
+    (f_best, f_j), = _moving_max_chunked(
+        orbit_value_chunks(pmap, u, seed, total, chunk=chunk), [k], [n_windows])
     assert (bits(best * unit), best_j) == (bits(f_best), f_j)
 
     for r in sorted({0, 1, k}):
@@ -189,19 +220,28 @@ def test_coin_window_and_trial_sums_run_on_integers(monkeypatch, doubling, coin_
 
     kernel, blocks = erdos_renyi._moving_max_chunked, erdos_renyi.trial_value_blocks
     monkeypatch.setattr(erdos_renyi, "_moving_max_chunked",
-                        lambda chunks, k, n: kernel(watched(chunks), k, n))
+                        lambda chunks, k_grid, n: kernel(watched(chunks), k_grid, n))
 
     def watched_blocks(*args, **kwargs):
         unit, out = blocks(*args, **kwargs)
         return unit, watched(out)
 
     monkeypatch.setattr(erdos_renyi, "trial_value_blocks", watched_blocks)
-    ser = er_law_check(doubling, coin(), 0.2, coin_rate, [20, 60], seed=1)
-    est = ld_probability_mc(doubling, coin(), 0.1, 50, 10_000, seed=1, rate=coin_rate)
-    rows = decoupling_check(doubling, coin(), 0.1, 20, [0, 5], 10_000, seed=1, rate=coin_rate)
-    assert len(seen) >= 5 and {d.kind for d in seen} == {"i"}, seen
-    assert ser.window_unit == est.window_unit == 0.5
-    assert [row.window_unit for row in rows] == [0.5, 0.5]
+    calls = {
+        "er": lambda: er_law_check(doubling, coin(), 0.2, coin_rate, [20, 60], seed=1),
+        "ld": lambda: ld_probability_mc(doubling, coin(), 0.1, 50, 10_000, seed=1,
+                                        rate=coin_rate),
+        "decoupling": lambda: decoupling_check(doubling, coin(), 0.1, 20, [0, 5], 10_000,
+                                               seed=1, rate=coin_rate),
+    }
+    got = {}
+    for name, call in calls.items():
+        # each call feeds at least one chunk or block, and every one is integer
+        seen.clear()
+        got[name] = call()
+        assert seen and {d.kind for d in seen} == {"i"}, (name, seen)
+    assert got["er"].window_unit == got["ld"].window_unit == 0.5
+    assert [row.window_unit for row in got["decoupling"]] == [0.5, 0.5]
 
 
 def test_trial_sums_refuse_empty_windows_and_negative_shifts(doubling):
@@ -300,6 +340,43 @@ def test_er_rejects_alpha_below_the_mean_or_off_the_grid(doubling, coin_rate, al
 def test_er_budget_cap(doubling, coin_rate):
     with pytest.raises(BudgetExceededError):
         er_law_check(doubling, coin(), 0.4, coin_rate, [500], seed=1, length_cap=10**6)
+
+
+def test_er_grid_streams_one_orbit_and_keeps_each_k(monkeypatch, doubling, coin_rate):
+    # one stream of the longest length serves the grid; each k reads the
+    # same values as a grid of that k alone
+    calls = []
+    stream = erdos_renyi._orbit_values
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return stream(*args, **kwargs)
+
+    monkeypatch.setattr(erdos_renyi, "_orbit_values", counted)
+    for u in (coin(), sawtooth()):
+        calls.clear()
+        ser = er_law_check(doubling, u, 0.2, coin_rate, [60, 20, 100, 20], seed=4)
+        assert calls == [max(ser.window_counts + ser.k_values - 1)]
+        for i, k in enumerate(ser.k_values):
+            one = er_law_check(doubling, u, 0.2, coin_rate, [k], seed=4)
+            assert bits(one.M_values) == bits(ser.M_values[i:i + 1])
+            assert one.window_counts[0] == ser.window_counts[i]
+            assert one.window_unit == ser.window_unit
+
+
+def test_er_refuses_an_over_cap_grid_before_it_draws(monkeypatch, doubling, coin_rate):
+    # k = 50 is within the cap and k = 4000 far past it: nothing is streamed
+    calls = []
+    monkeypatch.setattr(erdos_renyi, "_orbit_values", lambda *a, **kw: calls.append(a))
+    with pytest.raises(BudgetExceededError, match="k=4000"):
+        er_law_check(doubling, coin(), 0.2, coin_rate, [50, 4000], seed=1,
+                     length_cap=1_000_000)
+    # a k phi past the float range is refused as well (it raised OverflowError)
+    with pytest.raises(BudgetExceededError, match="k=10000"):
+        er_law_check(doubling, coin(), 0.2, coin_rate, [50, 10_000], seed=1)
+    # an empty grid draws nothing either, and has no integer sums to name
+    ser = er_law_check(doubling, coin(), 0.2, coin_rate, [], seed=1)
+    assert calls == [] and len(ser.M_values) == 0 and ser.window_unit is None
 
 
 # -- rate estimator -----------------------------------------------------------

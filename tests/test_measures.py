@@ -378,3 +378,17 @@ def test_masked_ladder_drops_atoms_and_their_weights():
     with pytest.raises(DomainError):
         kantorovich_ladder(atoms, law, [10, 3000], keep)
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("masked", [False, True])
+def test_ladder_refuses_a_non_finite_atom_past_its_first_checkpoint(bad, masked):
+    # the checkpoints' measures carry the ladder's sorted view, and each still
+    # checks its own atoms: the last checkpoint holds atom 700, the first not
+    atoms = np.random.default_rng(8).normal(size=1000)
+    atoms[700] = bad
+    keep = np.ones(1000, dtype=bool) if masked else None
+    with pytest.raises(DomainError, match="non-finite"):
+        kantorovich_ladder(atoms, GaussianLaw(1.0), [500, 1000], keep)
+    # without the last checkpoint the same atoms give the first one's kappa
+    _, (kappa,) = kantorovich_ladder(atoms, GaussianLaw(1.0), [500], keep)
+    assert kappa == kantorovich(build_empirical(atoms, 500), GaussianLaw(1.0))
