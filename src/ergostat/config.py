@@ -12,7 +12,10 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
+from .entropy import RETURN_TIME_CAP
+from .erdos_renyi import LENGTH_CAP
 from .errors import ConfigError
+from .maps import DEFAULT_EPS, make_map, make_observable
 
 # schema: section -> key -> (kind, default, constraint)
 # kinds: int, float, str, bool, int_list, float_list
@@ -26,7 +29,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "slopes": ("float_list", [], None),
         "breakpoints": ("float_list", [], None),
         "intercepts": ("float_list", [], None),
-        "eps": ("float", 0.05, _POSITIVE),
+        "eps": ("float", DEFAULT_EPS, _POSITIVE),
     },
     "observable": {
         "name": ("str", None, None),
@@ -66,7 +69,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "erdos_renyi": {
         "alpha": ("float", 0.2, None),
         "k_grid": ("int_list", [50, 100, 200], _WINDOWS),
-        "length_cap": ("int", 2**32, _POSITIVE),
+        "length_cap": ("int", LENGTH_CAP, _POSITIVE),
     },
     "rate_curve": {
         "trajectory_length": ("int", 2**20, _POSITIVE),
@@ -82,7 +85,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "entropy": {
         "depth": ("int", 20, _POSITIVE),
-        "cap": ("int", 10**8, _POSITIVE),
+        "cap": ("int", RETURN_TIME_CAP, _POSITIVE),
         "epsilon": ("float", 1.0, _POSITIVE),
     },
 }
@@ -208,14 +211,10 @@ def serialize_config_values(values: dict) -> str:
 
 def build_map(cfg: ExperimentConfig):
     """The map of `[map]`: `maps.make_map` reads the keys of its name."""
-    from .maps import make_map
-
     return make_map(**cfg["map"])
 
 
 def build_observable(cfg: ExperimentConfig, pmap):
     """The raw observable (the CLI centres it when `[observable] center`)."""
-    from .maps import make_observable
-
     sec = cfg["observable"]
     return make_observable(sec["name"], pmap=pmap, xs=sec["xs"], ys=sec["ys"])

@@ -31,7 +31,7 @@ from .transfer import (
     require_nondegenerate,
 )
 
-RETURN_TIME_CAP = 10**9
+RETURN_TIME_CAP = 10**8
 # start positions filtered per vectorized step of the all-depth return scan
 _RETURN_WINDOW = 1 << 12
 # interval-pullback depth and center-chain depth for smooth-map cylinders;
@@ -120,16 +120,6 @@ def return_times_upto(symbols, n: int, cap: int = RETURN_TIME_CAP) -> np.ndarray
 # cylinder measures in log form along an orbit
 # ---------------------------------------------------------------------------
 
-def _inverse_by_symbol(pmap, sym, y):
-    """Preimage under branch sym[i] of each y[i], clipped to that branch's image."""
-    x = np.empty(len(y))
-    for s, br in enumerate(pmap.branches):
-        m = sym == s
-        if np.any(m):
-            x[m] = br.inverse(np.clip(y[m], *br.image()))
-    return x
-
-
 def _pullback_interval_layers(pmap, symbols, n, levels):
     """Exact interval pullback of depth min(k, levels) for every k <= n.
 
@@ -141,8 +131,8 @@ def _pullback_interval_layers(pmap, symbols, n, levels):
     hi = pmap.breakpoints[cells + 1]
     for d in range(1, min(levels, n)):
         sym = symbols[:n - d]                 # symbol s_{k-d} of each k > d
-        x1 = _inverse_by_symbol(pmap, sym, lo[d:])
-        x2 = _inverse_by_symbol(pmap, sym, hi[d:])
+        x1 = pmap.inverse(lo[d:], sym)
+        x2 = pmap.inverse(hi[d:], sym)
         lo[d:], hi[d:] = np.minimum(x1, x2), np.maximum(x1, x2)
     return lo, hi
 
@@ -162,8 +152,8 @@ def cylinder_log_measures(pmap: PiecewiseMap, symbols: np.ndarray,
     symbols = np.asarray(symbols)
     n = len(symbols)
     N = len(density)
-    if all(br.is_linear for br in pmap.branches):
-        slopes = np.array([abs(br.slope) for br in pmap.branches])
+    if pmap.linear is not None:
+        slopes = np.abs(pmap.linear[0])
         if np.ptp(slopes) == 0.0:
             log_width = -np.arange(1, n + 1, dtype=float) * math.log(slopes[0])
         else:
@@ -182,7 +172,7 @@ def cylinder_log_measures(pmap: PiecewiseMap, symbols: np.ndarray,
         # derivative chain through pullback centers for levels lead..lead+chain
         c = 0.5 * (lo + hi)
         for d in range(lead, min(_EXACT_LEVELS + _CHAIN_LEVELS, n)):
-            c[d:] = _inverse_by_symbol(pmap, symbols[:n - d], c[d:])
+            c[d:] = pmap.inverse(c[d:], symbols[:n - d])
             acc[d:] -= np.log(np.abs(pmap.derivative(c[d:])))
         # orbit-point prefix sums for the remaining outer levels
         depth = _EXACT_LEVELS + _CHAIN_LEVELS

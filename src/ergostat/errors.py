@@ -23,10 +23,6 @@ class DegenerateVarianceError(ErgostatError):
 class ConvergenceError(ErgostatError):
     """Iterative solver failed to reach its tolerance within its budget."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class BudgetExceededError(ErgostatError):
     """Requested computation exceeds a hard resource cap (stream length,

@@ -32,9 +32,9 @@ from .errors import ConfigError, DomainError, MapDefinitionError
 
 # Mantissa bits reconstructed from the symbol tail in symbolic mode.
 _RECONSTRUCT_BITS = 53
-# (slope, intercept) of each branch of the binary shift x -> 2x mod 1, whose
+# The (slopes, intercepts) table of the binary shift x -> 2x mod 1, whose
 # points are read from symbol words (-0.0 == 0.0, and x - -0.0 is x)
-_BINARY_SHIFT = [(2.0, 0.0), (2.0, -1.0)]
+_BINARY_SHIFT = ([2.0, 2.0], [0.0, -1.0])
 # Points per block of the reconstruction: the branch data of one block's
 # symbol tail is gathered once and its levels run in place.
 _RECONSTRUCT_BLOCK = 1 << 13
@@ -46,21 +46,16 @@ _VALIDATE_GRID = 10_000
 class Branch:
     """One monotone branch of a piecewise map.
 
-    Linear branches carry slope/intercept and have exact inverses; smooth
-    branches are given by callables and invert by bracketed Newton steps on
-    `dfn` (monotonicity keeps the root in the bracket, so it stays correct).
+    Linear branches carry their exact inverse `inv`; smooth branches are
+    given by callables and invert by bracketed Newton steps on `dfn`
+    (monotonicity keeps the root in the bracket, so it stays correct).
     """
 
     lo: float
     hi: float
     fn: Callable[[np.ndarray], np.ndarray]
     dfn: Callable[[np.ndarray], np.ndarray]
-    slope: float | None = None          # set for linear branches
-    intercept: float | None = None
-
-    @property
-    def is_linear(self) -> bool:
-        return self.slope is not None
+    inv: Callable[[np.ndarray], np.ndarray] | None = None   # set for linear branches
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -75,8 +70,8 @@ class Branch:
     def inverse(self, y):
         """Preimage under this branch of y (y must lie in the branch image)."""
         y = np.asarray(y, dtype=float)
-        if self.is_linear:
-            x = (y - self.intercept) / self.slope
+        if self.inv is not None:
+            x = self.inv(y)
         else:
             x = _newton_inverse(self.fn, self.dfn, self.lo, self.hi, y)
         return np.clip(x, self.lo, self.hi)
@@ -119,6 +114,9 @@ class PiecewiseMap:
     (checked on a grid at construction).  `scalar` is the whole map on one
     Python float, returning a Python float: the branch of `branch_index`,
     its formula and the clip of `apply`, bitwise `apply` on an array.
+    `linear` is the (slopes, intercepts) table of a piecewise-linear map,
+    branch i being x -> slopes[i] * x + intercepts[i], and None for a map
+    with a smooth branch.
     """
 
     name: str
@@ -127,6 +125,7 @@ class PiecewiseMap:
     expansion_constant: float
     scalar: Callable[[float], float]
     descriptor: dict = field(default_factory=dict)
+    linear: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_branches(self) -> int:
@@ -139,8 +138,8 @@ class PiecewiseMap:
         b = self.n_branches
         uniform = np.allclose(self.breakpoints, np.linspace(0.0, 1.0, b + 1),
                               rtol=0.0, atol=1e-12)
-        return uniform and all(br.is_linear and abs(br.slope) == b and _is_full_branch(br)
-                               for br in self.branches)
+        return (uniform and self.linear is not None and bool(np.all(np.abs(self.linear[0]) == b))
+                and all(_is_full_branch(br) for br in self.branches))
 
     @cached_property
     def orbit_mode(self) -> str:
@@ -149,9 +148,9 @@ class PiecewiseMap:
         read, since an exception is not cached."""
         if self.dyadic_exact:
             return _SYMBOLIC
-        if not all(br.is_linear for br in self.branches):
+        if self.linear is None:
             return _FLOAT
-        if all(math.frexp(abs(br.slope))[0] == 0.5 for br in self.branches):
+        if np.all(np.frexp(np.abs(self.linear[0]))[0] == 0.5):
             raise DomainError(
                 f"{self.name}: every slope is a power of two, so float iteration "
                 "sheds a mantissa bit per step and collapses within ~53 steps, and "
@@ -168,10 +167,11 @@ class PiecewiseMap:
         idx = np.searchsorted(self.breakpoints, x, side="right") - 1
         return np.clip(idx, 0, self.n_branches - 1).astype(np.uint8)
 
-    def _per_branch(self, x, method):
-        """method(branch, points) on the points of each branch, vectorized."""
+    def _per_branch(self, x, method, idx=None):
+        """method(branch, points) on the points of each branch, vectorized;
+        idx names each point's branch (by default the branch it lies in)."""
         x = np.asarray(x, dtype=float)
-        idx = self.branch_index(x)
+        idx = self.branch_index(x) if idx is None else idx
         out = np.empty_like(x, dtype=float)
         for i, br in enumerate(self.branches):
             mask = idx == i
@@ -186,6 +186,11 @@ class PiecewiseMap:
 
     def derivative(self, x):
         return self._per_branch(x, Branch.derivative)
+
+    def inverse(self, y, symbols):
+        """Preimage under branch symbols[i] of each y[i], with y[i] clipped
+        to that branch's image."""
+        return self._per_branch(y, lambda br, v: br.inverse(np.clip(v, *br.image())), symbols)
 
     def log_abs_derivative(self, x):
         return np.log(np.abs(self.derivative(x)))
@@ -225,15 +230,13 @@ class PiecewiseMap:
 # built-in maps
 # ---------------------------------------------------------------------------
 
-def _linear_branch(lo: float, hi: float, slope: float, intercept: float) -> Branch:
-    slope, intercept = float(slope), float(intercept)
+def _linear_branch(lo: float, hi: float, s: float, c: float) -> Branch:
     return Branch(
         lo=lo,
         hi=hi,
-        fn=lambda x, s=slope, c=intercept: s * x + c,
-        dfn=lambda x, s=slope: np.full_like(np.asarray(x, dtype=float), s),
-        slope=slope,
-        intercept=intercept,
+        fn=lambda x: s * x + c,
+        dfn=lambda x: np.full_like(np.asarray(x, dtype=float), s),
+        inv=lambda y: (y - c) / s,
     )
 
 
@@ -247,18 +250,11 @@ def _piecewise_linear(name: str, breakpoints, slopes: Sequence[float], intercept
         raise MapDefinitionError("need one slope per partition interval")
     if intercepts is not None and len(intercepts) != len(slopes):
         raise MapDefinitionError("need one intercept per slope")
-    branches = []
-    for i, s in enumerate(slopes):
-        s = float(s)
-        if intercepts is not None:
-            c = float(intercepts[i])
-        else:
-            c = -s * bp[i] if s > 0 else 1.0 - s * bp[i]
-        branches.append(_linear_branch(bp[i], bp[i + 1], s, c))
     # Python floats, so that the twin stays off numpy scalars
+    S = [float(s) for s in slopes]
+    C = ([float(c) for c in intercepts] if intercepts is not None else
+         [float(-s * a if s > 0 else 1.0 - s * a) for s, a in zip(S, bp[:-1])])
     inner = bp[1:-1].tolist()
-    S = [br.slope for br in branches]
-    C = [br.intercept for br in branches]
 
     def scalar(x):
         # the branch of branch_index: [a_i, a_{i+1}), and the last one at 1
@@ -269,10 +265,11 @@ def _piecewise_linear(name: str, breakpoints, slopes: Sequence[float], intercept
     m = PiecewiseMap(
         name=name,
         breakpoints=bp,
-        branches=tuple(branches),
-        expansion_constant=min(abs(float(s)) for s in slopes),
+        branches=tuple(_linear_branch(bp[i], bp[i + 1], S[i], C[i]) for i in range(len(S))),
+        expansion_constant=min(abs(s) for s in S),
         scalar=scalar,
         descriptor=descriptor,
+        linear=(np.array(S), np.array(C)),
     )
     m.validate()
     return m
@@ -322,30 +319,42 @@ def _key(name: str) -> str:
     return name.strip().lower().replace("_", "-")
 
 
+# The keys each map reads; it refuses the others unless they hold their
+# defaults: an empty list, or DEFAULT_EPS (perturbed doubling's eps).
+DEFAULT_EPS = 0.05
+_READS = {"doubling": (), "tent": (), "linear": ("slopes",), "perturbed-doubling": ("eps",),
+          "custom": ("breakpoints", "slopes", "intercepts")}
+
+
 def make_map(name: str, slopes: Sequence[float] = (), breakpoints: Sequence[float] = (),
-             intercepts: Sequence[float] = (), eps: float = 0.05) -> PiecewiseMap:
+             intercepts: Sequence[float] = (), eps: float = DEFAULT_EPS) -> PiecewiseMap:
     """Build a map from the keys of a `[map]` section; each map reads its own
     keys, and an empty list is a key left out.
 
     Built-ins: "doubling", "tent", "linear" (slopes), "perturbed-doubling"
     (eps), "custom" (breakpoints, slopes [, intercepts]).  An unknown name,
-    or a map short of a key it needs, raises ConfigError.
+    a map short of a key it needs, or a key the map does not read set away
+    from its default, raises ConfigError.
     """
     key = _key(name)
-    if key == "perturbed-doubling":
-        return _perturbed_doubling(float(eps), {"name": key, "eps": eps})
-    reads = {"doubling": {}, "tent": {}, "linear": {"slopes": slopes},
-             "custom": {"breakpoints": breakpoints, "slopes": slopes, "intercepts": intercepts}}
-    if key not in reads:
+    if key not in _READS:
         raise ConfigError([(0, f"unknown map {name!r}")])
-    missing = [k for k, v in reads[key].items() if k != "intercepts" and not len(v)]
+    given = {"slopes": slopes, "breakpoints": breakpoints, "intercepts": intercepts, "eps": eps}
+    reads = {k: given[k] for k in _READS[key]}
+    unread = [k for k, v in given.items()
+              if k not in reads and (v != DEFAULT_EPS if k == "eps" else len(v))]
+    if unread:
+        raise ConfigError([(0, f"{key} map does not read {' and '.join(unread)}")])
+    if key == "perturbed-doubling":
+        return _perturbed_doubling(float(eps), {"name": key, **reads})
+    missing = [k for k, v in reads.items() if k != "intercepts" and not len(v)]
     if missing:
         raise ConfigError([(0, f"{key} map needs {' and '.join(missing)}")])
     if key != "custom":
         slopes = {"doubling": [2.0, 2.0], "tent": [2.0, -2.0]}.get(key, slopes)
         breakpoints, intercepts = np.linspace(0.0, 1.0, len(slopes) + 1), ()
     return _piecewise_linear(key, breakpoints, slopes, intercepts if len(intercepts) else None,
-                             {"name": key, **reads[key]})
+                             {"name": key, **reads})
 
 
 # ---------------------------------------------------------------------------
@@ -441,17 +450,20 @@ def make_observable(name: str, pmap: PiecewiseMap | None = None,
     `[observable]` section: "sawtooth", "coin", "log-deriv" and "coboundary"
     (which read the map), and "table" (xs, ys)."""
     key = _key(name)
+    if key == "table":
+        return table_observable(xs, ys)
+    if key not in ("sawtooth", "coin", "log-deriv", "log-derivative", "coboundary"):
+        raise ConfigError([(0, f"unknown observable {name!r}")])
+    unread = [k for k, v in (("xs", xs), ("ys", ys)) if len(v)]
+    if unread:
+        raise ConfigError([(0, f"{key} observable does not read {' and '.join(unread)}")])
     if key == "sawtooth":
         return sawtooth()
     if key == "coin":
         return coin()
-    if key in ("log-deriv", "log-derivative", "coboundary"):
-        if pmap is None:
-            raise ValueError(f"{key} observable needs the map")
-        return coboundary(pmap) if key == "coboundary" else log_derivative(pmap)
-    if key == "table":
-        return table_observable(xs, ys)
-    raise ConfigError([(0, f"unknown observable {name!r}")])
+    if pmap is None:
+        raise ValueError(f"{key} observable needs the map")
+    return coboundary(pmap) if key == "coboundary" else log_derivative(pmap)
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +474,8 @@ def make_observable(name: str, pmap: PiecewiseMap | None = None,
 class Orbit:
     """Materialized orbit: points x, f(x), ..., and their branch symbols."""
 
-    seed: int
-    mode: str                      # "float-iterate" | "symbolic-exact"
     points: np.ndarray
     symbols: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 _SYMBOLIC = "symbolic-exact"
@@ -535,10 +542,9 @@ def points_from_symbols(pmap: PiecewiseMap, symbols: np.ndarray, n: int) -> np.n
     depth = _symbol_tail_depth(pmap)
     if symbols.shape[-1] < n + depth:
         raise ValueError("symbol stream too short for point reconstruction")
-    if [(br.slope, br.intercept) for br in pmap.branches] == _BINARY_SHIFT:
+    slopes, intercepts = pmap.linear
+    if (slopes.tolist(), intercepts.tolist()) == _BINARY_SHIFT:
         return _binary_shift_points(symbols, n)
-    slopes = np.array([br.slope for br in pmap.branches])
-    intercepts = np.array([br.intercept for br in pmap.branches])
     x = np.full(symbols.shape[:-1] + (n,), 0.5)
     for a in range(0, n, _RECONSTRUCT_BLOCK):
         m = min(_RECONSTRUCT_BLOCK, n - a)
@@ -641,22 +647,13 @@ def _orbit_chunks(pmap: PiecewiseMap, seed: int, total: int | None, chunk: int,
             yield None, pts
 
 
-def orbit(pmap: PiecewiseMap, seed: int, n: int, x0: float | None = None) -> Orbit:
-    """The first n points of the orbit of `seed`, with their symbols.
-
-    The map decides the mode (see `PiecewiseMap.orbit_mode`); x0 instead
-    float-iterates from that point, whatever the map.
-    """
+def orbit(pmap: PiecewiseMap, seed: int, n: int) -> Orbit:
+    """The first n points of the orbit of `seed`, with their symbols, in the
+    mode the map decides (see `PiecewiseMap.orbit_mode`)."""
     if n < 1:
         raise ValueError("orbit length must be >= 1")
-    if x0 is not None:
-        if not 0.0 <= x0 <= 1.0:
-            raise ValueError(f"orbit start {x0!r} is not in [0, 1]")
-        pts, _ = _float_orbit_chunk(pmap, float(x0), n)
-        return Orbit(seed=seed, mode=_FLOAT, points=pts, symbols=pmap.branch_index(pts))
     syms, pts = next(_orbit_chunks(pmap, seed, n, n))
-    return Orbit(seed=seed, mode=pmap.orbit_mode, points=pts,
-                 symbols=pmap.branch_index(pts) if syms is None else syms)
+    return Orbit(points=pts, symbols=pmap.branch_index(pts) if syms is None else syms)
 
 
 def _branch_values(pmap: PiecewiseMap, u: Observable) -> np.ndarray | None:

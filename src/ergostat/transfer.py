@@ -300,9 +300,7 @@ def _power_iteration(mat: CSRMatrix) -> tuple[float, np.ndarray]:
         residual = float(np.abs(w - lam * v).sum()) / lam
         if residual <= POWER_TOL:
             return lam, v
-    raise ConvergenceError(
-        f"power iteration did not converge in {POWER_MAX_ITER} iterations",
-        residual=residual)
+    raise ConvergenceError(f"power iteration did not converge in {POWER_MAX_ITER} iterations")
 
 
 def _cell_values(samples, w, N: int) -> np.ndarray:

@@ -11,7 +11,9 @@ at both ends of every segment), which it must reproduce bit for bit;
 `itinerary` (float-iterated branch symbols of a point),
 `cylinder_interval` (the pullback of one word, refusing an empty one) and
 `cylinder_measure` (cell-overlap measure of one cylinder) check the
-cylinder machinery of `ergostat.entropy`.  `evaluate` (image, branch and
+cylinder machinery of `ergostat.entropy`, and `inverse_by_symbol` (one
+mask per branch) is the loop that `PiecewiseMap.inverse` must reproduce
+bit for bit.  `evaluate` (image, branch and
 derivative of a point), `birkhoff_sums` (partial sums along an orbit) and
 `rate_diagnostic` (boundedness verdict of an asclt rate sequence) are
 small readers of program objects that only the tests use.
@@ -462,6 +464,16 @@ def cylinder_measure(density: np.ndarray, cyl: CylinderInterval) -> float:
     return float(np.sum(density[i0:i1 + 1] * np.clip(overlaps, 0.0, None)))
 
 
+def inverse_by_symbol(pmap: PiecewiseMap, sym, y) -> np.ndarray:
+    """Preimage under branch sym[i] of each y[i], clipped to that branch's image."""
+    x = np.empty(len(y))
+    for s, br in enumerate(pmap.branches):
+        m = sym == s
+        if np.any(m):
+            x[m] = br.inverse(np.clip(y[m], *br.image()))
+    return x
+
+
 # -- symbolic reconstruction and Legendre transform, one element at a time ----
 
 def reconstruct_points(pmap: PiecewiseMap, symbols: np.ndarray, n: int) -> np.ndarray:
@@ -471,8 +483,7 @@ def reconstruct_points(pmap: PiecewiseMap, symbols: np.ndarray, n: int) -> np.nd
     depth = _symbol_tail_depth(pmap)
     if symbols.shape[-1] < n + depth:
         raise ValueError("symbol stream too short for point reconstruction")
-    slopes = np.array([br.slope for br in pmap.branches])
-    intercepts = np.array([br.intercept for br in pmap.branches])
+    slopes, intercepts = pmap.linear
     x = np.full(symbols.shape[:-1] + (n,), 0.5)
     for d in range(depth - 1, -1, -1):
         s = symbols[..., d : d + n]
@@ -603,11 +614,11 @@ def linear_cut_samples(pmap: PiecewiseMap, N: int):
     bit."""
     edges = np.arange(N + 1) / N
     rows, cols, lengths, points = [], [], [], []
-    for br in pmap.branches:
+    for br, slope, intercept in zip(pmap.branches, *pmap.linear):
         ylo, yhi = br.image()
         inner_src = edges[(edges > br.lo + 1e-15) & (edges < br.hi - 1e-15)]
         img_edges = edges[(edges > ylo + 1e-15) & (edges < yhi - 1e-15)]
-        pulled = (img_edges - br.intercept) / br.slope
+        pulled = (img_edges - intercept) / slope
         cuts = np.unique(np.concatenate([[br.lo, br.hi], inner_src, pulled]))
         mids = 0.5 * (cuts[1:] + cuts[:-1])
         lens = np.diff(cuts)

@@ -18,6 +18,8 @@ from ergostat.config import (
     parse_config,
 )
 from ergostat import transfer
+from ergostat.entropy import RETURN_TIME_CAP, ow_run, return_times_upto
+from ergostat.erdos_renyi import LENGTH_CAP, er_law_check
 from ergostat.errors import ConfigError
 from ergostat.maps import make_map, make_observable
 from ergostat.cli import SUBCOMMANDS, _write_csv, main, run
@@ -64,6 +66,18 @@ def test_constructors_take_the_keys_of_their_sections():
     assert set(inspect.signature(make_map).parameters) == set(SCHEMA["map"])
     assert set(inspect.signature(make_observable).parameters) == \
         set(SCHEMA["observable"]) - {"center"} | {"pmap"}
+
+
+def test_config_defaults_are_the_library_defaults():
+    # a CLI run and a library call censor, cap and perturb at the same values
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert SCHEMA["entropy"]["cap"][1] == RETURN_TIME_CAP == 10**8
+    assert default(ow_run, "cap") == default(return_times_upto, "cap") == RETURN_TIME_CAP
+    assert SCHEMA["erdos_renyi"]["length_cap"][1] == LENGTH_CAP == 2**32
+    assert default(er_law_check, "length_cap") == LENGTH_CAP
+    assert SCHEMA["map"]["eps"][1] == default(make_map, "eps") == 0.05
 
 
 def test_unknown_section_lists_valid_ones():
@@ -362,8 +376,9 @@ def test_custom_doubling_is_the_doubling_map(tmp_path):
     from ergostat.maps import make_map, orbit
 
     custom = make_map("custom", breakpoints=[0.0, 0.5, 1.0], slopes=[2.0, 2.0])
-    a, b = orbit(custom, seed=4, n=10_000), orbit(make_map("doubling"), seed=4, n=10_000)
-    assert a.mode == b.mode == "symbolic-exact"
+    doubling = make_map("doubling")
+    a, b = orbit(custom, seed=4, n=10_000), orbit(doubling, seed=4, n=10_000)
+    assert custom.orbit_mode == doubling.orbit_mode == "symbolic-exact"
     assert np.array_equal(a.points, b.points) and np.array_equal(a.symbols, b.symbols)
     spec = "name = custom\nbreakpoints = 0, 0.5, 1\nslopes = 2, 2"
     for name, mapspec in (("d", "name = doubling"), ("c", spec)):
@@ -498,6 +513,11 @@ def test_entropy_smb_on_steep_full_branch_map(tmp_path):
     ("density", "name = doubling", "name = linear"),
     ("density", "name = doubling", "name = custom\nslopes = 2, 2"),
     ("density", "name = doubling", "name = Custom\nbreakpoints = 0, 0.5, 1"),
+    ("density", "name = doubling", "name = doubling\nslopes = 3, 3, 3"),
+    ("pressure", "name = sawtooth", "name = sawtooth\nxs = 0, 1"),
+    ("density", "name = doubling", "name = perturbed-doubling\nslopes = 2, 2"),
+    ("density", "name = doubling",
+     "name = custom\nbreakpoints = 0, 0.5, 1\nslopes = 2, 2\neps = 0.1"),
 ], ids=["checkpoint-past-horizon", "trajectory-under-10-windows", "unknown-observable",
         "unknown-map", "zero-checkpoint", "first-checkpoint-below-4", "horizon-below-4",
         "entropy-checkpoint-past-horizon", "entropy-checkpoint-past-depth",
@@ -506,7 +526,8 @@ def test_entropy_smb_on_steep_full_branch_map(tmp_path):
         "table-unequal-lengths", "table-repeated-x", "table-nan-value",
         "negative-seed", "negative-seed-offset", "negative-sigma2-value",
         "zero-sigma2-value", "reversed-rate-grid", "linear-without-slopes",
-        "custom-without-breakpoints", "custom-without-slopes"])
+        "custom-without-breakpoints", "custom-without-slopes", "doubling-with-slopes",
+        "sawtooth-with-xs", "perturbed-with-slopes", "custom-with-eps"])
 def test_unrunnable_config_exits_2(tmp_path, capsys, sub, old, new):
     text = cfg_text(tmp_path / "o")
     if sub.startswith("entropy"):     # doubling's constant slope would be refused

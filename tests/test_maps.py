@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ergostat.errors import ConfigError, DomainError, MapDefinitionError
 from ergostat.maps import (
     Branch,
+    Orbit,
     coboundary,
     coin,
     make_map,
@@ -22,7 +23,7 @@ from ergostat.maps import (
 from ergostat import maps
 from ergostat.maps import _RECONSTRUCT_BLOCK, _symbol_tail_depth
 from ergostat.transfer import invariant_density, ulam_matrix
-from oracles import birkhoff_sums, evaluate, reconstruct_points
+from oracles import birkhoff_sums, evaluate, inverse_by_symbol, reconstruct_points
 
 ALL_BUILTINS = ["doubling", "tent", "perturbed-doubling"]
 
@@ -30,12 +31,12 @@ ALL_BUILTINS = ["doubling", "tent", "perturbed-doubling"]
 def test_make_map_builtins():
     d = make_map("doubling")
     assert np.allclose(d.breakpoints, [0.0, 0.5, 1.0])
-    assert d.branches[0].slope == 2.0 and d.branches[1].slope == 2.0
+    assert d.linear[0].tolist() == [2.0, 2.0] and d.linear[1].tolist() == [0.0, -1.0]
     assert d.dyadic_exact
 
     t = make_map("tent")
     assert np.allclose(t.breakpoints, [0.0, 0.5, 1.0])
-    assert (t.branches[0].slope, t.branches[1].slope) == (2.0, -2.0)
+    assert t.linear[0].tolist() == [2.0, -2.0] and t.linear[1].tolist() == [0.0, 2.0]
     assert t.dyadic_exact
 
     l3 = make_map("linear", slopes=[3, 3, 3])
@@ -55,6 +56,15 @@ def test_make_map_rejects_bad_descriptors():
     # a name that is no map is a configuration error, like an unknown observable
     with pytest.raises(ConfigError):
         make_map("nosuchmap")
+    # so is a key that the map or observable does not read, set away from its
+    # default; the default itself cannot be told from a key left out
+    with pytest.raises(ConfigError, match="doubling map does not read slopes"):
+        make_map("doubling", slopes=[3, 3, 3])
+    with pytest.raises(ConfigError, match="custom map does not read eps"):
+        make_map("custom", breakpoints=[0, 0.5, 1], slopes=[2, 2], eps=0.1)
+    with pytest.raises(ConfigError, match="sawtooth observable does not read xs and ys"):
+        make_observable("sawtooth", xs=[0, 1], ys=[0, 5])
+    assert make_map("doubling", eps=0.05).dyadic_exact
 
 
 def _full_branch_map(b):
@@ -173,7 +183,7 @@ def test_smooth_inverse_edge_cases():
 def test_symbolic_orbit_never_collapses():
     d = make_map("doubling")
     o = orbit(d, seed=123, n=1_000_000)
-    assert o.mode == "symbolic-exact"
+    assert d.orbit_mode == "symbolic-exact"
     assert np.all(o.points[53:] != 0.0)
     # consecutive points satisfy x_{t+1} = f(x_t) up to reconstruction ulps
     assert np.max(np.abs(o.points[1:10_000] - d.apply(o.points[:9_999]))) < 1e-12
@@ -224,9 +234,10 @@ def test_points_from_symbols_bitwise_equals_level_oracle(name, params):
 
 
 def test_float_orbit_dyadic_degeneracy_documented():
+    # why doubling is never float-iterated: the float step collapses dyadics
     d = make_map("doubling")
-    o = orbit(d, seed=0, n=4, x0=0.25)
-    assert o.points.tolist() == [0.25, 0.5, 0.0, 0.0]
+    pts, nxt = maps._float_orbit_chunk(d, 0.25, 4)
+    assert pts.tolist() == [0.25, 0.5, 0.0, 0.0] and nxt == 0.0
 
 
 # every built-in linear map, the 3, 1.5 map, a custom map with explicit
@@ -277,18 +288,16 @@ def test_float_orbit_consecutive_points_exact():
     for pmap in maps:
         for seed in (1, 6, 77, 2024):
             o = orbit(pmap, seed=seed, n=3000)
-            assert o.mode == "float-iterate"
+            assert pmap.orbit_mode == "float-iterate"
             assert np.array_equal(o.points[1:], pmap.apply(o.points[:-1]))
-    with pytest.raises(ValueError, match="not in"):
-        orbit(maps[0], seed=0, n=3, x0=-0.25)
 
 
 def test_symbolic_only_for_dyadic_maps():
     pd = make_map("perturbed-doubling")
-    assert orbit(pd, seed=1, n=10).mode == "float-iterate"
+    assert pd.orbit_mode == "float-iterate"
     two_slope = make_map("custom", breakpoints=[0.0, 1.0 / 3.0, 1.0], slopes=[3.0, 1.5])
     assert not two_slope.dyadic_exact
-    assert orbit(two_slope, seed=1, n=10).mode == "float-iterate"
+    assert two_slope.orbit_mode == "float-iterate"
     # the map's shape decides, not how it was built
     assert make_map("custom", breakpoints=[0.0, 0.5, 1.0], slopes=[2.0, -2.0]).dyadic_exact
     assert not make_map("custom", breakpoints=[0.0, 0.5, 1.0], slopes=[2.0, 1.5]).dyadic_exact
@@ -318,8 +327,8 @@ def test_birkhoff_sums_examples():
     ones = make_observable("table", xs=[0.0, 1.0], ys=[1.0, 1.0])
     assert np.allclose(birkhoff_sums(o, ones), [1, 2, 3, 4, 5])
 
-    o2 = orbit(d, seed=0, n=3, x0=0.25)
-    s = birkhoff_sums(o2, sawtooth())
+    pts, _ = maps._float_orbit_chunk(d, 0.25, 3)
+    s = birkhoff_sums(Orbit(pts, d.branch_index(pts)), sawtooth())
     assert np.allclose(s, [-0.25, -0.25, -0.75])
 
 
@@ -374,9 +383,6 @@ def test_degenerate_float_maps_refused():
         for vals in orbit_value_chunks(slow, sawtooth(), seed=0, total=20_000, chunk=1000):
             streamed.append(vals)
     assert len(streamed) == 4 and len(np.unique(np.concatenate(streamed))) == 4000
-    # x0 still float-iterates any map from that point
-    assert orbit(make_map("custom", breakpoints=[0.0, 0.5, 1.0], slopes=[2.0, 1.5]),
-                 seed=0, n=3, x0=0.25).points.tolist() == [0.25, 0.5, 0.0]
 
 
 def test_orbit_mode_decided_once_per_map(monkeypatch):
@@ -479,7 +485,7 @@ def test_random_linear_maps_stream_or_refuse(m, seed, chunk):
         whole = np.concatenate(list(orbit_value_chunks(m, sawtooth(), seed, n, chunk=n)))
         cut = np.concatenate(list(orbit_value_chunks(m, sawtooth(), seed, n, chunk=chunk)))
         assert np.array_equal(cut, whole) and np.array_equal(whole, sawtooth()(o.points))
-    if all(abs(abs(br.slope) * (br.hi - br.lo) - 1.0) < 1e-12 for br in m.branches):
+    if all(abs(abs(s) * (br.hi - br.lo) - 1.0) < 1e-12 for br, s in zip(m.branches, m.linear[0])):
         # full branches: the Ulam density integrates to 1 and F(0) = 0
         op = ulam_matrix(m, None, 0.0, 64)
         assert np.sum(invariant_density(op)) / 64 == pytest.approx(1.0, abs=1e-12)
@@ -490,6 +496,43 @@ def test_random_linear_maps_stream_or_refuse(m, seed, chunk):
 @given(m=_linear_maps(), seed=st.integers(0, 2**32 - 1))
 def test_random_linear_map_twins_give_apply_bytes(m, seed):
     _assert_twin_is_apply(m, _twin_points(m, np.random.default_rng(seed).random(200)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=_linear_maps(), seed=st.integers(0, 2**32 - 1))
+def test_linear_table_is_every_branch(m, seed):
+    # the (slopes, intercepts) table and the branches are one map, bit for
+    # bit: forward s * x + c, and the inverse (y - c) / s clipped to the cell
+    rng = np.random.default_rng(seed)
+    slopes, intercepts = m.linear
+    assert len(slopes) == len(intercepts) == m.n_branches
+    for br, s, c in zip(m.branches, slopes.tolist(), intercepts.tolist()):
+        xs = br.lo + (br.hi - br.lo) * rng.random(200)
+        ys = np.concatenate([rng.random(200), [0.0, 1.0, *br.image()]])
+        assert br(xs).tobytes() == (s * xs + c).tobytes()
+        assert br.inverse(ys).tobytes() == np.clip((ys - c) / s, br.lo, br.hi).tobytes()
+    assert make_map("perturbed-doubling").linear is None
+
+
+def _assert_inverse_is_oracle(m, rng):
+    # uniform points, the ends of [0, 1], the breakpoints and their neighbours
+    ys = np.concatenate([rng.random(500), [0.0, 1.0], m.breakpoints,
+                         np.nextafter(m.breakpoints, 0.5)])
+    sym = rng.integers(0, m.n_branches, len(ys)).astype(np.uint8)
+    assert m.inverse(ys, sym).tobytes() == inverse_by_symbol(m, sym, ys).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=_linear_maps(), seed=st.integers(0, 2**32 - 1))
+def test_branch_dispatch_inverse_is_the_mask_loop(m, seed):
+    _assert_inverse_is_oracle(m, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.15])
+def test_smooth_branch_dispatch_inverse_is_the_mask_loop(eps):
+    m = make_map("perturbed-doubling", eps=eps)
+    for seed in range(5):
+        _assert_inverse_is_oracle(m, np.random.default_rng(seed))
 
 
 def test_observable_regularity_required():
