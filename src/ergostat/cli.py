@@ -136,7 +136,9 @@ def _rate_function(cfg: ExperimentConfig, op, u):
 
 def _run_density(cfg, outdir, seeds):
     N = cfg.get("ulam", "resolution")
-    h = invariant_density(_operator(cfg, build_map(cfg)))
+    pmap = build_map(cfg)
+    build_observable(cfg, pmap)    # unread here, but a bad [observable] exits 2 everywhere
+    h = invariant_density(_operator(cfg, pmap))
     cells = np.arange(N)
     columns = [cells, (cells + 0.5) / N, h]
     for s in seeds:
@@ -274,6 +276,7 @@ def _run_entropy(cfg, outdir, seeds, kind):
     # a refused ladder exits before the operator is built
     checkpoints = checkpoints_within(n, cfg.get("run", "checkpoints") or None)
     pmap = build_map(cfg)
+    build_observable(cfg, pmap)    # unread here, but a bad [observable] exits 2 everywhere
     consts = entropy_constants(pmap, _operator(cfg, pmap))
     eps = cfg.get("entropy", "epsilon")
     cap = cfg.get("entropy", "cap")

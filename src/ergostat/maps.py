@@ -7,8 +7,10 @@ This module is the only one that knows how an orbit is made;
 - symbolic, for uniform b-branch full-branch linear maps with |slope| = b
   (doubling, tent, "linear", and custom maps of that shape): the
   i.i.d.-uniform branch-symbol sequence is drawn from a seeded generator
-  and points are reconstructed from its tail, which is
-  distributionally exact under Lebesgue initial conditions;
+  (`_SymbolSource`: the raw generator bytes for a power-of-two b, the
+  same bytes as its `integers` blocks, and those blocks for other b) and
+  points are reconstructed from its tail, which is distributionally exact
+  under Lebesgue initial conditions;
 - refused with DomainError, for other piecewise-linear maps whose float
   iteration degenerates: slopes that are all powers of two shed a mantissa
   bit per step and collapse within ~53 steps, and any other linear map
@@ -502,24 +504,40 @@ _SYMBOL_BLOCK = 1 << 16
 
 
 class _SymbolSource:
-    """Seeded symbol stream drawn in fixed-size blocks, so the stream a seed
-    defines does not depend on how consumers chunk their reads."""
+    """Seeded stream of b-branch symbols, drawn in whole blocks of
+    _SYMBOL_BLOCK, so the stream a seed defines does not depend on how
+    consumers chunk their reads.
+
+    A block is `Generator.integers(0, b, _SYMBOL_BLOCK, uint8)`.  For
+    b = 2^j that is Lemire's bounded draw on the generator's raw 64-bit
+    words, read as bytes low byte first, and its rejection threshold
+    (256 - b) mod b is 0: every symbol is one raw byte shifted right by
+    8 - j (b = 256 takes the bytes as they are).  Those alphabets read the
+    raw words themselves, all the blocks of one take in one call, six times
+    cheaper and with the same bytes; other b draw `integers` blocks.
+    """
 
     def __init__(self, seed: int, n_branches: int):
         self._gen = _rng(seed)
         self._b = n_branches
-        self._buf: list[np.ndarray] = []
-        self._avail = 0
+        j = n_branches.bit_length() - 1
+        self._shift = 8 - j if n_branches == 1 << j and 1 <= j <= 8 else None
+        self._rest = np.empty(0, dtype=np.uint8)
+
+    def _blocks(self, k: int) -> np.ndarray:
+        if self._shift is None:
+            return np.concatenate([self._gen.integers(0, self._b, size=_SYMBOL_BLOCK,
+                                                      dtype=np.uint8) for _ in range(k)])
+        words = self._gen.bit_generator.random_raw(k * _SYMBOL_BLOCK // 8)
+        raw = words.astype("<u8", copy=False).view(np.uint8)
+        return np.right_shift(raw, self._shift, out=raw)
 
     def take(self, m: int) -> np.ndarray:
-        while self._avail < m:
-            self._buf.append(
-                self._gen.integers(0, self._b, size=_SYMBOL_BLOCK, dtype=np.uint8))
-            self._avail += _SYMBOL_BLOCK
-        flat = np.concatenate(self._buf) if len(self._buf) > 1 else self._buf[0]
-        out, rest = flat[:m], flat[m:]
-        self._buf = [rest]
-        self._avail = len(rest)
+        short = m - len(self._rest)
+        if short > 0:
+            drawn = self._blocks(-(-short // _SYMBOL_BLOCK))
+            self._rest = np.concatenate([self._rest, drawn]) if len(self._rest) else drawn
+        out, self._rest = self._rest[:m], self._rest[m:]
         return out
 
 

@@ -18,9 +18,12 @@ derivative of a point), `birkhoff_sums` (partial sums along an orbit) and
 `rate_diagnostic` (boundedness verdict of an asclt rate sequence) are
 small readers of program objects that only the tests use.
 `binomial_band` gives the acceptance band of a Monte Carlo success count
-from the exact binomial law.  `reconstruct_points` (one gather per level
-over the whole stream) and `legendre_per_alpha` (one scalar golden-section
-search per alpha, `golden_max`, over scipy's `CubicSpline`) are the
+from the exact binomial law.  `integer_symbol_blocks` (one
+`Generator.integers` call per 65536-symbol block) defines the seeded
+symbol stream that `ergostat.maps._SymbolSource` must reproduce.
+`reconstruct_points` (one gather per level over the whole stream) and
+`legendre_per_alpha` (one scalar golden-section search per alpha,
+`golden_max`, over scipy's `CubicSpline`) are the
 level-by-level and per-alpha forms that `ergostat.maps.points_from_symbols`
 and `ergostat.transfer.legendre` must reproduce bit for bit, and
 `power_iteration_reference` (two matvecs per step) is the loop that
@@ -475,6 +478,17 @@ def inverse_by_symbol(pmap: PiecewiseMap, sym, y) -> np.ndarray:
 
 
 # -- symbolic reconstruction and Legendre transform, one element at a time ----
+
+def integer_symbol_blocks(seed: int, b: int, n: int) -> np.ndarray:
+    """The first n symbols of the b-branch stream of `seed`: blocks of
+    `integers(0, b, 65536, uint8)` from `Generator(PCG64(seed))`, one call
+    per block, the definition that `ergostat.maps._SymbolSource` must
+    reproduce byte for byte however its reads are cut."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    blocks = [gen.integers(0, b, size=1 << 16, dtype=np.uint8)
+              for _ in range(-(-n // (1 << 16)))]
+    return np.concatenate(blocks)[:n] if blocks else np.empty(0, dtype=np.uint8)
+
 
 def reconstruct_points(pmap: PiecewiseMap, symbols: np.ndarray, n: int) -> np.ndarray:
     """Orbit points from the symbol tail, one level at a time: each level

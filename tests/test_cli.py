@@ -518,6 +518,14 @@ def test_entropy_smb_on_steep_full_branch_map(tmp_path):
     ("density", "name = doubling", "name = perturbed-doubling\nslopes = 2, 2"),
     ("density", "name = doubling",
      "name = custom\nbreakpoints = 0, 0.5, 1\nslopes = 2, 2\neps = 0.1"),
+    ("density", "name = sawtooth", "name = nosuch"),
+    # entropy-ow needs a ladder within its depth (default 20) to get past
+    # the ladder check, so it restates [observable] after the ladder
+    ("entropy-ow", "checkpoints = 1000, 2000",
+     "checkpoints = 5, 20\n\n[observable]\nname = nosuch"),
+    ("density", "name = sawtooth", "name = sawtooth\nys = 0, 1"),
+    ("entropy-ow", "checkpoints = 1000, 2000",
+     "checkpoints = 5, 20\n\n[observable]\nname = sawtooth\nxs = 0, 1"),
 ], ids=["checkpoint-past-horizon", "trajectory-under-10-windows", "unknown-observable",
         "unknown-map", "zero-checkpoint", "first-checkpoint-below-4", "horizon-below-4",
         "entropy-checkpoint-past-horizon", "entropy-checkpoint-past-depth",
@@ -527,7 +535,9 @@ def test_entropy_smb_on_steep_full_branch_map(tmp_path):
         "negative-seed", "negative-seed-offset", "negative-sigma2-value",
         "zero-sigma2-value", "reversed-rate-grid", "linear-without-slopes",
         "custom-without-breakpoints", "custom-without-slopes", "doubling-with-slopes",
-        "sawtooth-with-xs", "perturbed-with-slopes", "custom-with-eps"])
+        "sawtooth-with-xs", "perturbed-with-slopes", "custom-with-eps",
+        "density-unknown-observable", "entropy-ow-unknown-observable",
+        "density-sawtooth-with-ys", "entropy-ow-sawtooth-with-xs"])
 def test_unrunnable_config_exits_2(tmp_path, capsys, sub, old, new):
     text = cfg_text(tmp_path / "o")
     if sub.startswith("entropy"):     # doubling's constant slope would be refused

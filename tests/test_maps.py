@@ -1,9 +1,11 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import PCG64
 
 from ergostat.errors import ConfigError, DomainError, MapDefinitionError
 from ergostat.maps import (
@@ -23,7 +25,8 @@ from ergostat.maps import (
 from ergostat import maps
 from ergostat.maps import _RECONSTRUCT_BLOCK, _symbol_tail_depth
 from ergostat.transfer import invariant_density, ulam_matrix
-from oracles import birkhoff_sums, evaluate, inverse_by_symbol, reconstruct_points
+from oracles import (birkhoff_sums, evaluate, integer_symbol_blocks, inverse_by_symbol,
+                     reconstruct_points)
 
 ALL_BUILTINS = ["doubling", "tent", "perturbed-doubling"]
 
@@ -413,6 +416,35 @@ def test_orbit_mode_decided_once_per_map(monkeypatch):
                      lambda: next(trial_value_blocks(halves, sawtooth(), 5, 3, 1)[1])):
             with pytest.raises(DomainError, match="power of two"):
                 read()
+
+
+_ALPHABETS = [1 << j for j in range(1, 9)] + [3, 5, 255]
+# read sizes: empty, one symbol, around one 65536-symbol block, and up to
+# 48 blocks at once
+_TAKES = st.one_of(st.sampled_from([0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1]),
+                   st.integers(0, 3 << 20))
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=st.sampled_from(_ALPHABETS), seed=st.integers(0, 2**63),
+       takes=st.lists(_TAKES, max_size=5))
+def test_symbol_source_is_the_integer_block_stream(b, seed, takes):
+    # raw generator bytes for b = 2^j and integers blocks otherwise give
+    # the stream of the oracle byte for byte, however the reads are cut
+    src = maps._SymbolSource(seed, b)
+    got = np.concatenate([np.empty(0, dtype=np.uint8)] + [src.take(m) for m in takes])
+    assert got.dtype == np.uint8
+    assert got.tobytes() == integer_symbol_blocks(seed, b, sum(takes)).tobytes()
+
+
+@pytest.mark.parametrize("b", [1 << j for j in range(1, 9)])
+def test_power_of_two_alphabets_read_raw_words(monkeypatch, b):
+    # every b = 2^j, 256 included, draws from the raw words alone: a
+    # generator without `integers` still gives the whole stream
+    monkeypatch.setattr(maps, "_rng", lambda seed: SimpleNamespace(bit_generator=PCG64(seed)))
+    seed = 2**40 + 3
+    got = maps._SymbolSource(seed, b).take(70_000)
+    assert got.tobytes() == integer_symbol_blocks(seed, b, 70_000).tobytes()
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
