@@ -123,15 +123,6 @@ def _pressure_curve(cfg: ExperimentConfig, op, u):
     return pressure_curve(op, u, grid)
 
 
-def _rate_function(cfg: ExperimentConfig, op, u):
-    lo, hi = cfg.get("rate", "alpha_min"), cfg.get("rate", "alpha_max")
-    if not lo < hi:                      # NaN too
-        raise ConfigError([(0, f"[rate] alpha_min = {lo!r} must lie below "
-                               f"alpha_max = {hi!r}")])
-    curve = _pressure_curve(cfg, op, u)
-    return curve, legendre(curve, np.linspace(lo, hi, cfg.get("rate", "alpha_points")))
-
-
 # -- runners ------------------------------------------------------------------
 
 def _run_density(cfg, outdir, seeds):
@@ -204,8 +195,9 @@ def _window_sums(units) -> dict:
 
 def _run_erdos_renyi(cfg, outdir, seeds):
     pmap, op, u = _setup(cfg)
-    _, rate = _rate_function(cfg, op, u)
     alpha = cfg.get("erdos_renyi", "alpha")
+    # phi and beta at alpha itself, by the search on the [pressure] spline
+    rate = legendre(_pressure_curve(cfg, op, u), [alpha])
     k_grid = cfg.get("erdos_renyi", "k_grid")
     cap = cfg.get("erdos_renyi", "length_cap")
     units = []
@@ -245,8 +237,8 @@ def _run_rate_curve(cfg, outdir, seeds):
 
 def _run_ld_check(cfg, outdir, seeds):
     pmap, op, u = _setup(cfg)
-    _, rate = _rate_function(cfg, op, u)
     alpha = cfg.get("ld", "alpha")
+    rate = legendre(_pressure_curve(cfg, op, u), [alpha])
     trials = cfg.get("ld", "trials")
     k_grid = cfg.get("ld", "k_grid")
     r_grid = cfg.get("ld", "r_grid")
@@ -265,7 +257,8 @@ def _run_ld_check(cfg, outdir, seeds):
                 units.append(row.window_unit)
         _write_csv(outdir / f"ld-check-{s}.csv",
                    ["k_or_r", "p_hat", "ci_lo", "ci_hi", "normalized_ratio"], list(zip(*rows)))
-    return {"alpha": alpha, "trials": trials, **_window_sums(units)}
+    return {"alpha": alpha, "beta": rate.beta(alpha), "phi": rate.phi(alpha),
+            "trials": trials, **_window_sums(units)}
 
 
 def _run_entropy(cfg, outdir, seeds, kind):

@@ -3,7 +3,8 @@
 Grammar: `[section]` headers, `key = value` lines, `#` comments, blank
 lines ignored.  Values are integers, reals, strings, booleans, or
 comma-separated lists.  Unknown sections and keys, type mismatches, and
-constraint violations are reported with their line numbers.
+constraint violations are reported with their line numbers; an unknown
+section is reported once, at its header, and the keys under it are skipped.
 """
 
 from __future__ import annotations
@@ -60,11 +61,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "pressure": {
         "beta_max": ("float", 3.0, _POSITIVE),
         "beta_points": ("int", 121, (lambda v: v >= 5, "needs at least 5 points")),
-    },
-    "rate": {
-        "alpha_min": ("float", -0.3, None),
-        "alpha_max": ("float", 0.3, None),
-        "alpha_points": ("int", 121, (lambda v: v >= 3, "needs at least 3 points")),
     },
     "erdos_renyi": {
         "alpha": ("float", 0.2, None),
@@ -154,15 +150,15 @@ def parse_config(text: str) -> ExperimentConfig:
             if name not in SCHEMA:
                 issues.append((ln, f"unknown section [{name}]; valid sections: "
                                    f"{', '.join(sorted(SCHEMA))}"))
-                section = None
-            else:
-                section = name
+            section = name
             continue
         if "=" not in line:
             issues.append((ln, "expected 'key = value'"))
             continue
         if section is None:
             issues.append((ln, "key outside of any recognized [section]"))
+            continue
+        if section not in SCHEMA:        # reported once, at its header
             continue
         key, _, raw = line.partition("=")
         key = key.strip().lower().replace("-", "_")

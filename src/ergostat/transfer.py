@@ -126,6 +126,19 @@ class UlamOperator:
     samples: tuple                # beta-free (rows, cols, lens, points) of _ulam_samples
 
 
+def _require_convex(x: np.ndarray, y: np.ndarray, what: str) -> None:
+    """`ConvergenceError` unless y is convex on the grid x, even or not: each
+    slope difference times half the width of its two cells (np.diff(y, 2)
+    on an even grid, up to rounding) must stay above -1e-8.  A repeated
+    node is tested once."""
+    new = np.append(True, np.diff(x) != 0.0)
+    x, y = x[new], y[new]
+    d2 = np.diff(np.diff(y) / np.diff(x)) * (x[2:] - x[:-2]) / 2.0
+    if len(d2) and d2.min() < -1e-8:
+        raise ConvergenceError(f"{what} is not convex on its grid "
+                               f"(min second difference {d2.min():.3g})")
+
+
 @dataclass(frozen=True)
 class PressureCurve:
     """log of the leading eigenvalue along a beta grid, shifted so F(0)=0."""
@@ -134,10 +147,7 @@ class PressureCurve:
     F_values: np.ndarray
 
     def __post_init__(self):
-        d2 = np.diff(self.F_values, 2)
-        if len(d2) and d2.min() < -1e-8:
-            raise ConvergenceError(
-                f"pressure curve is not convex on the grid (min second difference {d2.min():.3g})")
+        _require_convex(self.beta_grid, self.F_values, "pressure curve")
 
 
 @dataclass(frozen=True)
@@ -152,9 +162,7 @@ class RateFunction:
     def __post_init__(self):
         if np.any(self.phi_values < -1e-12):
             raise ConvergenceError("rate function went negative")
-        d2 = np.diff(self.phi_values, 2)
-        if len(d2) and d2.min() < -1e-8:
-            raise ConvergenceError("rate function is not convex on its grid")
+        _require_convex(self.alpha_grid, self.phi_values, "rate function")
         db = np.diff(self.beta_of_alpha)
         if len(db) and db.min() < -1e-8:
             raise ConvergenceError("beta(alpha) is not monotone")
@@ -172,7 +180,7 @@ class RateFunction:
         if not lo <= alpha <= hi:          # NaN too
             raise DomainError(
                 f"alpha = {alpha!r} lies outside the tabulated rate function's grid "
-                f"[{lo!r}, {hi!r}]; widen it with [rate] alpha_min and alpha_max")
+                f"[{lo!r}, {hi!r}]; tabulate it with legendre(curve, [alpha])")
         return alpha
 
 
@@ -455,7 +463,7 @@ def legendre(curve: PressureCurve, alpha_grid) -> RateFunction:
     bg, F = curve.beta_grid, curve.F_values
     secants = np.diff(F) / np.diff(bg)
     lo_slope, hi_slope = float(secants.min()), float(secants.max())
-    if np.any(alpha_grid < lo_slope) or np.any(alpha_grid > hi_slope):
+    if not np.all((lo_slope <= alpha_grid) & (alpha_grid <= hi_slope)):   # NaN too
         raise DomainError(
             f"alpha outside the range of F' on the grid "
             f"([{lo_slope:.6g}, {hi_slope:.6g}]); rate function undefined there")

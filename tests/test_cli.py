@@ -82,9 +82,11 @@ def test_config_defaults_are_the_library_defaults():
 
 def test_unknown_section_lists_valid_ones():
     with pytest.raises(ConfigError) as err:
-        parse_config(MINIMAL + "\n[foo]\nbar = 1\n")
-    issues = err.value.issues
-    assert any("unknown section [foo]" in msg and "map" in msg for _, msg in issues)
+        parse_config(MINIMAL + "\n[foo]\nbar = 1\nbaz = 2\n")
+    # one issue, at the header: the keys under an unknown section are not
+    # each reported again as lying outside any section
+    (_, msg), = err.value.issues
+    assert "unknown section [foo]" in msg and "map" in msg
 
 
 def test_negative_resolution_reports_line():
@@ -125,7 +127,7 @@ def test_missing_required_key():
 
 
 def test_roundtrip_serialization():
-    cfg = parse_config(MINIMAL + "\n[rate]\nalpha_max = 0.35\n")
+    cfg = parse_config(MINIMAL + "\n[pressure]\nbeta_max = 2.5\n")
     again = parse_config(cfg.canonical)
     assert again == cfg
     assert again.canonical == cfg.canonical
@@ -213,14 +215,16 @@ def test_custom_map_short_of_intercepts_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("sub,alpha,says", [
-    ("ld-check", 0.4, "outside the tabulated rate function's grid [-0.3, 0.3]"),
-    ("erdos-renyi", 0.4, "outside the tabulated rate function's grid [-0.3, 0.3]"),
+    ("ld-check", 0.46, "outside the range of F'"),
+    ("erdos-renyi", 0.46, "outside the range of F'"),
+    ("erdos-renyi", math.nan, "outside the range of F'"),
     ("erdos-renyi", -0.2, "not positive"),
     ("ld-check", -0.1, "not positive"),
 ])
 def test_alpha_without_a_rate_law_exits_3(tmp_path, capsys, sub, alpha, says):
-    # before, ld-check at 0.4 read phi and beta at 0.3 (normalized_ratio
-    # 0.0304 instead of about 0.28), erdos-renyi at -0.2 wrote a band
+    # 0.46 lies past the secant range of F' = tanh(beta/2)/2 on the default
+    # [pressure] grid (0.4517 at beta_max = 3), where phi has no supremum
+    # to find; before, erdos-renyi at -0.2 wrote a band
     # with band_lo 0.590 > band_hi -0.590, and ld-check at -0.1, below the
     # mean, wrote a prefactor ratio of 7.08; all exited 0
     section = sub.replace("-", "_").replace("check", "").rstrip("_")
@@ -231,6 +235,43 @@ def test_alpha_without_a_rate_law_exits_3(tmp_path, capsys, sub, alpha, says):
     assert main([sub, "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numeric failure: ") and says in err[0]
+
+
+# Hall & Meyer (J. Approx. Theory 16, 1976) bound the cubic spline s of F on
+# a grid of spacing h: |F - s| <= 5 h^4 |F^(4)| / 384 and |F' - s'| <=
+# h^3 |F^(4)| / 24.  Doubling/coin has the exact Ulam pressure F(beta) =
+# log cosh(beta/2), with |F^(4)| <= 1/8, on the default [pressure] grid
+# (h = 0.05).  phi = sup(alpha beta - s) is then off by at most |F - s|, and
+# beta(alpha), where s' = alpha = F'(beta), by |F' - s'| / F''(beta(alpha)),
+# with F'' = 1/4 - alpha^2.  The bounds are stated for the clamped spline;
+# the program's is not-a-knot, which differs only near the grid ends, and
+# beta(0.153) = 0.63 and beta(0.4) = 2.20 lie 47 and 16 nodes inside.  The
+# eigen-solve (residual 1e-12) and the golden-section bracket (1e-10) add
+# less than the GOLDEN_TOL margin each bound carries.
+SPLINE_H, F4_MAX = 0.05, 1.0 / 8.0
+
+
+@pytest.mark.parametrize("sub,alpha,extra", [
+    ("erdos-renyi", 0.153, "k_grid = 20"),
+    ("ld-check", 0.4, "k_grid = 20\ntrials = 10000"),
+])
+def test_phi_and_beta_are_taken_at_alpha_itself(tmp_path, sub, alpha, extra):
+    # before, phi and beta were read off a 121-point alpha grid on +-0.3 by
+    # linear interpolation: erdos-renyi at 0.153 was 1.3e-5 off in phi, and
+    # ld-check at 0.4, past the grid, exited 3
+    out = tmp_path / "o"
+    section = sub.replace("-", "_").replace("check", "").rstrip("_")
+    text = cfg_text(out).replace("name = sawtooth", "name = coin").replace(
+        "[ulam]", f"[{section}]\nalpha = {alpha}\n{extra}\n\n[ulam]")
+    assert run(sub, parse_config(text)) == 0
+    manifest = json.loads((out / f"{sub}-manifest.json").read_text())
+    phi = (0.5 + alpha) * math.log1p(2 * alpha) + (0.5 - alpha) * math.log1p(-2 * alpha)
+    beta = math.log((1 + 2 * alpha) / (1 - 2 * alpha))
+    phi_bound = 5 * SPLINE_H**4 * F4_MAX / 384 + transfer.GOLDEN_TOL
+    beta_bound = SPLINE_H**3 * F4_MAX / 24 / (0.25 - alpha**2) + transfer.GOLDEN_TOL
+    assert manifest["alpha"] == alpha
+    assert abs(manifest["phi"] - phi) <= phi_bound
+    assert abs(manifest["beta"] - beta) <= beta_bound
 
 
 def test_pressure_grid_past_overflow_exits_3_at_once(tmp_path, capsys):
@@ -288,9 +329,10 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
         return str(int(v)) if isinstance(v, (int, np.integer)) else "%.17g" % float(v)
 
     rng = np.random.default_rng(3)
-    rows = [(int(k), np.int64(-k), x, float(y), True, np.float32(x))
-            for k, x, y in zip(range(-5, 995), rng.standard_normal(1000) * 1e300,
-                               rng.random(1000))]
+    with np.errstate(over="ignore"):                  # float32(1e300) is inf
+        rows = [(int(k), np.int64(-k), x, float(y), True, np.float32(x))
+                for k, x, y in zip(range(-5, 995), rng.standard_normal(1000) * 1e300,
+                                   rng.random(1000))]
     rows += [(2**70, np.int64(0), math.inf, -math.inf, False, np.float32(0.0)),
              (0, np.int64(2**62), math.nan, -0.0, True, np.float32(1e-40))]
     header = ["a", "b", "c", "d", "e", "f"]
@@ -509,7 +551,8 @@ def test_entropy_smb_on_steep_full_branch_map(tmp_path):
     ("asclt --seed-offset=-2", "seeds = 1", "seeds = 1, 5"),
     ("asclt", "[ulam]", "[sigma2]\nvalue = -1\n\n[ulam]"),
     ("maxima", "[ulam]", "[sigma2]\nvalue = 0\n\n[ulam]"),
-    ("erdos-renyi", "[ulam]", "[rate]\nalpha_min = 0.3\nalpha_max = -0.3\n\n[ulam]"),
+    ("erdos-renyi", "[ulam]",
+     "[rate]\nalpha_min = -0.3\nalpha_max = 0.3\nalpha_points = 121\n\n[ulam]"),
     ("density", "name = doubling", "name = linear"),
     ("density", "name = doubling", "name = custom\nslopes = 2, 2"),
     ("density", "name = doubling", "name = Custom\nbreakpoints = 0, 0.5, 1"),
@@ -533,7 +576,7 @@ def test_entropy_smb_on_steep_full_branch_map(tmp_path):
         "ld-negative-window", "ld-negative-shift", "table-without-points",
         "table-unequal-lengths", "table-repeated-x", "table-nan-value",
         "negative-seed", "negative-seed-offset", "negative-sigma2-value",
-        "zero-sigma2-value", "reversed-rate-grid", "linear-without-slopes",
+        "zero-sigma2-value", "stale-rate-section", "linear-without-slopes",
         "custom-without-breakpoints", "custom-without-slopes", "doubling-with-slopes",
         "sawtooth-with-xs", "perturbed-with-slopes", "custom-with-eps",
         "density-unknown-observable", "entropy-ow-unknown-observable",

@@ -14,6 +14,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from ergostat.cli import SUBCOMMANDS, run
 from ergostat.config import parse_config
 
@@ -47,11 +49,6 @@ orbit_length = 20000
 [pressure]
 beta_max = 2.0
 beta_points = 9
-
-[rate]
-alpha_min = -0.2
-alpha_max = 0.2
-alpha_points = 21
 
 [erdos_renyi]
 alpha = 0.15
@@ -99,6 +96,7 @@ def digests() -> dict:
     return out
 
 
+@pytest.mark.filterwarnings("ignore:sigma.2 is numerically zero")
 def test_golden_csv_digests():
     expected = json.loads(GOLDEN.read_text())
     got = digests()

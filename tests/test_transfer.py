@@ -343,6 +343,31 @@ def test_pressure_curve_rejects_nonconvex():
                       F_values=np.array([0.0, 1.0, 0.0]))
 
 
+def test_convex_tabulations_pass_on_uneven_grids():
+    # np.diff(values, 2) tested convexity only on an even grid: both of
+    # these convex tabulations used to be refused
+    op = ulam_matrix(make_map("doubling"), N=64)
+    curve = pressure_curve(op, coin(), [-3.0, -2.9, 0.0, 1.0, 3.0])
+    assert np.max(np.abs(curve.F_values - np.log(np.cosh(curve.beta_grid / 2)))) < 1e-10
+    curve = pressure_curve(ulam_matrix(make_map("doubling"), N=512), coin(),
+                           np.linspace(-3, 3, 121))
+    rf = legendre(curve, [0.1, 0.3, 0.4, 0.45])
+    cramer = [bernoulli_cramer(a) for a in rf.alpha_grid]
+    assert np.max(np.abs(rf.phi_values - cramer)) < 1e-8
+
+
+@pytest.mark.parametrize("x,y", [
+    ([-1.0, 0.0, 0.25, 2.0], [1.0, 0.0, 0.5, 0.6]),
+    ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 1.0, 0.0]),     # across a repeated node
+])
+def test_a_concave_kink_on_an_uneven_grid_is_refused(x, y):
+    x, y = np.array(x), np.array(y)
+    with pytest.raises(ConvergenceError, match="not convex"):
+        PressureCurve(beta_grid=x, F_values=y)
+    with pytest.raises(ConvergenceError, match="not convex"):
+        RateFunction(alpha_grid=x, phi_values=y, beta_of_alpha=x, sigma2_of_alpha=np.ones(4))
+
+
 def test_perron_positivity_across_beta():
     d = make_map("doubling")
     for beta in np.linspace(-3, 3, 7):
@@ -377,7 +402,7 @@ def test_rate_function_refuses_alpha_off_its_grid():
     assert (rf.phi(0.3), rf.beta(-0.3), rf.phi(0.15)) == (0.09, -0.6, 0.045)
     for alpha in (0.4, -0.30000000000000004, math.nan, math.inf):
         for lookup in (rf.phi, rf.beta):
-            with pytest.raises(DomainError, match=r"\[rate\] alpha_min and alpha_max"):
+            with pytest.raises(DomainError, match=r"legendre\(curve, \[alpha\]\)"):
                 lookup(alpha)
 
 
@@ -546,7 +571,8 @@ def test_sigma2_coin_iid():
 
 def test_sigma2_coboundary_vanishes():
     d = make_map("doubling")
-    s2 = green_kubo_sigma2(ulam_matrix(d, N=2048), coboundary(d))
+    with pytest.warns(UserWarning, match="numerically zero"):
+        s2 = green_kubo_sigma2(ulam_matrix(d, N=2048), coboundary(d))
     assert abs(s2) < 1e-6
 
 
