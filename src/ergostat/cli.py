@@ -123,6 +123,13 @@ def _pressure_curve(cfg: ExperimentConfig, op, u):
     return pressure_curve(op, u, grid)
 
 
+def _rate_at(cfg: ExperimentConfig, op, u, alpha: float) -> tuple[float, float]:
+    """(phi(alpha), beta(alpha)) at alpha itself, by the search on the
+    [pressure] spline."""
+    rate = legendre(_pressure_curve(cfg, op, u), [alpha])
+    return float(rate.phi_values[0]), float(rate.beta_of_alpha[0])
+
+
 # -- runners ------------------------------------------------------------------
 
 def _run_density(cfg, outdir, seeds):
@@ -196,21 +203,19 @@ def _window_sums(units) -> dict:
 def _run_erdos_renyi(cfg, outdir, seeds):
     pmap, op, u = _setup(cfg)
     alpha = cfg.get("erdos_renyi", "alpha")
-    # phi and beta at alpha itself, by the search on the [pressure] spline
-    rate = legendre(_pressure_curve(cfg, op, u), [alpha])
+    phi, beta = _rate_at(cfg, op, u, alpha)
     k_grid = cfg.get("erdos_renyi", "k_grid")
     cap = cfg.get("erdos_renyi", "length_cap")
     units = []
     for s in seeds:
-        ser = er_law_check(pmap, u, alpha, rate, k_grid, s, length_cap=cap)
+        ser = er_law_check(pmap, u, alpha, phi, beta, k_grid, s, length_cap=cap)
         units.append(ser.window_unit)
         n = len(ser.k_values)
         columns = [ser.k_values, ser.M_values, ser.fluctuations,
                    np.full(n, -ser.band), np.full(n, ser.band)]
         _write_csv(outdir / f"erdos-renyi-{s}.csv",
                    ["k", "M_k", "fluctuation", "band_lo", "band_hi"], columns)
-    return {"alpha": alpha, "beta": rate.beta(alpha), "phi": rate.phi(alpha),
-            **_window_sums(units)}
+    return {"alpha": alpha, "beta": beta, "phi": phi, **_window_sums(units)}
 
 
 def _run_rate_curve(cfg, outdir, seeds):
@@ -238,7 +243,7 @@ def _run_rate_curve(cfg, outdir, seeds):
 def _run_ld_check(cfg, outdir, seeds):
     pmap, op, u = _setup(cfg)
     alpha = cfg.get("ld", "alpha")
-    rate = legendre(_pressure_curve(cfg, op, u), [alpha])
+    phi, beta = _rate_at(cfg, op, u, alpha)
     trials = cfg.get("ld", "trials")
     k_grid = cfg.get("ld", "k_grid")
     r_grid = cfg.get("ld", "r_grid")
@@ -246,19 +251,19 @@ def _run_ld_check(cfg, outdir, seeds):
     for s in seeds:
         rows = []
         for k in k_grid:
-            est = ld_probability_mc(pmap, u, alpha, int(k), trials, s, rate)
+            est = ld_probability_mc(pmap, u, alpha, int(k), trials, s, phi, beta)
             rows.append((int(k), est.p_hat, est.ci_lo, est.ci_hi, est.normalized_ratio))
             units.append(est.window_unit)
         if r_grid:
             dk = cfg.get("ld", "decoupling_k")
-            for row in decoupling_check(pmap, u, alpha, dk, r_grid, trials, s, rate):
+            for row in decoupling_check(pmap, u, alpha, dk, r_grid, trials, s, phi, beta):
                 rows.append((row.r, row.joint_p, row.ci_lo, row.ci_hi,
                              row.product_ratio))
                 units.append(row.window_unit)
         _write_csv(outdir / f"ld-check-{s}.csv",
                    ["k_or_r", "p_hat", "ci_lo", "ci_hi", "normalized_ratio"], list(zip(*rows)))
-    return {"alpha": alpha, "beta": rate.beta(alpha), "phi": rate.phi(alpha),
-            "trials": trials, **_window_sums(units)}
+    return {"alpha": alpha, "beta": beta, "phi": phi, "trials": trials,
+            **_window_sums(units)}
 
 
 def _run_entropy(cfg, outdir, seeds, kind):

@@ -64,7 +64,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "erdos_renyi": {
         "alpha": ("float", 0.2, None),
-        "k_grid": ("int_list", [50, 100, 200], _WINDOWS),
+        "k_grid": ("int_list", [50, 100, 200],
+                   (lambda v: all(x >= 2 for x in v),
+                    "must be at least 2: the fluctuation divides by log k")),
         "length_cap": ("int", LENGTH_CAP, _POSITIVE),
     },
     "rate_curve": {
@@ -144,7 +146,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if line.startswith("["):
             if not line.endswith("]"):
                 issues.append((ln, "unterminated section header"))
-                section = None
+                section = ""             # its keys are skipped, as an unknown section's
                 continue
             name = line[1:-1].strip().lower().replace("-", "_")
             if name not in SCHEMA:

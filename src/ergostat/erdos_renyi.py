@@ -24,21 +24,21 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConfigError, DomainError
 from .maps import Observable, PiecewiseMap, _orbit_values, trial_value_blocks
-from .transfer import RateFunction
 
 LENGTH_CAP = 2**32          # hard cap on required stream length
 MC_EXPONENT_CAP = 12.0      # direct MC refuses when k*phi(alpha) exceeds this
 
 
-def _above_mean(rate: RateFunction, alpha: float, law: str) -> tuple[float, float]:
-    """(phi(alpha), beta(alpha)), or `DomainError` when beta(alpha) <= 0:
-    alpha lies at or below the mean, where `law` does not hold."""
-    phi, beta = rate.phi(alpha), rate.beta(alpha)
+def _above_mean(alpha: float, beta: float, law: str) -> None:
+    """`DomainError` when alpha is not a finite number, or when beta(alpha)
+    <= 0: alpha lies at or below the mean, where `law` does not hold."""
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha = {alpha!r} is not a finite number, outside the domain "
+                          f"of {law}")
     if not beta > 0.0:
         raise DomainError(
             f"alpha = {alpha!r} has beta(alpha) = {beta!r}, not positive: {law} "
             "holds only above the mean, where beta(alpha) > 0")
-    return phi, beta
 
 
 # ---------------------------------------------------------------------------
@@ -122,25 +122,30 @@ class ErdosRenyiSeries:
     window_unit: float | None     # unit of integer window sums; None: float sums
 
 
-def er_law_check(pmap: PiecewiseMap, u: Observable, alpha: float, rate: RateFunction,
+def er_law_check(pmap: PiecewiseMap, u: Observable, alpha: float, phi: float, beta: float,
                  k_grid, seed: int, length_cap: int = LENGTH_CAP) -> ErdosRenyiSeries:
     """Window maxima over the [exp(k phi(alpha))] - k windows of the almost-sure law.
 
-    Emits M_k, M_k/k, the fluctuation (M_k - k alpha)/log k, and the band
-    half-width 1/(2 beta).  A grid with a required stream length
+    phi and beta are the rate data phi(alpha) and beta(alpha).  Emits M_k,
+    M_k/k, the fluctuation (M_k - k alpha)/log k, and the band half-width
+    1/(2 beta).  A grid with a required stream length
     [exp(k phi(alpha))] beyond `length_cap` is refused before anything is
     drawn; otherwise one stream, as long as the longest k needs, serves every
     k (each reads its own prefix of it).  An observable of small dyadic branch
     values on a symbolic map is scanned as integer weights, and M_k is the
     integer maximum times their unit: the bits of the float scan, whose
     prefix sums are exact for such values (see `maps._unit_weights`).
-    alpha = 0, an alpha off the rate function's grid and an alpha with
-    beta(alpha) <= 0 (at or below the mean) raise `DomainError`.
+    alpha = 0, an alpha that is not finite, beta(alpha) <= 0 (at or below
+    the mean) and a window length below 2 (the fluctuation divides by log k)
+    raise `DomainError`.
     """
     if alpha == 0.0:
         raise DomainError("alpha must be nonzero (phi(0)=0 gives no windows)")
-    phi, beta = _above_mean(rate, alpha, "the law of window maxima")
+    _above_mean(alpha, beta, "the law of window maxima")
     k_grid = np.asarray(k_grid, dtype=np.int64)
+    if np.any(k_grid < 2):
+        raise DomainError(f"window lengths must be at least 2, got {k_grid.min()}: "
+                          "the fluctuation divides by log k")
     lengths = []
     for k in k_grid.tolist():
         needed = math.exp(k * phi) if k * phi < 709.0 else math.inf    # not OverflowError
@@ -252,16 +257,16 @@ def _trial_sums(pmap: PiecewiseMap, u: Observable, k: int, r: int, trials: int,
 
 
 def _exceedances(pmap: PiecewiseMap, u: Observable, alpha: float, k: int, r: int,
-                 trials: int, seed: int, rate: RateFunction
-                 ) -> tuple[int, int, float, float, float | None]:
-    """(first, joint, phi, beta, unit) over `trials` Lebesgue starts: the
-    counts of S_k > k alpha and of that with S_k o f^r > k alpha, the rate
-    data at alpha, and the unit of integer trial sums (None: float sums).
-    Refuses fewer than 1e4 trials, beta(alpha) <= 0, and k phi(alpha) past
+                 trials: int, seed: int, phi: float, beta: float
+                 ) -> tuple[int, int, float | None]:
+    """(first, joint, unit) over `trials` Lebesgue starts: the counts of
+    S_k > k alpha and of that with S_k o f^r > k alpha, and the unit of
+    integer trial sums (None: float sums).  Refuses fewer than 1e4 trials,
+    an alpha that is not finite, beta(alpha) <= 0, and k phi(alpha) past
     the direct-MC cap (a target probability below the floor e^{-12})."""
     if trials < 10_000:
         raise ValueError("need at least 1e4 trials")
-    phi, beta = _above_mean(rate, alpha, "the sharp large-deviation prefactor")
+    _above_mean(alpha, beta, "the sharp large-deviation prefactor")
     if k * phi > MC_EXPONENT_CAP:
         raise BudgetExceededError(
             f"k*phi(alpha) = {k * phi:.2f} > {MC_EXPONENT_CAP}: direct Monte "
@@ -274,14 +279,15 @@ def _exceedances(pmap: PiecewiseMap, u: Observable, alpha: float, k: int, r: int
         over = s_first > threshold
         first += int(np.sum(over))
         joint += int(np.sum(over & (s_shift > threshold)))
-    return first, joint, phi, beta, unit
+    return first, joint, unit
 
 
 def ld_probability_mc(pmap: PiecewiseMap, u: Observable, alpha: float, k: int,
-                      trials: int, seed: int, rate: RateFunction) -> LdEstimate:
-    """Estimate P(S_k > k alpha) over independent Lebesgue starts; refused
-    as `_exceedances` refuses."""
-    successes, _, phi, beta, unit = _exceedances(pmap, u, alpha, k, 0, trials, seed, rate)
+                      trials: int, seed: int, phi: float, beta: float) -> LdEstimate:
+    """Estimate P(S_k > k alpha) over independent Lebesgue starts, with the
+    rate data phi = phi(alpha) and beta = beta(alpha); refused as
+    `_exceedances` refuses."""
+    successes, _, unit = _exceedances(pmap, u, alpha, k, 0, trials, seed, phi, beta)
     p_hat = successes / trials
     lo, hi = wilson_interval(successes, trials)
     ratio = p_hat * beta * math.sqrt(k) * math.exp(k * phi)
@@ -301,7 +307,7 @@ class DecouplingRow:
 
 
 def decoupling_check(pmap: PiecewiseMap, u: Observable, alpha: float, k: int,
-                     r_grid, trials: int, seed: int, rate: RateFunction
+                     r_grid, trials: int, seed: int, phi: float, beta: float
                      ) -> list[DecouplingRow]:
     """Joint exceedance P(S_k > k alpha, S_k o f^r > k alpha) along r_grid.
 
@@ -312,7 +318,7 @@ def decoupling_check(pmap: PiecewiseMap, u: Observable, alpha: float, k: int,
     rows = []
     single = None
     for r in np.asarray(r_grid, dtype=np.int64):
-        first, joint, _, _, unit = _exceedances(pmap, u, alpha, k, int(r), trials, seed, rate)
+        first, joint, unit = _exceedances(pmap, u, alpha, k, int(r), trials, seed, phi, beta)
         if single is None:
             single = first / trials
         p = joint / trials

@@ -167,22 +167,6 @@ class RateFunction:
         if len(db) and db.min() < -1e-8:
             raise ConvergenceError("beta(alpha) is not monotone")
 
-    def phi(self, alpha: float) -> float:
-        return float(np.interp(self._on_grid(alpha), self.alpha_grid, self.phi_values))
-
-    def beta(self, alpha: float) -> float:
-        return float(np.interp(self._on_grid(alpha), self.alpha_grid, self.beta_of_alpha))
-
-    def _on_grid(self, alpha: float) -> float:
-        """alpha itself, or `DomainError` when it lies outside the tabulated
-        grid, where interpolation would clamp it to an end value."""
-        lo, hi = float(self.alpha_grid[0]), float(self.alpha_grid[-1])
-        if not lo <= alpha <= hi:          # NaN too
-            raise DomainError(
-                f"alpha = {alpha!r} lies outside the tabulated rate function's grid "
-                f"[{lo!r}, {hi!r}]; tabulate it with legendre(curve, [alpha])")
-        return alpha
-
 
 # ---------------------------------------------------------------------------
 # cubic spline
@@ -420,41 +404,33 @@ def pressure_curve(op: UlamOperator, u: Observable, beta_grid) -> PressureCurve:
     return PressureCurve(beta_grid=beta_grid, F_values=F)
 
 
-def _golden_max(fn, lo, hi):
-    """Golden-section maximizer of a unimodal fn on [lo, hi], elementwise.
-
-    lo and hi may be arrays of brackets, and fn then maps an array of points
-    (one per bracket) to their values.  Each bracket shrinks until it is
-    narrower than GOLDEN_TOL and then stays as it is, so every element takes the
-    steps a scalar search of its own bracket would take.  Returns (argmax,
-    max); the argmax is a scalar for a scalar bracket.
-    """
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximizer of a unimodal scalar fn on [lo, hi]: the
+    bracket shrinks until it is narrower than GOLDEN_TOL.  Returns (argmax,
+    max)."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while True:
-        live = b - a > GOLDEN_TOL
-        if not live.any():
-            break
-        left = fc >= fd
-        lower, upper = live & left, live & ~left    # keep [a, d] / [c, b]
-        b, d, fd = np.where(lower, d, b), np.where(lower, c, d), np.where(lower, fc, fd)
-        a, c, fc = np.where(upper, c, a), np.where(upper, d, c), np.where(upper, fd, fc)
-        p = np.where(lower, b - invphi * (b - a), a + invphi * (b - a))
-        fp = fn(p)
-        c, fc = np.where(lower, p, c), np.where(lower, fp, fc)
-        d, fd = np.where(upper, p, d), np.where(upper, fp, fd)
+    while b - a > GOLDEN_TOL:
+        if fc >= fd:                                  # keep [a, d]
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:                                         # keep [c, b]
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
     x = 0.5 * (a + b)
-    return x[()], fn(x)
+    return x, fn(x)
 
 
 def legendre(curve: PressureCurve, alpha_grid) -> RateFunction:
     """phi(alpha) = sup_beta (alpha beta - F(beta)) on the curve's range.
 
     The sup is taken over a cubic interpolant of F refined by golden
-    section, for all alpha at once; beta(alpha) is the argmax.  alpha
+    section, one search per alpha; beta(alpha) is the argmax.  alpha
     values outside the range of F' (estimated by grid secants) are rejected
     rather than extrapolated.
     """
@@ -468,9 +444,9 @@ def legendre(curve: PressureCurve, alpha_grid) -> RateFunction:
             f"alpha outside the range of F' on the grid "
             f"([{lo_slope:.6g}, {hi_slope:.6g}]); rate function undefined there")
     s = _spline(bg, F)
-    beta_star, val = _golden_max(lambda t: alpha_grid * t - s(t),
-                                 np.full(alpha_grid.shape, bg[0]),
-                                 np.full(alpha_grid.shape, bg[-1]))
+    found = [_golden_max(lambda t: a * t - s(t), float(bg[0]), float(bg[-1]))
+             for a in alpha_grid.tolist()]
+    beta_star, val = np.array(found, dtype=float).reshape(-1, 2).T
     # max(val, 0.0) elementwise: keeps val = -0.0, as np.maximum would not
     phi = np.where(0.0 > val, 0.0, val)
     sig2 = (s(beta_star + step) - 2.0 * s(beta_star) + s(beta_star - step)) / step**2

@@ -525,6 +525,19 @@ def golden_max(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, flo
     return x, fn(x)
 
 
+def rate_at(rf: RateFunction, alpha: float) -> tuple[float, float]:
+    """(phi(alpha), beta(alpha)) read off a tabulated rate function by
+    linear interpolation, or `DomainError` when alpha lies outside its grid,
+    where interpolation would clamp it to an end value."""
+    lo, hi = float(rf.alpha_grid[0]), float(rf.alpha_grid[-1])
+    if not lo <= alpha <= hi:          # NaN too
+        raise DomainError(
+            f"alpha = {alpha!r} lies outside the tabulated rate function's grid "
+            f"[{lo!r}, {hi!r}]; tabulate it with legendre(curve, [alpha])")
+    return (float(np.interp(alpha, rf.alpha_grid, rf.phi_values)),
+            float(np.interp(alpha, rf.alpha_grid, rf.beta_of_alpha)))
+
+
 def legendre_per_alpha(curve: PressureCurve, alpha_grid) -> RateFunction:
     """Legendre data of a pressure curve by one scalar search per alpha
     (no range check)."""

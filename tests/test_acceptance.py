@@ -77,7 +77,7 @@ from ergostat.transfer import (
     pressure_curve,
     ulam_matrix,
 )
-from oracles import binomial_band, kantorovich_bruteforce
+from oracles import binomial_band, kantorovich_bruteforce, rate_at
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -336,7 +336,7 @@ def test_criterion_06b_maxima_absolute_level(doubling, maxima_reference):
 
 @pytest.fixture(scope="module")
 def er_series(doubling, coin_rate):
-    series = [er_law_check(doubling, coin(), 0.2, coin_rate, [50, 100, 200], seed)
+    series = [er_law_check(doubling, coin(), 0.2, *rate_at(coin_rate, 0.2), [50, 100, 200], seed)
               for seed in range(1, 21)]
     return series
 
@@ -457,13 +457,12 @@ def test_criterion_09a_estime_normalized_ratios(doubling, coin_rate):
     # 1e6 direct trials resolve the tail only while k*phi(0.2) <= 12 (k = 50,
     # 100); beyond it the estimator refuses, and the sandwich ratio takes the
     # exact binomial tail with the program's phi and beta
-    phi, beta = coin_rate.phi(0.2), coin_rate.beta(0.2)
+    phi, beta = rate_at(coin_rate, 0.2)
     ratios, counts, refused = {}, {}, []
     for k in (50, 100, 200, 400):
         exact = float(binom.sf(7 * k // 10, k, 0.5))    # P(S_k > 0.2 k)
         try:
-            est = ld_probability_mc(doubling, coin(), 0.2, k, 1_000_000, seed=11,
-                                    rate=coin_rate)
+            est = ld_probability_mc(doubling, coin(), 0.2, k, 1_000_000, 11, phi, beta)
         except BudgetExceededError:
             refused.append(k)
             ratios[k] = exact * abs(beta) * math.sqrt(k) * math.exp(k * phi)
@@ -490,8 +489,8 @@ def test_criterion_09a_estime_normalized_ratios(doubling, coin_rate):
 
 
 def test_criterion_09b_estime_binomial_oracle(doubling, coin_rate):
-    est = ld_probability_mc(doubling, coin(), 0.2, 100, 1_000_000, seed=11,
-                            rate=coin_rate)
+    est = ld_probability_mc(doubling, coin(), 0.2, 100, 1_000_000, 11,
+                            *rate_at(coin_rate, 0.2))
     exact = float(binom.sf(70, 100, 0.5))
     lo, hi, false_alarm = binomial_band(est.trials, exact)
     ok = lo <= est.successes <= hi

@@ -89,6 +89,15 @@ def test_unknown_section_lists_valid_ones():
     assert "unknown section [foo]" in msg and "map" in msg
 
 
+def test_unterminated_section_header_is_reported_once():
+    bad = MINIMAL + "\n[ld\nalpha = 0.3\ntrials = 20000\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(bad)
+    # the keys under it are skipped, as an unknown section's are
+    (line, msg), = err.value.issues
+    assert msg == "unterminated section header" and bad.splitlines()[line - 1] == "[ld"
+
+
 def test_negative_resolution_reports_line():
     bad = MINIMAL + "\n[ulam]\nresolution = -4\n"
     with pytest.raises(ConfigError) as err:
@@ -543,6 +552,7 @@ def test_entropy_smb_on_steep_full_branch_map(tmp_path):
     ("ld-check", "[ulam]", "[ld]\nk_grid = 0, 50\n\n[ulam]"),
     ("ld-check", "[ulam]", "[ld]\nk_grid = -5\n\n[ulam]"),
     ("ld-check", "[ulam]", "[ld]\nr_grid = -3\n\n[ulam]"),
+    ("erdos-renyi", "[ulam]", "[erdos_renyi]\nk_grid = 1, 20\n\n[ulam]"),
     ("asclt", "name = sawtooth", "name = table"),
     ("asclt", "name = sawtooth", "name = table\nxs = 0, 0.5, 1\nys = 1, 2"),
     ("asclt", "name = sawtooth", "name = table\nxs = 0, 0.5, 0.5, 1\nys = 1, 2, 3, 4"),
@@ -573,7 +583,7 @@ def test_entropy_smb_on_steep_full_branch_map(tmp_path):
         "unknown-map", "zero-checkpoint", "first-checkpoint-below-4", "horizon-below-4",
         "entropy-checkpoint-past-horizon", "entropy-checkpoint-past-depth",
         "rate-curve-negative-window", "rate-curve-zero-window", "ld-zero-window",
-        "ld-negative-window", "ld-negative-shift", "table-without-points",
+        "ld-negative-window", "ld-negative-shift", "er-window-of-1", "table-without-points",
         "table-unequal-lengths", "table-repeated-x", "table-nan-value",
         "negative-seed", "negative-seed-offset", "negative-sigma2-value",
         "zero-sigma2-value", "stale-rate-section", "linear-without-slopes",

@@ -13,7 +13,7 @@ from ergostat.errors import BudgetExceededError, DomainError
 from ergostat.maps import (
     Observable, make_map, make_observable, coin, orbit, orbit_value_chunks, sawtooth,
 )
-from ergostat.transfer import RateFunction, legendre, pressure_curve, ulam_matrix
+from ergostat.transfer import legendre, pressure_curve, ulam_matrix
 from ergostat.erdos_renyi import (
     _moving_max_chunked,
     _trial_sums,
@@ -23,7 +23,7 @@ from ergostat.erdos_renyi import (
     rate_estimator,
     wilson_interval,
 )
-from oracles import binomial_band, moving_max
+from oracles import binomial_band, moving_max, rate_at
 
 
 def cramer(a):
@@ -228,11 +228,12 @@ def test_coin_window_and_trial_sums_run_on_integers(monkeypatch, doubling, coin_
 
     monkeypatch.setattr(erdos_renyi, "trial_value_blocks", watched_blocks)
     calls = {
-        "er": lambda: er_law_check(doubling, coin(), 0.2, coin_rate, [20, 60], seed=1),
-        "ld": lambda: ld_probability_mc(doubling, coin(), 0.1, 50, 10_000, seed=1,
-                                        rate=coin_rate),
+        "er": lambda: er_law_check(doubling, coin(), 0.2, *rate_at(coin_rate, 0.2),
+                                   [20, 60], seed=1),
+        "ld": lambda: ld_probability_mc(doubling, coin(), 0.1, 50, 10_000, 1,
+                                        *rate_at(coin_rate, 0.1)),
         "decoupling": lambda: decoupling_check(doubling, coin(), 0.1, 20, [0, 5], 10_000,
-                                               seed=1, rate=coin_rate),
+                                               1, *rate_at(coin_rate, 0.1)),
     }
     got = {}
     for name, call in calls.items():
@@ -254,16 +255,11 @@ def test_trial_sums_refuse_empty_windows_and_negative_shifts(doubling):
 
 def test_er_constant_observable_stays_on_band_center():
     alpha = 0.3
-    rate = RateFunction(
-        alpha_grid=np.array([alpha - 0.01, alpha, alpha + 0.01]),
-        phi_values=np.array([1e-4, 0.0, 1e-4]),
-        beta_of_alpha=np.array([0.9, 1.0, 1.1]),
-        sigma2_of_alpha=np.array([1.0, 1.0, 1.0]))
     const = make_map("doubling")
     from ergostat.maps import Observable
     u = Observable("const", lambda x: np.full_like(np.asarray(x, float), alpha),
                    lipschitz_constant=0.0)
-    ser = er_law_check(const, u, alpha, rate, [10, 25], seed=1)
+    ser = er_law_check(const, u, alpha, 0.0, 1.0, [10, 25], seed=1)    # phi, beta at alpha
     assert np.allclose(ser.M_values, alpha * ser.k_values)
     assert np.allclose(ser.fluctuations, 0.0, atol=1e-12)
 
@@ -278,17 +274,13 @@ def test_er_narrow_bump_not_read_as_branch_constant(doubling):
     streamed = np.concatenate(list(orbit_value_chunks(doubling, bump, seed=3, total=n)))
     assert np.array_equal(streamed, bump(points)) and np.sum(streamed) > 2.0
     # exp(k phi) = n windows' worth of stream at alpha = 0.5
-    rate = RateFunction(
-        alpha_grid=np.array([0.0, 0.5, 1.0]),
-        phi_values=np.array([0.0, 1.0, 2.0]) * math.log(n) / k,
-        beta_of_alpha=np.ones(3), sigma2_of_alpha=np.ones(3))
-    ser = er_law_check(doubling, bump, 0.5, rate, [k], seed=3)
+    ser = er_law_check(doubling, bump, 0.5, math.log(n) / k, 1.0, [k], seed=3)
     expected, _ = moving_max(bump(points[:int(ser.window_counts[0]) + k - 1]), k)
     assert ser.M_values[0] == expected > 0.0
 
 
 def test_er_law_of_averages(doubling, coin_rate):
-    ser = er_law_check(doubling, coin(), 0.2, coin_rate, [100], seed=3)
+    ser = er_law_check(doubling, coin(), 0.2, *rate_at(coin_rate, 0.2), [100], seed=3)
     assert 0.15 <= ser.averages[0] <= 0.25
 
 
@@ -298,7 +290,8 @@ def test_er_band_shrinks_and_upper_bound_respected(doubling, coin_rate):
     devs = {50: [], 100: [], 200: []}
     flucts = {50: [], 100: [], 200: []}
     for seed in range(1, 11):
-        ser = er_law_check(doubling, coin(), 0.2, coin_rate, [50, 100, 200], seed=seed)
+        ser = er_law_check(doubling, coin(), 0.2, *rate_at(coin_rate, 0.2), [50, 100, 200],
+                           seed=seed)
         for i, k in enumerate((50, 100, 200)):
             devs[k].append(abs(ser.averages[i] - 0.2))
             flucts[k].append(ser.fluctuations[i])
@@ -313,7 +306,7 @@ def test_er_window_count_monotonicity(doubling, coin_rate):
     # truncating the stream (fewer windows) can only lower the maximum
     u = coin()
     k = 60
-    phi = coin_rate.phi(0.2)
+    phi, _ = rate_at(coin_rate, 0.2)
     full_len = int(math.exp(k * phi))
     vals = np.concatenate(list(orbit_value_chunks(doubling, u, seed=9, total=full_len)))
     prefix = np.concatenate([[0.0], np.cumsum(vals)])
@@ -325,21 +318,23 @@ def test_er_window_count_monotonicity(doubling, coin_rate):
 
 def test_er_rejects_alpha_zero(doubling, coin_rate):
     with pytest.raises(DomainError):
-        er_law_check(doubling, coin(), 0.0, coin_rate, [50], seed=1)
+        er_law_check(doubling, coin(), 0.0, *rate_at(coin_rate, 0.0), [50], seed=1)
 
 
-@pytest.mark.parametrize("alpha,says", [(-0.2, "not positive"), (0.5, "outside"),
-                                        (math.nan, "outside")])
+@pytest.mark.parametrize("alpha,says", [(-0.2, "not positive"), (math.nan, "outside")])
 def test_er_rejects_alpha_below_the_mean_or_off_the_grid(doubling, coin_rate, alpha, says):
     # below the mean beta(alpha) < 0, and the band +/- 1/(2 beta) came out
-    # upside down (band_lo 0.590 > band_hi -0.590 at alpha = -0.2)
+    # upside down (band_lo 0.590 > band_hi -0.590 at alpha = -0.2); a NaN
+    # alpha is refused even with the rate data of a valid one
+    phi, beta = rate_at(coin_rate, alpha if math.isfinite(alpha) else 0.2)
     with pytest.raises(DomainError, match=says):
-        er_law_check(doubling, coin(), alpha, coin_rate, [50], seed=1)
+        er_law_check(doubling, coin(), alpha, phi, beta, [50], seed=1)
 
 
 def test_er_budget_cap(doubling, coin_rate):
     with pytest.raises(BudgetExceededError):
-        er_law_check(doubling, coin(), 0.4, coin_rate, [500], seed=1, length_cap=10**6)
+        er_law_check(doubling, coin(), 0.4, *rate_at(coin_rate, 0.4), [500], seed=1,
+                     length_cap=10**6)
 
 
 def test_er_grid_streams_one_orbit_and_keeps_each_k(monkeypatch, doubling, coin_rate):
@@ -355,10 +350,11 @@ def test_er_grid_streams_one_orbit_and_keeps_each_k(monkeypatch, doubling, coin_
     monkeypatch.setattr(erdos_renyi, "_orbit_values", counted)
     for u in (coin(), sawtooth()):
         calls.clear()
-        ser = er_law_check(doubling, u, 0.2, coin_rate, [60, 20, 100, 20], seed=4)
+        ser = er_law_check(doubling, u, 0.2, *rate_at(coin_rate, 0.2), [60, 20, 100, 20],
+                           seed=4)
         assert calls == [max(ser.window_counts + ser.k_values - 1)]
         for i, k in enumerate(ser.k_values):
-            one = er_law_check(doubling, u, 0.2, coin_rate, [k], seed=4)
+            one = er_law_check(doubling, u, 0.2, *rate_at(coin_rate, 0.2), [k], seed=4)
             assert bits(one.M_values) == bits(ser.M_values[i:i + 1])
             assert one.window_counts[0] == ser.window_counts[i]
             assert one.window_unit == ser.window_unit
@@ -369,14 +365,24 @@ def test_er_refuses_an_over_cap_grid_before_it_draws(monkeypatch, doubling, coin
     calls = []
     monkeypatch.setattr(erdos_renyi, "_orbit_values", lambda *a, **kw: calls.append(a))
     with pytest.raises(BudgetExceededError, match="k=4000"):
-        er_law_check(doubling, coin(), 0.2, coin_rate, [50, 4000], seed=1,
+        er_law_check(doubling, coin(), 0.2, *rate_at(coin_rate, 0.2), [50, 4000], seed=1,
                      length_cap=1_000_000)
     # a k phi past the float range is refused as well (it raised OverflowError)
     with pytest.raises(BudgetExceededError, match="k=10000"):
-        er_law_check(doubling, coin(), 0.2, coin_rate, [50, 10_000], seed=1)
+        er_law_check(doubling, coin(), 0.2, *rate_at(coin_rate, 0.2), [50, 10_000], seed=1)
     # an empty grid draws nothing either, and has no integer sums to name
-    ser = er_law_check(doubling, coin(), 0.2, coin_rate, [], seed=1)
+    ser = er_law_check(doubling, coin(), 0.2, *rate_at(coin_rate, 0.2), [], seed=1)
     assert calls == [] and len(ser.M_values) == 0 and ser.window_unit is None
+
+
+@pytest.mark.parametrize("k_grid", [[1, 20], [20, 0], [-3]])
+def test_er_refuses_windows_below_2_before_it_draws(monkeypatch, doubling, coin_rate, k_grid):
+    # the fluctuation (M_k - k alpha)/log k divides by log 1 = 0: k = 1 wrote inf
+    calls = []
+    monkeypatch.setattr(erdos_renyi, "_orbit_values", lambda *a, **kw: calls.append(a))
+    with pytest.raises(DomainError, match="at least 2"):
+        er_law_check(doubling, coin(), 0.2, *rate_at(coin_rate, 0.2), k_grid, seed=1)
+    assert calls == []
 
 
 # -- rate estimator -----------------------------------------------------------
@@ -421,7 +427,7 @@ def test_rate_estimator_length_guard():
 # -- direct Monte Carlo -------------------------------------------------------
 
 def test_ld_probability_binomial_oracle(doubling, coin_rate):
-    est = ld_probability_mc(doubling, coin(), 0.2, 100, 200_000, seed=11, rate=coin_rate)
+    est = ld_probability_mc(doubling, coin(), 0.2, 100, 200_000, 11, *rate_at(coin_rate, 0.2))
     exact = float(binom.sf(70, 100, 0.5))
     lo, hi, false_alarm = binomial_band(est.trials, exact)
     assert lo <= est.successes <= hi, (
@@ -430,7 +436,8 @@ def test_ld_probability_binomial_oracle(doubling, coin_rate):
 
 
 def test_ld_probability_alpha_zero_is_half(doubling, coin_rate):
-    est = ld_probability_mc(doubling, coin(), 1e-9, 100, 50_000, seed=3, rate=coin_rate)
+    est = ld_probability_mc(doubling, coin(), 1e-9, 100, 50_000, 3,
+                            *rate_at(coin_rate, 1e-9))
     # lattice-exact: P(S_100 > 0) = (1 - P(B=50))/2
     exact = float(0.5 * (1.0 - binom.pmf(50, 100, 0.5)))
     lo, hi, false_alarm = binomial_band(est.trials, exact)
@@ -442,7 +449,7 @@ def test_ld_probability_alpha_zero_is_half(doubling, coin_rate):
 def test_ld_normalized_ratios_bounded_at_feasible_alpha(doubling, coin_rate):
     ratios = []
     for k in (50, 100, 200, 400):
-        est = ld_probability_mc(doubling, coin(), 0.1, k, 300_000, seed=4, rate=coin_rate)
+        est = ld_probability_mc(doubling, coin(), 0.1, k, 300_000, 4, *rate_at(coin_rate, 0.1))
         assert not est.one_sided
         ratios.append(est.normalized_ratio)
     assert max(ratios) / min(ratios) < 10.0
@@ -450,15 +457,16 @@ def test_ld_normalized_ratios_bounded_at_feasible_alpha(doubling, coin_rate):
 
 def test_ld_feasibility_guard(doubling, coin_rate):
     with pytest.raises(BudgetExceededError):
-        ld_probability_mc(doubling, coin(), 0.2, 200, 100_000, seed=1, rate=coin_rate)
+        ld_probability_mc(doubling, coin(), 0.2, 200, 100_000, 1, *rate_at(coin_rate, 0.2))
     with pytest.raises(ValueError):
-        ld_probability_mc(doubling, coin(), 0.2, 50, 100, seed=1, rate=coin_rate)
+        ld_probability_mc(doubling, coin(), 0.2, 50, 100, 1, *rate_at(coin_rate, 0.2))
 
 
 def test_decoupling_r0_matches_single_and_decay(doubling, coin_rate):
+    phi, beta = rate_at(coin_rate, 0.1)
     rows = decoupling_check(doubling, coin(), 0.1, 50, [0, 10, 25, 50],
-                            100_000, seed=5, rate=coin_rate)
-    single = ld_probability_mc(doubling, coin(), 0.1, 50, 100_000, seed=5, rate=coin_rate)
+                            100_000, 5, phi, beta)
+    single = ld_probability_mc(doubling, coin(), 0.1, 50, 100_000, 5, phi, beta)
     assert rows[0].joint_p == pytest.approx(single.p_hat, abs=1e-12)
     # log joint nonincreasing in r (allow CI slack one step)
     ps = [r.joint_p for r in rows]

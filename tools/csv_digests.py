@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""SHA-256 of every CSV that the benchmark's invocations write.
+"""SHA-256 of every CSV and manifest that the benchmark's invocations write.
 
     python3 tools/csv_digests.py TREE OUT.json
     python3 tools/csv_digests.py --compare A.json B.json
@@ -7,12 +7,14 @@
 The first form imports `ergostat` from TREE/src, runs every invocation of
 bench/workloads.py (all workloads, full size, seed offset 0) through
 `ergostat.cli.run` into a temporary directory, and writes
-{"<workload>/<index>-<subcommand>/<file>.csv": sha256} to OUT.json.  It
-exits 1 when an invocation does not exit 0.  The second form lists the
-files whose digests differ between two such records, or that only one of
-them has, and exits 1 if there are any.  A refactor that must leave every
-CSV byte-identical is checked by recording the parent tree and the changed
-tree and comparing the two records.
+{"<workload>/<index>-<subcommand>/<file>": sha256} to OUT.json for every
+CSV and every manifest.  A manifest is digested without the fields that
+differ between two runs of the same code (`VOLATILE`).  It exits 1 when an
+invocation does not exit 0.  The second form lists the files whose digests
+differ between two such records, or that only one of them has, and exits 1
+if there are any.  A refactor that must leave every CSV and manifest
+byte-identical is checked by recording the parent tree and the changed tree
+and comparing the two records.
 """
 
 from __future__ import annotations
@@ -25,6 +27,18 @@ import tempfile
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+# the wall time, and the config hash, which covers the temporary output_dir
+VOLATILE = ("wall_time_s", "config_hash")
+
+
+def digest(path: Path) -> str:
+    """SHA-256 of a CSV's bytes, or of a manifest without its VOLATILE fields."""
+    if path.suffix != ".json":
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest = json.loads(path.read_text())
+    for key in VOLATILE:
+        manifest.pop(key, None)
+    return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
 
 
 def record(tree: Path) -> tuple[dict[str, str], list[str]]:
@@ -45,8 +59,8 @@ def record(tree: Path) -> tuple[dict[str, str], list[str]]:
                            seed_offset=seed_offset(DEFAULT_SEED))
                 if code != 0:
                     failed.append(f"{name} exited {code}")
-                for path in sorted(out.glob("*.csv")):
-                    digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted([*out.glob("*.csv"), *out.glob("*-manifest.json")]):
+                    digests[f"{name}/{path.name}"] = digest(path)
     return digests, failed
 
 
@@ -67,13 +81,17 @@ def main(argv=None) -> int:
         moved = compare(a, b)
         for f in moved:
             print(f"differs: {f}")
-        print(f"{len(moved)} of {len(a.keys() | b.keys())} CSVs differ")
+        for kind, suffix in (("CSVs", ".csv"), ("manifests", ".json")):
+            n_moved = sum(f.endswith(suffix) for f in moved)
+            n_all = sum(f.endswith(suffix) for f in a.keys() | b.keys())
+            print(f"{n_moved} of {n_all} {kind} differ")
         return 1 if moved else 0
     digests, failed = record(Path(args.first).resolve())
     Path(args.second).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     for line in failed:
         print(line, file=sys.stderr)
-    print(f"{len(digests)} CSVs recorded in {args.second}")
+    n_csv = sum(f.endswith(".csv") for f in digests)
+    print(f"{n_csv} CSVs and {len(digests) - n_csv} manifests recorded in {args.second}")
     return 1 if failed else 0
 
 
