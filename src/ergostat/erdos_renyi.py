@@ -47,9 +47,9 @@ def _above_mean(alpha: float, beta: float, law: str) -> None:
 
 def _accumulator(dtype: np.dtype, n: int) -> type:
     """The dtype that sums up to n values of `dtype` exactly: float64 for
-    floats; for integer weights int32 when no such sum can overflow it
-    (half the memory traffic of int64), else int64."""
-    if dtype.kind != "i":
+    floats; for integer weights or symbol bytes int32 when no such sum can
+    overflow it (half the memory traffic of int64), else int64."""
+    if dtype.kind not in "iu":
         return np.float64
     return np.int32 if n * (int(np.iinfo(dtype).max) + 1) < 2**31 else np.int64
 
@@ -64,8 +64,9 @@ def _moving_max_chunked(chunks, k_grid, n_windows) -> list[tuple]:
     Window j has sum c_{j+k} - c_j with c_t the prefix sum of the first t
     values; valid end indices e = j + k run from k to n + k - 1.
     Float chunks carry absolute float64 prefixes.  Integer chunks (exact
-    weights) carry prefixes relative to the start of each chunk, so an int32
-    accumulator cannot overflow on a long stream, and return int maxima.
+    weights or symbol bytes) carry prefixes relative to the start of each
+    chunk, so an int32 accumulator cannot overflow on a long stream, and
+    return int maxima.
     """
     ks = [int(k) for k in k_grid]
     ends = [int(n) + k - 1 for k, n in zip(ks, n_windows)]    # values each k reads
@@ -111,8 +112,6 @@ def _moving_max_chunked(chunks, k_grid, n_windows) -> list[tuple]:
 class ErdosRenyiSeries:
     """Window maxima at the almost-sure-law window counts with their fluctuations."""
 
-    alpha: float
-    beta: float
     k_values: np.ndarray
     window_counts: np.ndarray     # [exp(k phi)] - k + 1 windows per k
     M_values: np.ndarray
@@ -132,9 +131,11 @@ def er_law_check(pmap: PiecewiseMap, u: Observable, alpha: float, phi: float, be
     [exp(k phi(alpha))] beyond `length_cap` is refused before anything is
     drawn; otherwise one stream, as long as the longest k needs, serves every
     k (each reads its own prefix of it).  An observable of small dyadic branch
-    values on a symbolic map is scanned as integer weights, and M_k is the
-    integer maximum times their unit: the bits of the float scan, whose
-    prefix sums are exact for such values (see `maps._unit_weights`).
+    values on a symbolic map is scanned as integer entries c with
+    u = unit (w0 + d c), the symbol bytes themselves when its weights are
+    evenly spaced (see `maps.IntegerRead`), and M_k is (k w0 + d max sum c)
+    times the unit: the bits of the float scan, whose prefix sums are exact
+    for such values (see `maps._unit_weights`).
     alpha = 0, an alpha that is not finite, beta(alpha) <= 0 (at or below
     the mean) and a window length below 2 (the fluctuation divides by log k)
     raise `DomainError`.
@@ -157,17 +158,21 @@ def er_law_check(pmap: PiecewiseMap, u: Observable, alpha: float, phi: float, be
         lengths.append(max(int(needed), k))
     counts = np.array(lengths, dtype=np.int64) - k_grid + 1
     # one stream serves every k: each reads its own prefix of it
-    unit, maxima = None, []
+    view, maxima = None, []
     if len(k_grid):
-        unit, chunks = _orbit_values(pmap, u, seed, max(lengths), 1 << 20, exact=True)
+        view, chunks = _orbit_values(pmap, u, seed, max(lengths), 1 << 20, exact=True)
         maxima = _moving_max_chunked(chunks, k_grid, counts)
-    m_vals = np.array([best for best, _ in maxima], dtype=float) * (unit or 1.0)
+    best = [best for best, _ in maxima]
+    if view is None:
+        m_vals = np.array(best, dtype=float)
+    else:
+        m_vals = (k_grid * view.w0 + view.d * np.array(best, dtype=np.int64)) * view.unit
     logs = np.log(k_grid.astype(float))
     return ErdosRenyiSeries(
-        alpha=alpha, beta=beta, k_values=k_grid, window_counts=counts,
+        k_values=k_grid, window_counts=counts,
         M_values=m_vals, averages=m_vals / k_grid,
         fluctuations=(m_vals - k_grid * alpha) / logs,
-        band=1.0 / (2.0 * beta), window_unit=unit)
+        band=1.0 / (2.0 * beta), window_unit=None if view is None else view.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +227,6 @@ class LdEstimate:
     """Monte Carlo exceedance probability with its sandwich normalization
     p_hat * beta * sqrt(k) * exp(k phi(alpha))."""
 
-    k: int
-    alpha: float
     trials: int
     successes: int
     p_hat: float
@@ -237,23 +240,27 @@ class LdEstimate:
 def _trial_sums(pmap: PiecewiseMap, u: Observable, k: int, r: int, trials: int,
                 seed: int) -> tuple[float | None, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """(unit, pairs): (S_k, S_k o f^r) pairs over independent Lebesgue
-    starts, chunked.  Integer weights sum each row in integers, in any
-    order (r = 0 needs one sum), and scale by their unit once; float values
-    keep their row-wise prefix sums."""
+    starts, chunked.  Integer blocks (see `maps.IntegerRead`) sum each row
+    in integers, in any order (r = 0 needs one sum), form the weight sum
+    k w0 + d sum c in int64 and scale by the unit once; float values keep
+    their row-wise prefix sums."""
     if k < 1 or r < 0:
         raise ValueError("need a window length k >= 1 and a shift r >= 0")
-    unit, blocks = trial_value_blocks(pmap, u, k + r, trials, seed)
+    view, blocks = trial_value_blocks(pmap, u, k + r, trials, seed)
+
+    def row_sums(vals, r0):
+        sums = vals[:, r0:r0 + k].sum(axis=1, dtype=_accumulator(vals.dtype, k))
+        return (k * view.w0 + view.d * sums.astype(np.int64)) * view.unit
 
     def pairs():
         for vals in blocks:
-            if unit is None:
+            if view is None:
                 csum = np.cumsum(vals, axis=1)
                 yield csum[:, k - 1], csum[:, r + k - 1] - (csum[:, r - 1] if r > 0 else 0.0)
             else:
-                acc = _accumulator(vals.dtype, k)
-                first = vals[:, :k].sum(axis=1, dtype=acc) * unit
-                yield first, (vals[:, r:r + k].sum(axis=1, dtype=acc) * unit if r else first)
-    return unit, pairs()
+                first = row_sums(vals, 0)
+                yield first, (row_sums(vals, r) if r else first)
+    return (None if view is None else view.unit), pairs()
 
 
 def _exceedances(pmap: PiecewiseMap, u: Observable, alpha: float, k: int, r: int,
@@ -291,7 +298,7 @@ def ld_probability_mc(pmap: PiecewiseMap, u: Observable, alpha: float, k: int,
     p_hat = successes / trials
     lo, hi = wilson_interval(successes, trials)
     ratio = p_hat * beta * math.sqrt(k) * math.exp(k * phi)
-    return LdEstimate(k=k, alpha=alpha, trials=trials, successes=successes,
+    return LdEstimate(trials=trials, successes=successes,
                       p_hat=p_hat, ci_lo=lo, ci_hi=hi, normalized_ratio=ratio,
                       one_sided=(successes == 0), window_unit=unit)
 

@@ -25,7 +25,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -365,22 +365,18 @@ def make_map(name: str, slopes: Sequence[float] = (), breakpoints: Sequence[floa
 
 @dataclass(frozen=True)
 class Observable:
-    """Real observable on [0,1] with a regularity certificate.
+    """Real observable on [0,1].
 
-    At least one of `lipschitz_constant` / `variation_bound` must be set.
-    `mu_mean` is subtracted on evaluation, so a centered observable is the
-    same object with its invariant mean stored.
+    `variation_bound`, an upper bound on the total variation, is the
+    certificate `_branch_values` reads; None means u is never certified
+    constant on branch cells.  `mu_mean` is subtracted on evaluation, so a
+    centered observable is the same object with its invariant mean stored.
     """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    lipschitz_constant: float | None = None
     variation_bound: float | None = None
     mu_mean: float = 0.0
-
-    def __post_init__(self):
-        if self.lipschitz_constant is None and self.variation_bound is None:
-            raise ValueError("observable needs a Lipschitz constant or a variation bound")
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float)) - self.mu_mean
@@ -394,7 +390,7 @@ class Observable:
 
 
 def sawtooth() -> Observable:
-    return Observable("sawtooth", lambda x: x - 0.5, lipschitz_constant=1.0)
+    return Observable("sawtooth", lambda x: x - 0.5)
 
 
 def coin() -> Observable:
@@ -410,24 +406,17 @@ def log_derivative(pmap: PiecewiseMap) -> Observable:
     """u = log|f'|, the entropy observable."""
     xs = np.linspace(0.0, 1.0, 4096, endpoint=False) + 0.5 / 4096
     vals = pmap.log_abs_derivative(xs)
-    lip = float(np.max(np.abs(np.diff(vals))) * 4096) if len(vals) > 1 else 0.0
     return Observable(
         f"log-deriv({pmap.name})",
         lambda x: pmap.log_abs_derivative(x),
-        lipschitz_constant=max(lip, 1e-12),
         variation_bound=float(np.sum(np.abs(np.diff(vals)))),
     )
 
 
 def coboundary(pmap: PiecewiseMap) -> Observable:
     """u = x - f(x); Birkhoff sums telescope, so the CLT variance is zero."""
-    sup_df = float(np.max(np.abs(pmap.derivative(
-        np.linspace(0.0, 1.0, 2048, endpoint=False) + 0.5 / 2048))))
-    return Observable(
-        f"coboundary({pmap.name})",
-        lambda x: np.asarray(x, dtype=float) - pmap.apply(x),
-        lipschitz_constant=1.0 + sup_df,
-    )
+    return Observable(f"coboundary({pmap.name})",
+                      lambda x: np.asarray(x, dtype=float) - pmap.apply(x))
 
 
 def table_observable(xs: Sequence[float], ys: Sequence[float]) -> Observable:
@@ -438,12 +427,7 @@ def table_observable(xs: Sequence[float], ys: Sequence[float]) -> Observable:
             or not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys)))):
         raise ConfigError([(0, "table observable needs at least two strictly increasing "
                                "finite xs and one finite ys value for each")])
-    slopes = np.diff(ys) / np.diff(xs)
-    return Observable(
-        "table",
-        lambda x: np.interp(np.asarray(x, dtype=float), xs, ys),
-        lipschitz_constant=float(np.max(np.abs(slopes))),
-    )
+    return Observable("table", lambda x: np.interp(np.asarray(x, dtype=float), xs, ys))
 
 
 def make_observable(name: str, pmap: PiecewiseMap | None = None,
@@ -722,37 +706,55 @@ def _unit_weights(table: np.ndarray, length: int) -> tuple[np.ndarray, float] | 
     return None
 
 
-def _table_reader(pmap: PiecewiseMap, u: Observable, length: int, exact: bool
-                  ) -> tuple[Callable[[np.ndarray], np.ndarray] | None, float | None]:
-    """How a stream of `length` values along an orbit of pmap reads u: (read, unit).
+class IntegerRead(NamedTuple):
+    """How integer chunks carry u: u = unit * (w0 + d * c) for each entry c.
 
-    `read` maps branch symbols to values when the orbit is symbolic and u is
-    certified constant on each branch cell, and is None when u must be
-    evaluated at points.  With `exact`, a table of small dyadic values is
-    read as its integer weights (see `_unit_weights`) and `unit` is their
-    unit; otherwise `unit` is None and the values are floats.
+    The entries are the branch symbols themselves when the weights of the
+    branch-value table are w0, w0 + d, ..., w0 + (b - 1) d with d > 0, and
+    the gathered weights (w0 = 0, d = 1) otherwise.  A sum of k entries s
+    is the integer weight sum k w0 + d s, and d > 0 keeps the order of sums.
+    """
+
+    unit: float
+    w0: int
+    d: int
+
+
+def _table_reader(pmap: PiecewiseMap, u: Observable, length: int, exact: bool
+                  ) -> tuple[Callable[[np.ndarray], np.ndarray] | None, IntegerRead | None]:
+    """How a stream of `length` values along an orbit of pmap reads u: (read, view).
+
+    `read` maps branch symbols to chunk entries when the orbit is symbolic
+    and u is certified constant on each branch cell, and is None when u
+    must be evaluated at points.  With `exact`, a table of small dyadic
+    values (see `_unit_weights`) gives integer entries that carry u as
+    `view` says; otherwise `view` is None and the entries are float values.
     """
     table = _branch_values(pmap, u) if pmap.orbit_mode == _SYMBOLIC else None
-    view = _unit_weights(table, length) if exact and table is not None else None
-    if view is None:
+    found = _unit_weights(table, length) if exact and table is not None else None
+    if found is None:
         return (None if table is None else table.__getitem__), None
-    weights, unit = view
+    weights, unit = found
+    w0, d = int(weights[0]), int(weights[1]) - int(weights[0])
+    if d > 0 and np.array_equal(weights, w0 + d * np.arange(len(weights))):
+        return (lambda syms: syms), IntegerRead(unit, w0, d)
     # np.take gathers 1- and 2-byte items faster than fancy indexing does
-    return weights.take, unit
+    return weights.take, IntegerRead(unit, 0, 1)
 
 
 def _orbit_values(pmap: PiecewiseMap, u: Observable, seed: int, total: int, chunk: int,
-                  exact: bool) -> tuple[float | None, Iterator[np.ndarray]]:
-    """(unit, chunks): u along the orbit of `seed`, `total` values in all, in
+                  exact: bool) -> tuple[IntegerRead | None, Iterator[np.ndarray]]:
+    """(view, chunks): u along the orbit of `seed`, `total` values in all, in
     chunks of at most `chunk`.  With `exact`, a symbolic orbit of a table of
-    small dyadic values yields integer weights with u = unit * weight;
-    otherwise unit is None and the chunks are float values."""
-    read, unit = _table_reader(pmap, u, total, exact)
+    small dyadic values yields integer chunks that carry u as `view` says
+    (the drawn symbol chunks themselves, uncopied, for an evenly spaced
+    table); otherwise view is None and the chunks are float values."""
+    read, view = _table_reader(pmap, u, total, exact)
 
     def chunks():
         for syms, pts in _orbit_chunks(pmap, seed, total, chunk, points=read is None):
             yield u(pts) if read is None else read(syms)
-    return unit, chunks()
+    return view, chunks()
 
 
 def orbit_value_chunks(pmap: PiecewiseMap, u: Observable, seed: int, total: int,
@@ -774,20 +776,21 @@ def symbol_chunks(pmap: PiecewiseMap, seed: int, chunk: int = 1 << 12,
 
 def trial_value_blocks(pmap: PiecewiseMap, u: Observable, span: int, trials: int,
                        seed: int, chunk: int = 1 << 14
-                       ) -> tuple[float | None, Iterator[np.ndarray]]:
-    """(unit, blocks): u along `span` steps from each of `trials`
+                       ) -> tuple[IntegerRead | None, Iterator[np.ndarray]]:
+    """(view, blocks): u along `span` steps from each of `trials`
     independent Lebesgue starts, as (rows, span) blocks of at most `chunk`
     rows.
 
     Symbolic maps cut disjoint rows from the seed's symbol stream (exactly
     independent trials); a row holds `span` symbols, plus the reconstruction
     lookahead unless u is read from its branch-value table.  A table of
-    small dyadic values is read as integer weights, u = unit * weight (see
-    `_unit_weights`); otherwise unit is None and the blocks are float values.
+    small dyadic values gives integer blocks that carry u as `view` says
+    (see `_table_reader`: an evenly spaced table's blocks are the symbol
+    rows themselves); otherwise view is None and the blocks are float values.
     Float maps iterate uniform starts drawn from the seed, all rows of a
     block at once.
     """
-    read, unit = _table_reader(pmap, u, span, exact=True)
+    read, view = _table_reader(pmap, u, span, exact=True)
 
     def symbolic_blocks():
         width = span if read is not None else span + _symbol_tail_depth(pmap)
@@ -804,4 +807,4 @@ def trial_value_blocks(pmap: PiecewiseMap, u: Observable, span: int, trials: int
                 vals[:, j] = u(x)
                 x = pmap.apply(x)
             yield vals
-    return unit, (symbolic_blocks() if pmap.orbit_mode == _SYMBOLIC else float_blocks())
+    return view, (symbolic_blocks() if pmap.orbit_mode == _SYMBOLIC else float_blocks())

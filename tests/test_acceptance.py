@@ -193,8 +193,7 @@ def test_criterion_01_invariant_density(doubling):
 
 def test_criterion_02_pressure_exactness(doubling):
     c = 0.7
-    u_const = Observable("const", lambda x: np.full_like(np.asarray(x, float), c),
-                         lipschitz_constant=0.0)
+    u_const = Observable("const", lambda x: np.full_like(np.asarray(x, float), c))
     curve = pressure_curve(ulam_matrix(doubling, N=1024), u_const, np.array([-1.0, 0.0, 1.0]))
     dev = float(np.max(np.abs(curve.F_values - c * curve.beta_grid)))
     zero_dev = abs(curve.F_values[1])
@@ -302,7 +301,7 @@ def test_criterion_05b_asclt_absolute_level(asclt_batch, sums_reference):
 # -- 6 ------------------------------------------------------------------------
 
 def test_criterion_06a_maxima_degenerate_case(doubling):
-    pos = Observable("pos", lambda x: np.asarray(x, float) + 0.1, lipschitz_constant=1.0)
+    pos = Observable("pos", lambda x: np.asarray(x, float) + 0.1)
     a_plain = normalized_statistic_atoms(doubling, pos, 20_000, seed=3)
     a_max = normalized_statistic_atoms(doubling, pos, 20_000, seed=3, running_max=True)
     ok = np.array_equal(a_plain, a_max)

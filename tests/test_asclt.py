@@ -79,7 +79,7 @@ def test_running_maxima_nondecreasing_and_positive_case(doubling):
     assert np.all(np.diff(smax) >= -1e-12)
 
     # nonnegative observable: S*_k = S_k, so the two atom streams coincide
-    pos = Observable("pos", lambda x: np.asarray(x, float) + 0.1, lipschitz_constant=1.0)
+    pos = Observable("pos", lambda x: np.asarray(x, float) + 0.1)
     a1 = normalized_statistic_atoms(doubling, pos, 2000, seed=3)
     a2 = normalized_statistic_atoms(doubling, pos, 2000, seed=3, running_max=True)
     assert np.array_equal(a1, a2)

@@ -662,8 +662,8 @@ def test_a_name_spelling_writes_the_canonical_bytes(tmp_path, sub, section, name
     ("perturbed-sawtooth", {"window_sums": "float"}),
 ])
 def test_manifest_names_the_window_sum_path(tmp_path, sub, name, expected):
-    # the coin's +-1/2 table is summed as +-1 weights; a float-iterated map
-    # and a Lipschitz observable keep float sums
+    # the coin's +-1/2 table is summed as its symbols c, u = (2c - 1)/2; a
+    # float-iterated map and a Lipschitz observable keep float sums
     out = tmp_path / "o"
     assert run(sub, parse_config(config_text(MAPS[name], sub, out))) == 0
     manifest = json.loads((out / f"{sub}-manifest.json").read_text())

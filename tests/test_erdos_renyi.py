@@ -12,6 +12,7 @@ from ergostat import erdos_renyi, maps
 from ergostat.errors import BudgetExceededError, DomainError
 from ergostat.maps import (
     Observable, make_map, make_observable, coin, orbit, orbit_value_chunks, sawtooth,
+    symbol_chunks,
 )
 from ergostat.transfer import legendre, pressure_curve, ulam_matrix
 from ergostat.erdos_renyi import (
@@ -148,28 +149,53 @@ def bits(x):
 @settings(max_examples=60, deadline=None)
 @given(b=st.sampled_from([2, 3, 4]), signs=st.lists(st.sampled_from([1, -1]), min_size=4,
                                                    max_size=4),
-       nums=st.lists(st.integers(-300, 300), min_size=4, max_size=4), p=st.integers(0, 8),
+       nums=st.lists(st.integers(-300, 300), min_size=4, max_size=4),
+       spaced=st.booleans(), step=st.integers(-40, 40), p=st.integers(0, 8),
        k=st.integers(1, 40), n_windows=st.integers(1, 2000),
        chunk=st.integers(1, 3000), seed=st.integers(0, 2**16))
-# int16 weights over chunks of 2^17 values accumulate in int64
-@example(b=2, signs=[1, -1, 1, 1], nums=[-300, 7, 0, 0], p=3, k=40, n_windows=300_000,
-         chunk=1 << 17, seed=5)
-def test_integer_sums_are_the_float_sums_bit_for_bit(b, signs, nums, p, k, n_windows, chunk,
-                                                     seed):
+# weights -300 and 7 over chunks of 2^17 values: read as symbols, and in
+# reverse order gathered as int16 and accumulated in int64
+@example(b=2, signs=[1, -1, 1, 1], nums=[-300, 7, 0, 0], spaced=False, step=0, p=3, k=40,
+         n_windows=300_000, chunk=1 << 17, seed=5)
+@example(b=2, signs=[1, -1, 1, 1], nums=[7, -300, 0, 0], spaced=False, step=0, p=3, k=40,
+         n_windows=300_000, chunk=1 << 17, seed=5)
+# evenly spaced increasing tables at b = 3 (drawn as `integers` blocks) and
+# b = 4, and an uneven b = 3 table, which gathers
+@example(b=3, signs=[1, -1, 1, 1], nums=[-5, 0, 0, 0], spaced=True, step=3, p=1, k=7,
+         n_windows=500, chunk=33, seed=9)
+@example(b=4, signs=[-1, 1, 1, -1], nums=[-6, 0, 0, 0], spaced=True, step=4, p=2, k=12,
+         n_windows=800, chunk=100, seed=11)
+@example(b=3, signs=[1, 1, -1, 1], nums=[-5, 1, 2, 0], spaced=False, step=0, p=1, k=7,
+         n_windows=500, chunk=33, seed=9)
+def test_integer_sums_are_the_float_sums_bit_for_bit(b, signs, nums, spaced, step, p, k,
+                                                     n_windows, chunk, seed):
     # full-branch uniform linear maps iterate symbolically; a branch-constant
-    # observable of values n_i / 2^p is read as integer weights n_i, unit 2^-p
-    assume(any(nums[:b]))                   # an all-zero table keeps float sums
+    # observable of values n_i / 2^p has integer weights n_i / (2^p unit).
+    # Evenly spaced increasing weights w0 + d i are read as the symbols i
+    # themselves, u = unit (w0 + d i); any other table gathers its weights
+    table = [nums[0] + step * i for i in range(b)] if spaced else nums[:b]
+    assume(any(table))                      # an all-zero table keeps float sums
     pmap = make_map("linear", slopes=[b * sgn for sgn in signs[:b]])
-    u = branch_constant(pmap, [n / 2**p for n in nums[:b]])
+    u = branch_constant(pmap, [n / 2**p for n in table])
     total = n_windows + k - 1
-    unit, chunks = maps._orbit_values(pmap, u, seed, total, chunk, exact=True)
-    assert unit is not None and unit >= 2.0**-p
+    view, chunks = maps._orbit_values(pmap, u, seed, total, chunk, exact=True)
+    assert view is not None and view.unit >= 2.0**-p
     chunks = list(chunks)
-    assert all(c.dtype.kind == "i" for c in chunks)
+    entries = np.concatenate(chunks)
+    gaps = np.diff(table)
+    if np.all(gaps == gaps[0]) and gaps[0] > 0:
+        syms = np.concatenate(list(symbol_chunks(pmap, seed, limit=total)))
+        assert all(c.dtype == np.uint8 for c in chunks)
+        assert entries.tobytes() == syms.tobytes()
+    else:
+        assert (view.w0, view.d) == (0, 1)
+        assert all(c.dtype.kind == "i" for c in chunks)
+    values = np.concatenate(list(orbit_value_chunks(pmap, u, seed, total, chunk=chunk)))
+    assert bits((view.w0 + view.d * entries.astype(np.int64)) * view.unit) == bits(values)
     (best, best_j), = _moving_max_chunked(iter(chunks), [k], [n_windows])
     (f_best, f_j), = _moving_max_chunked(
         orbit_value_chunks(pmap, u, seed, total, chunk=chunk), [k], [n_windows])
-    assert (bits(best * unit), best_j) == (bits(f_best), f_j)
+    assert (bits((k * view.w0 + view.d * best) * view.unit), best_j) == (bits(f_best), f_j)
 
     for r in sorted({0, 1, k}):
         unit, pairs = _trial_sums(pmap, u, k, r, 300, seed)
@@ -177,8 +203,24 @@ def test_integer_sums_are_the_float_sums_bit_for_bit(b, signs, nums, p, k, n_win
         with mock.patch.object(maps, "_unit_weights", return_value=None):
             f_unit, f_pairs = _trial_sums(pmap, u, k, r, 300, seed)
             want = [np.concatenate(side) for side in zip(*f_pairs)]
-        assert unit is not None and f_unit is None
+        assert unit == view.unit and f_unit is None
         assert [bits(g) for g in got] == [bits(w) for w in want], r
+
+
+def test_symbol_bytes_scan_as_integers():
+    # uint8 symbols accumulate in int32 while n of them cannot reach 2^31,
+    # and the scan gives them the maxima of the same values as int8
+    u8 = np.dtype(np.uint8)
+    assert erdos_renyi._accumulator(u8, 2**23 - 1) is np.int32
+    assert erdos_renyi._accumulator(u8, 2**23) is np.int64
+    vals = np.random.default_rng(4).integers(0, 128, size=5000)
+    ks, n_windows = [1, 5, 40, 200], [5000, 3000, 4961, 1]
+    for chunk in (1, 7, 4096):
+        def chunks(dtype):
+            return (vals[i:i + chunk].astype(dtype) for i in range(0, len(vals), chunk))
+        got = _moving_max_chunked(chunks(np.uint8), ks, n_windows)
+        assert got == _moving_max_chunked(chunks(np.int8), ks, n_windows)
+        assert all(isinstance(best, int) for best, _ in got)
 
 
 @pytest.mark.parametrize("u", [
@@ -194,10 +236,11 @@ def test_float_sums_for_tables_without_small_dyadic_weights(doubling, u):
 def test_float_sums_past_the_exact_length():
     # |weight| * length must stay below 2^53, where float prefix sums are exact
     d = make_map("doubling")
-    assert maps._orbit_values(d, coin(), 1, 2**53 - 1, 1 << 20, exact=True)[0] == 0.5
+    assert maps._orbit_values(d, coin(), 1, 2**53 - 1, 1 << 20, exact=True)[0] == (0.5, -1, 2)
     assert maps._orbit_values(d, coin(), 1, 2**53, 1 << 20, exact=True)[0] is None
     wide = branch_constant(d, [-300 / 4, 1 / 4])             # weights -300 and 1
-    assert maps._orbit_values(d, wide, 1, 2**53 // 300, 1 << 20, exact=True)[0] == 0.25
+    assert maps._orbit_values(d, wide, 1, 2**53 // 300, 1 << 20,
+                              exact=True)[0] == (0.25, -300, 301)
     assert maps._orbit_values(d, wide, 1, 2**53 // 300 + 1, 1 << 20, exact=True)[0] is None
 
 
@@ -209,8 +252,9 @@ def test_float_sums_on_float_iterated_maps():
 
 
 def test_coin_window_and_trial_sums_run_on_integers(monkeypatch, doubling, coin_rate):
-    # the fast path of the fair-coin instance: a change that hands float
-    # chunks to the scan or float blocks to the trial sums fails here
+    # the fast path of the fair-coin instance: the scan and the trial sums
+    # read the symbol bytes themselves; a change that hands them float
+    # chunks or gathered weights fails here
     seen = []
 
     def watched(chunks):
@@ -223,8 +267,8 @@ def test_coin_window_and_trial_sums_run_on_integers(monkeypatch, doubling, coin_
                         lambda chunks, k_grid, n: kernel(watched(chunks), k_grid, n))
 
     def watched_blocks(*args, **kwargs):
-        unit, out = blocks(*args, **kwargs)
-        return unit, watched(out)
+        view, out = blocks(*args, **kwargs)
+        return view, watched(out)
 
     monkeypatch.setattr(erdos_renyi, "trial_value_blocks", watched_blocks)
     calls = {
@@ -237,10 +281,10 @@ def test_coin_window_and_trial_sums_run_on_integers(monkeypatch, doubling, coin_
     }
     got = {}
     for name, call in calls.items():
-        # each call feeds at least one chunk or block, and every one is integer
+        # each call feeds at least one chunk or block, and every one is symbols
         seen.clear()
         got[name] = call()
-        assert seen and {d.kind for d in seen} == {"i"}, (name, seen)
+        assert seen and set(seen) == {np.dtype(np.uint8)}, (name, seen)
     assert got["er"].window_unit == got["ld"].window_unit == 0.5
     assert [row.window_unit for row in got["decoupling"]] == [0.5, 0.5]
 
@@ -257,8 +301,7 @@ def test_er_constant_observable_stays_on_band_center():
     alpha = 0.3
     const = make_map("doubling")
     from ergostat.maps import Observable
-    u = Observable("const", lambda x: np.full_like(np.asarray(x, float), alpha),
-                   lipschitz_constant=0.0)
+    u = Observable("const", lambda x: np.full_like(np.asarray(x, float), alpha))
     ser = er_law_check(const, u, alpha, 0.0, 1.0, [10, 25], seed=1)    # phi, beta at alpha
     assert np.allclose(ser.M_values, alpha * ser.k_values)
     assert np.allclose(ser.fluctuations, 0.0, atol=1e-12)

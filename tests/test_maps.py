@@ -453,16 +453,18 @@ def test_symbolic_trial_rows_cut_the_symbol_stream(chunk):
     # branch-value table, span plus the reconstruction lookahead at points
     d = make_map("doubling")
     span, trials, seed = 11, 40, 3
-    unit, blocks = trial_value_blocks(d, coin(), span, trials, seed, chunk=chunk)
+    view, blocks = trial_value_blocks(d, coin(), span, trials, seed, chunk=chunk)
     rows = np.concatenate(list(blocks))
     syms = np.concatenate(list(symbol_chunks(d, seed, limit=trials * span)))
-    assert np.array_equal(rows * unit, maps._branch_values(d, coin())[syms].reshape(trials, span))
+    assert rows.tobytes() == syms.tobytes()                 # the coin reads its symbols
+    assert np.array_equal((view.w0 + view.d * rows.astype(np.int64)) * view.unit,
+                          maps._branch_values(d, coin())[syms].reshape(trials, span))
     width = span + _symbol_tail_depth(d)
     assert width == span + 53
-    unit, blocks = trial_value_blocks(d, sawtooth(), span, trials, seed, chunk=chunk)
+    view, blocks = trial_value_blocks(d, sawtooth(), span, trials, seed, chunk=chunk)
     syms = np.concatenate(list(symbol_chunks(d, seed, limit=trials * width)))
     want = sawtooth()(points_from_symbols(d, syms.reshape(trials, width), span))
-    assert unit is None
+    assert view is None
     assert np.concatenate(list(blocks)).tobytes() == want.tobytes()
 
 
@@ -565,12 +567,6 @@ def test_smooth_branch_dispatch_inverse_is_the_mask_loop(eps):
     m = make_map("perturbed-doubling", eps=eps)
     for seed in range(5):
         _assert_inverse_is_oracle(m, np.random.default_rng(seed))
-
-
-def test_observable_regularity_required():
-    with pytest.raises(ValueError):
-        from ergostat.maps import Observable
-        Observable("bare", lambda x: x)
 
 
 def test_coin_values():

@@ -59,13 +59,11 @@ def bernoulli_cramer(alpha):
 
 
 def zero_observable():
-    return Observable("zero", lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                      lipschitz_constant=0.0)
+    return Observable("zero", lambda x: np.zeros_like(np.asarray(x, dtype=float)))
 
 
 def const_observable(c):
-    return Observable(f"const{c}", lambda x: np.full_like(np.asarray(x, dtype=float), c),
-                      lipschitz_constant=0.0)
+    return Observable(f"const{c}", lambda x: np.full_like(np.asarray(x, dtype=float), c))
 
 
 # -- Ulam matrix --------------------------------------------------------------
@@ -286,7 +284,7 @@ def test_pressure_curve_assembles_once():
     def u_fn(x):
         u_seen.append(np.array(x, dtype=float, copy=True))
         return x - 0.5
-    u = Observable("counted-sawtooth", u_fn, lipschitz_constant=1.0)
+    u = Observable("counted-sawtooth", u_fn)
 
     def points(grid):
         for seen in [u_seen] + [seen for _, seen in counted]:
