@@ -1,7 +1,7 @@
 """ergostat: numerical statistical laws of piecewise expanding interval maps.
 
 Modules by concern: `maps` (dynamics, observables, orbits), `transfer`
-(Ulam operator, pressure, rate functions, Green-Kubo variance),
+(Ulam operator, pressure, rate data at one alpha, Green-Kubo variance),
 `measures` (log-weighted empirical measures and Kantorovich distance),
 `asclt` (almost-sure CLT experiments for sums and running maxima),
 `erdos_renyi` (moving-average maxima, rate-function estimation,
@@ -34,7 +34,6 @@ from .measures import (  # noqa: F401
 )
 from .transfer import (  # noqa: F401
     PressureCurve,
-    RateFunction,
     UlamOperator,
     center_observable,
     green_kubo_sigma2,

@@ -26,7 +26,6 @@ class AscltDiagnostics:
     limit law at increasing checkpoints, with the rate normalization
     kappa * (log n)^(1/3) / sqrt(log log n)."""
 
-    statistic: str                 # "birkhoff" or "maxima"
     seed: int
     sigma_used: float
     checkpoints: np.ndarray        # integer counts; synthetic diagnostics may
@@ -74,7 +73,6 @@ def _run(pmap, u, n, seed, checkpoints, sigma2, running_max: bool) -> AscltDiagn
     atoms = normalized_statistic_atoms(pmap, u, n, seed, running_max=running_max)
     checkpoints, kappas = kantorovich_ladder(atoms, law, checkpoints)
     return AscltDiagnostics(
-        statistic="maxima" if running_max else "birkhoff",
         seed=seed,
         sigma_used=sigma,
         checkpoints=checkpoints,

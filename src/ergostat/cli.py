@@ -117,19 +117,6 @@ def _setup(cfg: ExperimentConfig, reads_operator: bool = True):
     return pmap, op, u
 
 
-def _pressure_curve(cfg: ExperimentConfig, op, u):
-    beta_max = cfg.get("pressure", "beta_max")
-    grid = np.linspace(-beta_max, beta_max, cfg.get("pressure", "beta_points"))
-    return pressure_curve(op, u, grid)
-
-
-def _rate_at(cfg: ExperimentConfig, op, u, alpha: float) -> tuple[float, float]:
-    """(phi(alpha), beta(alpha)) at alpha itself, by the search on the
-    [pressure] spline."""
-    rate = legendre(_pressure_curve(cfg, op, u), [alpha])
-    return float(rate.phi_values[0]), float(rate.beta_of_alpha[0])
-
-
 # -- runners ------------------------------------------------------------------
 
 def _run_density(cfg, outdir, seeds):
@@ -146,7 +133,9 @@ def _run_density(cfg, outdir, seeds):
 
 def _run_pressure(cfg, outdir, seeds):
     _, op, u = _setup(cfg)
-    curve = _pressure_curve(cfg, op, u)
+    beta_max = cfg.get("pressure", "beta_max")
+    curve = pressure_curve(op, u, np.linspace(-beta_max, beta_max,
+                                              cfg.get("pressure", "beta_points")))
     columns = [curve.beta_grid, curve.F_values]
     for s in seeds:
         _write_csv(outdir / f"pressure-{s}.csv", ["beta", "pressure"], columns)
@@ -203,7 +192,7 @@ def _window_sums(units) -> dict:
 def _run_erdos_renyi(cfg, outdir, seeds):
     pmap, op, u = _setup(cfg)
     alpha = cfg.get("erdos_renyi", "alpha")
-    phi, beta = _rate_at(cfg, op, u, alpha)
+    phi, beta = legendre(op, u, alpha)
     k_grid = cfg.get("erdos_renyi", "k_grid")
     cap = cfg.get("erdos_renyi", "length_cap")
     units = []
@@ -243,7 +232,7 @@ def _run_rate_curve(cfg, outdir, seeds):
 def _run_ld_check(cfg, outdir, seeds):
     pmap, op, u = _setup(cfg)
     alpha = cfg.get("ld", "alpha")
-    phi, beta = _rate_at(cfg, op, u, alpha)
+    phi, beta = legendre(op, u, alpha)
     trials = cfg.get("ld", "trials")
     k_grid = cfg.get("ld", "k_grid")
     r_grid = cfg.get("ld", "r_grid")

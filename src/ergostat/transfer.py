@@ -17,9 +17,10 @@ depend on beta, nor does the sparse layout they sum into: the beta = 0
 operator keeps both, and a pressure curve only reweights the samples.
 Eigendata comes from power iteration on the sparse matrix.
 
-Derived objects: the pressure curve F with F(0)=0, its Legendre transform
-phi(alpha) with beta(alpha)=phi'(alpha), the curvature F''(beta) used as
-sigma(alpha)^2, and the Green-Kubo variance
+Derived objects: the pressure curve F with F(0)=0, the rate data
+phi(alpha) and beta(alpha) = phi'(alpha) at one alpha (the root of
+F'(beta) = alpha, F' from the left and right Perron vectors), and the
+Green-Kubo variance
 
     sigma^2 = C_0 + 2 sum_{j>=1} C_j ,   C_j = integral u (u o f^j) h dx .
 """
@@ -45,8 +46,9 @@ TAIL_RTOL = 1e-9
 # power iteration stops at this relative 1-norm residual, or gives up
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 100_000
-# a golden-section bracket stops shrinking at this width
-GOLDEN_TOL = 1e-10
+# the rate solve stops when its beta bracket is narrower than this
+# (times |beta| past 1)
+ROOT_TOL = 1e-12
 # midpoint samples per cell of a cell average
 CELL_QUAD_POINTS = 64
 
@@ -115,6 +117,12 @@ class CSRMatrix:
         terms = values * np.concatenate((x, (0.0,)))[cols]
         return np.add.reduce(terms, axis=0, initial=0.0)
 
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """The transpose's product: each entry times x at its row, summed
+        into its column."""
+        return np.bincount(self.indices, weights=self.data * np.repeat(x, np.diff(self.indptr)),
+                           minlength=self.shape[0])
+
 
 @dataclass(frozen=True)
 class UlamOperator:
@@ -126,19 +134,6 @@ class UlamOperator:
     samples: tuple                # beta-free (rows, cols, lens, points) of _ulam_samples
 
 
-def _require_convex(x: np.ndarray, y: np.ndarray, what: str) -> None:
-    """`ConvergenceError` unless y is convex on the grid x, even or not: each
-    slope difference times half the width of its two cells (np.diff(y, 2)
-    on an even grid, up to rounding) must stay above -1e-8.  A repeated
-    node is tested once."""
-    new = np.append(True, np.diff(x) != 0.0)
-    x, y = x[new], y[new]
-    d2 = np.diff(np.diff(y) / np.diff(x)) * (x[2:] - x[:-2]) / 2.0
-    if len(d2) and d2.min() < -1e-8:
-        raise ConvergenceError(f"{what} is not convex on its grid "
-                               f"(min second difference {d2.min():.3g})")
-
-
 @dataclass(frozen=True)
 class PressureCurve:
     """log of the leading eigenvalue along a beta grid, shifted so F(0)=0."""
@@ -147,103 +142,15 @@ class PressureCurve:
     F_values: np.ndarray
 
     def __post_init__(self):
-        _require_convex(self.beta_grid, self.F_values, "pressure curve")
-
-
-@dataclass(frozen=True)
-class RateFunction:
-    """Tabulated Legendre data: alpha, phi(alpha), beta=phi'(alpha), F''(beta)."""
-
-    alpha_grid: np.ndarray
-    phi_values: np.ndarray
-    beta_of_alpha: np.ndarray
-    sigma2_of_alpha: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.phi_values < -1e-12):
-            raise ConvergenceError("rate function went negative")
-        _require_convex(self.alpha_grid, self.phi_values, "rate function")
-        db = np.diff(self.beta_of_alpha)
-        if len(db) and db.min() < -1e-8:
-            raise ConvergenceError("beta(alpha) is not monotone")
-
-
-# ---------------------------------------------------------------------------
-# cubic spline
-# ---------------------------------------------------------------------------
-
-def _dgtsv(dl: list, d: list, du: list, b: list) -> list:
-    """Solution of the tridiagonal system with sub-, main and
-    super-diagonals dl, d, du and right-hand side b (all overwritten):
-    LAPACK dgtsv's Gaussian elimination with partial pivoting, operation
-    for operation on Python floats."""
-    n = len(d)
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            b[i + 1] = b[i + 1] - fact * b[i]
-            dl[i] = 0.0
-        else:                       # swap rows i and i + 1
-            fact = d[i] / dl[i]
-            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
-            if i < n - 2:           # dl[i] holds the second superdiagonal
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
-    b[-1] = b[-1] / d[-1]
-    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
-    return b
-
-
-@dataclass(frozen=True)
-class _PiecewiseCubic:
-    """c[0] s^3 + c[1] s^2 + c[2] s + c[3], s = t - x[i], on [x[i], x[i+1]);
-    the end pieces extrapolate.  Intervals and sums as in scipy's PPoly."""
-
-    x: np.ndarray
-    c: np.ndarray                 # shape (4, len(x) - 1)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        # clip(searchsorted(x, t, "right") - 1, 0, len(x) - 2), as PPoly picks
-        i = np.searchsorted(self.x[1:-1], t, "right")
-        s = t - self.x[i]
-        c0, c1, c2, c3 = self.c[:, i]
-        s2 = s * s
-        return (0.0 + c3) + c2 * s + c1 * s2 + c0 * (s2 * s)
-
-
-def _spline(x, y) -> _PiecewiseCubic:
-    """Not-a-knot cubic interpolant of y at the increasing x, bit for bit
-    scipy's `CubicSpline(x, y)` for len(x) == 2 and len(x) >= 4: its
-    tridiagonal slope system with not-a-knot end rows, solved by `_dgtsv`
-    as `solve_banded` does, and its Hermite coefficients.  Three points
-    give the parabola through them (scipy solves that case densely, which
-    agrees to rounding only)."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    n = len(x)
-    if n == 2:
-        m = np.array([slope[0], slope[0]])
-    elif n == 3:
-        curv = (slope[1] - slope[0]) / (x[2] - x[0])
-        m = slope[0] + curv * np.array([-dx[0], dx[0], dx[0] + 2.0 * dx[1]])
-    else:
-        rhs = np.empty(n)
-        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        d0, d1 = x[2] - x[0], x[-1] - x[-3]
-        # `**` on a float64 scalar is libm pow, as in scipy: not always x * x
-        rhs[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d0
-        rhs[-1] = (dx[-1]**2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-        diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
-        m = np.array(_dgtsv(np.append(dx[1:], d1).tolist(), diag.tolist(),
-                            np.append(d0, dx[:-1]).tolist(), rhs.tolist()))
-    t = (m[:-1] + m[1:] - 2 * slope) / dx
-    return _PiecewiseCubic(x, np.stack((t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1])))
+        # each slope difference times half the width of its two cells
+        # (np.diff(F, 2) on an even grid, up to rounding), so uneven grids
+        # are tested too; a repeated node is tested once
+        new = np.append(True, np.diff(self.beta_grid) != 0.0)
+        x, y = self.beta_grid[new], self.F_values[new]
+        d2 = np.diff(np.diff(y) / np.diff(x)) * (x[2:] - x[:-2]) / 2.0
+        if len(d2) and d2.min() < -1e-8:
+            raise ConvergenceError(f"pressure curve is not convex on its grid "
+                                   f"(min second difference {d2.min():.3g})")
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +184,20 @@ def _ulam_samples(pmap: PiecewiseMap, N: int):
     return tuple(np.concatenate(a) for a in (rows, cols, lengths, points))
 
 
-def _power_iteration(mat: CSRMatrix) -> tuple[float, np.ndarray]:
-    """Leading eigenpair of a nonnegative matrix; deterministic flat start,
-    1-norm normalization, residual stopping test.  One matvec per step:
-    the residual's product is the next step's."""
+def _power_iteration(mat: CSRMatrix, transpose: bool = False) -> tuple[float, np.ndarray]:
+    """Leading eigenpair of a nonnegative matrix (of its transpose: the
+    left vector); deterministic flat start, 1-norm normalization, residual
+    stopping test.  One matvec per step: the residual's product is the
+    next step's."""
     n = mat.shape[0]
-    w = mat @ np.full(n, 1.0 / n)
+    step = mat.rmatvec if transpose else mat.__matmul__
+    w = step(np.full(n, 1.0 / n))
     for _ in range(POWER_MAX_ITER):
         lam = float(np.abs(w).sum())       # np.sum's pairwise sum, without its wrapper
         if not 0.0 < lam < math.inf:       # NaN too
             raise ConvergenceError(f"power iteration hit a vector of 1-norm {lam!r}")
         v = w / lam
-        w = mat @ v
+        w = step(v)
         residual = float(np.abs(w - lam * v).sum()) / lam
         if residual <= POWER_TOL:
             return lam, v
@@ -361,32 +270,39 @@ def center_observable(op: UlamOperator, u: Observable) -> Observable:
 # pressure and rate function
 # ---------------------------------------------------------------------------
 
+def _tilt(op: UlamOperator, u_points: np.ndarray, beta: float):
+    """(operator, matrix input values) of op's samples reweighted by
+    e^{beta u}, u taken at the sample points, into op's matrix layout;
+    None when a weight overflows.  An overflowing iterate raises
+    `ConvergenceError` from the power iteration."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.exp(beta * u_points)
+        if not np.all(np.isfinite(weights)):
+            return None
+        values = _cell_values(op.samples, weights, len(op.right_vector))
+        return _operator(op.matrix.reweighted(values), op.samples), values
+
+
 def pressure_curve(op: UlamOperator, u: Observable, beta_grid) -> PressureCurve:
     """F(beta) = log lambda(beta), shifted so F(0) = 0 exactly.
 
-    Each beta reweights the samples of the beta = 0 operator by e^{beta u},
-    u taken at the sample points once, into the matrix layout of that
-    operator.  A beta fails when a weight overflows or power iteration
-    fails; the curve is then truncated, with a warning, to the |beta|
-    below the smallest failing one, and a curve left with fewer than two
-    points raises `ConvergenceError`.
+    Each beta is the `_tilt` of the beta = 0 operator, u taken at the
+    sample points once.  A beta fails when a weight overflows or power
+    iteration fails; the curve is then truncated, with a warning, to the
+    |beta| below the smallest failing one, and a curve left with fewer
+    than two points raises `ConvergenceError`.
     """
     beta_grid = np.asarray(beta_grid, dtype=float)
-    samples, N = op.samples, len(op.right_vector)
-    u_points = u(samples[3])
+    u_points = u(op.samples[3])
     logs = np.full(len(beta_grid), np.nan)
     for i, b in enumerate(beta_grid):
         if b == 0.0:
             logs[i] = np.log(op.leading_eigenvalue)
             continue
         try:
-            # an overflowing weight or iterate fails this beta
-            with np.errstate(over="ignore", invalid="ignore"):
-                weights = np.exp(b * u_points)
-                if not np.all(np.isfinite(weights)):
-                    continue
-                mat = op.matrix.reweighted(_cell_values(samples, weights, N))
-                logs[i] = np.log(_operator(mat, samples).leading_eigenvalue)
+            tilted = _tilt(op, u_points, b)
+            if tilted is not None:
+                logs[i] = np.log(tilted[0].leading_eigenvalue)
         except ConvergenceError:
             pass
     ok = np.isfinite(logs)
@@ -404,54 +320,64 @@ def pressure_curve(op: UlamOperator, u: Observable, beta_grid) -> PressureCurve:
     return PressureCurve(beta_grid=beta_grid, F_values=F)
 
 
-def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximizer of a unimodal scalar fn on [lo, hi]: the
-    bracket shrinks until it is narrower than GOLDEN_TOL.  Returns (argmax,
-    max)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > GOLDEN_TOL:
-        if fc >= fd:                                  # keep [a, d]
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:                                         # keep [c, b]
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
+def legendre(op: UlamOperator, u: Observable, alpha: float) -> tuple[float, float]:
+    """(phi(alpha), beta(alpha)): beta solves F'(beta) = alpha, and
+    phi = alpha beta - F(beta).
 
-
-def legendre(curve: PressureCurve, alpha_grid) -> RateFunction:
-    """phi(alpha) = sup_beta (alpha beta - F(beta)) on the curve's range.
-
-    The sup is taken over a cubic interpolant of F refined by golden
-    section, one search per alpha; beta(alpha) is the argmax.  alpha
-    values outside the range of F' (estimated by grid secants) are rejected
-    rather than extrapolated.
+    For the simple leading eigenvalue lambda of the tilted matrix M,
+    F' = l.M'r / (lambda l.r) = l.M'r / l.Mr with r and l its right and
+    left Perron vectors and M' the same samples weighted by u e^{beta u}
+    (first-order perturbation of a simple eigenvalue).  So F' is a
+    positively weighted mean of u over the samples: an alpha outside
+    their open range (NaN too) is refused with `DomainError`.  The
+    bracket grows from beta = 0 in doubling steps on the side
+    F'(0) - alpha points to; an alpha that it does not reach before a
+    weight overflows or an eigen-solve fails is refused with
+    `DomainError` too.  Illinois regula falsi then shrinks the bracket
+    below `ROOT_TOL`.
     """
-    alpha_grid = np.asarray(alpha_grid, dtype=float)
-    step = 1e-3                   # central second difference of F for sigma^2
-    bg, F = curve.beta_grid, curve.F_values
-    secants = np.diff(F) / np.diff(bg)
-    lo_slope, hi_slope = float(secants.min()), float(secants.max())
-    if not np.all((lo_slope <= alpha_grid) & (alpha_grid <= hi_slope)):   # NaN too
-        raise DomainError(
-            f"alpha outside the range of F' on the grid "
-            f"([{lo_slope:.6g}, {hi_slope:.6g}]); rate function undefined there")
-    s = _spline(bg, F)
-    found = [_golden_max(lambda t: a * t - s(t), float(bg[0]), float(bg[-1]))
-             for a in alpha_grid.tolist()]
-    beta_star, val = np.array(found, dtype=float).reshape(-1, 2).T
-    # max(val, 0.0) elementwise: keeps val = -0.0, as np.maximum would not
-    phi = np.where(0.0 > val, 0.0, val)
-    sig2 = (s(beta_star + step) - 2.0 * s(beta_star) + s(beta_star - step)) / step**2
-    return RateFunction(alpha_grid=alpha_grid, phi_values=phi,
-                        beta_of_alpha=beta_star, sigma2_of_alpha=sig2)
+    rows, cols = op.samples[:2]
+    u_points = u(op.samples[3])
+    lo, hi = float(u_points.min()), float(u_points.max())
+    if not lo < alpha < hi:                           # NaN too
+        raise DomainError(f"alpha = {alpha!r} lies outside the range of F' "
+                          f"({lo:.6g}, {hi:.6g}); rate function undefined there")
+
+    def excess(beta: float) -> tuple[float, float]:
+        """(F'(beta) - alpha, F(beta))."""
+        tilted = _tilt(op, u_points, beta)
+        if tilted is None:
+            raise ConvergenceError("a weight e^(beta u) overflows")
+        t, values = tilted
+        _, left = _power_iteration(t.matrix, transpose=True)
+        if left.min() <= 0:
+            raise ConvergenceError("left Perron vector has nonpositive entries")
+        lvr = left[rows] * values * t.right_vector[cols]     # l.Mr = lambda l.r summed by sample
+        slope = float(np.sum(lvr * u_points)) / float(np.sum(lvr))
+        return slope - alpha, math.log(t.leading_eigenvalue / op.leading_eigenvalue)
+
+    x1, (g1, F1) = 0.0, excess(0.0)
+    x0, g0, step = x1, g1, math.copysign(1.0, -g1)
+    while g1 != 0.0 and (g1 > 0.0) == (g0 > 0.0):     # grow the bracket [x0, x1]
+        x0, g0 = x1, g1
+        x1, step = x1 + step, 2.0 * step
+        try:
+            g1, F1 = excess(x1)
+        except ConvergenceError as exc:
+            raise DomainError(f"alpha = {alpha!r} lies outside the range of F' that the "
+                              f"solve reaches: F'({x0:.6g}) = {g0 + alpha:.6g}, and at "
+                              f"beta = {x1:.6g} {exc}") from None
+    while g1 != 0.0 and abs(x1 - x0) > ROOT_TOL * max(1.0, abs(x1)):
+        x = x1 - g1 * (x1 - x0) / (g1 - g0)
+        if not min(x0, x1) < x < max(x0, x1):
+            x = 0.5 * (x0 + x1)
+        gx, F1 = excess(x)
+        if (gx > 0.0) == (g1 > 0.0):
+            g0 *= 0.5                                # x0 kept again: Illinois halving
+        else:
+            x0, g0 = x1, g1
+        x1, g1 = x, gx
+    return alpha * x1 - F1, x1
 
 
 # ---------------------------------------------------------------------------

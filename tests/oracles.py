@@ -21,11 +21,10 @@ small readers of program objects that only the tests use.
 from the exact binomial law.  `integer_symbol_blocks` (one
 `Generator.integers` call per 65536-symbol block) defines the seeded
 symbol stream that `ergostat.maps._SymbolSource` must reproduce.
-`reconstruct_points` (one gather per level over the whole stream) and
-`legendre_per_alpha` (one scalar golden-section search per alpha,
-`golden_max`, over scipy's `CubicSpline`) are the
-level-by-level and per-alpha forms that `ergostat.maps.points_from_symbols`
-and `ergostat.transfer.legendre` must reproduce bit for bit, and
+`reconstruct_points` (one gather per level over the whole stream) is the
+level-by-level form that `ergostat.maps.points_from_symbols` must
+reproduce bit for bit, `coin_rate` is the closed-form rate data phi(alpha)
+and beta(alpha) of the coin on the doubling map, and
 `power_iteration_reference` (two matvecs per step) is the loop that
 `ergostat.transfer._power_iteration` must reproduce bit for bit.
 `linear_cut_samples` is the affine-preimage Ulam assembly that
@@ -54,7 +53,6 @@ from typing import Iterator
 
 import numpy as np
 from scipy import sparse
-from scipy.interpolate import CubicSpline
 from scipy.stats import binom
 
 from ergostat.asclt import AscltDiagnostics
@@ -62,8 +60,7 @@ from ergostat.entropy import RETURN_TIME_CAP
 from ergostat.errors import BudgetExceededError, ConvergenceError, DomainError
 from ergostat.maps import Observable, Orbit, PiecewiseMap, _symbol_tail_depth
 from ergostat.measures import HalfGaussianLaw, Law, WeightedEmpiricalMeasure
-from ergostat.transfer import (POWER_MAX_ITER, POWER_TOL, CSRMatrix, PressureCurve,
-                               RateFunction)
+from ergostat.transfer import POWER_MAX_ITER, POWER_TOL, CSRMatrix
 
 _BREAKPOINT_TOL = 1e-14
 
@@ -505,57 +502,12 @@ def reconstruct_points(pmap: PiecewiseMap, symbols: np.ndarray, n: int) -> np.nd
     return x
 
 
-def golden_max(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section maximizer of a unimodal scalar fn on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
-def rate_at(rf: RateFunction, alpha: float) -> tuple[float, float]:
-    """(phi(alpha), beta(alpha)) read off a tabulated rate function by
-    linear interpolation, or `DomainError` when alpha lies outside its grid,
-    where interpolation would clamp it to an end value."""
-    lo, hi = float(rf.alpha_grid[0]), float(rf.alpha_grid[-1])
-    if not lo <= alpha <= hi:          # NaN too
-        raise DomainError(
-            f"alpha = {alpha!r} lies outside the tabulated rate function's grid "
-            f"[{lo!r}, {hi!r}]; tabulate it with legendre(curve, [alpha])")
-    return (float(np.interp(alpha, rf.alpha_grid, rf.phi_values)),
-            float(np.interp(alpha, rf.alpha_grid, rf.beta_of_alpha)))
-
-
-def legendre_per_alpha(curve: PressureCurve, alpha_grid) -> RateFunction:
-    """Legendre data of a pressure curve by one scalar search per alpha
-    (no range check)."""
-    alpha_grid = np.asarray(alpha_grid, dtype=float)
-    step = 1e-3
-    bg, F = curve.beta_grid, curve.F_values
-    s = CubicSpline(bg, F)
-    phi = np.empty(len(alpha_grid))
-    beta_star = np.empty(len(alpha_grid))
-    sig2 = np.empty(len(alpha_grid))
-    for i, a in enumerate(alpha_grid):
-        b, val = golden_max(lambda t: a * t - float(s(t)), bg[0], bg[-1])
-        phi[i] = max(val, 0.0)
-        beta_star[i] = b
-        sig2[i] = (float(s(b + step)) - 2.0 * float(s(b))
-                   + float(s(b - step))) / step**2
-    return RateFunction(alpha_grid=alpha_grid, phi_values=phi,
-                        beta_of_alpha=beta_star, sigma2_of_alpha=sig2)
+def coin_rate(alpha: float) -> tuple[float, float]:
+    """(phi(alpha), beta(alpha)) of the +/-1/2 coin on the doubling map in
+    closed form: the Cramer rate function of a fair +/-1/2 step and its
+    derivative log((1 + 2 alpha) / (1 - 2 alpha))."""
+    phi = (0.5 + alpha) * math.log1p(2 * alpha) + (0.5 - alpha) * math.log1p(-2 * alpha)
+    return phi, math.log1p(2 * alpha) - math.log1p(-2 * alpha)
 
 
 def scipy_csr(values, rows, cols, n: int) -> sparse.csr_matrix:

@@ -73,11 +73,10 @@ from ergostat.erdos_renyi import (
 from ergostat.transfer import (
     green_kubo_sigma2,
     invariant_density,
-    legendre,
     pressure_curve,
     ulam_matrix,
 )
-from oracles import binomial_band, kantorovich_bruteforce, rate_at
+from oracles import binomial_band, coin_rate, kantorovich_bruteforce
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -93,12 +92,6 @@ def cramer(a: float) -> float:
 @pytest.fixture(scope="module")
 def doubling():
     return make_map("doubling")
-
-
-@pytest.fixture(scope="module")
-def coin_rate(doubling):
-    curve = pressure_curve(ulam_matrix(doubling, N=512), coin(), np.linspace(-3, 3, 121))
-    return legendre(curve, np.linspace(-0.45, 0.45, 181))
 
 
 # -- exact fair-bit references ---------------------------------------------------
@@ -334,8 +327,8 @@ def test_criterion_06b_maxima_absolute_level(doubling, maxima_reference):
 # -- 7 ------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def er_series(doubling, coin_rate):
-    series = [er_law_check(doubling, coin(), 0.2, *rate_at(coin_rate, 0.2), [50, 100, 200], seed)
+def er_series(doubling):
+    series = [er_law_check(doubling, coin(), 0.2, *coin_rate(0.2), [50, 100, 200], seed)
               for seed in range(1, 21)]
     return series
 
@@ -452,11 +445,11 @@ def test_criterion_08_rate_estimator(doubling):
 
 # -- 9 ------------------------------------------------------------------------
 
-def test_criterion_09a_estime_normalized_ratios(doubling, coin_rate):
+def test_criterion_09a_estime_normalized_ratios(doubling):
     # 1e6 direct trials resolve the tail only while k*phi(0.2) <= 12 (k = 50,
     # 100); beyond it the estimator refuses, and the sandwich ratio takes the
-    # exact binomial tail with the program's phi and beta
-    phi, beta = rate_at(coin_rate, 0.2)
+    # exact binomial tail with the closed-form phi and beta
+    phi, beta = coin_rate(0.2)
     ratios, counts, refused = {}, {}, []
     for k in (50, 100, 200, 400):
         exact = float(binom.sf(7 * k // 10, k, 0.5))    # P(S_k > 0.2 k)
@@ -487,9 +480,9 @@ def test_criterion_09a_estime_normalized_ratios(doubling, coin_rate):
         f"{counts}. See README 'Known-red acceptance checks'")
 
 
-def test_criterion_09b_estime_binomial_oracle(doubling, coin_rate):
+def test_criterion_09b_estime_binomial_oracle(doubling):
     est = ld_probability_mc(doubling, coin(), 0.2, 100, 1_000_000, 11,
-                            *rate_at(coin_rate, 0.2))
+                            *coin_rate(0.2))
     exact = float(binom.sf(70, 100, 0.5))
     lo, hi, false_alarm = binomial_band(est.trials, exact)
     ok = lo <= est.successes <= hi

@@ -87,7 +87,6 @@ def test_running_maxima_nondecreasing_and_positive_case(doubling):
 
 def test_maxima_run_single_step(doubling):
     diag = maxima_run(doubling, coin(), 4, seed=8, checkpoints=[4], sigma2=0.25)
-    assert diag.statistic == "maxima"
     assert diag.kappa_values[0] >= 0
 
 
@@ -128,7 +127,7 @@ def test_rate_diagnostic_synthetic():
     # without bound, but so slowly that the spread must be astronomical
     cps = np.array([1e3, 1e10, 1e30, 1e300])
     norm = np.cbrt(np.log(cps)) / np.sqrt(np.log(np.log(cps)))
-    diag = AscltDiagnostics(statistic="birkhoff", seed=0, sigma_used=1.0,
+    diag = AscltDiagnostics(seed=0, sigma_used=1.0,
                             checkpoints=cps,
                             kappa_values=np.full(4, 0.2),
                             normalized_rates=0.2 * norm)
@@ -137,7 +136,7 @@ def test_rate_diagnostic_synthetic():
 
     # kappa tracking the theoretical rate: normalized sequence is constant
     kappa = 1.0 / norm
-    diag2 = AscltDiagnostics(statistic="birkhoff", seed=0, sigma_used=1.0,
+    diag2 = AscltDiagnostics(seed=0, sigma_used=1.0,
                              checkpoints=cps,
                              kappa_values=kappa,
                              normalized_rates=kappa * norm)
@@ -156,7 +155,7 @@ def test_checkpoint_validation(doubling):
     with pytest.raises(ValueError):
         asclt_run(doubling, sawtooth(), 100, seed=1, checkpoints=[50, 200], sigma2=0.25)
     with pytest.raises(ValueError):
-        AscltDiagnostics(statistic="birkhoff", seed=0, sigma_used=1.0,
+        AscltDiagnostics(seed=0, sigma_used=1.0,
                          checkpoints=np.array([2, 10]),
                          kappa_values=np.array([0.1, 0.1]),
                          normalized_rates=np.array([0.1, 0.1]))

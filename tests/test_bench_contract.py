@@ -7,7 +7,8 @@ arguments by name: `ulam_matrix(pmap, u, beta, N, quad_points)`, `n` of
 signature change in the program could break a traced benchmark pass while
 every test here stays green.  The first test runs the ten subcommands once
 under the tracer, on perturbed doubling with the sawtooth observable at the
-sizes of test_golden.py; the second checks the point and Kantorovich counts
+sizes of test_golden.py, and checks that the `transfer.legendre` span,
+which the tracer also wraps by name, times the rate solve; the second checks the point and Kantorovich counts
 of one symbolic (doubling) asclt run.  The last one parses every
 benchmark config and builds its map and observable.
 """
@@ -48,6 +49,8 @@ def test_tracer_hooks_bind_program_signatures(tmp_path):
     assert counts["erdos_renyi.er_law_check.windows"] > 0
     assert counts["maps.symbol_chunks.symbols"] > 0
     assert counts["maps.orbit_value_chunks.values"] > 0
+    # the rate solve that erdos-renyi and ld-check call stays inside its span
+    assert tracer.self_s["transfer.legendre"] > 0
 
 
 def test_traced_doubling_asclt_counts_points_and_ladder_calls(tmp_path):

@@ -23,6 +23,7 @@ from ergostat.erdos_renyi import LENGTH_CAP, er_law_check
 from ergostat.errors import ConfigError
 from ergostat.maps import make_map, make_observable
 from ergostat.cli import SUBCOMMANDS, _write_csv, main, run
+from oracles import coin_rate
 from test_golden import MAPS, config_text
 
 MINIMAL = """
@@ -224,16 +225,15 @@ def test_custom_map_short_of_intercepts_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("sub,alpha,says", [
-    ("ld-check", 0.46, "outside the range of F'"),
-    ("erdos-renyi", 0.46, "outside the range of F'"),
+    ("ld-check", 0.5, "outside the range of F'"),
+    ("erdos-renyi", 0.6, "outside the range of F'"),
     ("erdos-renyi", math.nan, "outside the range of F'"),
     ("erdos-renyi", -0.2, "not positive"),
     ("ld-check", -0.1, "not positive"),
 ])
 def test_alpha_without_a_rate_law_exits_3(tmp_path, capsys, sub, alpha, says):
-    # 0.46 lies past the secant range of F' = tanh(beta/2)/2 on the default
-    # [pressure] grid (0.4517 at beta_max = 3), where phi has no supremum
-    # to find; before, erdos-renyi at -0.2 wrote a band
+    # F' of the coin is a weighted mean of +-1/2, so alpha = 0.5 and past
+    # have no rate law; before, erdos-renyi at -0.2 wrote a band
     # with band_lo 0.590 > band_hi -0.590, and ld-check at -0.1, below the
     # mean, wrote a prefactor ratio of 7.08; all exited 0
     section = sub.replace("-", "_").replace("check", "").rstrip("_")
@@ -246,41 +246,31 @@ def test_alpha_without_a_rate_law_exits_3(tmp_path, capsys, sub, alpha, says):
     assert len(err) == 1 and err[0].startswith("numeric failure: ") and says in err[0]
 
 
-# Hall & Meyer (J. Approx. Theory 16, 1976) bound the cubic spline s of F on
-# a grid of spacing h: |F - s| <= 5 h^4 |F^(4)| / 384 and |F' - s'| <=
-# h^3 |F^(4)| / 24.  Doubling/coin has the exact Ulam pressure F(beta) =
-# log cosh(beta/2), with |F^(4)| <= 1/8, on the default [pressure] grid
-# (h = 0.05).  phi = sup(alpha beta - s) is then off by at most |F - s|, and
-# beta(alpha), where s' = alpha = F'(beta), by |F' - s'| / F''(beta(alpha)),
-# with F'' = 1/4 - alpha^2.  The bounds are stated for the clamped spline;
-# the program's is not-a-knot, which differs only near the grid ends, and
-# beta(0.153) = 0.63 and beta(0.4) = 2.20 lie 47 and 16 nodes inside.  The
-# eigen-solve (residual 1e-12) and the golden-section bracket (1e-10) add
-# less than the GOLDEN_TOL margin each bound carries.
-SPLINE_H, F4_MAX = 0.05, 1.0 / 8.0
-
-
 @pytest.mark.parametrize("sub,alpha,extra", [
     ("erdos-renyi", 0.153, "k_grid = 20"),
     ("ld-check", 0.4, "k_grid = 20\ntrials = 10000"),
+    ("ld-check", 0.46, "k_grid = 20\ntrials = 10000"),
+    ("erdos-renyi", 0.49, "k_grid = 20"),
 ])
 def test_phi_and_beta_are_taken_at_alpha_itself(tmp_path, sub, alpha, extra):
     # before, phi and beta were read off a 121-point alpha grid on +-0.3 by
     # linear interpolation: erdos-renyi at 0.153 was 1.3e-5 off in phi, and
-    # ld-check at 0.4, past the grid, exited 3
+    # ld-check at 0.4, past the grid, exited 3; later a spline of the
+    # [pressure] grid refused 0.46 and 0.49, past its secant slopes.
+    # Doubling/coin has the exact Ulam pressure log cosh(beta/2), so the
+    # rate solve meets the closed forms to rounding; beta is ill-conditioned
+    # near 1/2, and its error is read as the alpha-residual F'' |d beta|,
+    # with F''(beta(alpha)) = 1/4 - alpha^2
     out = tmp_path / "o"
     section = sub.replace("-", "_").replace("check", "").rstrip("_")
     text = cfg_text(out).replace("name = sawtooth", "name = coin").replace(
         "[ulam]", f"[{section}]\nalpha = {alpha}\n{extra}\n\n[ulam]")
     assert run(sub, parse_config(text)) == 0
     manifest = json.loads((out / f"{sub}-manifest.json").read_text())
-    phi = (0.5 + alpha) * math.log1p(2 * alpha) + (0.5 - alpha) * math.log1p(-2 * alpha)
-    beta = math.log((1 + 2 * alpha) / (1 - 2 * alpha))
-    phi_bound = 5 * SPLINE_H**4 * F4_MAX / 384 + transfer.GOLDEN_TOL
-    beta_bound = SPLINE_H**3 * F4_MAX / 24 / (0.25 - alpha**2) + transfer.GOLDEN_TOL
+    phi, beta = coin_rate(alpha)
     assert manifest["alpha"] == alpha
-    assert abs(manifest["phi"] - phi) <= phi_bound
-    assert abs(manifest["beta"] - beta) <= beta_bound
+    assert abs(manifest["phi"] - phi) <= 1e-12
+    assert abs(manifest["beta"] - beta) * (0.25 - alpha**2) <= 1e-12
 
 
 def test_pressure_grid_past_overflow_exits_3_at_once(tmp_path, capsys):
@@ -702,8 +692,8 @@ def _fresh_interpreter(code: str) -> str:
 
 def test_cold_start_skips_unused_scipy_packages():
     # each CLI process pays for what `import ergostat.cli` loads; the normal
-    # CDF, the sparse Ulam matrix and the Legendre spline live in ergostat,
-    # so no scipy module is loaded at all
+    # CDF and the sparse Ulam matrix live in ergostat, so no scipy module is
+    # loaded at all
     code = ("import sys, ergostat.cli\n"
             "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     assert _fresh_interpreter(code).strip() == ""

@@ -14,7 +14,6 @@ from ergostat.maps import (
     Observable, make_map, make_observable, coin, orbit, orbit_value_chunks, sawtooth,
     symbol_chunks,
 )
-from ergostat.transfer import legendre, pressure_curve, ulam_matrix
 from ergostat.erdos_renyi import (
     _moving_max_chunked,
     _trial_sums,
@@ -24,7 +23,7 @@ from ergostat.erdos_renyi import (
     rate_estimator,
     wilson_interval,
 )
-from oracles import binomial_band, moving_max, rate_at
+from oracles import binomial_band, coin_rate, moving_max
 
 
 def cramer(a):
@@ -34,12 +33,6 @@ def cramer(a):
 @pytest.fixture(scope="module")
 def doubling():
     return make_map("doubling")
-
-
-@pytest.fixture(scope="module")
-def coin_rate(doubling):
-    curve = pressure_curve(ulam_matrix(doubling, N=512), coin(), np.linspace(-3, 3, 121))
-    return legendre(curve, np.linspace(-0.45, 0.45, 181))
 
 
 # -- moving_max ---------------------------------------------------------------
@@ -251,7 +244,7 @@ def test_float_sums_on_float_iterated_maps():
                               exact=True)[0] is None
 
 
-def test_coin_window_and_trial_sums_run_on_integers(monkeypatch, doubling, coin_rate):
+def test_coin_window_and_trial_sums_run_on_integers(monkeypatch, doubling):
     # the fast path of the fair-coin instance: the scan and the trial sums
     # read the symbol bytes themselves; a change that hands them float
     # chunks or gathered weights fails here
@@ -272,12 +265,12 @@ def test_coin_window_and_trial_sums_run_on_integers(monkeypatch, doubling, coin_
 
     monkeypatch.setattr(erdos_renyi, "trial_value_blocks", watched_blocks)
     calls = {
-        "er": lambda: er_law_check(doubling, coin(), 0.2, *rate_at(coin_rate, 0.2),
+        "er": lambda: er_law_check(doubling, coin(), 0.2, *coin_rate(0.2),
                                    [20, 60], seed=1),
         "ld": lambda: ld_probability_mc(doubling, coin(), 0.1, 50, 10_000, 1,
-                                        *rate_at(coin_rate, 0.1)),
+                                        *coin_rate(0.1)),
         "decoupling": lambda: decoupling_check(doubling, coin(), 0.1, 20, [0, 5], 10_000,
-                                               1, *rate_at(coin_rate, 0.1)),
+                                               1, *coin_rate(0.1)),
     }
     got = {}
     for name, call in calls.items():
@@ -322,18 +315,18 @@ def test_er_narrow_bump_not_read_as_branch_constant(doubling):
     assert ser.M_values[0] == expected > 0.0
 
 
-def test_er_law_of_averages(doubling, coin_rate):
-    ser = er_law_check(doubling, coin(), 0.2, *rate_at(coin_rate, 0.2), [100], seed=3)
+def test_er_law_of_averages(doubling):
+    ser = er_law_check(doubling, coin(), 0.2, *coin_rate(0.2), [100], seed=3)
     assert 0.15 <= ser.averages[0] <= 0.25
 
 
-def test_er_band_shrinks_and_upper_bound_respected(doubling, coin_rate):
+def test_er_band_shrinks_and_upper_bound_respected(doubling):
     # |M_k/k - alpha| shrinks with k; the upper fluctuation edge
     # alpha + (1+eps) log k/(2 beta k) is essentially never crossed
     devs = {50: [], 100: [], 200: []}
     flucts = {50: [], 100: [], 200: []}
     for seed in range(1, 11):
-        ser = er_law_check(doubling, coin(), 0.2, *rate_at(coin_rate, 0.2), [50, 100, 200],
+        ser = er_law_check(doubling, coin(), 0.2, *coin_rate(0.2), [50, 100, 200],
                            seed=seed)
         for i, k in enumerate((50, 100, 200)):
             devs[k].append(abs(ser.averages[i] - 0.2))
@@ -345,11 +338,11 @@ def test_er_band_shrinks_and_upper_bound_respected(doubling, coin_rate):
         assert all(f <= 1.5 * band for f in flucts[k])
 
 
-def test_er_window_count_monotonicity(doubling, coin_rate):
+def test_er_window_count_monotonicity(doubling):
     # truncating the stream (fewer windows) can only lower the maximum
     u = coin()
     k = 60
-    phi, _ = rate_at(coin_rate, 0.2)
+    phi, _ = coin_rate(0.2)
     full_len = int(math.exp(k * phi))
     vals = np.concatenate(list(orbit_value_chunks(doubling, u, seed=9, total=full_len)))
     prefix = np.concatenate([[0.0], np.cumsum(vals)])
@@ -359,28 +352,28 @@ def test_er_window_count_monotonicity(doubling, coin_rate):
     assert m_half <= m_full
 
 
-def test_er_rejects_alpha_zero(doubling, coin_rate):
+def test_er_rejects_alpha_zero(doubling):
     with pytest.raises(DomainError):
-        er_law_check(doubling, coin(), 0.0, *rate_at(coin_rate, 0.0), [50], seed=1)
+        er_law_check(doubling, coin(), 0.0, *coin_rate(0.0), [50], seed=1)
 
 
 @pytest.mark.parametrize("alpha,says", [(-0.2, "not positive"), (math.nan, "outside")])
-def test_er_rejects_alpha_below_the_mean_or_off_the_grid(doubling, coin_rate, alpha, says):
+def test_er_rejects_alpha_below_the_mean_or_off_the_grid(doubling, alpha, says):
     # below the mean beta(alpha) < 0, and the band +/- 1/(2 beta) came out
     # upside down (band_lo 0.590 > band_hi -0.590 at alpha = -0.2); a NaN
     # alpha is refused even with the rate data of a valid one
-    phi, beta = rate_at(coin_rate, alpha if math.isfinite(alpha) else 0.2)
+    phi, beta = coin_rate(alpha if math.isfinite(alpha) else 0.2)
     with pytest.raises(DomainError, match=says):
         er_law_check(doubling, coin(), alpha, phi, beta, [50], seed=1)
 
 
-def test_er_budget_cap(doubling, coin_rate):
+def test_er_budget_cap(doubling):
     with pytest.raises(BudgetExceededError):
-        er_law_check(doubling, coin(), 0.4, *rate_at(coin_rate, 0.4), [500], seed=1,
+        er_law_check(doubling, coin(), 0.4, *coin_rate(0.4), [500], seed=1,
                      length_cap=10**6)
 
 
-def test_er_grid_streams_one_orbit_and_keeps_each_k(monkeypatch, doubling, coin_rate):
+def test_er_grid_streams_one_orbit_and_keeps_each_k(monkeypatch, doubling):
     # one stream of the longest length serves the grid; each k reads the
     # same values as a grid of that k alone
     calls = []
@@ -393,38 +386,38 @@ def test_er_grid_streams_one_orbit_and_keeps_each_k(monkeypatch, doubling, coin_
     monkeypatch.setattr(erdos_renyi, "_orbit_values", counted)
     for u in (coin(), sawtooth()):
         calls.clear()
-        ser = er_law_check(doubling, u, 0.2, *rate_at(coin_rate, 0.2), [60, 20, 100, 20],
+        ser = er_law_check(doubling, u, 0.2, *coin_rate(0.2), [60, 20, 100, 20],
                            seed=4)
         assert calls == [max(ser.window_counts + ser.k_values - 1)]
         for i, k in enumerate(ser.k_values):
-            one = er_law_check(doubling, u, 0.2, *rate_at(coin_rate, 0.2), [k], seed=4)
+            one = er_law_check(doubling, u, 0.2, *coin_rate(0.2), [k], seed=4)
             assert bits(one.M_values) == bits(ser.M_values[i:i + 1])
             assert one.window_counts[0] == ser.window_counts[i]
             assert one.window_unit == ser.window_unit
 
 
-def test_er_refuses_an_over_cap_grid_before_it_draws(monkeypatch, doubling, coin_rate):
+def test_er_refuses_an_over_cap_grid_before_it_draws(monkeypatch, doubling):
     # k = 50 is within the cap and k = 4000 far past it: nothing is streamed
     calls = []
     monkeypatch.setattr(erdos_renyi, "_orbit_values", lambda *a, **kw: calls.append(a))
     with pytest.raises(BudgetExceededError, match="k=4000"):
-        er_law_check(doubling, coin(), 0.2, *rate_at(coin_rate, 0.2), [50, 4000], seed=1,
+        er_law_check(doubling, coin(), 0.2, *coin_rate(0.2), [50, 4000], seed=1,
                      length_cap=1_000_000)
     # a k phi past the float range is refused as well (it raised OverflowError)
     with pytest.raises(BudgetExceededError, match="k=10000"):
-        er_law_check(doubling, coin(), 0.2, *rate_at(coin_rate, 0.2), [50, 10_000], seed=1)
+        er_law_check(doubling, coin(), 0.2, *coin_rate(0.2), [50, 10_000], seed=1)
     # an empty grid draws nothing either, and has no integer sums to name
-    ser = er_law_check(doubling, coin(), 0.2, *rate_at(coin_rate, 0.2), [], seed=1)
+    ser = er_law_check(doubling, coin(), 0.2, *coin_rate(0.2), [], seed=1)
     assert calls == [] and len(ser.M_values) == 0 and ser.window_unit is None
 
 
 @pytest.mark.parametrize("k_grid", [[1, 20], [20, 0], [-3]])
-def test_er_refuses_windows_below_2_before_it_draws(monkeypatch, doubling, coin_rate, k_grid):
+def test_er_refuses_windows_below_2_before_it_draws(monkeypatch, doubling, k_grid):
     # the fluctuation (M_k - k alpha)/log k divides by log 1 = 0: k = 1 wrote inf
     calls = []
     monkeypatch.setattr(erdos_renyi, "_orbit_values", lambda *a, **kw: calls.append(a))
     with pytest.raises(DomainError, match="at least 2"):
-        er_law_check(doubling, coin(), 0.2, *rate_at(coin_rate, 0.2), k_grid, seed=1)
+        er_law_check(doubling, coin(), 0.2, *coin_rate(0.2), k_grid, seed=1)
     assert calls == []
 
 
@@ -469,8 +462,8 @@ def test_rate_estimator_length_guard():
 
 # -- direct Monte Carlo -------------------------------------------------------
 
-def test_ld_probability_binomial_oracle(doubling, coin_rate):
-    est = ld_probability_mc(doubling, coin(), 0.2, 100, 200_000, 11, *rate_at(coin_rate, 0.2))
+def test_ld_probability_binomial_oracle(doubling):
+    est = ld_probability_mc(doubling, coin(), 0.2, 100, 200_000, 11, *coin_rate(0.2))
     exact = float(binom.sf(70, 100, 0.5))
     lo, hi, false_alarm = binomial_band(est.trials, exact)
     assert lo <= est.successes <= hi, (
@@ -478,9 +471,9 @@ def test_ld_probability_binomial_oracle(doubling, coin_rate):
         f"exact binomial count (false alarm {false_alarm:.2%})")
 
 
-def test_ld_probability_alpha_zero_is_half(doubling, coin_rate):
+def test_ld_probability_alpha_zero_is_half(doubling):
     est = ld_probability_mc(doubling, coin(), 1e-9, 100, 50_000, 3,
-                            *rate_at(coin_rate, 1e-9))
+                            *coin_rate(1e-9))
     # lattice-exact: P(S_100 > 0) = (1 - P(B=50))/2
     exact = float(0.5 * (1.0 - binom.pmf(50, 100, 0.5)))
     lo, hi, false_alarm = binomial_band(est.trials, exact)
@@ -489,24 +482,24 @@ def test_ld_probability_alpha_zero_is_half(doubling, coin_rate):
         f"exact binomial count (false alarm {false_alarm:.2%})")
 
 
-def test_ld_normalized_ratios_bounded_at_feasible_alpha(doubling, coin_rate):
+def test_ld_normalized_ratios_bounded_at_feasible_alpha(doubling):
     ratios = []
     for k in (50, 100, 200, 400):
-        est = ld_probability_mc(doubling, coin(), 0.1, k, 300_000, 4, *rate_at(coin_rate, 0.1))
+        est = ld_probability_mc(doubling, coin(), 0.1, k, 300_000, 4, *coin_rate(0.1))
         assert not est.one_sided
         ratios.append(est.normalized_ratio)
     assert max(ratios) / min(ratios) < 10.0
 
 
-def test_ld_feasibility_guard(doubling, coin_rate):
+def test_ld_feasibility_guard(doubling):
     with pytest.raises(BudgetExceededError):
-        ld_probability_mc(doubling, coin(), 0.2, 200, 100_000, 1, *rate_at(coin_rate, 0.2))
+        ld_probability_mc(doubling, coin(), 0.2, 200, 100_000, 1, *coin_rate(0.2))
     with pytest.raises(ValueError):
-        ld_probability_mc(doubling, coin(), 0.2, 50, 100, 1, *rate_at(coin_rate, 0.2))
+        ld_probability_mc(doubling, coin(), 0.2, 50, 100, 1, *coin_rate(0.2))
 
 
-def test_decoupling_r0_matches_single_and_decay(doubling, coin_rate):
-    phi, beta = rate_at(coin_rate, 0.1)
+def test_decoupling_r0_matches_single_and_decay(doubling):
+    phi, beta = coin_rate(0.1)
     rows = decoupling_check(doubling, coin(), 0.1, 50, [0, 10, 25, 50],
                             100_000, 5, phi, beta)
     single = ld_probability_mc(doubling, coin(), 0.1, 50, 100_000, 5, phi, beta)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 import ergostat
 from ergostat import transfer
@@ -26,7 +26,6 @@ from ergostat.maps import (
 from ergostat.transfer import (
     CSRMatrix,
     PressureCurve,
-    RateFunction,
     autocovariance_series,
     cell_average,
     center_observable,
@@ -37,25 +36,18 @@ from ergostat.transfer import (
     pressure_curve,
     require_nondegenerate,
     ulam_matrix,
-    _golden_max,
     _power_iteration,
-    _spline,
 )
 from oracles import (
     as_scipy,
     chebyshev_transfer,
+    coin_rate,
     dense,
-    legendre_per_alpha,
     linear_cut_samples,
     power_iteration_reference,
     scipy_csr,
 )
 from test_maps import _counting
-
-
-def bernoulli_cramer(alpha):
-    """Closed-form rate function of the +/-1/2 coin."""
-    return (0.5 + alpha) * math.log1p(2 * alpha) + (0.5 - alpha) * math.log1p(-2 * alpha)
 
 
 def zero_observable():
@@ -300,8 +292,7 @@ def test_pressure_curve_assembles_once():
 
 def test_pressure_truncates_below_the_smallest_failing_beta(monkeypatch):
     # failures at |beta| >= 2.5 on a 13-point grid: before, the curve was cut
-    # below the largest failing |beta| and kept F = NaN at +-2.5, and every
-    # phi of its Legendre transform was NaN
+    # below the largest failing |beta| and kept F = NaN at +-2.5
     op = ulam_matrix(make_map("doubling"), N=128)
     grid = np.linspace(-3.0, 3.0, 13)
     betas = iter(b for b in grid if b != 0.0)       # the curve's order of solves
@@ -317,7 +308,6 @@ def test_pressure_truncates_below_the_smallest_failing_beta(monkeypatch):
         curve = pressure_curve(op, coin(), grid)
     assert curve.beta_grid.tolist() == grid[2:-2].tolist()
     assert np.all(np.isfinite(curve.F_values))
-    assert np.all(np.isfinite(legendre(curve, np.linspace(-0.2, 0.2, 5)).phi_values))
 
 
 def test_pressure_curve_refuses_overflowing_weights():
@@ -346,11 +336,6 @@ def test_convex_tabulations_pass_on_uneven_grids():
     op = ulam_matrix(make_map("doubling"), N=64)
     curve = pressure_curve(op, coin(), [-3.0, -2.9, 0.0, 1.0, 3.0])
     assert np.max(np.abs(curve.F_values - np.log(np.cosh(curve.beta_grid / 2)))) < 1e-10
-    curve = pressure_curve(ulam_matrix(make_map("doubling"), N=512), coin(),
-                           np.linspace(-3, 3, 121))
-    rf = legendre(curve, [0.1, 0.3, 0.4, 0.45])
-    cramer = [bernoulli_cramer(a) for a in rf.alpha_grid]
-    assert np.max(np.abs(rf.phi_values - cramer)) < 1e-8
 
 
 @pytest.mark.parametrize("x,y", [
@@ -361,8 +346,6 @@ def test_a_concave_kink_on_an_uneven_grid_is_refused(x, y):
     x, y = np.array(x), np.array(y)
     with pytest.raises(ConvergenceError, match="not convex"):
         PressureCurve(beta_grid=x, F_values=y)
-    with pytest.raises(ConvergenceError, match="not convex"):
-        RateFunction(alpha_grid=x, phi_values=y, beta_of_alpha=x, sigma2_of_alpha=np.ones(4))
 
 
 def test_perron_positivity_across_beta():
@@ -372,39 +355,65 @@ def test_perron_positivity_across_beta():
         assert op.right_vector.min() > 0
 
 
-# -- Legendre transform -------------------------------------------------------
-
-def test_legendre_selfdual_quadratic():
-    grid = np.linspace(-3, 3, 241)
-    curve = PressureCurve(beta_grid=grid, F_values=0.5 * grid**2)
-    rf = legendre(curve, np.linspace(-1.0, 1.0, 21))
-    assert np.max(np.abs(rf.phi_values - 0.5 * rf.alpha_grid**2)) < 1e-8
-    assert np.max(np.abs(rf.beta_of_alpha - rf.alpha_grid)) < 1e-6
-
-
-def test_legendre_minimum_zero_at_zero():
-    curve = pressure_curve(ulam_matrix(make_map("doubling"), N=512), coin(),
-                           np.linspace(-3, 3, 121))
-    rf = legendre(curve, np.linspace(-0.3, 0.3, 61))
-    assert rf.alpha_grid[30] == 0.0
-    assert rf.phi_values[30] == pytest.approx(0.0, abs=1e-10)
-    assert rf.phi_values.min() >= 0.0
-
+# -- rate data at one alpha ---------------------------------------------------
 
 def test_legendre_coin_cramer_value():
-    curve = pressure_curve(ulam_matrix(make_map("doubling"), N=512), coin(),
-                           np.linspace(-3, 3, 121))
-    rf = legendre(curve, np.array([0.2]))
-    assert rf.phi_values[0] == pytest.approx(bernoulli_cramer(0.2), abs=1e-4)
-    assert rf.beta_of_alpha[0] == pytest.approx(math.log(1.4 / 0.6), abs=1e-5)
+    # doubling/coin has the exact Ulam pressure log cosh(beta/2); beta is
+    # ill-conditioned near alpha = 1/2, where F'' = 1/4 - alpha^2 vanishes,
+    # so its error is read as the alpha-residual F'' * |d beta|
+    op = ulam_matrix(make_map("doubling"), N=1024)
+    for alpha in (0.01, 0.1, 0.2, 0.4, 0.46, 0.49):
+        phi, beta = legendre(op, coin(), alpha)
+        phi_true, beta_true = coin_rate(alpha)
+        assert abs(phi - phi_true) <= 1e-12, alpha
+        assert abs(beta - beta_true) * (0.25 - alpha**2) <= 1e-12, alpha
 
 
 def test_legendre_alpha_out_of_range():
-    curve = pressure_curve(ulam_matrix(make_map("doubling"), N=256), coin(),
-                           np.linspace(-1, 1, 41))
-    # F' of log cosh(beta/2) on [-1,1] stays within +/- tanh(1/2)/2 ~ 0.231
-    with pytest.raises(DomainError):
-        legendre(curve, np.array([0.45]))
+    # F' is a weighted mean of u over the samples: the coin's is inside
+    # (-1/2, 1/2), and no alpha at or past either end has a rate law
+    op = ulam_matrix(make_map("doubling"), N=256)
+    for alpha in (0.5, 0.6, -0.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="outside the range of F'"):
+            legendre(op, coin(), alpha)
+    # u = 0: a flat pressure, where F' is 0 for every beta
+    for alpha in (0.0, 0.1):
+        with pytest.raises(DomainError, match="outside the range of F'"):
+            legendre(op, zero_observable(), alpha)
+    # inside the range of u but past every slope the solve reaches: on the
+    # tent map F' of the sawtooth stays near 1/6, its value at the fixed
+    # point 2/3, and the bracket grows until an eigen-solve fails
+    with pytest.raises(DomainError, match="outside the range of F' that the solve reaches"):
+        legendre(ulam_matrix(make_map("tent"), N=128), sawtooth(), 0.3)
+
+
+def test_legendre_minimum_zero_at_zero():
+    op = ulam_matrix(make_map("doubling"), N=512)
+    phi, beta = legendre(op, coin(), 0.0)
+    assert phi == pytest.approx(0.0, abs=1e-15)
+    assert beta == pytest.approx(0.0, abs=1e-12)
+    for alpha in np.linspace(-0.45, 0.45, 7):
+        assert legendre(op, coin(), float(alpha))[0] >= 0.0
+
+
+@pytest.mark.parametrize("name,params,obs", [
+    ("tent", {}, "coin"),
+    ("perturbed-doubling", {"eps": 0.05}, "sawtooth"),
+    ("custom", {"breakpoints": [0.0, 1.0 / 3.0, 1.0], "slopes": [3.0, 1.5]}, "log-deriv"),
+])
+def test_legendre_solves_the_pressure_slope(name, params, obs):
+    # alpha = F'(beta0) by a central difference of the pressure curve, from
+    # eigenvalues alone; the solve, which reads F' from the Perron vectors,
+    # must return beta0.  The difference is good to F'''(beta0) step^2 / 6
+    # plus the eigenvalues' error over the step (measured at most 1.4e-9
+    # in beta).
+    pmap = make_map(name, **params)
+    u = {"coin": coin(), "sawtooth": sawtooth(), "log-deriv": log_derivative(pmap)}[obs]
+    op = ulam_matrix(pmap, N=256)
+    for beta0 in (-2.0, -0.5, 0.3, 1.0, 2.5):
+        F = pressure_curve(op, u, [beta0 - 1e-4, beta0 + 1e-4]).F_values
+        alpha = float(F[1] - F[0]) / 2e-4
+        assert legendre(op, u, alpha)[1] == pytest.approx(beta0, abs=1e-7), beta0
 
 
 @pytest.mark.parametrize("name,params,obs,betas", [
@@ -412,96 +421,72 @@ def test_legendre_alpha_out_of_range():
     ("tent", {}, "coin", 41),
     ("perturbed-doubling", {"eps": 0.05}, "sawtooth", 31),
     ("custom", {"breakpoints": [0.0, 1.0 / 3.0, 1.0], "slopes": [3.0, 1.5]}, "log-deriv", 21),
-    # a flat curve: the search ends at beta < 0 and phi(0) is -0.0
+    # a flat curve: u = 0 has no rate law at any alpha
     ("doubling", {}, "zero", 21),
 ])
 def test_legendre_bitwise_equals_per_alpha_oracle(name, params, obs, betas):
-    # all alphas searched at once: the same bytes as one scalar search each
+    # every alpha solved on one shared operator: the same bytes as a solve
+    # on an operator assembled for that alpha alone, and phi on or above
+    # every supporting line alpha b - F(b) of the tabulated pressure
     pmap = make_map(name, **params)
     u = {"coin": coin(), "sawtooth": sawtooth(), "log-deriv": log_derivative(pmap),
          "zero": zero_observable()}[obs]
-    curve = pressure_curve(ulam_matrix(pmap, N=256), u, np.linspace(-3, 3, betas))
+    op = ulam_matrix(pmap, N=256)
+    curve = pressure_curve(op, u, np.linspace(-3, 3, betas))
     secants = np.diff(curve.F_values) / np.diff(curve.beta_grid)
     lo, hi = float(secants.min()), float(secants.max())
-    grids = [np.linspace(lo, hi, 31), np.array([lo, hi]), np.array([0.5 * (lo + hi)])]
-    if lo < 0.0 < hi:
-        # alpha = 0 exactly, where phi can come out as -0.0
-        grids += [np.linspace(-0.4 * hi, 0.4 * hi, 41), np.array([lo, 0.0, hi]),
-                  np.array([0.0])]
-    for grid in grids:
-        got, want = legendre(curve, grid), legendre_per_alpha(curve, grid)
-        for field in ("phi_values", "beta_of_alpha", "sigma2_of_alpha"):
-            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (field, grid)
+    alphas = np.linspace(lo, hi, 5).tolist() + ([0.0] if lo < 0.0 < hi else [])
+    for alpha in alphas:
+        fresh = ulam_matrix(pmap, N=256)
+        if lo == hi:
+            for operator in (op, fresh):
+                with pytest.raises(DomainError, match="outside the range of F'"):
+                    legendre(operator, u, alpha)
+            continue
+        got, want = legendre(op, u, alpha), legendre(fresh, u, alpha)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), alpha
+        assert np.max(alpha * curve.beta_grid - curve.F_values) <= got[0] + 1e-12, alpha
 
 
 def test_legendre_biconjugate_recovers_pressure():
-    curve = pressure_curve(ulam_matrix(make_map("doubling"), N=512), coin(),
-                           np.linspace(-3, 3, 121))
-    rf = legendre(curve, np.linspace(-0.4, 0.4, 161))
-    phi_s = CubicSpline(rf.alpha_grid, rf.phi_values)
-    for beta in np.linspace(-1.0, 1.0, 9):
-        _, val = _golden_max(lambda a: a * beta - float(phi_s(a)),
-                             rf.alpha_grid[0], rf.alpha_grid[-1])
-        f_here = float(np.interp(beta, curve.beta_grid, curve.F_values))
-        assert val == pytest.approx(f_here, abs=1e-6)
+    # phi(alpha) = sup_b (alpha b - F(b)), attained at beta(alpha): no
+    # point of the pressure curve lies above the supporting line
+    pmap = make_map("perturbed-doubling", eps=0.05)
+    op = ulam_matrix(pmap, N=512)
+    u = center_observable(op, sawtooth())
+    curve = pressure_curve(op, u, np.linspace(-3.0, 3.0, 61))
+    for alpha in (-0.2, -0.05, 0.05, 0.1, 0.2):
+        phi, beta = legendre(op, u, alpha)
+        assert np.max(alpha * curve.beta_grid - curve.F_values) <= phi + 1e-12, alpha
+        F = pressure_curve(op, u, [0.0, beta]).F_values[1]
+        assert phi == pytest.approx(alpha * beta - F, abs=1e-14), alpha
 
 
-# -- cubic spline -------------------------------------------------------------
+@pytest.mark.parametrize("eps", [0.05, 0.15])
+def test_legendre_beta_converges_with_resolution(eps):
+    # beta(alpha) against the Chebyshev reference, whose F' is a central
+    # difference (step 1e-4, good to about 1e-9) solved by brentq: the Ulam
+    # error alone is left, and it shrinks with the cells (8.5e-6, 3.6e-6
+    # and 5.0e-7 at N = 256, 1024 and 4096 for alpha = 0.05, eps = 0.05)
+    pmap = make_map("perturbed-doubling", eps=eps)
+    ref = chebyshev_transfer(pmap, 65)
+    u = sawtooth().with_mean(ref.integral(sawtooth()))     # the same u at every N
 
-def _spline_grids():
-    rng = np.random.default_rng(11)
-    grids = [np.linspace(-3.0, 3.0, n) for n in (4, 5, 6, 7, 10, 39, 121, 301)]
-    grids += [np.sort(rng.uniform(-2.0, 2.0, n)) for n in (4, 5, 6, 8, 13, 39, 121)]
-    # spacings that make dgtsv swap rows, inside and at the last row
-    grids += [np.cumsum(np.concatenate(([0.0], gaps)))
-              for gaps in ([1, 1, 100], [1, 1, 1, 100], [1, 1, 100, 1, 1, 100, 1])]
-    grids += [np.cumsum(np.exp(rng.normal(scale=3.0, size=n))) for n in (6, 9, 20, 40)]
-    return [(x, y) for x in grids
-            for y in (np.cos(x), rng.normal(size=len(x)), 1e-3 * rng.normal(size=len(x)))]
+    def ref_slope(beta, step=1e-4):
+        F = ref.pressure(u, [beta - step, beta + step])
+        return float(F[1] - F[0]) / (2.0 * step)
 
-
-def _spline_points(x, rng):
-    span = x[-1] - x[0]
-    return np.concatenate([rng.uniform(x[0] - 0.2 * span, x[-1] + 0.2 * span, 200),
-                           x, x + 1e-3, x - 1e-3, [x[0] - span, x[-1] + span]])
-
-
-def test_spline_bitwise_equals_scipy():
-    rng = np.random.default_rng(12)
-    for x, y in _spline_grids():
-        got, want = _spline(x, y), CubicSpline(x, y)
-        t = _spline_points(x, rng)
-        assert got.c.tobytes() == want.c.tobytes(), len(x)
-        assert got(t).tobytes() == want(t).tobytes(), len(x)
-        assert got(x[1]) == want(x[1])
+    for alpha in (0.05, 0.2):
+        beta_ref = brentq(lambda b: ref_slope(b) - alpha, 0.0, 5.0, xtol=1e-13)
+        errors = [abs(legendre(ulam_matrix(pmap, N=N), u, alpha)[1] - beta_ref)
+                  for N in (256, 1024, 4096)]
+        assert errors[0] > errors[1] > errors[2], (alpha, errors)
 
 
-def test_spline_two_points_bitwise_equals_scipy():
-    # both end slopes are the secant, through the Hermite formula
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        x, y = np.sort(rng.uniform(-2.0, 2.0, 2)), rng.normal(size=2)
-        got, want = _spline(x, y), CubicSpline(x, y)
-        assert got.c.tobytes() == want.c.tobytes()
-        t = _spline_points(x, rng)
-        assert got(t).tobytes() == want(t).tobytes()
-
-
-def test_spline_three_points_is_the_parabola():
-    # scipy solves this case as a dense 3x3 system through LAPACK gesv,
-    # whose bits a transcription does not reproduce; both are the parabola
-    # through the points up to rounding.  With gaps of at least 0.3 on
-    # [0, 1] that system's condition number is below 30, and evaluating on
-    # [-1, 2] scales errors by at most 8, so 2^11 ulps of max|y| bound the
-    # gap (about 350 ulps measured).
-    rng = np.random.default_rng(14)
-    t = np.linspace(-1.0, 2.0, 301)
-    for _ in range(200):
-        x, y = np.array([0.0, rng.uniform(0.3, 0.7), 1.0]), rng.normal(size=3)
-        got, want = _spline(x, y), CubicSpline(x, y)
-        assert np.max(np.abs(got(t) - want(t))) <= 2.0**11 * np.finfo(float).eps * np.max(np.abs(y))
-        assert np.max(np.abs(got.c[0])) <= 1e-12 * np.max(np.abs(y))     # no cubic term
-        assert got(x).tolist() == pytest.approx(y.tolist(), rel=1e-14, abs=1e-14)
+def test_rmatvec_is_the_transpose_product():
+    mat = ulam_matrix(make_map("perturbed-doubling"), sawtooth(), 0.7, N=128).matrix
+    x = np.random.default_rng(5).uniform(size=128)
+    assert np.allclose(mat.rmatvec(x), dense(mat).T @ x, rtol=1e-14, atol=0.0)
 
 
 # -- Green-Kubo variance ------------------------------------------------------
@@ -565,11 +550,12 @@ def test_autocovariance_oracle_values():
 
 
 def test_sigma2_alpha_continuity():
-    d = make_map("doubling")
-    curve = pressure_curve(ulam_matrix(d, N=512), coin(), np.linspace(-3, 3, 121))
-    rf = legendre(curve, np.array([0.0]))
-    gk = green_kubo_sigma2(ulam_matrix(d, N=512), coin())
-    assert rf.sigma2_of_alpha[0] == pytest.approx(gk, rel=0.05)
+    # F''(0) = d alpha / d beta at alpha = 0 is the CLT variance: two rate
+    # solves at +-delta against the Green-Kubo sum of the same operator
+    op = ulam_matrix(make_map("doubling"), N=512)
+    delta = 0.005
+    slope = 2.0 * delta / (legendre(op, coin(), delta)[1] - legendre(op, coin(), -delta)[1])
+    assert slope == pytest.approx(green_kubo_sigma2(op, coin()), rel=0.05)
 
 
 # -- centering ----------------------------------------------------------------
