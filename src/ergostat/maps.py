@@ -113,9 +113,13 @@ class PiecewiseMap:
     """Piecewise monotone expanding map of [0,1].
 
     `expansion_constant` eta > 1 certifies |f'| >= eta on the partition
-    (checked on a grid at construction).  `scalar` is the whole map on one
-    Python float, returning a Python float: the branch of `branch_index`,
-    its formula and the clip of `apply`, bitwise `apply` on an array.
+    (checked on a grid at construction).  `iterate(x, m)` is the float
+    orbit of the Python float x in [0, 1]: its first m points as an array
+    and the next point as a Python float.  Each step is the branch of
+    `branch_index`, its formula and the clip of `apply`, bitwise `apply`
+    on an array.  The constructor writes the step out inside the loop, so
+    a step makes no Python call but its formula's own, and the points go
+    through a memoryview (8 B each, where a list would hold 32 B).
     `linear` is the (slopes, intercepts) table of a piecewise-linear map,
     branch i being x -> slopes[i] * x + intercepts[i], and None for a map
     with a smooth branch.
@@ -125,7 +129,7 @@ class PiecewiseMap:
     breakpoints: np.ndarray
     branches: tuple[Branch, ...]
     expansion_constant: float
-    scalar: Callable[[float], float]
+    iterate: Callable[[float, int], tuple[np.ndarray, float]]
     descriptor: dict = field(default_factory=dict)
     linear: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -158,7 +162,7 @@ class PiecewiseMap:
                 "sheds a mantissa bit per step and collapses within ~53 steps, and "
                 "the map is not a uniform full-branch map with exact symbolic orbits")
         for x in _rng(0).random(_PROBE_STARTS):
-            pts, nxt = _float_orbit_chunk(self, float(x), _RECENT)
+            pts, nxt = self.iterate(float(x), _RECENT)
             if np.any(pts == nxt):
                 raise _cycle_error(self, f"from {float(x)!r}")
         return _FLOAT
@@ -252,24 +256,30 @@ def _piecewise_linear(name: str, breakpoints, slopes: Sequence[float], intercept
         raise MapDefinitionError("need one slope per partition interval")
     if intercepts is not None and len(intercepts) != len(slopes):
         raise MapDefinitionError("need one intercept per slope")
-    # Python floats, so that the twin stays off numpy scalars
+    # Python floats, so that the steps stay off numpy scalars
     S = [float(s) for s in slopes]
     C = ([float(c) for c in intercepts] if intercepts is not None else
          [float(-s * a if s > 0 else 1.0 - s * a) for s, a in zip(S, bp[:-1])])
     inner = bp[1:-1].tolist()
 
-    def scalar(x):
-        # the branch of branch_index: [a_i, a_{i+1}), and the last one at 1
-        i = bisect_right(inner, x)
-        x = S[i] * x + C[i]
-        return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+    def iterate(x, m):
+        out = np.empty(m)
+        mv = memoryview(out)
+        find = bisect_right
+        for t in range(m):
+            mv[t] = x
+            # the branch of branch_index: [a_i, a_{i+1}), and the last one at 1
+            i = find(inner, x)
+            x = S[i] * x + C[i]
+            x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+        return out, x
 
     m = PiecewiseMap(
         name=name,
         breakpoints=bp,
         branches=tuple(_linear_branch(bp[i], bp[i + 1], S[i], C[i]) for i in range(len(S))),
         expansion_constant=min(abs(s) for s in S),
-        scalar=scalar,
+        iterate=iterate,
         descriptor=descriptor,
         linear=(np.array(S), np.array(C)),
     )
@@ -295,11 +305,17 @@ def _perturbed_doubling(eps: float, descriptor: dict) -> PiecewiseMap:
     def df(x):
         return 2.0 + eps * two_pi * np.cos(two_pi * x)
 
-    def scalar(x):
-        # the operations of `branch` in its order; 2x - 0.0 is bitwise 2x,
-        # and math.sin gives the bits of np.sin
-        x = 2.0 * x - (0.0 if x < 0.5 else 1.0) + eps * math.sin(two_pi * x)
-        return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+    def iterate(x, m):
+        out = np.empty(m)
+        mv = memoryview(out)
+        sin = math.sin
+        for t in range(m):
+            mv[t] = x
+            # the operations of `branch` in its order; 2x - 0.0 is bitwise 2x,
+            # and math.sin gives the bits of np.sin
+            x = 2.0 * x - (0.0 if x < 0.5 else 1.0) + eps * sin(two_pi * x)
+            x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+        return out, x
 
     branches = tuple(Branch(lo=lo, hi=hi, fn=branch(shift), dfn=df)
                      for lo, hi, shift in ((0.0, 0.5, 0.0), (0.5, 1.0, 1.0)))
@@ -308,7 +324,7 @@ def _perturbed_doubling(eps: float, descriptor: dict) -> PiecewiseMap:
         breakpoints=np.array([0.0, 0.5, 1.0]),
         branches=branches,
         expansion_constant=2.0 - eps * two_pi,
-        scalar=scalar,
+        iterate=iterate,
         descriptor=descriptor,
     )
     m.validate()
@@ -592,20 +608,6 @@ def _binary_shift_points(symbols: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def _float_orbit_chunk(pmap: PiecewiseMap, x: float, m: int) -> tuple[np.ndarray, float]:
-    """Fill a chunk of a float-iterated orbit starting at x in [0, 1];
-    returns the chunk and the next start point.  Each step is one call of
-    the map's scalar twin, bitwise PiecewiseMap.apply; the points go
-    through a memoryview (8 B each, where a list would hold 32 B)."""
-    step = pmap.scalar
-    out = np.empty(m)
-    mv = memoryview(out)
-    for t in range(m):
-        mv[t] = x
-        x = step(x)
-    return out, x
-
-
 def _orbit_chunks(pmap: PiecewiseMap, seed: int, total: int | None, chunk: int,
                   points: bool = True
                   ) -> Iterator[tuple[np.ndarray | None, np.ndarray | None]]:
@@ -642,7 +644,7 @@ def _orbit_chunks(pmap: PiecewiseMap, seed: int, total: int | None, chunk: int,
         x = float(_rng(seed).random())
         recent = np.empty(0)
         for m in sizes():
-            pts, x = _float_orbit_chunk(pmap, x, m)
+            pts, x = pmap.iterate(x, m)
             recent = np.concatenate([recent, pts[-_RECENT:]])[-_RECENT:]
             if np.any(recent == x):
                 raise _cycle_error(pmap, f"of seed {seed}")

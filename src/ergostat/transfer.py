@@ -44,6 +44,11 @@ REFUSED_SIGMA2 = 1e-6
 MAX_LAG = 400
 TAIL_RTOL = 1e-9
 # power iteration stops at this relative 1-norm residual, or gives up
+# after POWER_MAX_ITER steps, or as soon as the residual falls too slowly
+# to get there: once the halving under way has taken d steps, a solve
+# whose every halving still to come takes d steps too would not reach
+# POWER_TOL within POWER_MAX_ITER (a leading eigenvalue that does not
+# dominate in modulus)
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 100_000
 # the rate solve stops when its beta bracket is narrower than this
@@ -187,12 +192,14 @@ def _ulam_samples(pmap: PiecewiseMap, N: int):
 def _power_iteration(mat: CSRMatrix, transpose: bool = False) -> tuple[float, np.ndarray]:
     """Leading eigenpair of a nonnegative matrix (of its transpose: the
     left vector); deterministic flat start, 1-norm normalization, residual
-    stopping test.  One matvec per step: the residual's product is the
-    next step's."""
+    stopping test, stall refusal.  One matvec per step: the residual's
+    product is the next step's."""
     n = mat.shape[0]
     step = mat.rmatvec if transpose else mat.__matmul__
     w = step(np.full(n, 1.0 / n))
-    for _ in range(POWER_MAX_ITER):
+    # the residual at its last halving, that step, and the halvings from there to POWER_TOL
+    anchor, mark, need = math.inf, 0, math.inf
+    for k in range(POWER_MAX_ITER):
         lam = float(np.abs(w).sum())       # np.sum's pairwise sum, without its wrapper
         if not 0.0 < lam < math.inf:       # NaN too
             raise ConvergenceError(f"power iteration hit a vector of 1-norm {lam!r}")
@@ -201,6 +208,12 @@ def _power_iteration(mat: CSRMatrix, transpose: bool = False) -> tuple[float, np
         residual = float(np.abs(w - lam * v).sum()) / lam
         if residual <= POWER_TOL:
             return lam, v
+        if residual <= 0.5 * anchor:
+            anchor, mark, need = residual, k, math.log2(residual / POWER_TOL)
+        elif (k - mark) * need > POWER_MAX_ITER - mark:
+            raise ConvergenceError(f"power iteration stalled: its residual has not halved "
+                                   f"from {anchor:.3g} in {k - mark} steps, too slow to "
+                                   f"converge in {POWER_MAX_ITER} steps")
     raise ConvergenceError(f"power iteration did not converge in {POWER_MAX_ITER} iterations")
 
 

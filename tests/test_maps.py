@@ -239,7 +239,7 @@ def test_points_from_symbols_bitwise_equals_level_oracle(name, params):
 def test_float_orbit_dyadic_degeneracy_documented():
     # why doubling is never float-iterated: the float step collapses dyadics
     d = make_map("doubling")
-    pts, nxt = maps._float_orbit_chunk(d, 0.25, 4)
+    pts, nxt = d.iterate(0.25, 4)
     assert pts.tolist() == [0.25, 0.5, 0.0, 0.0] and nxt == 0.0
 
 
@@ -247,7 +247,7 @@ def test_float_orbit_dyadic_degeneracy_documented():
 # intercepts, perturbed doubling at its default and a large eps, and full
 # branches on 0, 0.31, 1 whose float images of 1 (1 + 2^-52 and -2^-52)
 # only the clip of apply brings back into [0, 1]
-_TWIN_MAPS = [
+_STEP_MAPS = [
     ("doubling", {}),
     ("tent", {}),
     ("linear", {"slopes": [3, -3, 3]}),
@@ -261,28 +261,28 @@ _TWIN_MAPS = [
 ]
 
 
-def _assert_twin_is_apply(pmap, xs):
-    """The map's scalar twin gives the bytes of `apply` on an array, as a
-    Python float: an np.float64 keeps the bits but steps several times
-    slower."""
-    got = [pmap.scalar(x) for x in np.asarray(xs, dtype=float).tolist()]
+def _assert_step_is_apply(pmap, xs):
+    """One step of the map's float stepper gives the bytes of `apply` on an
+    array, as a Python float: an np.float64 keeps the bits but steps several
+    times slower."""
+    got = [pmap.iterate(x, 1)[1] for x in np.asarray(xs, dtype=float).tolist()]
     assert all(type(v) is float for v in got)
     assert np.array(got).tobytes() == pmap.apply(xs).tobytes()
 
 
-def _twin_points(pmap, xs):
+def _step_points(pmap, xs):
     """xs, the breakpoints and their float neighbours, 0 and 1 - ulp."""
     bp = pmap.breakpoints
     return np.concatenate([xs, bp, np.nextafter(bp, 0.0), np.nextafter(bp, 1.0),
                            [0.0, np.nextafter(1.0, 0.0)]])
 
 
-@pytest.mark.parametrize("name,params", _TWIN_MAPS)
+@pytest.mark.parametrize("name,params", _STEP_MAPS)
 def test_scalar_twins_give_vector_bytes(name, params):
     # float iteration steps the whole map on one Python float; its bits must
     # be those of apply on an array, or float orbits drift from apply
     pmap = make_map(name, **params)
-    _assert_twin_is_apply(pmap, _twin_points(pmap, np.random.default_rng(5).random(100_000)))
+    _assert_step_is_apply(pmap, _step_points(pmap, np.random.default_rng(5).random(100_000)))
 
 
 def test_float_orbit_consecutive_points_exact():
@@ -330,7 +330,7 @@ def test_birkhoff_sums_examples():
     ones = make_observable("table", xs=[0.0, 1.0], ys=[1.0, 1.0])
     assert np.allclose(birkhoff_sums(o, ones), [1, 2, 3, 4, 5])
 
-    pts, _ = maps._float_orbit_chunk(d, 0.25, 3)
+    pts, _ = d.iterate(0.25, 3)
     s = birkhoff_sums(Orbit(pts, d.branch_index(pts)), sawtooth())
     assert np.allclose(s, [-0.25, -0.25, -0.75])
 
@@ -353,7 +353,7 @@ def test_orbit_value_chunks_match_orbit():
     pd = make_map("perturbed-doubling")
     o2 = orbit(pd, seed=42, n=2000)
     streamed2 = np.concatenate(list(orbit_value_chunks(pd, u, seed=42, total=2000, chunk=333)))
-    assert np.allclose(streamed2, u(o2.points), atol=1e-14)
+    assert streamed2.tobytes() == u(o2.points).tobytes()
 
     # the coin on doubling and tent is read from its branch-value table
     for name in ("doubling", "tent"):
@@ -388,19 +388,19 @@ def test_degenerate_float_maps_refused():
     assert len(streamed) == 4 and len(np.unique(np.concatenate(streamed))) == 4000
 
 
-def test_orbit_mode_decided_once_per_map(monkeypatch):
+def test_orbit_mode_decided_once_per_map():
     # the cycle probe of a linear map runs _PROBE_STARTS float orbits of
     # _RECENT steps; four readers of one map object share one probe
     probes = []
-    step = maps._float_orbit_chunk
-
-    def counted(pmap, x, m):
-        if m == maps._RECENT:
-            probes.append(m)
-        return step(pmap, x, m)
-
-    monkeypatch.setattr(maps, "_float_orbit_chunk", counted)
     m = make_map("custom", breakpoints=[0.0, 1.0 / 3.0, 1.0], slopes=[3.0, 1.5])
+    step = m.iterate
+
+    def counted(x, n):
+        if n == maps._RECENT:
+            probes.append(n)
+        return step(x, n)
+
+    m = replace(m, iterate=counted)
     orbit(m, 1, 100)
     next(symbol_chunks(m, 1, limit=100))
     next(orbit_value_chunks(m, sawtooth(), 1, 100))
@@ -527,9 +527,23 @@ def test_random_linear_maps_stream_or_refuse(m, seed, chunk):
 
 
 @settings(max_examples=60, deadline=None)
+@given(eps=st.floats(0.001, 0.15), seed=st.integers(0, 2**32 - 1), chunk=st.integers(1, 700))
+def test_random_smooth_maps_stream_in_any_chunks(eps, seed, chunk):
+    # a perturbed-doubling float stream does not depend on its chunks, and
+    # each point is apply of the one before it, byte for byte
+    m = make_map("perturbed-doubling", eps=eps)
+    n = 5000
+    o = orbit(m, seed, n)
+    assert o.points[1:].tobytes() == m.apply(o.points[:-1]).tobytes()
+    whole = np.concatenate(list(orbit_value_chunks(m, sawtooth(), seed, n, chunk=n)))
+    cut = np.concatenate(list(orbit_value_chunks(m, sawtooth(), seed, n, chunk=chunk)))
+    assert cut.tobytes() == whole.tobytes() == sawtooth()(o.points).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
 @given(m=_linear_maps(), seed=st.integers(0, 2**32 - 1))
 def test_random_linear_map_twins_give_apply_bytes(m, seed):
-    _assert_twin_is_apply(m, _twin_points(m, np.random.default_rng(seed).random(200)))
+    _assert_step_is_apply(m, _step_points(m, np.random.default_rng(seed).random(200)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -324,6 +324,85 @@ def test_power_iteration_refuses_a_non_finite_iterate():
         _power_iteration(mat)
 
 
+def _count_solves(monkeypatch) -> list:
+    """Matvecs of each power iteration from here on, one list entry per
+    solve, tagged with whether it returned."""
+    solves, matvecs = [], []
+
+    def counted(product):
+        def call(self, x):
+            matvecs.append(len(x))
+            return product(self, x)
+        return call
+
+    def solve(mat, transpose=False):
+        matvecs.clear()
+        try:
+            out = _power_iteration(mat, transpose)
+        except ConvergenceError:
+            solves.append((len(matvecs), False))
+            raise
+        solves.append((len(matvecs), True))
+        return out
+
+    for name in ("__matmul__", "rmatvec"):
+        monkeypatch.setattr(CSRMatrix, name, counted(getattr(CSRMatrix, name)))
+    monkeypatch.setattr(transfer, "_power_iteration", solve)
+    return solves
+
+
+_STEP_U = Observable("step", lambda x: np.where((x >= 0.5) & (x < 0.75), 1.0, -1.0))
+
+
+def test_power_iteration_refuses_a_stall(monkeypatch):
+    # on doubling with u = 1 on [1/2, 3/4) and -1 elsewhere, every cycle
+    # through [1/2, 3/4) has mean u <= 0 and its high cycles have period 2,
+    # so alpha = 0.5 is out of reach and the tilted matrices the bracket
+    # tries are nearly periodic: beta = 7 still converges (about 15 900
+    # matvecs per vector), and beta = 15, which used to run all 100 000
+    # steps, is refused in under 5% of them
+    solves = _count_solves(monkeypatch)
+    for N in (4, 1024):
+        solves.clear()
+        with pytest.raises(DomainError, match="at beta = 15 power iteration stalled"):
+            legendre(ulam_matrix(make_map("doubling"), None, 0.0, N), _STEP_U, 0.5)
+        *converged, (steps, ok) = solves
+        assert not ok and 0 < steps < transfer.POWER_MAX_ITER // 20, (N, steps)
+        assert all(ok for _, ok in converged)
+        assert max(steps for steps, _ in converged) > transfer.POWER_MAX_ITER // 20
+
+
+def _metastable(d1: float, d2: float):
+    """Two halves that each branch maps into itself but for a leak of d1
+    (from [1/4, 1/2) over 1/2) and d2 (from [1/2, 3/4) under it)."""
+    s1, s2 = (0.5 + d1) / 0.25, (0.5 + d2) / 0.25
+    return make_map("custom", breakpoints=[0.0, 0.25, 0.5, 0.75, 1.0],
+                    slopes=[2.0, s1, s2, 2.0],
+                    intercepts=[0.0, -0.25 * s1, 0.5 - d2 - 0.5 * s2, -1.0])
+
+
+@pytest.mark.parametrize("case", ["tilt7", "leak_1e-3", "leak_2e-4"])
+def test_power_iteration_converges_slowly_without_a_stall(monkeypatch, case):
+    # |lambda_2 / lambda_1| close to 1: the residual halves only every few
+    # hundred steps, yet reaches POWER_TOL well inside POWER_MAX_ITER, so
+    # the stall test must let these solves finish
+    pmap, u, beta, N = {"tilt7": (make_map("doubling"), _STEP_U, 7.0, 4),
+                        "leak_1e-3": (_metastable(0.001, 0.002), None, 0.0, 64),
+                        "leak_2e-4": (_metastable(0.0002, 0.0004), None, 0.0, 64)}[case]
+    solves = _count_solves(monkeypatch)
+    op = ulam_matrix(pmap, u, beta, N)
+    (steps, ok), = solves
+    assert ok and steps > transfer.POWER_MAX_ITER // 20, steps
+    m = op.matrix
+    dense = np.zeros(m.shape)
+    for row in range(m.shape[0]):
+        cells = slice(m.indptr[row], m.indptr[row + 1])
+        dense[row, m.indices[cells]] = m.data[cells]
+    moduli = np.sort(np.abs(np.linalg.eigvals(dense)))
+    assert moduli[-2] / moduli[-1] > 0.99
+    assert op.leading_eigenvalue == pytest.approx(moduli[-1], rel=1e-9)
+
+
 def test_pressure_curve_rejects_nonconvex():
     with pytest.raises(Exception):
         PressureCurve(beta_grid=np.array([-1.0, 0.0, 1.0]),
