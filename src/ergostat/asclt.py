@@ -47,12 +47,31 @@ def rate_normalization(n) -> np.ndarray:
 
 def normalized_statistic_atoms(pmap: PiecewiseMap, u: Observable, n: int, seed: int,
                                running_max: bool = False) -> np.ndarray:
-    """Atoms S_k/sqrt(k), k=1..n (or S*_k/sqrt(k) with the running maximum)."""
-    vals = np.concatenate(list(orbit_value_chunks(pmap, u, seed, n)))
-    s = np.cumsum(vals)
-    if running_max:
-        s = np.maximum.accumulate(s)
-    return s / np.sqrt(np.arange(1, n + 1, dtype=float))
+    """Atoms S_k/sqrt(k), k=1..n (or S*_k/sqrt(k) with the running maximum).
+
+    The orbit's values stream into the one atom array, chunk by chunk: each
+    chunk is copied into place, the sum (and running maximum) so far is
+    carried into its first entry, and `np.cumsum` (`np.maximum.accumulate`)
+    runs in place; both are sequential, so the carry keeps their bits.
+    """
+    atoms = np.empty(n)
+    done = 0
+    for vals in orbit_value_chunks(pmap, u, seed, n):
+        block = atoms[done:done + len(vals)]
+        block[:] = vals                        # a chunk may be the orbit layer's own array
+        if done:
+            block[0] = total + block[0]
+        np.cumsum(block, out=block)
+        total = block[-1]
+        if running_max:
+            if done:                           # (before, next): the order accumulate takes
+                block[0] = np.maximum(top, block[0])
+            np.maximum.accumulate(block, out=block)
+            top = block[-1]
+        k = np.arange(done + 1, done + len(block) + 1, dtype=float)
+        block /= np.sqrt(k, out=k)
+        done += len(block)
+    return atoms
 
 
 def checkpoint_ladder(n: int, checkpoints=None):
@@ -70,8 +89,10 @@ def _run(pmap, u, n, seed, checkpoints, sigma2, running_max: bool) -> AscltDiagn
     sigma = float(np.sqrt(require_nondegenerate(sigma2)))
     checkpoints = checkpoint_ladder(n, checkpoints)
     law = HalfGaussianLaw(sigma) if running_max else GaussianLaw(sigma)
-    atoms = normalized_statistic_atoms(pmap, u, n, seed, running_max=running_max)
-    checkpoints, kappas = kantorovich_ladder(atoms, law, checkpoints)
+    # the atoms go to the ladder with no reference kept here, so it can
+    # free them once they are sorted
+    checkpoints, kappas = kantorovich_ladder(
+        normalized_statistic_atoms(pmap, u, n, seed, running_max=running_max), law, checkpoints)
     return AscltDiagnostics(
         seed=seed,
         sigma_used=sigma,

@@ -20,7 +20,7 @@ atoms, at each checkpoint m of a ladder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -303,16 +303,10 @@ def _stable_argsort(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightedEmpiricalMeasure:
-    """Atoms with harmonic weights 1/k, normalized by D_n = sum_{k<=n} 1/k.
-
-    `view`, when given, is the measure's sorted view with one law's values
-    there, (positions, weights, F, I) at the distinct sorted positions, as
-    `kantorovich_ladder` gathers it; `kantorovich` then reads it for that law.
-    """
+    """Atoms with harmonic weights 1/k, normalized by D_n = sum_{k<=n} 1/k."""
 
     positions: np.ndarray
     weights: np.ndarray
-    view: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.positions) != len(self.weights):
@@ -328,31 +322,73 @@ class WeightedEmpiricalMeasure:
     @cached_property
     def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct sorted positions with merged normalized weights."""
-        if self.view is not None:
-            return self.view[:2]
         order = _stable_argsort(self.positions)
-        return _merge_ties(self.positions[order], self.weights[order] / self.normalizer)[:2]
+        return _merge_ties(self.positions[order], self.weights[order] / self.normalizer)
 
-    def _law_at_atoms(self, law: Law) -> tuple[np.ndarray, np.ndarray]:
-        """`law.cdf_and_antiderivative` at the distinct sorted positions."""
-        if self.view is not None:
-            return self.view[2:]
-        return law.cdf_and_antiderivative(self._sorted[0])
+    def _segment_columns(self, law: Law) -> tuple:
+        """(positions, F, I, distinct, buffer) as `_segment_sum` reads them."""
+        pos, w = self._sorted
+        return (pos, *_law_at(law, pos), None, w.copy())
 
 
-def _merge_ties(pos: np.ndarray, w: np.ndarray):
-    """(positions, weights, distinct) for sorted positions: the distinct
-    positions, their summed weights, and the mask of the first atom of each
-    run of equal positions (None when every position is distinct)."""
+@dataclass(frozen=True)
+class _CheckpointMeasure:
+    """The measure of one `kantorovich_ladder` checkpoint, as the ladder's
+    sorted columns: the kept atoms' positions in stable order, their
+    indices `rank` (the atom at index r weighs 1/(r + 1)), `law`'s F and I
+    there, and the normalizer D_m.  It has no weight array: `kantorovich`
+    rebuilds the weights from the rank, block by block."""
+
+    positions: np.ndarray
+    rank: np.ndarray
+    F: np.ndarray
+    I: np.ndarray
+    normalizer: float
+    law: Law
+
+    def _segment_columns(self, law: Law) -> tuple:
+        """(positions, F, I, distinct, buffer) as `_segment_sum` reads them;
+        the merged normalized weights are rebuilt from the rank, block by
+        block, in the buffer."""
+        if law is not self.law:
+            raise ValueError("the checkpoint measure carries another law's F and I")
+        pos, rank, D = self.positions, self.rank, self.normalizer
+        distinct = _distinct(pos)
+        buf = np.empty(len(pos)) if distinct is None else np.zeros(np.count_nonzero(distinct))
+        before = 0                             # distinct positions before the block
+        for s in range(0, len(pos), _SEGMENT_BLOCK):
+            w = np.divide(1.0, rank[s:s + _SEGMENT_BLOCK] + 1,
+                          out=buf[s:s + _SEGMENT_BLOCK] if distinct is None else None)
+            w /= D
+            if distinct is None:
+                continue
+            # each run's weights summed in index order, as `_merge_ties` sums them
+            run = np.cumsum(distinct[s:s + _SEGMENT_BLOCK])
+            run += before - 1
+            np.add.at(buf, run, w)
+            before = int(run[-1]) + 1
+        return pos, self.F, self.I, distinct, buf
+
+
+def _distinct(pos: np.ndarray) -> np.ndarray | None:
+    """The mask of the first atom of each run of equal sorted positions
+    (compared with ==, so -0.0 ties 0.0), or None when every position is
+    distinct."""
     distinct = np.empty(len(pos), dtype=bool)
-    distinct[0] = True
+    distinct[:1] = True
     np.not_equal(pos[1:], pos[:-1], out=distinct[1:])
-    if distinct.all():
-        return pos, w, None
+    return None if distinct.all() else distinct
+
+
+def _merge_ties(pos: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct sorted positions and their summed weights."""
+    distinct = _distinct(pos)
+    if distinct is None:
+        return pos, w
     idx = np.cumsum(distinct) - 1
     merged = np.zeros(int(idx[-1]) + 1)
     np.add.at(merged, idx, w)
-    return pos[distinct], merged, distinct
+    return pos[distinct], merged
 
 
 def build_empirical(values, n: int | None = None) -> WeightedEmpiricalMeasure:
@@ -373,42 +409,96 @@ def build_empirical(values, n: int | None = None) -> WeightedEmpiricalMeasure:
 # Kantorovich distance
 # ---------------------------------------------------------------------------
 
-def kantorovich(emp: WeightedEmpiricalMeasure, law: Law) -> float:
+# The segment kernel of `kantorovich` runs in blocks of this many atoms,
+# with temporaries per block; a 2e4-atom ladder is one block.  The law is
+# evaluated in shorter blocks: one evaluation holds about a dozen
+# temporaries of its block's length, and at 64 KiB each they stay under the
+# C library's 128 KiB mmap threshold, so they reuse heap pages instead of
+# faulting in fresh ones.
+_SEGMENT_BLOCK = 1 << 15
+_LAW_BLOCK = 1 << 13
+
+
+def _law_at(law: Law, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`law.cdf_and_antiderivative(x)`, block by block into two arrays."""
+    F, I = np.empty(len(x)), np.empty(len(x))
+    for s in range(0, len(x), _LAW_BLOCK):
+        F[s:s + _LAW_BLOCK], I[s:s + _LAW_BLOCK] = law.cdf_and_antiderivative(x[s:s + _LAW_BLOCK])
+    return F, I
+
+
+def kantorovich(emp, law: Law) -> float:
     """Exact L1 distance between the empirical CDF and the law CDF.
 
-    Piecewise closed form: on each inter-atom segment the empirical CDF is
-    a constant c and |c - F| integrates via the antiderivative of F,
-    splitting at the unique crossing F^{-1}(c) when it falls inside the
-    segment.  Both tails come from the antiderivative at the outer atoms.
+    `emp` is a `WeightedEmpiricalMeasure`, or the measure of one
+    `kantorovich_ladder` checkpoint.  Piecewise closed form: on each
+    inter-atom segment the empirical CDF is a constant c and |c - F|
+    integrates via the antiderivative of F, splitting at the unique
+    crossing F^{-1}(c) when it falls inside the segment.  Both tails come
+    from the antiderivative at the outer atoms.
     """
-    pos, w = emp._sorted
-    cum = np.cumsum(w)
-    cum[-1] = 1.0  # guard the float total
+    return _segment_sum(*emp._segment_columns(law), law)
 
-    # one law evaluation per distinct atom, read at both segment ends and
-    # for the tails; one atom leaves no segment, only the tails
-    F, I = emp._law_at_atoms(law)
-    total = float(I[0]) + float(law.tail_constant - pos[-1] + I[-1])
-    a, b = pos[:-1], pos[1:]
-    c = cum[:-1]
+
+def _segment_sum(pos, F, I, distinct, buf, law: Law) -> float:
+    """The distance from sorted columns: the positions with the law's F and
+    I there, the mask `distinct` of the first atom of each run of equal
+    positions (None: all distinct), and in `buf` the merged normalized
+    weights of the distinct positions.
+
+    Block by block, `buf` becomes the cumulative weights, carried across
+    blocks (`np.cumsum` is sequential, so the carry keeps its bits), and
+    then each segment's piece overwrites the cumulative weight at its left
+    end.  The pieces are summed at the end by one pairwise `np.sum` over the
+    whole of `buf` but its last entry, the total weight.
+    """
+    last = len(pos) - 1 if distinct is None else len(pos) - 1 - int(np.argmax(distinct[::-1]))
+    total = float(I[0]) + float(law.tail_constant - pos[last] + I[last])
+    lo = j = 0            # the last distinct atom before the block: its index, its place in buf
+    for s in range(0, len(pos), _SEGMENT_BLOCK):
+        e = min(s + _SEGMENT_BLOCK, len(pos))
+        sel = slice(None) if distinct is None else distinct[lo:e]
+        m = e - lo if distinct is None else int(np.count_nonzero(sel))   # distinct atoms from lo on
+        if s and m == 1:
+            continue                           # inside a run of equal atoms
+        new = j + 1 if s else 0                # the first entry of buf not yet cumulative
+        cum = buf[new:j + m]
+        if new:
+            cum[0] = buf[j] + cum[0]
+        np.cumsum(cum, out=cum)
+        # the segments from atom lo to the block's last distinct atom
+        _pieces(pos[lo:e][sel], F[lo:e][sel], I[lo:e][sel], buf[j:j + m - 1], law)
+        lo = e - 1 if distinct is None else e - 1 - int(np.argmax(sel[::-1]))
+        j += m - 1
+    return total + float(np.sum(buf[:-1]))
+
+
+def _pieces(p, F, I, c, law: Law) -> None:
+    """Overwrite the cumulative weights c of the segments between
+    consecutive positions p with the segments' integrals of |c - F|."""
+    if not len(c):
+        return
+    a, b = p[:-1], p[1:]
     above = F[:-1] >= c                        # F >= c on the whole segment
     below = F[1:] <= c                         # F <= c on the whole segment
-    crossing = ~(above | below)
+    crossing = np.flatnonzero(~(above | below))
+    cc = c[crossing]
 
     # int_a^b F - c (b - a) where F >= c; its negation, c (b - a) - int_a^b F,
     # where F <= c; crossing segments are split below
-    pieces = b - a
-    pieces *= c
-    np.subtract(I[1:] - I[:-1], pieces, out=pieces)
-    np.negative(pieces, out=pieces, where=~above)
-    if np.any(crossing):
-        ac, bc, cc = a[crossing], b[crossing], c[crossing]
+    area = b - a
+    area *= c
+    np.subtract(I[1:], I[:-1], out=c)
+    c -= area
+    np.negative(c, out=c, where=~above)
+    if len(crossing):
+        ac, bc = a[crossing], b[crossing]
         xs = law.cdf_inverse_in(ac, bc, cc)
         ix = law.cdf_and_antiderivative(xs)[1]  # I at the segment ends is known
         left = cc * (xs - ac) - (ix - I[:-1][crossing])
         right = (I[1:][crossing] - ix) - cc * (bc - xs)
-        pieces[crossing] = np.maximum(left, 0.0) + np.maximum(right, 0.0)
-    return total + float(np.sum(np.maximum(pieces, 0.0, out=pieces)))
+        c[crossing] = np.maximum(left, 0.0) + np.maximum(right, 0.0)
+    np.maximum(c, 0.0, out=c)
 
 
 # ---------------------------------------------------------------------------
@@ -447,52 +537,68 @@ def kantorovich_ladder(atoms: np.ndarray, law: Law, checkpoints=None,
     """(checkpoints, kappas): kappa at checkpoint m is the distance from
     `law` to the measure of atoms[:m], the k-th atom weighted 1/k.
 
-    The ladder defaults to `default_checkpoints(len(atoms))`.  A boolean
-    `keep` mask drops atoms from every checkpoint's measure (their weights
-    leave the normalizer too); a checkpoint that keeps no atom raises
-    `DomainError`.
+    The ladder defaults to `default_checkpoints(len(atoms))`; checkpoints
+    below 1, past the atoms or not strictly increasing raise `ConfigError`.
+    A boolean `keep` mask drops atoms from every checkpoint's measure
+    (their weights leave the normalizer too); a checkpoint that keeps no
+    atom raises `DomainError`, and so does a non-finite kept atom.
 
-    The kept atoms of the last checkpoint are sorted once and the law is
-    evaluated on them once.  From the last checkpoint down, each one takes
-    its atoms from the next one's sorted arrays by their index, and
-    `kantorovich` runs on a measure that carries them.  Every kappa keeps
-    the bits of `kantorovich` on that checkpoint's measure alone: the
-    stable order of a prefix is the stable order of the whole without the
-    later atoms, F and I are elementwise, and each normalizer is still the
-    sum of its checkpoint's weights in index order.
+    Every normalizer is taken first, each the sum of its checkpoint's
+    weights in index order.  The kept atoms of the last checkpoint are then
+    sorted once, and the law is evaluated on them once.  What stays per
+    atom is the sorted positions, the sort rank (the atom index at each
+    sorted place, from which the weights are rebuilt), F and I.  From the
+    last checkpoint down, each one keeps the atoms of these columns whose
+    index it reaches, and `kantorovich` runs on a measure that carries them.
+    Every kappa keeps the bits of `kantorovich` on that checkpoint's
+    measure alone: the stable order of a prefix is the stable order of the
+    whole without the later atoms, and F and I are elementwise.
+
+    The ladder drops its own reference to `atoms` once they are sorted, so
+    a caller that hands them over without keeping one frees them then.
     """
     if checkpoints is None:
         checkpoints = default_checkpoints(len(atoms))
     checkpoints = np.asarray(checkpoints, dtype=np.int64)
-    weights = 1.0 / np.arange(1, len(atoms) + 1, dtype=float)
+    if len(checkpoints) and (checkpoints[0] < 1 or checkpoints[-1] > len(atoms)
+                             or np.any(np.diff(checkpoints) <= 0)):
+        raise ConfigError([(0, f"checkpoints {checkpoints.tolist()} must increase strictly "
+                               f"from at least 1 to at most the {len(atoms)} atoms")])
+    if not len(checkpoints):
+        return checkpoints, np.empty(0)
     # the checkpoints increase, so the first one keeps the fewest atoms
-    if keep is not None and len(checkpoints) and not np.any(keep[:checkpoints[0]]):
+    if keep is not None and not np.any(keep[:checkpoints[0]]):
         raise DomainError(f"every atom up to checkpoint {checkpoints[0]} was censored; "
                           "no measure to compare")
-    last = atoms[:checkpoints.max(initial=0)]
+    weights = 1.0 / np.arange(1, checkpoints[-1] + 1, dtype=float)
     if keep is None:
-        rank = _stable_argsort(last)               # the atom index at each sorted place
+        norms = [float(np.sum(weights[:m])) for m in checkpoints]
+    else:
+        norms = [float(np.sum(weights[:m][keep[:m]])) for m in checkpoints]
+    del weights
+    last = atoms[:checkpoints[-1]]
+    del atoms
+    if keep is None:
+        rank = _stable_argsort(last)           # the atom index at each sorted place
     else:
         kept = np.flatnonzero(keep[:len(last)])
         rank = kept[_stable_argsort(last[kept])]
-    ordered = atoms[rank]
-    # a non-finite atom is refused below, when its checkpoint's measure is built
-    with np.errstate(invalid="ignore"):
-        F, I = law.cdf_and_antiderivative(ordered)
-    cols = (rank, ordered, weights[rank], F, I)
+        del kept
+    pos = last[rank]
+    del last
+    # NaN sorts last, -inf first and +inf last but NaN
+    if not (np.isfinite(pos[0]) and np.isfinite(pos[-1])):
+        raise DomainError("empirical measure has non-finite atom positions")
+    F, I = _law_at(law, pos)
     kappas = np.empty(len(checkpoints))
     for i in range(len(checkpoints) - 1, -1, -1):
         m = checkpoints[i]
-        pos, w = atoms[:m], weights[:m]
-        if keep is not None:
-            pos, w = pos[keep[:m]], w[keep[:m]]
-        inside = cols[0] < m
-        if not inside.all():
-            at = np.flatnonzero(inside)
-            cols = tuple(c.take(at) for c in cols)
-        _, spos, sw, Fm, Im = cols
-        spos, sw, distinct = _merge_ties(spos, sw / float(np.sum(w)))
-        if distinct is not None:
-            Fm, Im = Fm[distinct], Im[distinct]
-        kappas[i] = kantorovich(WeightedEmpiricalMeasure(pos, w, (spos, sw, Fm, Im)), law)
+        if i < len(checkpoints) - 1:
+            inside = np.flatnonzero(rank < m)
+            rank = rank[inside]
+            pos = pos[inside]
+            F = F[inside]
+            I = I[inside]
+            del inside
+        kappas[i] = kantorovich(_CheckpointMeasure(pos, rank, F, I, norms[i], law), law)
     return checkpoints, kappas

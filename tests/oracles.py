@@ -17,6 +17,9 @@ bit for bit.  `evaluate` (image, branch and
 derivative of a point), `birkhoff_sums` (partial sums along an orbit) and
 `rate_diagnostic` (boundedness verdict of an asclt rate sequence) are
 small readers of program objects that only the tests use.
+`statistic_atoms_reference` (every orbit value concatenated, then sums
+over the whole array) gives the atoms that
+`ergostat.asclt.normalized_statistic_atoms` must stream bit for bit.
 `binomial_band` gives the acceptance band of a Monte Carlo success count
 from the exact binomial law.  `integer_symbol_blocks` (one
 `Generator.integers` call per 65536-symbol block) defines the seeded
@@ -58,7 +61,7 @@ from scipy.stats import binom
 from ergostat.asclt import AscltDiagnostics
 from ergostat.entropy import RETURN_TIME_CAP
 from ergostat.errors import BudgetExceededError, ConvergenceError, DomainError
-from ergostat.maps import Observable, Orbit, PiecewiseMap, _symbol_tail_depth
+from ergostat.maps import Observable, Orbit, PiecewiseMap, _symbol_tail_depth, orbit_value_chunks
 from ergostat.measures import HalfGaussianLaw, Law, WeightedEmpiricalMeasure
 from ergostat.transfer import POWER_MAX_ITER, POWER_TOL, CSRMatrix
 
@@ -559,6 +562,18 @@ def evaluate(pmap: PiecewiseMap, x):
 def birkhoff_sums(orb: Orbit, u: Observable) -> np.ndarray:
     """Partial sums S_k = sum_{j<k} u(f^j x), k = 1..n."""
     return np.cumsum(u(orb.points))
+
+
+def statistic_atoms_reference(pmap: PiecewiseMap, u: Observable, n: int, seed: int,
+                              running_max: bool = False) -> np.ndarray:
+    """Atoms S_k/sqrt(k), k = 1..n (or S*_k/sqrt(k)) from the whole orbit at
+    once: the chunks concatenated, one cumsum, one running maximum and one
+    division over the whole array."""
+    vals = np.concatenate(list(orbit_value_chunks(pmap, u, seed, n)))
+    s = np.cumsum(vals)
+    if running_max:
+        s = np.maximum.accumulate(s)
+    return s / np.sqrt(np.arange(1, n + 1, dtype=float))
 
 
 def rate_diagnostic(diag: AscltDiagnostics) -> tuple[np.ndarray, str]:

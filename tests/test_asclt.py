@@ -1,8 +1,19 @@
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 
+from ergostat import asclt
 from ergostat.errors import DegenerateVarianceError
-from ergostat.maps import Observable, coboundary, coin, make_map, sawtooth
+from ergostat.maps import (
+    Observable,
+    coboundary,
+    coin,
+    make_map,
+    orbit_value_chunks,
+    sawtooth,
+)
 from ergostat.asclt import (
     asclt_run,
     maxima_run,
@@ -16,7 +27,7 @@ from ergostat.measures import (
     kantorovich,
 )
 from ergostat.transfer import green_kubo_sigma2, ulam_matrix
-from oracles import left_tail, rate_diagnostic, right_tail
+from oracles import left_tail, rate_diagnostic, right_tail, statistic_atoms_reference
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +170,50 @@ def test_checkpoint_validation(doubling):
                          checkpoints=np.array([2, 10]),
                          kappa_values=np.array([0.1, 0.1]),
                          normalized_rates=np.array([0.1, 0.1]))
+
+
+STREAM_MAPS = {
+    "doubling": {"name": "doubling"},                                 # symbolic
+    "perturbed": {"name": "perturbed-doubling", "eps": 0.05},         # float
+    "3-1.5": {"name": "custom", "breakpoints": [0.0, 1.0 / 3.0, 1.0],  # float
+              "slopes": [3.0, 1.5]},
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096, None], ids=["1", "7", "4096", "n"])
+@pytest.mark.parametrize("name", list(STREAM_MAPS))
+def test_streamed_atoms_equal_whole_array_atoms(monkeypatch, name, chunk):
+    # the atoms stream orbit chunk by orbit chunk, carrying the sum and the
+    # running maximum into each chunk's first entry; at every chunk size they
+    # are the whole-array atoms bit for bit
+    spec = dict(STREAM_MAPS[name])
+    pmap = make_map(spec.pop("name"), **spec)
+    n, seed = 3000, 5
+    monkeypatch.setattr(asclt, "orbit_value_chunks",
+                        partial(orbit_value_chunks, chunk=chunk or n))
+    for u in (sawtooth(), coin()):
+        for running_max in (False, True):
+            got = normalized_statistic_atoms(pmap, u, n, seed, running_max=running_max)
+            ref = statistic_atoms_reference(pmap, u, n, seed, running_max=running_max)
+            assert got.tobytes() == ref.tobytes(), (u.name, running_max)
+        if chunk == 7:
+            # a plateau of the running maximum crosses a chunk boundary
+            smax = np.maximum.accumulate(np.cumsum(
+                np.concatenate(list(orbit_value_chunks(pmap, u, seed, n)))))
+            assert np.any(smax[6:-1:7] == smax[7::7])
+
+
+@pytest.mark.parametrize("runner", [asclt_run, maxima_run])
+def test_traced_memory_per_atom(doubling, runner):
+    # numpy reports its buffers to tracemalloc, so the peak is a count of
+    # bytes: the atoms stream into one array, the ladder frees them once
+    # sorted and keeps four columns of 8 B per atom, and its kernel and law
+    # evaluations run in blocks (92 B per atom with whole-array temporaries)
+    n = 200_000
+    tracemalloc.start()
+    try:
+        runner(doubling, sawtooth(), n, seed=1, sigma2=0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 48.0

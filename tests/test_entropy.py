@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergostat.errors import DegenerateVarianceError, DomainError
+from ergostat.errors import ConfigError, DegenerateVarianceError, DomainError
 from ergostat.maps import make_map, orbit, symbol_chunks
 from ergostat.transfer import invariant_density, ulam_matrix
 from ergostat.entropy import (
@@ -472,3 +472,11 @@ def test_censored_ow_ladder_equals_kept_atom_distances(perturbed, tmp_path):
     manifest = json.loads((tmp_path / "entropy-ow-manifest.json").read_text())
     assert manifest["censored_seed_3"] == diag.censored
     assert manifest["kappa_final_seed_3"] == expected[-1]
+
+
+def test_entropy_runs_refuse_unordered_checkpoints():
+    # the ladder refuses them for every run that reaches it
+    pmap = make_map("custom", breakpoints=[0.0, 1.0 / 3.0, 1.0], slopes=[3.0, 1.5])
+    consts = entropy_constants(pmap, ulam_matrix(pmap, N=256))
+    with pytest.raises(ConfigError, match="increase strictly"):
+        smb_run(pmap, consts, 500, seed=1, checkpoints=[500, 100])

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from ergostat import measures
 from ergostat.asclt import normalized_statistic_atoms
-from ergostat.errors import DomainError
+from ergostat.errors import ConfigError, DomainError
 from ergostat.maps import coin, make_map, sawtooth
 from scipy.special import ndtr as scipy_ndtr
 
@@ -392,3 +393,60 @@ def test_ladder_refuses_a_non_finite_atom_past_its_first_checkpoint(bad, masked)
     # without the last checkpoint the same atoms give the first one's kappa
     _, (kappa,) = kantorovich_ladder(atoms, GaussianLaw(1.0), [500], keep)
     assert kappa == kantorovich(build_empirical(atoms, 500), GaussianLaw(1.0))
+
+
+@pytest.mark.parametrize("bad", [[5000, 1000], [1000, 1000], [0, 5000], [-3], [10, 5001]])
+def test_ladder_refuses_checkpoints_out_of_order_or_out_of_range(bad):
+    # a ladder run on [5000, 1000] would label the first 1000 atoms'
+    # distance, 0.71698, with checkpoint 5000, whose measure is at 0.19176
+    atoms = np.random.default_rng(1).normal(size=5000)
+    law = GaussianLaw(1.0)
+    with pytest.raises(ConfigError, match="increase strictly"):
+        kantorovich_ladder(atoms, law, bad)
+    _, (kappa,) = kantorovich_ladder(atoms, law, [5000])
+    assert kappa == kantorovich(build_empirical(atoms, 5000), law)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 64])
+def test_ladder_blocks_equal_first_kernel(monkeypatch, block):
+    # the segment kernel and the law evaluations at block lengths that put
+    # block boundaries everywhere: inside tie runs (coin's S_k = 0, half of
+    # them signed -0.0), in running-maximum atoms, on crossing segments and
+    # in a masked ladder whose censored atoms are NaN
+    monkeypatch.setattr(measures, "_SEGMENT_BLOCK", block)
+    monkeypatch.setattr(measures, "_LAW_BLOCK", block)
+    crossings = []
+    inverse = measures.Law.cdf_inverse_in
+
+    def counted(law, a, b, p):
+        crossings.append(np.size(p))
+        return inverse(law, a, b, p)
+    monkeypatch.setattr(measures.Law, "cdf_inverse_in", counted)
+
+    n, cps = 2000, [5, 64, 700, 2000]
+    doubling = make_map("doubling")
+    tied = normalized_statistic_atoms(doubling, coin(), n, 3)
+    zeros = np.flatnonzero(tied == 0.0)
+    assert len(zeros) >= 8
+    tied[zeros[::2]] = -0.0
+    maxima = normalized_statistic_atoms(doubling, sawtooth(), n, 3, running_max=True)
+    rng = np.random.default_rng(11)
+    drawn = rng.normal(size=n)
+    keep = rng.random(n) < 0.4
+    keep[:3] = True
+    censored = np.where(keep, np.abs(drawn), np.nan)
+    weights = 1.0 / np.arange(1, n + 1)
+    cases = [("tied", tied, GaussianLaw(1.0), None),
+             ("maxima", maxima, HalfGaussianLaw(0.5), None),
+             ("drawn", drawn, GaussianLaw(0.9), None),
+             ("masked", censored, HalfGaussianLaw(1.3), keep)]
+    for name, atoms, law, mask in cases:
+        crossings.clear()
+        _, kappas = kantorovich_ladder(atoms, law, cps, mask)
+        sel = np.ones(n, dtype=bool) if mask is None else mask
+        ref = [kantorovich_reference(WeightedEmpiricalMeasure(atoms[:m][sel[:m]],
+                                                              weights[:m][sel[:m]]), law)
+               for m in cps]
+        assert kappas.tobytes() == np.array(ref).tobytes(), name
+        if name == "drawn":
+            assert sum(crossings) > 10
