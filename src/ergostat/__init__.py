@@ -2,7 +2,8 @@
 
 Modules by concern: `maps` (dynamics, observables, orbits), `transfer`
 (Ulam operator, pressure, rate data at one alpha, Green-Kubo variance),
-`measures` (log-weighted empirical measures and Kantorovich distance),
+`measures` (limit laws, and the Kantorovich distance of the log-weighted
+empirical measure to them along a checkpoint ladder),
 `asclt` (almost-sure CLT experiments for sums and running maxima),
 `erdos_renyi` (moving-average maxima, rate-function estimation,
 large-deviation Monte Carlo), `entropy` (cylinders, return times,
@@ -27,9 +28,6 @@ from .maps import (  # noqa: F401
 from .measures import (  # noqa: F401
     GaussianLaw,
     HalfGaussianLaw,
-    WeightedEmpiricalMeasure,
-    build_empirical,
-    kantorovich,
     kantorovich_ladder,
 )
 from .transfer import (  # noqa: F401

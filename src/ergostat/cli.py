@@ -162,7 +162,7 @@ def _run_sigma2(cfg, outdir, seeds):
 def _run_asclt(cfg, outdir, seeds, running_max=False):
     horizon = cfg.get("run", "horizon")
     # a refused ladder exits before any sigma^2 work
-    checkpoints = checkpoint_ladder(horizon, cfg.get("run", "checkpoints") or None)
+    checkpoints = checkpoint_ladder(horizon, cfg.get("run", "checkpoints"))
     sigma2 = cfg.get("sigma2", "value")            # NaN: compute it
     quadrature = cfg.get("sigma2", "method") == "quadrature"
     pmap, op, u = _setup(cfg, quadrature and math.isnan(sigma2))
@@ -261,7 +261,7 @@ def _run_entropy(cfg, outdir, seeds, kind):
     else:
         n = cfg.get("entropy", "depth")
     # a refused ladder exits before the operator is built
-    checkpoints = checkpoints_within(n, cfg.get("run", "checkpoints") or None)
+    checkpoints = checkpoints_within(n, cfg.get("run", "checkpoints"))
     pmap = build_map(cfg)
     build_observable(cfg, pmap)    # unread here, but a bad [observable] exits 2 everywhere
     consts = entropy_constants(pmap, _operator(cfg, pmap))

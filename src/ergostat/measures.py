@@ -1,4 +1,5 @@
-"""Log-weighted empirical measures, limit laws, and Kantorovich distance.
+"""Limit laws, and the Kantorovich distance of log-weighted empirical
+measures to them.
 
 In one dimension the Kantorovich (Wasserstein-1) distance between two
 probability measures is the L1 distance between their CDFs,
@@ -14,14 +15,15 @@ roundoff.
 
 `kantorovich_ladder` is the one checkpoint loop of the almost-sure CLT
 runs: the distance from a law to the 1/k-weighted measure of the first m
-atoms, at each checkpoint m of a ladder.
+atoms, at each checkpoint m of a ladder.  The measure of one checkpoint,
+the ladder's sorted columns, is the one measure that `kantorovich` reads,
+and `checkpoints_within` is the one rule that picks and checks a ladder.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -69,8 +71,6 @@ _U0, _U1, _U2, _U3, _U4 = _ERF_U
 # arrays up to this size are evaluated one Python float at a time: the
 # vector path's fixed cost of about 50 us is worth 50-100 scalar values
 _SCALAR_MAX = 64
-# the vector path works in blocks this long, whose temporaries stay in cache
-_BLOCK = 1 << 15
 
 
 def _horner(x, coef):
@@ -163,12 +163,10 @@ def ndtr(a):
         return np.array([_ndtr_float(v) for v in a.ravel().tolist()]).reshape(a.shape)
     x = a.ravel() * _SQRT1_2
     y = np.empty(x.shape)
-    for i in range(0, len(x), _BLOCK):
-        xb, yb = x[i:i + _BLOCK], y[i:i + _BLOCK]
-        far = np.abs(xb) >= 1.0
-        near = ~far
-        yb[near] = _erf_side(xb[near])
-        yb[far] = _erfc_side(xb[far])
+    far = np.abs(x) >= 1.0
+    near = ~far
+    y[near] = _erf_side(x[near])
+    y[far] = _erfc_side(x[far])
     return y.reshape(a.shape)
 
 
@@ -277,66 +275,37 @@ class HalfGaussianLaw(GaussianLaw):
 
 
 # ---------------------------------------------------------------------------
-# weighted empirical measures
+# checkpoint measures
 # ---------------------------------------------------------------------------
 
 def _stable_argsort(x: np.ndarray) -> np.ndarray:
     """`np.argsort(x, kind="stable")`, from numpy's faster default sort.
 
     The stable order is the unique order by (value, index), so only the
-    runs of equal values (compared with ==, so -0.0 ties 0.0) need their
-    indices put back in increasing order.
+    tied places, the sorted places whose value equals a neighbour's
+    (compared with ==, so -0.0 ties 0.0), need their indices put back in
+    increasing order.  Their values order the runs among themselves.
     """
     order = np.argsort(x)
     xs = x[order]
-    tie = xs[1:] == xs[:-1]
-    if not tie.any():
+    tied = np.flatnonzero(xs[1:] == xs[:-1])   # xs[t] == xs[t + 1]
+    del xs
+    if not len(tied):
         return order
-    member = np.zeros(len(x), dtype=bool)
-    member[1:] = tie
-    member[:-1] |= tie
-    run = np.cumsum(np.concatenate(([True], ~tie)))
-    at = np.flatnonzero(member)
-    order[at] = order[at][np.lexsort((order[at], run[at]))]
+    # the tied places: the left place of each tied pair, and the last place
+    # of each run (np.union1d would load numpy.ma)
+    at = np.sort(np.concatenate((tied, tied[np.append(np.diff(tied) != 1, True)] + 1)))
+    idx = order[at]
+    order[at] = idx[np.lexsort((idx, x[idx]))]
     return order
-
-
-@dataclass(frozen=True)
-class WeightedEmpiricalMeasure:
-    """Atoms with harmonic weights 1/k, normalized by D_n = sum_{k<=n} 1/k."""
-
-    positions: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if len(self.positions) != len(self.weights):
-            raise ValueError("positions and weights must align")
-        if not np.all(np.isfinite(self.positions)):
-            raise DomainError("empirical measure has non-finite atom positions")
-
-    @property
-    def normalizer(self) -> float:
-        """D_n, the raw weight total."""
-        return float(np.sum(self.weights))
-
-    @cached_property
-    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct sorted positions with merged normalized weights."""
-        order = _stable_argsort(self.positions)
-        return _merge_ties(self.positions[order], self.weights[order] / self.normalizer)
-
-    def _segment_columns(self, law: Law) -> tuple:
-        """(positions, F, I, distinct, buffer) as `_segment_sum` reads them."""
-        pos, w = self._sorted
-        return (pos, *_law_at(law, pos), None, w.copy())
 
 
 @dataclass(frozen=True)
 class _CheckpointMeasure:
     """The measure of one `kantorovich_ladder` checkpoint, as the ladder's
     sorted columns: the kept atoms' positions in stable order, their
-    indices `rank` (the atom at index r weighs 1/(r + 1)), `law`'s F and I
-    there, and the normalizer D_m.  It has no weight array: `kantorovich`
+    indices `rank` (the atom at index r weighs 1/(r + 1)), the law's F and
+    I there, and the normalizer D_m.  It has no weight array: `kantorovich`
     rebuilds the weights from the rank, block by block."""
 
     positions: np.ndarray
@@ -344,30 +313,6 @@ class _CheckpointMeasure:
     F: np.ndarray
     I: np.ndarray
     normalizer: float
-    law: Law
-
-    def _segment_columns(self, law: Law) -> tuple:
-        """(positions, F, I, distinct, buffer) as `_segment_sum` reads them;
-        the merged normalized weights are rebuilt from the rank, block by
-        block, in the buffer."""
-        if law is not self.law:
-            raise ValueError("the checkpoint measure carries another law's F and I")
-        pos, rank, D = self.positions, self.rank, self.normalizer
-        distinct = _distinct(pos)
-        buf = np.empty(len(pos)) if distinct is None else np.zeros(np.count_nonzero(distinct))
-        before = 0                             # distinct positions before the block
-        for s in range(0, len(pos), _SEGMENT_BLOCK):
-            w = np.divide(1.0, rank[s:s + _SEGMENT_BLOCK] + 1,
-                          out=buf[s:s + _SEGMENT_BLOCK] if distinct is None else None)
-            w /= D
-            if distinct is None:
-                continue
-            # each run's weights summed in index order, as `_merge_ties` sums them
-            run = np.cumsum(distinct[s:s + _SEGMENT_BLOCK])
-            run += before - 1
-            np.add.at(buf, run, w)
-            before = int(run[-1]) + 1
-        return pos, self.F, self.I, distinct, buf
 
 
 def _distinct(pos: np.ndarray) -> np.ndarray | None:
@@ -378,31 +323,6 @@ def _distinct(pos: np.ndarray) -> np.ndarray | None:
     distinct[:1] = True
     np.not_equal(pos[1:], pos[:-1], out=distinct[1:])
     return None if distinct.all() else distinct
-
-
-def _merge_ties(pos: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct sorted positions and their summed weights."""
-    distinct = _distinct(pos)
-    if distinct is None:
-        return pos, w
-    idx = np.cumsum(distinct) - 1
-    merged = np.zeros(int(idx[-1]) + 1)
-    np.add.at(merged, idx, w)
-    return pos[distinct], merged
-
-
-def build_empirical(values, n: int | None = None) -> WeightedEmpiricalMeasure:
-    """Empirical measure (1/D_n) sum_k (1/k) delta_{values[k-1]}.
-
-    The k-th value carries weight 1/k; D_n is their exact float sum.
-    """
-    values = np.asarray(values, dtype=float)
-    if n is None:
-        n = len(values)
-    if n < 1 or len(values) < n:
-        raise ValueError("need at least n values, n >= 1")
-    weights = 1.0 / np.arange(1, n + 1, dtype=float)
-    return WeightedEmpiricalMeasure(positions=values[:n].copy(), weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -427,17 +347,39 @@ def _law_at(law: Law, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return F, I
 
 
-def kantorovich(emp, law: Law) -> float:
-    """Exact L1 distance between the empirical CDF and the law CDF.
+def kantorovich(emp: _CheckpointMeasure, law: Law) -> float:
+    """Exact L1 distance between the CDF of the measure of one
+    `kantorovich_ladder` checkpoint and the law CDF.
 
-    `emp` is a `WeightedEmpiricalMeasure`, or the measure of one
-    `kantorovich_ladder` checkpoint.  Piecewise closed form: on each
-    inter-atom segment the empirical CDF is a constant c and |c - F|
-    integrates via the antiderivative of F, splitting at the unique
-    crossing F^{-1}(c) when it falls inside the segment.  Both tails come
-    from the antiderivative at the outer atoms.
+    Piecewise closed form: on each inter-atom segment the empirical CDF is
+    a constant c and |c - F| integrates via the antiderivative of F,
+    splitting at the unique crossing F^{-1}(c) when it falls inside the
+    segment.  Both tails come from the antiderivative at the outer atoms.
     """
-    return _segment_sum(*emp._segment_columns(law), law)
+    distinct = _distinct(emp.positions)
+    return _segment_sum(emp.positions, emp.F, emp.I, distinct, _merged_weights(emp, distinct),
+                        law)
+
+
+def _merged_weights(emp: _CheckpointMeasure, distinct: np.ndarray | None) -> np.ndarray:
+    """The normalized weights of the distinct positions, rebuilt from the
+    rank block by block into one buffer, each tie run summed in index
+    order.  A function of its own, so that its last block's temporaries
+    are freed before the segment kernel runs."""
+    rank, D = emp.rank, emp.normalizer
+    buf = np.empty(len(rank)) if distinct is None else np.zeros(np.count_nonzero(distinct))
+    before = 0                                 # distinct positions before the block
+    for s in range(0, len(rank), _SEGMENT_BLOCK):
+        w = np.divide(1.0, rank[s:s + _SEGMENT_BLOCK] + 1,
+                      out=buf[s:s + _SEGMENT_BLOCK] if distinct is None else None)
+        w /= D
+        if distinct is None:
+            continue
+        run = np.cumsum(distinct[s:s + _SEGMENT_BLOCK])
+        run += before - 1
+        np.add.at(buf, run, w)
+        before = int(run[-1]) + 1
+    return buf
 
 
 def _segment_sum(pos, F, I, distinct, buf, law: Law) -> float:
@@ -521,12 +463,15 @@ def default_checkpoints(horizon: int) -> np.ndarray:
 
 
 def checkpoints_within(n: int, checkpoints=None) -> np.ndarray:
-    """The checkpoints of a run of n atoms (`default_checkpoints(n)` when
-    None), or `ConfigError` when n does not reach the last one."""
-    if checkpoints is None:
-        return default_checkpoints(n)
-    if checkpoints[-1] > n:
-        raise ConfigError([(0, f"last checkpoint {checkpoints[-1]} is past the run's {n} atoms "
+    """The checkpoints of a run of n atoms: `default_checkpoints(n)` when
+    None or empty.  Checkpoints below 1, not strictly increasing or past n
+    raise `ConfigError`."""
+    if checkpoints is None or not len(checkpoints):
+        checkpoints = default_checkpoints(n)
+    checkpoints = np.asarray(checkpoints, dtype=np.int64)
+    if checkpoints[0] < 1 or checkpoints[-1] > n or np.any(np.diff(checkpoints) <= 0):
+        raise ConfigError([(0, f"checkpoints {checkpoints.tolist()} must increase strictly "
+                               f"from at least 1 to at most the run's {n} atoms "
                                "(its horizon, or its depth for entropy-ow)")])
     return checkpoints
 
@@ -537,11 +482,10 @@ def kantorovich_ladder(atoms: np.ndarray, law: Law, checkpoints=None,
     """(checkpoints, kappas): kappa at checkpoint m is the distance from
     `law` to the measure of atoms[:m], the k-th atom weighted 1/k.
 
-    The ladder defaults to `default_checkpoints(len(atoms))`; checkpoints
-    below 1, past the atoms or not strictly increasing raise `ConfigError`.
-    A boolean `keep` mask drops atoms from every checkpoint's measure
-    (their weights leave the normalizer too); a checkpoint that keeps no
-    atom raises `DomainError`, and so does a non-finite kept atom.
+    The ladder is `checkpoints_within(len(atoms), checkpoints)`.  A boolean
+    `keep` mask drops atoms from every checkpoint's measure (their weights
+    leave the normalizer too); a checkpoint that keeps no atom raises
+    `DomainError`, and so does a non-finite kept atom.
 
     Every normalizer is taken first, each the sum of its checkpoint's
     weights in index order.  The kept atoms of the last checkpoint are then
@@ -550,22 +494,14 @@ def kantorovich_ladder(atoms: np.ndarray, law: Law, checkpoints=None,
     sorted place, from which the weights are rebuilt), F and I.  From the
     last checkpoint down, each one keeps the atoms of these columns whose
     index it reaches, and `kantorovich` runs on a measure that carries them.
-    Every kappa keeps the bits of `kantorovich` on that checkpoint's
-    measure alone: the stable order of a prefix is the stable order of the
-    whole without the later atoms, and F and I are elementwise.
+    Every kappa keeps the bits of that checkpoint's ladder alone: the
+    stable order of a prefix is the stable order of the whole without the
+    later atoms, and F and I are elementwise.
 
     The ladder drops its own reference to `atoms` once they are sorted, so
     a caller that hands them over without keeping one frees them then.
     """
-    if checkpoints is None:
-        checkpoints = default_checkpoints(len(atoms))
-    checkpoints = np.asarray(checkpoints, dtype=np.int64)
-    if len(checkpoints) and (checkpoints[0] < 1 or checkpoints[-1] > len(atoms)
-                             or np.any(np.diff(checkpoints) <= 0)):
-        raise ConfigError([(0, f"checkpoints {checkpoints.tolist()} must increase strictly "
-                               f"from at least 1 to at most the {len(atoms)} atoms")])
-    if not len(checkpoints):
-        return checkpoints, np.empty(0)
+    checkpoints = checkpoints_within(len(atoms), checkpoints)
     # the checkpoints increase, so the first one keeps the fewest atoms
     if keep is not None and not np.any(keep[:checkpoints[0]]):
         raise DomainError(f"every atom up to checkpoint {checkpoints[0]} was censored; "
@@ -600,5 +536,5 @@ def kantorovich_ladder(atoms: np.ndarray, law: Law, checkpoints=None,
             F = F[inside]
             I = I[inside]
             del inside
-        kappas[i] = kantorovich(_CheckpointMeasure(pos, rank, F, I, norms[i], law), law)
+        kappas[i] = kantorovich(_CheckpointMeasure(pos, rank, F, I, norms[i]), law)
     return checkpoints, kappas

@@ -7,7 +7,8 @@ prefix-function (KMP) single-depth return-time scan that checks
 adaptive-quadrature oracle of `ergostat.measures.kantorovich`, with the
 point-mass and interpolated comparison laws its checks use, and
 `kantorovich_reference` is its first closed form (timsort, law evaluated
-at both ends of every segment), which it must reproduce bit for bit;
+at both ends of every segment), which the ladder's kappas must reproduce
+bit for bit;
 `itinerary` (float-iterated branch symbols of a point),
 `cylinder_interval` (the pullback of one word, refusing an empty one) and
 `cylinder_measure` (cell-overlap measure of one cylinder) check the
@@ -39,8 +40,9 @@ for every Ulam spectral constant (density, h, sigma^2, F).
 sparse layout and matvec that `ergostat.transfer.CSRMatrix` must
 reproduce, and `dense` reads one out as an array;
 `bisection_reference` is the vectorized 60-step bisection that
-`Law.cdf_inverse_in` must reproduce on every crossing; `support` and
-`normalized_weights` read a weighted empirical measure; `law_cdf`,
+`Law.cdf_inverse_in` must reproduce on every crossing; `WeightedMeasure`
+is the arbitrary-weight measure that the Kantorovich oracles read, with
+its merged support; `law_cdf`,
 `left_tail`, `right_tail` and `cdf_integral` read a law's
 `cdf_and_antiderivative` pair.
 """
@@ -62,7 +64,7 @@ from ergostat.asclt import AscltDiagnostics
 from ergostat.entropy import RETURN_TIME_CAP
 from ergostat.errors import BudgetExceededError, ConvergenceError, DomainError
 from ergostat.maps import Observable, Orbit, PiecewiseMap, _symbol_tail_depth, orbit_value_chunks
-from ergostat.measures import HalfGaussianLaw, Law, WeightedEmpiricalMeasure
+from ergostat.measures import HalfGaussianLaw, Law
 from ergostat.transfer import POWER_MAX_ITER, POWER_TOL, CSRMatrix
 
 _BREAKPOINT_TOL = 1e-14
@@ -181,6 +183,46 @@ def return_time(symbols, n: int, cap: int = RETURN_TIME_CAP) -> int | None:
 # -- Kantorovich distance ------------------------------------------------------
 
 @dataclass(frozen=True)
+class WeightedMeasure:
+    """Atoms at `positions` with arbitrary positive `weights`, normalized by
+    their pairwise `np.sum`: the measure that the Kantorovich oracles read."""
+
+    positions: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def harmonic(cls, values, n: int | None = None, keep=None) -> WeightedMeasure:
+        """(1/D) sum_{k<=n} (1/k) delta_{values[k-1]}, over the k with
+        keep[k-1] when a mask is given: the measure of a
+        `kantorovich_ladder` checkpoint at n."""
+        values = np.asarray(values, dtype=float)
+        n = len(values) if n is None else n
+        weights = 1.0 / np.arange(1, n + 1, dtype=float)
+        sel = slice(None) if keep is None else np.asarray(keep[:n], dtype=bool)
+        return cls(values[:n][sel], weights[sel])
+
+    @property
+    def normalizer(self) -> float:
+        return float(np.sum(self.weights))
+
+    @cached_property
+    def merged(self) -> tuple[np.ndarray, np.ndarray]:
+        """(support, weights): the distinct positions in stable order, and
+        their normalized weights, each tie run summed in index order by
+        `np.add.at`."""
+        order = np.argsort(self.positions, kind="stable")
+        pos = self.positions[order]
+        w = self.weights[order] / self.normalizer
+        distinct = np.empty(len(pos), dtype=bool)
+        distinct[0] = True
+        np.not_equal(pos[1:], pos[:-1], out=distinct[1:])
+        idx = np.cumsum(distinct) - 1
+        merged = np.zeros(int(idx[-1]) + 1)
+        np.add.at(merged, idx, w)
+        return pos[distinct], merged
+
+
+@dataclass(frozen=True)
 class DiracLaw(Law):
     """Point mass at a (test-harness comparison law)."""
 
@@ -253,16 +295,6 @@ def cdf_integral(law: Law, a, b):
     return law.cdf_and_antiderivative(b)[1] - law.cdf_and_antiderivative(a)[1]
 
 
-def support(emp: WeightedEmpiricalMeasure) -> np.ndarray:
-    """The distinct atom positions of emp, sorted."""
-    return emp._sorted[0]
-
-
-def normalized_weights(emp: WeightedEmpiricalMeasure) -> np.ndarray:
-    """The weights of `support(emp)`, merged and normalized to total 1."""
-    return emp._sorted[1]
-
-
 def bisection_reference(law: Law, a, b, p) -> np.ndarray:
     """Crossing points of level p in [a, b]: 60 bisection steps on whole
     arrays, with the law's array CDF."""
@@ -276,9 +308,9 @@ def bisection_reference(law: Law, a, b, p) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def as_interpolated_law(emp: WeightedEmpiricalMeasure) -> InterpolatedLaw:
+def as_interpolated_law(emp: WeightedMeasure) -> InterpolatedLaw:
     """Continuous law through the cumulative weights of `emp`."""
-    pos, w = emp._sorted
+    pos, w = emp.merged
     if len(pos) == 1:
         pos = np.array([pos[0] - 1e-12, pos[0] + 1e-12])
         return InterpolatedLaw(pos, np.array([0.0, 1.0]))
@@ -302,12 +334,12 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, tol, depth):
             + _adaptive_simpson(f, m, b, fm, frm, fb, 0.5 * tol, depth - 1))
 
 
-def kantorovich_bruteforce(emp: WeightedEmpiricalMeasure, law: Law,
+def kantorovich_bruteforce(emp: WeightedMeasure, law: Law,
                            cutoff: float | None = None, tol: float = 1e-10) -> float:
     """Independent oracle: adaptive Simpson quadrature of |F_emp - F_law|
     on [-R, R] plus analytic tails.  Slower but shares no antiderivative
     logic with `kantorovich`."""
-    pos, w = emp._sorted
+    pos, w = emp.merged
     cum = np.concatenate([[0.0], np.cumsum(w)])
     cum[-1] = 1.0
     scale = getattr(law, "sigma", 1.0)
@@ -345,21 +377,12 @@ def kantorovich_bruteforce(emp: WeightedEmpiricalMeasure, law: Law,
     return total
 
 
-def kantorovich_reference(emp: WeightedEmpiricalMeasure, law: Law) -> float:
+def kantorovich_reference(emp: WeightedMeasure, law: Law) -> float:
     """The closed-form kernel in its first form, which `kantorovich` must
-    reproduce bit for bit: a timsort (`kind="stable"`), equal atoms always
-    merged with `np.add.at`, and the law evaluated at both ends of every
-    segment."""
-    order = np.argsort(emp.positions, kind="stable")
-    pos = emp.positions[order]
-    w = emp.weights[order] / emp.normalizer
-    distinct = np.empty(len(pos), dtype=bool)
-    distinct[0] = True
-    np.not_equal(pos[1:], pos[:-1], out=distinct[1:])
-    idx = np.cumsum(distinct) - 1
-    merged = np.zeros(int(idx[-1]) + 1)
-    np.add.at(merged, idx, w)
-    pos = pos[distinct]
+    reproduce bit for bit on a harmonic measure: a timsort
+    (`kind="stable"`), equal atoms always merged with `np.add.at`, and the
+    law evaluated at both ends of every segment."""
+    pos, merged = emp.merged
     cum = np.cumsum(merged)
     cum[-1] = 1.0
 

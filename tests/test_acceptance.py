@@ -61,9 +61,7 @@ from ergostat.maps import (
 from ergostat.measures import (
     GaussianLaw,
     HalfGaussianLaw,
-    WeightedEmpiricalMeasure,
-    build_empirical,
-    kantorovich,
+    kantorovich_ladder,
 )
 from ergostat.erdos_renyi import (
     er_law_check,
@@ -76,7 +74,13 @@ from ergostat.transfer import (
     pressure_curve,
     ulam_matrix,
 )
-from oracles import binomial_band, coin_rate, kantorovich_bruteforce
+from oracles import (
+    WeightedMeasure,
+    binomial_band,
+    coin_rate,
+    kantorovich_bruteforce,
+    kantorovich_reference,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -144,9 +148,7 @@ def reference_kappas(values: np.ndarray, law, running_max: bool) -> np.ndarray:
     if running_max:
         s = np.maximum.accumulate(s, axis=1)
     atoms = s / np.sqrt(np.arange(1, n + 1))
-    weights = 1.0 / np.arange(1, n + 1)
-    return np.array([kantorovich(WeightedEmpiricalMeasure(a, weights), law)
-                     for a in atoms])
+    return np.array([kantorovich_ladder(a, law, [n])[1][0] for a in atoms])
 
 
 def reference_kappa_sample(observable: str, n: int, orbits: int,
@@ -220,13 +222,14 @@ def test_criterion_03_green_kubo(doubling):
 
 def test_criterion_04_kantorovich_oracles():
     g1 = GaussianLaw(1.0)
-    point = kantorovich(build_empirical([0.0], 1), g1)
+    point = kantorovich_ladder(np.zeros(1), g1, [1])[1][0]
     dev_point = abs(point - math.sqrt(2.0 / math.pi))
 
     # two-atom case: the adaptive-quadrature oracle (and scipy.integrate)
-    # give 0.53537732155; the closed form must match both to 1e-8
-    emp2 = WeightedEmpiricalMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-    two_closed = kantorovich(emp2, g1)
+    # give 0.53537732155; the closed form must match both to 1e-8 (weights
+    # 1/2, 1/2 are no ladder checkpoint's, so the first closed form)
+    emp2 = WeightedMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+    two_closed = kantorovich_reference(emp2, g1)
     two_brute = kantorovich_bruteforce(emp2, g1)
     dev_two = abs(two_closed - 0.5353773215478800)
 
@@ -234,10 +237,10 @@ def test_criterion_04_kantorovich_oracles():
     worst = 0.0
     for trial in range(100):
         n = int(rng.integers(1, 1001))
-        emp = build_empirical(
-            rng.normal(loc=rng.normal() * 0.5, scale=0.3 + 2.0 * rng.random(), size=n), n)
+        x = rng.normal(loc=rng.normal() * 0.5, scale=0.3 + 2.0 * rng.random(), size=n)
         law = GaussianLaw(0.4 + 2.0 * rng.random())
-        worst = max(worst, abs(kantorovich(emp, law) - kantorovich_bruteforce(emp, law)))
+        closed = kantorovich_ladder(x, law, [n])[1][0]
+        worst = max(worst, abs(closed - kantorovich_bruteforce(WeightedMeasure.harmonic(x), law)))
     ok = dev_point < 1e-9 and dev_two < 1e-6 and abs(two_closed - two_brute) < 1e-8 \
         and worst < 1e-8
     assert report("04", ok,

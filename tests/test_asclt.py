@@ -22,12 +22,19 @@ from ergostat.asclt import (
 )
 from ergostat.measures import (
     GaussianLaw,
-    WeightedEmpiricalMeasure,
+    HalfGaussianLaw,
     default_checkpoints,
-    kantorovich,
+    kantorovich_ladder,
 )
 from ergostat.transfer import green_kubo_sigma2, ulam_matrix
-from oracles import left_tail, rate_diagnostic, right_tail, statistic_atoms_reference
+from oracles import (
+    WeightedMeasure,
+    kantorovich_reference,
+    left_tail,
+    rate_diagnostic,
+    right_tail,
+    statistic_atoms_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +53,8 @@ def test_small_run_matches_direct_construction(doubling):
     u = sawtooth()
     diag = asclt_run(doubling, u, 4, seed=5, checkpoints=[4], sigma2=0.25)
     atoms = normalized_statistic_atoms(doubling, u, 4, seed=5)
-    emp = WeightedEmpiricalMeasure(atoms, 1.0 / np.arange(1, 5))
-    assert diag.kappa_values[0] == kantorovich(emp, GaussianLaw(0.5))
+    assert diag.kappa_values[0] == kantorovich_reference(WeightedMeasure.harmonic(atoms),
+                                                         GaussianLaw(0.5))
 
 
 def test_incremental_equals_rebuild(doubling):
@@ -104,9 +111,8 @@ def test_maxima_run_single_step(doubling):
 def test_single_atom_maxima_measure(doubling):
     # M_1 is the point mass at S_1; its distance to the limit law is the
     # direct single-atom computation
-    from ergostat.measures import HalfGaussianLaw, build_empirical, kantorovich
     atom = normalized_statistic_atoms(doubling, coin(), 1, seed=8, running_max=True)
-    direct = kantorovich(build_empirical(atom, 1), HalfGaussianLaw(0.5))
+    (direct,) = kantorovich_ladder(atom, HalfGaussianLaw(0.5), [1])[1]
     assert direct >= 0
     law = HalfGaussianLaw(0.5)
     s1 = float(atom[0])

@@ -50,12 +50,13 @@ def test_a_moved_or_missing_csv_exits_1(tmp_path, capsys, change):
 
 def test_a_moved_manifest_field_exits_1(tmp_path, capsys):
     # the wall time and the config hash (it covers the temporary output
-    # directory) differ between two runs of the same code; phi does not
+    # directory) differ between two runs of the same code, and the numpy
+    # version between two hosts; phi does not
     manifest = {"subcommand": "erdos-renyi", "alpha": 0.2, "phi": 0.0822, "beta": 0.847,
-                "wall_time_s": 0.25, "config_hash": "ab" * 32}
+                "wall_time_s": 0.25, "config_hash": "ab" * 32, "numpy_version": "2.2.6"}
     path = tmp_path / "erdos-renyi-manifest.json"
     digests = []
-    for change in ({}, {"wall_time_s": 0.5, "config_hash": "cd" * 32},
+    for change in ({}, {"wall_time_s": 0.5, "config_hash": "cd" * 32, "numpy_version": "2.3.0"},
                    {"phi": 0.0822000000001}):
         path.write_text(json.dumps({**manifest, **change}, indent=2))
         digests.append(csv_digests.digest(path))

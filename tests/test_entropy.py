@@ -23,9 +23,11 @@ from ergostat.entropy import (
 )
 from oracles import (
     CylinderInterval,
+    WeightedMeasure,
     cylinder_interval,
     cylinder_measure,
     itinerary,
+    kantorovich_reference,
     return_time,
 )
 
@@ -451,7 +453,7 @@ def test_censored_ow_ladder_equals_kept_atom_distances(perturbed, tmp_path):
     # measure of its kept atoms alone, bit for bit
     from ergostat.cli import run
     from ergostat.config import parse_config
-    from ergostat.measures import GaussianLaw, WeightedEmpiricalMeasure, kantorovich
+    from ergostat.measures import GaussianLaw, kantorovich_ladder
 
     consts = entropy_constants(perturbed, ulam_matrix(perturbed, N=1024))
     cps = [4, 8, 13, 14]
@@ -459,11 +461,12 @@ def test_censored_ow_ladder_equals_kept_atom_distances(perturbed, tmp_path):
     assert diag.censored > 0
     keep = np.isfinite(diag.atoms)
     assert not keep[-1]
-    weights = 1.0 / np.arange(1, 15)
     law = GaussianLaw(diag.sigma_used)
-    expected = [kantorovich(WeightedEmpiricalMeasure(diag.atoms[:m][keep[:m]],
-                                                     weights[:m][keep[:m]]), law) for m in cps]
+    expected = [kantorovich_reference(WeightedMeasure.harmonic(diag.atoms, m, keep), law)
+                for m in cps]
+    alone = [kantorovich_ladder(diag.atoms[:m], law, [m], keep[:m])[1][0] for m in cps]
     assert diag.kappa_values.tobytes() == np.array(expected).tobytes()
+    assert diag.kappa_values.tobytes() == np.array(alone).tobytes()
     # the same run through the CLI exits 0 and records the censoring
     text = ("[map]\nname = perturbed-doubling\n\n[observable]\nname = sawtooth\n\n"
             f"[run]\nseeds = 3\ncheckpoints = 4, 8, 13, 14\noutput_dir = {tmp_path}\n\n"

@@ -1,14 +1,17 @@
-"""Golden CSV digests: every subcommand on small fixed-seed configs.
+"""Golden digests: every subcommand on small fixed-seed configs.
 
-A change that moves any written digit changes a SHA-256 below and fails
-this test.  When such a change is intended, regenerate the file with
+Each run's CSVs and manifest are digested by `tools/csv_digests.py`, the
+same digest as the benchmark's same-bytes check (a manifest without its
+`VOLATILE` fields).  A change that moves
+any written digit changes a SHA-256 below and fails this test.  When such
+a change is intended, regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
 and say in CHANGES.md which digits moved and why.
 """
 
-import hashlib
+import importlib.util
 import json
 import sys
 import tempfile
@@ -20,6 +23,10 @@ from ergostat.cli import SUBCOMMANDS, run
 from ergostat.config import parse_config
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
+_SPEC = importlib.util.spec_from_file_location(
+    "csv_digests", Path(__file__).resolve().parent.parent / "tools" / "csv_digests.py")
+csv_digests = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(csv_digests)
 
 MAPS = {
     "doubling-coin": "[map]\nname = doubling\n\n[observable]\nname = coin\n",
@@ -81,7 +88,8 @@ def config_text(head: str, sub: str, outdir) -> str:
 
 
 def digests() -> dict:
-    """{config: {subcommand: {"exit": code, "csv": {file: sha256}}}}"""
+    """{config: {subcommand: {"exit": code, "csv": {file: sha256},
+    "manifest": {file: sha256}}}}"""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, head in MAPS.items():
@@ -90,9 +98,9 @@ def digests() -> dict:
                 outdir = Path(tmp) / name / sub
                 cfg = parse_config(config_text(head, sub, outdir))
                 code = run(sub, cfg)
-                csvs = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                        for p in sorted(outdir.glob("*.csv"))}
-                out[name][sub] = {"exit": code, "csv": csvs}
+                out[name][sub] = {"exit": code, **{
+                    kind: {p.name: csv_digests.digest(p) for p in sorted(outdir.glob(pattern))}
+                    for kind, pattern in (("csv", "*.csv"), ("manifest", "*-manifest.json"))}}
     return out
 
 
@@ -102,7 +110,7 @@ def test_golden_csv_digests():
     got = digests()
     moved = [f"{name}/{sub}" for name in expected for sub in expected[name]
              if got.get(name, {}).get(sub) != expected[name][sub]]
-    assert got == expected, f"CSV digests moved: {', '.join(moved)}"
+    assert got == expected, f"digests moved: {', '.join(moved)}"
 
 
 if __name__ == "__main__":

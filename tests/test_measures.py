@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,71 +7,87 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from ergostat import measures
-from ergostat.asclt import normalized_statistic_atoms
+from ergostat import asclt, entropy, measures
+from ergostat.asclt import asclt_run, maxima_run, normalized_statistic_atoms
 from ergostat.errors import ConfigError, DomainError
+from ergostat.entropy import entropy_constants, ow_run, smb_run
 from ergostat.maps import coin, make_map, sawtooth
+from ergostat.transfer import ulam_matrix
 from scipy.special import ndtr as scipy_ndtr
 
 from ergostat.measures import (
     _SCALAR_MAX,
     GaussianLaw,
     HalfGaussianLaw,
-    WeightedEmpiricalMeasure,
     _libm_exp,
     _ndtr_float,
     _stable_argsort,
-    build_empirical,
     default_checkpoints,
-    kantorovich,
     kantorovich_ladder,
     ndtr,
 )
 from oracles import (
     DiracLaw,
     InterpolatedLaw,
+    WeightedMeasure,
     as_interpolated_law,
     bisection_reference,
     kantorovich_bruteforce,
     kantorovich_reference,
     law_cdf,
-    normalized_weights,
-    support,
 )
 
 EULER_GAMMA = 0.5772156649015329
 
 
-# -- weighted empirical measures --------------------------------------------
+def _kappa(values, law, n=None) -> float:
+    """kappa of the harmonic measure of values[:n], from a one-checkpoint
+    ladder."""
+    values = np.asarray(values, dtype=float)
+    return float(kantorovich_ladder(values, law, [len(values) if n is None else n])[1][0])
 
-def test_build_empirical_merges_equal_atoms():
-    emp = build_empirical([0.0, 0.0, 0.0], 3)
-    assert support(emp).tolist() == [0.0]
-    assert emp.normalizer == pytest.approx(11.0 / 6.0, abs=1e-12)
-    assert normalized_weights(emp).sum() == pytest.approx(1.0, abs=1e-12)
+
+# -- the harmonic measure of a ladder checkpoint ------------------------------
+
+def test_ladder_merges_equal_atoms():
+    # 1/D_4 (1 + 1/3 + 1/4) = 19/25 of the mass sits at 0, the rest at 1:
+    # the distance to the point mass at 1 is 19/25, whatever the atoms' order
+    law = DiracLaw(1.0)
+    assert _kappa([0.0, 1.0, 0.0, 0.0], law) == pytest.approx(19.0 / 25.0, abs=1e-12)
+    assert _kappa([0.0, 0.0, 0.0], GaussianLaw(1.0)) == _kappa([0.0], GaussianLaw(1.0))
+    support, weights = WeightedMeasure.harmonic([0.0, 1.0, 0.0, 0.0]).merged
+    assert support.tolist() == [0.0, 1.0]
+    assert weights.tolist() == pytest.approx([19.0 / 25.0, 6.0 / 25.0], abs=1e-15)
 
 
 def test_harmonic_normalizer_large_n():
-    emp = build_empirical(np.zeros(10**6), 10**6)
-    assert emp.normalizer == pytest.approx(math.log(10**6) + EULER_GAMMA, abs=1e-6)
+    # the first of 10^6 atoms lies at -1, the rest at 1: it alone carries
+    # 1/D_n, and the distance to the point mass at 1 is 2/D_n
+    atoms = np.ones(10**6)
+    atoms[0] = -1.0
+    D = 2.0 / _kappa(atoms, DiracLaw(1.0))
+    assert D == pytest.approx(math.log(10**6) + EULER_GAMMA, abs=1e-6)
 
 
 def test_single_atom_measure():
-    emp = build_empirical([3.25], 1)
-    assert emp.normalizer == 1.0
-    assert len(emp.positions) == 1
-    assert support(emp).tolist() == [3.25]
+    for a in (0.0, 3.25, 5.0):
+        assert _kappa([3.25], DiracLaw(a)) == pytest.approx(abs(3.25 - a), abs=1e-12)
 
 
 def test_total_mass_normalized():
+    # against a point mass right of every atom, kappa is that point less
+    # the measure's mean, which holds only for total mass 1
     rng = np.random.default_rng(3)
-    emp = build_empirical(rng.normal(size=500), 500)
-    assert abs(normalized_weights(emp).sum() - 1.0) < 1e-12
+    x = rng.normal(size=500)
+    w = 1.0 / np.arange(1, 501)
+    assert _kappa(x, DiracLaw(10.0)) == pytest.approx(10.0 - np.sum(w * x) / np.sum(w),
+                                                      rel=1e-12)
 
 
 def test_non_finite_atoms_rejected():
-    with pytest.raises(DomainError):
-        WeightedEmpiricalMeasure(np.array([0.0, np.nan]), np.array([1.0, 0.5]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="non-finite"):
+            kantorovich_ladder(np.array([0.0, bad]), GaussianLaw(1.0))
 
 
 # -- the normal CDF against scipy's -------------------------------------------
@@ -188,9 +205,8 @@ def test_gaussian_cdf_monotone_and_centered():
 # checked against scipy.integrate.quad; see test_two_atom_value_oracle.
 
 def test_kappa_point_mass_vs_gaussian():
-    emp = build_empirical([0.0], 1)
     # E|Z| = sqrt(2/pi)
-    assert kantorovich(emp, GaussianLaw(1.0)) == pytest.approx(
+    assert _kappa([0.0], GaussianLaw(1.0)) == pytest.approx(
         math.sqrt(2.0 / math.pi), abs=1e-9)
 
 
@@ -198,8 +214,9 @@ TWO_ATOM_KAPPA = 0.5353773215478800
 
 
 def test_two_atom_value_oracle():
-    emp = WeightedEmpiricalMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-    closed = kantorovich(emp, GaussianLaw(1.0))
+    # weights 1/2, 1/2: no ladder checkpoint, so the first closed form
+    emp = WeightedMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+    closed = kantorovich_reference(emp, GaussianLaw(1.0))
     brute = kantorovich_bruteforce(emp, GaussianLaw(1.0))
 
     def femp(x):
@@ -213,63 +230,59 @@ def test_two_atom_value_oracle():
 
 
 def test_kappa_dirac_translation():
-    emp = build_empirical([2.5], 1)
-    assert kantorovich(emp, DiracLaw(0.75)) == pytest.approx(1.75, abs=1e-12)
+    assert _kappa([2.5], DiracLaw(0.75)) == pytest.approx(1.75, abs=1e-12)
 
 
 def test_far_atom_asymptotics():
-    emp = build_empirical([1e6], 1)
-    assert kantorovich(emp, GaussianLaw(1.0)) == pytest.approx(1e6, abs=1.0)
-    assert kantorovich_bruteforce(emp, GaussianLaw(1.0)) == pytest.approx(1e6, abs=1e-3)
+    assert _kappa([1e6], GaussianLaw(1.0)) == pytest.approx(1e6, abs=1.0)
+    assert kantorovich_bruteforce(WeightedMeasure.harmonic([1e6]), GaussianLaw(1.0)) == \
+        pytest.approx(1e6, abs=1e-3)
 
 
 def test_kappa_half_gaussian_point_mass():
     # kappa(delta_0, G(sigma)) is the half-Gaussian mean sigma*sqrt(2/pi)
-    emp = build_empirical([0.0], 1)
-    assert kantorovich(emp, HalfGaussianLaw(0.5)) == pytest.approx(
+    assert _kappa([0.0], HalfGaussianLaw(0.5)) == pytest.approx(
         0.5 * math.sqrt(2.0 / math.pi), abs=1e-12)
 
 
 # -- oracle equivalence and structural invariants ----------------------------
 
-def _random_measure(rng, max_atoms=1000):
+def _random_atoms(rng, max_atoms=1000):
     n = int(rng.integers(1, max_atoms + 1))
-    values = rng.normal(loc=rng.normal() * 0.5, scale=0.3 + rng.random() * 2.0, size=n)
-    return build_empirical(values, n)
+    return rng.normal(loc=rng.normal() * 0.5, scale=0.3 + rng.random() * 2.0, size=n)
 
 
 def test_oracle_equivalence_100_random_measures():
     rng = np.random.default_rng(20240817)
     for trial in range(100):
-        emp = _random_measure(rng)
+        x = _random_atoms(rng)
         law = GaussianLaw(0.4 + 2.0 * rng.random()) if trial % 3 else \
             HalfGaussianLaw(0.4 + 1.5 * rng.random())
-        closed = kantorovich(emp, law)
-        brute = kantorovich_bruteforce(emp, law)
+        closed = _kappa(x, law)
+        brute = kantorovich_bruteforce(WeightedMeasure.harmonic(x), law)
         assert abs(closed - brute) < 1e-8, f"trial {trial}: {closed} vs {brute}"
 
 
 def test_scale_equivariance():
     rng = np.random.default_rng(11)
-    emp = _random_measure(rng, max_atoms=200)
-    base = kantorovich(emp, GaussianLaw(0.8))
+    x = _random_atoms(rng, max_atoms=200)
+    base = _kappa(x, GaussianLaw(0.8))
     for s in (0.5, 2.0, 10.0):
-        scaled = WeightedEmpiricalMeasure(emp.positions * s, emp.weights)
-        assert kantorovich(scaled, GaussianLaw(0.8 * s)) == pytest.approx(
+        assert _kappa(x * s, GaussianLaw(0.8 * s)) == pytest.approx(
             s * base, abs=1e-9 * max(1.0, s))
 
 
 def test_triangle_inequality_random_triples():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        emp = _random_measure(rng, max_atoms=100)
-        mid = as_interpolated_law(emp)
+        x = _random_atoms(rng, max_atoms=100)
+        mid = as_interpolated_law(WeightedMeasure.harmonic(x))
         gauss = GaussianLaw(0.5 + rng.random())
-        d_direct = kantorovich(emp, gauss)
-        d_via_mid = kantorovich(emp, mid)
+        d_direct = _kappa(x, gauss)
+        d_via_mid = _kappa(x, mid)
         # law-to-law leg by quadrature, one smooth piece per node interval
-        lo = min(float(support(emp)[0]), -10.0 * gauss.sigma) - 1.0
-        hi = max(float(support(emp)[-1]), 10.0 * gauss.sigma) + 1.0
+        lo = min(float(np.min(x)), -10.0 * gauss.sigma) - 1.0
+        hi = max(float(np.max(x)), 10.0 * gauss.sigma) + 1.0
         cuts = [lo] + [float(x) for x in mid.xs if lo < x < hi] + [hi]
         leg = sum(quad(lambda x: abs(mid.cdf_float(x) - gauss.cdf_float(x)),
                        a, b, limit=60)[0]
@@ -281,8 +294,12 @@ def test_law_vs_own_sample():
     rng = np.random.default_rng(99)
     n = 10_000
     sample = rng.normal(scale=1.0, size=n)
-    emp = WeightedEmpiricalMeasure(sample, np.full(n, 1.0 / n))
-    assert kantorovich(emp, GaussianLaw(1.0)) < 0.02
+    # weights 1/n: no ladder checkpoint, so the first closed form, which
+    # the quadrature oracle checks at these weights
+    emp = WeightedMeasure(sample, np.full(n, 1.0 / n))
+    closed = kantorovich_reference(emp, GaussianLaw(1.0))
+    assert closed < 0.02
+    assert closed == pytest.approx(kantorovich_bruteforce(emp, GaussianLaw(1.0)), abs=1e-8)
 
 
 # -- the stable sort and the first closed-form kernel ----------------------------
@@ -317,6 +334,26 @@ def test_stable_argsort_is_numpy_stable_argsort(x, arrange):
     assert np.array_equal(_stable_argsort(x), np.argsort(x, kind="stable"))
 
 
+def test_stable_argsort_on_tie_heavy_inputs():
+    # long and short runs, -0.0 next to 0.0, and doubling/coin atoms, whose
+    # S_k = 0 ties at 0.0
+    rng = np.random.default_rng(17)
+    for trial in range(40):
+        n = int(rng.integers(2, 20_000))
+        x = rng.integers(-int(rng.integers(1, 60)), 60, n) / 3.0
+        x[(x == 0.0) & (rng.random(n) < 0.5)] = -0.0
+        assert np.array_equal(_stable_argsort(x), np.argsort(x, kind="stable")), trial
+    x = normalized_statistic_atoms(make_map("doubling"), coin(), 200_000, 1)
+    tracemalloc.start()
+    order = _stable_argsort(x)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert np.array_equal(order, np.argsort(x, kind="stable"))
+    # the order, the sorted values and the tie mask (17 B per atom), and
+    # bookkeeping over the tied places only (35 B per atom over every atom)
+    assert peak / len(x) <= 18.0
+
+
 def test_kantorovich_equals_first_kernel_bitwise():
     rng = np.random.default_rng(314)
     for trial in range(200):
@@ -328,8 +365,8 @@ def test_kantorovich_equals_first_kernel_bitwise():
             x[rng.random(n) < 0.1] = -0.0               # -0.0 ties 0.0
         law = GaussianLaw(0.3 + rng.random()) if trial % 3 else \
             HalfGaussianLaw(0.3 + rng.random())
-        emp = build_empirical(x)
-        assert kantorovich(emp, law).hex() == kantorovich_reference(emp, law).hex(), trial
+        ref = kantorovich_reference(WeightedMeasure.harmonic(x), law)
+        assert _kappa(x, law).hex() == ref.hex(), trial
 
 
 @pytest.mark.parametrize("obs", [sawtooth, coin], ids=["sawtooth", "coin"])
@@ -340,27 +377,31 @@ def test_ladder_on_doubling_atoms_equals_first_kernel(obs):
         atoms = normalized_statistic_atoms(doubling, obs(), 300_000, 1,
                                            running_max=running_max)
         cps, kappas = kantorovich_ladder(atoms, law)
-        ref = [kantorovich_reference(build_empirical(atoms, m), law) for m in cps]
+        ref = [kantorovich_reference(WeightedMeasure.harmonic(atoms, m), law) for m in cps]
         assert kappas.tobytes() == np.array(ref).tobytes()
 
 
 def test_bruteforce_cutoff_guard():
-    emp = build_empirical([50.0], 1)
     with pytest.raises(ValueError):
-        kantorovich_bruteforce(emp, GaussianLaw(1.0), cutoff=5.0)
+        kantorovich_bruteforce(WeightedMeasure.harmonic([50.0]), GaussianLaw(1.0), cutoff=5.0)
 
 
 # -- checkpoint ladder ---------------------------------------------------------
 
 def test_ladder_equals_per_checkpoint_distances():
+    # drawn atoms, and the same rounded to thirds with some zeros signed
     rng = np.random.default_rng(5)
-    atoms = rng.normal(size=3000)
+    drawn = rng.normal(size=3000)
+    tied = np.round(drawn * 3.0) / 3.0
+    tied[(tied == 0.0) & (rng.random(3000) < 0.5)] = -0.0
     law = GaussianLaw(0.8)
-    cps, kappas = kantorovich_ladder(atoms, law, [10, 500, 3000])
-    assert cps.tolist() == [10, 500, 3000]
-    for m, kappa in zip(cps, kappas):
-        assert kappa == kantorovich(build_empirical(atoms, m), law)
-    cps, _ = kantorovich_ladder(atoms, law)
+    for atoms in (drawn, tied):
+        cps, kappas = kantorovich_ladder(atoms, law, [10, 500, 3000])
+        assert cps.tolist() == [10, 500, 3000]
+        alone = [_kappa(atoms[:m], law) for m in cps]
+        ref = [kantorovich_reference(WeightedMeasure.harmonic(atoms, m), law) for m in cps]
+        assert kappas.tobytes() == np.array(alone).tobytes() == np.array(ref).tobytes()
+    cps, _ = kantorovich_ladder(drawn, law)
     assert np.array_equal(cps, default_checkpoints(3000))
 
 
@@ -370,12 +411,12 @@ def test_masked_ladder_drops_atoms_and_their_weights():
     keep = rng.random(3000) < 0.3
     keep[:20] = False
     law = HalfGaussianLaw(1.3)
-    _, kappas = kantorovich_ladder(np.abs(atoms), law, [50, 1000, 3000], keep)
-    weights = 1.0 / np.arange(1, 3001)
-    for m, kappa in zip([50, 1000, 3000], kappas):
-        sel = keep[:m]
-        emp = WeightedEmpiricalMeasure(np.abs(atoms[:m][sel]), weights[:m][sel])
-        assert kappa == kantorovich(emp, law)
+    cps = [50, 1000, 3000]
+    _, kappas = kantorovich_ladder(np.abs(atoms), law, cps, keep)
+    alone = [kantorovich_ladder(np.abs(atoms[:m]), law, [m], keep[:m])[1][0] for m in cps]
+    ref = [kantorovich_reference(WeightedMeasure.harmonic(np.abs(atoms), m, keep), law)
+           for m in cps]
+    assert kappas.tobytes() == np.array(alone).tobytes() == np.array(ref).tobytes()
     with pytest.raises(DomainError):
         kantorovich_ladder(atoms, law, [10, 3000], keep)
 
@@ -392,7 +433,8 @@ def test_ladder_refuses_a_non_finite_atom_past_its_first_checkpoint(bad, masked)
         kantorovich_ladder(atoms, GaussianLaw(1.0), [500, 1000], keep)
     # without the last checkpoint the same atoms give the first one's kappa
     _, (kappa,) = kantorovich_ladder(atoms, GaussianLaw(1.0), [500], keep)
-    assert kappa == kantorovich(build_empirical(atoms, 500), GaussianLaw(1.0))
+    assert kappa == _kappa(atoms[:500], GaussianLaw(1.0))
+    assert kappa == kantorovich_reference(WeightedMeasure.harmonic(atoms, 500), GaussianLaw(1.0))
 
 
 @pytest.mark.parametrize("bad", [[5000, 1000], [1000, 1000], [0, 5000], [-3], [10, 5001]])
@@ -404,7 +446,47 @@ def test_ladder_refuses_checkpoints_out_of_order_or_out_of_range(bad):
     with pytest.raises(ConfigError, match="increase strictly"):
         kantorovich_ladder(atoms, law, bad)
     _, (kappa,) = kantorovich_ladder(atoms, law, [5000])
-    assert kappa == kantorovich(build_empirical(atoms, 5000), law)
+    assert kappa == kantorovich_reference(WeightedMeasure.harmonic(atoms, 5000), law)
+
+
+@pytest.fixture(scope="module")
+def two_slope():
+    pmap = make_map("custom", breakpoints=[0.0, 1.0 / 3.0, 1.0], slopes=[3.0, 1.5])
+    return pmap, entropy_constants(pmap, ulam_matrix(pmap, N=256))
+
+
+def test_every_runner_defaults_an_empty_ladder_and_refuses_a_bad_one_first(
+        monkeypatch, two_slope):
+    # an empty ladder is the default one, for the ladder and for the four
+    # runs; a bad one is refused before any orbit work
+    pmap, consts = two_slope
+    doubling = make_map("doubling")
+    runs = {
+        "asclt": lambda cps: asclt_run(doubling, sawtooth(), 2000, 1, cps, sigma2=0.25),
+        "maxima": lambda cps: maxima_run(doubling, coin(), 2000, 1, cps, sigma2=0.25),
+        "smb": lambda cps: smb_run(pmap, consts, 500, 1, checkpoints=cps),
+        "ow": lambda cps: ow_run(pmap, consts, 12, 1, checkpoints=cps),
+    }
+    for name, run in runs.items():
+        default, empty = run(None), run([])
+        assert np.array_equal(empty.checkpoints, default.checkpoints), name
+        assert empty.kappa_values.tobytes() == default.kappa_values.tobytes(), name
+    atoms = np.random.default_rng(2).normal(size=2000)
+    cps, kappas = kantorovich_ladder(atoms, GaussianLaw(1.0), [])
+    assert cps.tolist() == [1000, 2000]
+    assert kappas.tobytes() == kantorovich_ladder(atoms, GaussianLaw(1.0))[1].tobytes()
+
+    def no_orbit(*args, **kwargs):
+        raise AssertionError("orbit work before the ladder was checked")
+    monkeypatch.setattr(asclt, "orbit_value_chunks", no_orbit)
+    monkeypatch.setattr(entropy, "orbit", no_orbit)
+    monkeypatch.setattr(entropy, "symbol_chunks", no_orbit)
+    for bad in ([0, 10], [10, 5], [10, 10], [5, 100_000]):
+        for name, run in runs.items():
+            with pytest.raises(ConfigError, match="increase strictly"):
+                run(bad)
+        with pytest.raises(ConfigError, match="increase strictly"):
+            kantorovich_ladder(atoms, GaussianLaw(1.0), bad)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 64])
@@ -435,7 +517,6 @@ def test_ladder_blocks_equal_first_kernel(monkeypatch, block):
     keep = rng.random(n) < 0.4
     keep[:3] = True
     censored = np.where(keep, np.abs(drawn), np.nan)
-    weights = 1.0 / np.arange(1, n + 1)
     cases = [("tied", tied, GaussianLaw(1.0), None),
              ("maxima", maxima, HalfGaussianLaw(0.5), None),
              ("drawn", drawn, GaussianLaw(0.9), None),
@@ -443,9 +524,7 @@ def test_ladder_blocks_equal_first_kernel(monkeypatch, block):
     for name, atoms, law, mask in cases:
         crossings.clear()
         _, kappas = kantorovich_ladder(atoms, law, cps, mask)
-        sel = np.ones(n, dtype=bool) if mask is None else mask
-        ref = [kantorovich_reference(WeightedEmpiricalMeasure(atoms[:m][sel[:m]],
-                                                              weights[:m][sel[:m]]), law)
+        ref = [kantorovich_reference(WeightedMeasure.harmonic(atoms, m, mask), law)
                for m in cps]
         assert kappas.tobytes() == np.array(ref).tobytes(), name
         if name == "drawn":

@@ -9,10 +9,10 @@ bench/workloads.py (all workloads, full size, seed offset 0) through
 `ergostat.cli.run` into a temporary directory, and writes
 {"<workload>/<index>-<subcommand>/<file>": sha256} to OUT.json for every
 CSV and every manifest.  A manifest is digested without the fields that
-differ between two runs of the same code (`VOLATILE`).  It exits 1 when an
-invocation does not exit 0.  The second form lists the files whose digests
-differ between two such records, or that only one of them has, and exits 1
-if there are any.  A refactor that must leave every CSV and manifest
+differ between two runs of the same code, or that name the numpy it ran
+on (`VOLATILE`).  It exits 1 when an invocation does not exit 0.  The
+second form lists the files whose digests differ between two such
+records, or that only one of them has, and exits 1 if there are any.  A refactor that must leave every CSV and manifest
 byte-identical is checked by recording the parent tree and the changed tree
 and comparing the two records.
 """
@@ -27,8 +27,9 @@ import tempfile
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-# the wall time, and the config hash, which covers the temporary output_dir
-VOLATILE = ("wall_time_s", "config_hash")
+# the wall time, the config hash, which covers the temporary output_dir, and
+# the numpy version, which an upgrade that moves no digit changes
+VOLATILE = ("wall_time_s", "config_hash", "numpy_version")
 
 
 def digest(path: Path) -> str:
