@@ -63,10 +63,12 @@ def _moving_max_chunked(chunks, k_grid, n_windows) -> list[tuple]:
 
     Window j has sum c_{j+k} - c_j with c_t the prefix sum of the first t
     values; valid end indices e = j + k run from k to n + k - 1.
-    Float chunks carry absolute float64 prefixes.  Integer chunks (exact
-    weights or symbol bytes) carry prefixes relative to the start of each
-    chunk, so an int32 accumulator cannot overflow on a long stream, and
-    return int maxima.
+    Float chunks carry absolute float64 prefixes: the prefix so far is
+    added to each chunk's first value before its `np.cumsum`, which is
+    sequential, so the prefixes and the maxima do not depend on the chunks.
+    Integer chunks (exact weights or symbol bytes) carry prefixes relative
+    to the start of each chunk, so an int32 accumulator cannot overflow on a
+    long stream, and return int maxima.
     """
     ks = [int(k) for k in k_grid]
     ends = [int(n) + k - 1 for k, n in zip(ks, n_windows)]    # values each k reads
@@ -84,9 +86,13 @@ def _moving_max_chunked(chunks, k_grid, n_windows) -> list[tuple]:
             hist = np.zeros(1, dtype=acc)
         ext = np.empty(len(hist) + take, dtype=acc)
         ext[:len(hist)] = hist
-        np.cumsum(chunk[:take], dtype=acc, out=ext[len(hist):])
+        prefix = ext[len(hist):]
         if acc is np.float64:
-            ext[len(hist):] += hist[-1]
+            prefix[:] = chunk[:take]
+            prefix[0] = hist[-1] + prefix[0]
+            np.cumsum(prefix, out=prefix)
+        else:
+            np.cumsum(chunk[:take], dtype=acc, out=prefix)
         lo = consumed - len(hist) + 1     # prefix index of ext[0]
         buf = np.empty(take, dtype=acc)   # one buffer per chunk for each k's sums in turn
         for i, (k, end) in enumerate(zip(ks, ends)):
@@ -160,7 +166,9 @@ def er_law_check(pmap: PiecewiseMap, u: Observable, alpha: float, phi: float, be
     # one stream serves every k: each reads its own prefix of it
     view, maxima = None, []
     if len(k_grid):
-        view, chunks = _orbit_values(pmap, u, seed, max(lengths), 1 << 20, exact=True)
+        # chunks of 2^16 values: each chunk's prefix sums and window sums
+        # stay in cache while every k reads them
+        view, chunks = _orbit_values(pmap, u, seed, max(lengths), 1 << 16, exact=True)
         maxima = _moving_max_chunked(chunks, k_grid, counts)
     best = [best for best, _ in maxima]
     if view is None:

@@ -75,7 +75,8 @@ class Branch:
         if self.inv is not None:
             x = self.inv(y)
         else:
-            x = _newton_inverse(self.fn, self.dfn, self.lo, self.hi, y)
+            x = _newton_inverse(self.fn, self.dfn, y, self.lo, self.hi, float(self(self.lo)),
+                                float(self(self.hi)), np.zeros(y.shape, dtype=np.uint8))
         return np.clip(x, self.lo, self.hi)
 
 
@@ -85,15 +86,26 @@ _NEWTON_TOL = 4.0 * np.finfo(float).eps
 _NEWTON_MAX_STEPS = 64
 
 
-def _newton_inverse(fn, dfn, lo, hi, y):
-    """Vectorized Newton for a monotone fn on [lo, hi] from the chord start,
-    kept in a per-point bracket: a step leaving the closed bracket becomes
-    its midpoint, and a zero residual (a bracket end) gives a zero step."""
-    f_lo, f_hi = float(fn(np.asarray(lo))), float(fn(np.asarray(hi)))
+def _clip(x, lo, hi):
+    """np.clip(x, lo, hi) as it is for scalar bounds, for per-point bounds
+    too: x stays unless it lies strictly outside (np.clip with array bounds
+    gives the bound where x equals it, so -0.0 against a bound 0.0 moves)."""
+    return np.where(x < lo, lo, np.where(x > hi, hi, x))
+
+
+def _newton_inverse(fn, dfn, y, lo, hi, f_lo, f_hi, label):
+    """Vectorized Newton for monotone branches: point j solves fn(x) = y[j]
+    on its bracket [lo, hi] (per point, or one for all), whose ends fn takes
+    to f_lo and f_hi, from the chord start.  A step leaving the closed
+    bracket becomes its midpoint, and a zero residual (a bracket end) gives
+    a zero step.  label[j] names the branch of point j: the points of one
+    branch stop together, after the first step whose largest move over
+    them is at most _NEWTON_TOL, so each branch gets the bits it would get
+    on its own."""
     rising = f_hi > f_lo
-    a = np.full(y.shape, float(lo))
-    b = np.full(y.shape, float(hi))
-    x = np.clip(lo + (y - f_lo) * ((hi - lo) / (f_hi - f_lo)), lo, hi)
+    a, b = lo, hi
+    x = _clip(lo + (y - f_lo) * ((hi - lo) / (f_hi - f_lo)), lo, hi)
+    live = np.ones(int(np.max(label, initial=0)) + 1, dtype=bool)
     for _ in range(_NEWTON_MAX_STEPS):
         r = fn(x) - y
         left = (r < 0.0) == rising           # x lies left of the root
@@ -101,9 +113,10 @@ def _newton_inverse(fn, dfn, lo, hi, y):
         b = np.where(left, b, x)
         nxt = x - r / dfn(x)
         nxt = np.where((nxt < a) | (nxt > b), 0.5 * (a + b), nxt)
-        step = np.max(np.abs(nxt - x), initial=0.0)
-        x = nxt
-        if step <= _NEWTON_TOL:
+        moved = np.bincount(label[~(np.abs(nxt - x) <= _NEWTON_TOL)], minlength=len(live)) > 0
+        x = nxt if live.all() else np.where(live[label], nxt, x)
+        live &= moved
+        if not live.any():
             break
     return x
 
@@ -120,6 +133,10 @@ class PiecewiseMap:
     on an array.  The constructor writes the step out inside the loop, so
     a step makes no Python call but its formula's own, and the points go
     through a memoryview (8 B each, where a list would hold 32 B).
+    Next to it the constructor gives the array kernels behind `apply`,
+    `derivative` and `inverse`: `step`, `slope` and `preimage`.  Each makes
+    one pass over all points, every point reading its branch's constants
+    from tables built once.
     `linear` is the (slopes, intercepts) table of a piecewise-linear map,
     branch i being x -> slopes[i] * x + intercepts[i], and None for a map
     with a smooth branch.
@@ -130,6 +147,9 @@ class PiecewiseMap:
     branches: tuple[Branch, ...]
     expansion_constant: float
     iterate: Callable[[float, int], tuple[np.ndarray, float]]
+    step: Callable[[np.ndarray], np.ndarray]
+    slope: Callable[[np.ndarray], np.ndarray]
+    preimage: Callable[[np.ndarray, np.ndarray], np.ndarray]
     descriptor: dict = field(default_factory=dict)
     linear: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -173,30 +193,18 @@ class PiecewiseMap:
         idx = np.searchsorted(self.breakpoints, x, side="right") - 1
         return np.clip(idx, 0, self.n_branches - 1).astype(np.uint8)
 
-    def _per_branch(self, x, method, idx=None):
-        """method(branch, points) on the points of each branch, vectorized;
-        idx names each point's branch (by default the branch it lies in)."""
-        x = np.asarray(x, dtype=float)
-        idx = self.branch_index(x) if idx is None else idx
-        out = np.empty_like(x, dtype=float)
-        for i, br in enumerate(self.branches):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = method(br, x[mask])
-        return out
-
     def apply(self, x):
-        """f(x), vectorized; accepts x in [0,1)."""
-        # guard against roundoff pushing an endpoint infinitesimally outside
-        return np.clip(self._per_branch(x, Branch.__call__), 0.0, 1.0)
+        """f(x), vectorized, clipped to [0, 1] against roundoff at the ends;
+        the branch of x is that of `branch_index`."""
+        return self.step(np.asarray(x, dtype=float))
 
     def derivative(self, x):
-        return self._per_branch(x, Branch.derivative)
+        return self.slope(np.asarray(x, dtype=float))
 
     def inverse(self, y, symbols):
         """Preimage under branch symbols[i] of each y[i], with y[i] clipped
         to that branch's image."""
-        return self._per_branch(y, lambda br, v: br.inverse(np.clip(v, *br.image())), symbols)
+        return self.preimage(np.asarray(y, dtype=float), np.asarray(symbols))
 
     def log_abs_derivative(self, x):
         return np.log(np.abs(self.derivative(x)))
@@ -260,7 +268,23 @@ def _piecewise_linear(name: str, breakpoints, slopes: Sequence[float], intercept
     S = [float(s) for s in slopes]
     C = ([float(c) for c in intercepts] if intercepts is not None else
          [float(-s * a if s > 0 else 1.0 - s * a) for s, a in zip(S, bp[:-1])])
-    inner = bp[1:-1].tolist()
+    cuts = bp[1:-1]
+    inner = cuts.tolist()
+    branches = tuple(_linear_branch(bp[i], bp[i + 1], S[i], C[i]) for i in range(len(S)))
+    lo, hi, y_lo, y_hi = _branch_tables(branches)
+    slope_of, intercept_of = np.array(S), np.array(C)
+
+    def step(x):
+        # searchsorted on the inner breakpoints is the bisect of `iterate`
+        i = np.searchsorted(cuts, x, side="right")
+        return np.clip(slope_of[i] * x + intercept_of[i], 0.0, 1.0)
+
+    def slope(x):
+        return slope_of[np.searchsorted(cuts, x, side="right")]
+
+    def preimage(y, s):
+        y = _clip(y, y_lo[s], y_hi[s])
+        return _clip((y - intercept_of[s]) / slope_of[s], lo[s], hi[s])
 
     def iterate(x, m):
         out = np.empty(m)
@@ -277,14 +301,24 @@ def _piecewise_linear(name: str, breakpoints, slopes: Sequence[float], intercept
     m = PiecewiseMap(
         name=name,
         breakpoints=bp,
-        branches=tuple(_linear_branch(bp[i], bp[i + 1], S[i], C[i]) for i in range(len(S))),
+        branches=branches,
         expansion_constant=min(abs(s) for s in S),
         iterate=iterate,
+        step=step,
+        slope=slope,
+        preimage=preimage,
         descriptor=descriptor,
-        linear=(np.array(S), np.array(C)),
+        linear=(slope_of, intercept_of),
     )
     m.validate()
     return m
+
+
+def _branch_tables(branches) -> tuple[np.ndarray, ...]:
+    """(lo, hi, y_lo, y_hi): each branch's cell and image, indexed by symbol."""
+    cells = np.array([(br.lo, br.hi) for br in branches], dtype=float)
+    images = np.array([br.image() for br in branches], dtype=float)
+    return cells[:, 0], cells[:, 1], images[:, 0], images[:, 1]
 
 
 def _is_full_branch(br: Branch) -> bool:
@@ -319,12 +353,35 @@ def _perturbed_doubling(eps: float, descriptor: dict) -> PiecewiseMap:
 
     branches = tuple(Branch(lo=lo, hi=hi, fn=branch(shift), dfn=df)
                      for lo, hi, shift in ((0.0, 0.5, 0.0), (0.5, 1.0, 1.0)))
+    # both branches are full and rising: f(lo) = y_lo and f(hi) = y_hi
+    lo, hi, y_lo, y_hi = _branch_tables(branches)
+    shift_of = np.array([0.0, 1.0])
+
+    def step(x):
+        # `branch`, each point with the shift of its branch in `branch_index`
+        return np.clip(branch(np.where(x < 0.5, 0.0, 1.0))(x), 0.0, 1.0)
+
+    def preimage(y, s):
+        # the points of one branch after the other: on runs of one branch
+        # np.sin and the bracket tests run faster than on mixed points
+        shape, order = y.shape, np.argsort(s, axis=None, kind="stable")
+        y, s = y.ravel()[order], s.ravel()[order]
+        a, b = lo[s], hi[s]
+        y = _clip(y, y_lo[s], y_hi[s])
+        x = _newton_inverse(branch(shift_of[s]), df, y, a, b, y_lo[s], y_hi[s], s)
+        out = np.empty(len(order))
+        out[order] = _clip(x, a, b)
+        return out.reshape(shape)
+
     m = PiecewiseMap(
         name="perturbed-doubling",
         breakpoints=np.array([0.0, 0.5, 1.0]),
         branches=branches,
         expansion_constant=2.0 - eps * two_pi,
         iterate=iterate,
+        step=step,
+        slope=df,
+        preimage=preimage,
         descriptor=descriptor,
     )
     m.validate()

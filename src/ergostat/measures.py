@@ -464,11 +464,16 @@ def default_checkpoints(horizon: int) -> np.ndarray:
 
 def checkpoints_within(n: int, checkpoints=None) -> np.ndarray:
     """The checkpoints of a run of n atoms: `default_checkpoints(n)` when
-    None or empty.  Checkpoints below 1, not strictly increasing or past n
-    raise `ConfigError`."""
+    None or empty.  Checkpoints that are not whole numbers, below 1, not
+    strictly increasing or past n raise `ConfigError`."""
     if checkpoints is None or not len(checkpoints):
         checkpoints = default_checkpoints(n)
-    checkpoints = np.asarray(checkpoints, dtype=np.int64)
+    given = np.asarray(checkpoints)
+    broken = given[~(np.isfinite(given) & (given == np.round(given)))]
+    if len(broken):
+        raise ConfigError([(0, f"checkpoints {broken.tolist()} are not whole numbers "
+                               "(a checkpoint counts atoms)")])
+    checkpoints = given.astype(np.int64)
     if checkpoints[0] < 1 or checkpoints[-1] > n or np.any(np.diff(checkpoints) <= 0):
         raise ConfigError([(0, f"checkpoints {checkpoints.tolist()} must increase strictly "
                                f"from at least 1 to at most the run's {n} atoms "
@@ -476,12 +481,13 @@ def checkpoints_within(n: int, checkpoints=None) -> np.ndarray:
     return checkpoints
 
 
-def kantorovich_ladder(atoms: np.ndarray, law: Law, checkpoints=None,
+def kantorovich_ladder(atoms: np.typing.ArrayLike, law: Law, checkpoints=None,
                        keep: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
     """(checkpoints, kappas): kappa at checkpoint m is the distance from
     `law` to the measure of atoms[:m], the k-th atom weighted 1/k.
 
+    `atoms` is any sequence of numbers (a float64 array is used as it is).
     The ladder is `checkpoints_within(len(atoms), checkpoints)`.  A boolean
     `keep` mask drops atoms from every checkpoint's measure (their weights
     leave the normalizer too); a checkpoint that keeps no atom raises
@@ -501,6 +507,7 @@ def kantorovich_ladder(atoms: np.ndarray, law: Law, checkpoints=None,
     The ladder drops its own reference to `atoms` once they are sorted, so
     a caller that hands them over without keeping one frees them then.
     """
+    atoms = np.asarray(atoms, dtype=float)
     checkpoints = checkpoints_within(len(atoms), checkpoints)
     # the checkpoints increase, so the first one keeps the fewest atoms
     if keep is not None and not np.any(keep[:checkpoints[0]]):

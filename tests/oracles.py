@@ -12,9 +12,11 @@ bit for bit;
 `itinerary` (float-iterated branch symbols of a point),
 `cylinder_interval` (the pullback of one word, refusing an empty one) and
 `cylinder_measure` (cell-overlap measure of one cylinder) check the
-cylinder machinery of `ergostat.entropy`, and `inverse_by_symbol` (one
-mask per branch) is the loop that `PiecewiseMap.inverse` must reproduce
-bit for bit.  `evaluate` (image, branch and
+cylinder machinery of `ergostat.entropy`, and `apply_by_branch`,
+`derivative_by_branch` and `inverse_by_symbol` (one mask per branch,
+through the `Branch` objects) are the loops that the array kernels behind
+`PiecewiseMap.apply`, `.derivative` and `.inverse` must reproduce bit for
+bit.  `evaluate` (image, branch and
 derivative of a point), `birkhoff_sums` (partial sums along an orbit) and
 `rate_diagnostic` (boundedness verdict of an asclt rate sequence) are
 small readers of program objects that only the tests use.
@@ -63,7 +65,8 @@ from scipy.stats import binom
 from ergostat.asclt import AscltDiagnostics
 from ergostat.entropy import RETURN_TIME_CAP
 from ergostat.errors import BudgetExceededError, ConvergenceError, DomainError
-from ergostat.maps import Observable, Orbit, PiecewiseMap, _symbol_tail_depth, orbit_value_chunks
+from ergostat.maps import (Branch, Observable, Orbit, PiecewiseMap, _symbol_tail_depth,
+                           orbit_value_chunks)
 from ergostat.measures import HalfGaussianLaw, Law
 from ergostat.transfer import POWER_MAX_ITER, POWER_TOL, CSRMatrix
 
@@ -490,14 +493,32 @@ def cylinder_measure(density: np.ndarray, cyl: CylinderInterval) -> float:
     return float(np.sum(density[i0:i1 + 1] * np.clip(overlaps, 0.0, None)))
 
 
+def _by_branch(pmap: PiecewiseMap, x, method, idx=None) -> np.ndarray:
+    """method(branch, points) on the points of each branch; idx names each
+    point's branch (by default the branch it lies in)."""
+    x = np.asarray(x, dtype=float)
+    idx = pmap.branch_index(x) if idx is None else idx
+    out = np.empty_like(x, dtype=float)
+    for i, br in enumerate(pmap.branches):
+        mask = idx == i
+        if np.any(mask):
+            out[mask] = method(br, x[mask])
+    return out
+
+
+def apply_by_branch(pmap: PiecewiseMap, x) -> np.ndarray:
+    """f(x) through each point's `Branch`, clipped to [0, 1]."""
+    return np.clip(_by_branch(pmap, x, Branch.__call__), 0.0, 1.0)
+
+
+def derivative_by_branch(pmap: PiecewiseMap, x) -> np.ndarray:
+    """f'(x) through each point's `Branch`."""
+    return _by_branch(pmap, x, Branch.derivative)
+
+
 def inverse_by_symbol(pmap: PiecewiseMap, sym, y) -> np.ndarray:
     """Preimage under branch sym[i] of each y[i], clipped to that branch's image."""
-    x = np.empty(len(y))
-    for s, br in enumerate(pmap.branches):
-        m = sym == s
-        if np.any(m):
-            x[m] = br.inverse(np.clip(y[m], *br.image()))
-    return x
+    return _by_branch(pmap, y, lambda br, v: br.inverse(np.clip(v, *br.image())), sym)
 
 
 # -- symbolic reconstruction and Legendre transform, one element at a time ----

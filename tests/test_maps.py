@@ -25,8 +25,8 @@ from ergostat.maps import (
 from ergostat import maps
 from ergostat.maps import _RECONSTRUCT_BLOCK, _symbol_tail_depth
 from ergostat.transfer import invariant_density, ulam_matrix
-from oracles import (birkhoff_sums, evaluate, integer_symbol_blocks, inverse_by_symbol,
-                     reconstruct_points)
+from oracles import (apply_by_branch, birkhoff_sums, derivative_by_branch, evaluate,
+                     integer_symbol_blocks, inverse_by_symbol, reconstruct_points)
 
 ALL_BUILTINS = ["doubling", "tent", "perturbed-doubling"]
 
@@ -562,25 +562,66 @@ def test_linear_table_is_every_branch(m, seed):
     assert make_map("perturbed-doubling").linear is None
 
 
-def _assert_inverse_is_oracle(m, rng):
-    # uniform points, the ends of [0, 1], the breakpoints and their neighbours
+def _assert_same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_kernels_are_oracles(m, rng):
+    """apply, derivative and inverse (the map's one-pass kernels) give the
+    bytes of the per-branch mask loops on random points, the breakpoints
+    and their float neighbours, 0 and 1, inputs with no point in the last
+    branch, and one-point and 0-d inputs."""
+    xs = np.concatenate([_step_points(m, rng.random(500)), [1.0]])
+    first = m.breakpoints[0] + (m.breakpoints[1] - m.breakpoints[0]) * rng.random(50)
+    for x in (xs, first, xs[:1], first[:1], xs[0], np.float64(first[0])):
+        _assert_same(m.apply(x), apply_by_branch(m, x))
+        _assert_same(m.derivative(x), derivative_by_branch(m, x))
+    # preimages of uniform points, the ends of [0, 1], the breakpoints and
+    # their neighbours under random branches, and of uniform points under
+    # the first branch alone
     ys = np.concatenate([rng.random(500), [0.0, 1.0], m.breakpoints,
                          np.nextafter(m.breakpoints, 0.5)])
     sym = rng.integers(0, m.n_branches, len(ys)).astype(np.uint8)
-    assert m.inverse(ys, sym).tobytes() == inverse_by_symbol(m, sym, ys).tobytes()
+    for s in (sym, np.zeros_like(sym)):
+        _assert_same(m.inverse(ys, s), inverse_by_symbol(m, s, ys))
+    for y, s in ((ys[:1], sym[:1]), (ys[0], sym[0]), (np.float64(1.0), np.uint8(0))):
+        _assert_same(m.inverse(y, s), inverse_by_symbol(m, np.asarray(s), np.asarray(y)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(m=_linear_maps(), seed=st.integers(0, 2**32 - 1))
 def test_branch_dispatch_inverse_is_the_mask_loop(m, seed):
-    _assert_inverse_is_oracle(m, np.random.default_rng(seed))
+    _assert_kernels_are_oracles(m, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.15])
 def test_smooth_branch_dispatch_inverse_is_the_mask_loop(eps):
     m = make_map("perturbed-doubling", eps=eps)
     for seed in range(5):
-        _assert_inverse_is_oracle(m, np.random.default_rng(seed))
+        _assert_kernels_are_oracles(m, np.random.default_rng(seed))
+
+
+def _newton_steps(br, ys):
+    """The Newton steps Branch.inverse takes on ys: its evaluations of the
+    branch but the two at the bracket ends."""
+    counted, seen = _counting(br)
+    counted.inverse(ys)
+    return len(seen) - 2
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.15])
+def test_smooth_inverse_stops_each_branch_on_its_own(eps):
+    # five values, each inverted under both branches, which take different
+    # numbers of Newton steps on them: the one loop over all points stops
+    # each branch where that branch's own loop stops, so no bit moves
+    m = make_map("perturbed-doubling", eps=eps)
+    ys = np.repeat(np.random.default_rng(1).random(5), 2)
+    sym = np.tile(np.array([0, 1], dtype=np.uint8), 5)
+    steps = [_newton_steps(br, ys[sym == i]) for i, br in enumerate(m.branches)]
+    assert steps[0] != steps[1]
+    _assert_same(m.inverse(ys, sym), inverse_by_symbol(m, sym, ys))
 
 
 def test_coin_values():

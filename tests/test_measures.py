@@ -22,6 +22,7 @@ from ergostat.measures import (
     _libm_exp,
     _ndtr_float,
     _stable_argsort,
+    checkpoints_within,
     default_checkpoints,
     kantorovich_ladder,
     ndtr,
@@ -447,6 +448,29 @@ def test_ladder_refuses_checkpoints_out_of_order_or_out_of_range(bad):
         kantorovich_ladder(atoms, law, bad)
     _, (kappa,) = kantorovich_ladder(atoms, law, [5000])
     assert kappa == kantorovich_reference(WeightedMeasure.harmonic(atoms, 5000), law)
+
+
+@pytest.mark.parametrize("bad", [[10.7, 99.9], [10, 50.5], [np.nan], [10, np.inf]])
+def test_ladder_refuses_checkpoints_that_are_not_whole_numbers(bad):
+    # [10.7, 99.9] used to run as [10, 99], labelled as neither
+    atoms = np.random.default_rng(1).normal(size=100)
+    with pytest.raises(ConfigError, match="not whole numbers") as refused:
+        kantorovich_ladder(atoms, GaussianLaw(1.0), bad)
+    assert str([v for v in bad if not float(v).is_integer()]) in str(refused.value)
+    assert checkpoints_within(100, [10.0, 99.0]).tolist() == [10, 99]
+
+
+def test_ladder_takes_any_sequence_of_atoms():
+    # a list (of floats or ints) gives the kappas of the float64 array
+    atoms = np.random.default_rng(2).normal(size=2000)
+    law = GaussianLaw(1.0)
+    cps, kappas = kantorovich_ladder(atoms, law, [100, 2000])
+    for seq in (atoms.tolist(), tuple(atoms)):
+        got = kantorovich_ladder(seq, law, [100, 2000])
+        assert got[0].tolist() == cps.tolist() and got[1].tobytes() == kappas.tobytes()
+    whole = np.round(atoms * 4.0)
+    assert (kantorovich_ladder(whole.astype(int).tolist(), law, [2000])[1].tobytes()
+            == kantorovich_ladder(whole, law, [2000])[1].tobytes())
 
 
 @pytest.fixture(scope="module")
