@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .errors import BudgetExceededError, ConfigError, ErgostatError
 from .config import ExperimentConfig, build_map, build_observable, parse_config
-from .maps import orbit_value_chunks
 from .transfer import (
     autocovariance_series,
     center_observable,
@@ -151,8 +150,8 @@ def _run_sigma2(cfg, outdir, seeds):
         if s == seeds[0] or not quadrature:   # the seed does not enter the quadrature
             c0, cj = autocovariance_series(
                 source, u, orbit_length=cfg.get("sigma2", "orbit_length"), seed=s)
-            partial = c0 + 2.0 * np.cumsum(np.concatenate([[0.0], cj]))
-            columns = [np.arange(len(partial)), np.concatenate([[c0], cj]), partial]
+            partial = c0 + 2.0 * np.cumsum(np.insert(cj, 0, 0.0))
+            columns = [np.arange(len(partial)), np.insert(cj, 0, c0), partial]
         _write_csv(outdir / f"sigma2-{s}.csv",
                    ["lag", "covariance", "partial_sigma2"], columns)
         out[f"sigma2_seed_{s}"] = float(partial[-1])
@@ -218,8 +217,7 @@ def _run_rate_curve(cfg, outdir, seeds):
         return (0.5 + a) * math.log1p(2 * a) + (0.5 - a) * math.log1p(-2 * a)
 
     for s in seeds:
-        vals = np.concatenate(list(orbit_value_chunks(pmap, u, s, N)))
-        est = rate_estimator(vals, k_grid)
+        est = rate_estimator(pmap, u, N, k_grid, s)
         columns = [est.levels, est.rate_estimates]
         header = ["m_k", "logN_over_k"]
         if know_phi:
@@ -276,7 +274,7 @@ def _run_entropy(cfg, outdir, seeds, kind):
         else:
             diag = ow_run(pmap, consts, n, s, checkpoints=checkpoints, eps=eps, cap=cap)
             # censored k are left out; k = 1 has no sandwich and is written as 1
-            ok = np.concatenate(([True], diag.sandwich_ok)).astype(np.int64)
+            ok = np.insert(diag.sandwich_ok, 0, True).astype(np.int64)
             found = np.isfinite(diag.log_returns)
             columns = [diag.k_values, diag.minus_log_mu, diag.log_returns,
                        diag.smb_atoms, diag.atoms, ok]

@@ -8,10 +8,12 @@ obeys M_k/k -> alpha with fluctuations (M_k - k alpha)/log k confined to
 the band +/- 1/(2 beta), beta = phi'(alpha).  Window counts grow like
 exp(k phi(alpha)), so one orbit stream per call is consumed in chunks by
 one prefix-sum scan for the whole k grid and is never materialized in full.
-The same scan serves the rate-function estimator (read the Erdos-Renyi law
-backwards: the level reached by k-windows over N samples satisfies
-phi(m(k)) ~ log(N)/k).  The module also hosts direct Monte Carlo checks
-of the sharp large-deviation prefactor and of joint-exceedance decoupling.
+One window reader, `_window_maxima`, owns that stream and scan for both
+readings of the law: forwards in `er_law_check`, and backwards in the
+rate-function estimator (the level reached by k-windows over N samples
+satisfies phi(m(k)) ~ log(N)/k).  The module also hosts direct Monte Carlo
+checks of the sharp large-deviation prefactor and of joint-exceedance
+decoupling.
 """
 
 from __future__ import annotations
@@ -47,37 +49,35 @@ def _above_mean(alpha: float, beta: float, law: str) -> None:
 
 def _accumulator(dtype: np.dtype, n: int) -> type:
     """The dtype that sums up to n values of `dtype` exactly: float64 for
-    floats; for integer weights or symbol bytes int32 when no such sum can
-    overflow it (half the memory traffic of int64), else int64."""
+    floats; for integers (symbol bytes) int32 when no such sum can overflow
+    it (half the memory traffic of int64), else int64."""
     if dtype.kind not in "iu":
         return np.float64
     return np.int32 if n * (int(np.iinfo(dtype).max) + 1) < 2**31 else np.int64
 
 
-def _moving_max_chunked(chunks, k_grid, n_windows) -> list[tuple]:
+def _moving_max_chunked(chunks, k_grid, n_windows) -> list:
     """Streaming scan over numpy value chunks: for each window length k of
     `k_grid`, with its window count n of `n_windows`, the max window sum over
-    windows j = 0..n-1 and the first j that reaches it, (best, best_j) in grid
-    order.  One prefix history max(k) deep serves the whole grid, and each k
-    gets the bits of its own one-k scan.
+    windows j = 0..n-1, in grid order.  One prefix history max(k) deep
+    serves the whole grid, and each k gets the bits of its own one-k scan.
 
     Window j has sum c_{j+k} - c_j with c_t the prefix sum of the first t
     values; valid end indices e = j + k run from k to n + k - 1.
     Float chunks carry absolute float64 prefixes: the prefix so far is
     added to each chunk's first value before its `np.cumsum`, which is
     sequential, so the prefixes and the maxima do not depend on the chunks.
-    Integer chunks (exact weights or symbol bytes) carry prefixes relative
-    to the start of each chunk, so an int32 accumulator cannot overflow on a
-    long stream, and return int maxima.
+    Integer chunks (symbol bytes) carry prefixes relative to the start of
+    each chunk, so an int32 accumulator cannot overflow on a long stream,
+    and return int maxima.
     """
     ks = [int(k) for k in k_grid]
     ends = [int(n) + k - 1 for k, n in zip(ks, n_windows)]    # values each k reads
     needed, deep = max(ends, default=0), max(ks, default=0)
     hist = None                           # prefix values c_{consumed-len+1..consumed}
-    best = [(-np.inf, -1)] * len(ks)
+    best = [-np.inf] * len(ks)
     consumed = 0
     for chunk in chunks:
-        chunk = np.asarray(chunk)
         take = min(len(chunk), needed - consumed)
         if take <= 0:
             break
@@ -93,16 +93,16 @@ def _moving_max_chunked(chunks, k_grid, n_windows) -> list[tuple]:
             np.cumsum(prefix, out=prefix)
         else:
             np.cumsum(chunk[:take], dtype=acc, out=prefix)
+        del chunk                         # in the prefixes now: free it before the sums
         lo = consumed - len(hist) + 1     # prefix index of ext[0]
         buf = np.empty(take, dtype=acc)   # one buffer per chunk for each k's sums in turn
         for i, (k, end) in enumerate(zip(ks, ends)):
             e_start, e_end = max(k, consumed + 1), min(consumed + take, end)
             if e_end >= e_start:
                 i0, i1 = e_start - lo, e_end + 1 - lo
-                sums = np.subtract(ext[i0:i1], ext[i0 - k : i1 - k], out=buf[:i1 - i0])
-                j = int(np.argmax(sums))
-                if sums[j] > best[i][0]:
-                    best[i] = (sums[j].item(), e_start + j - k)
+                top = np.subtract(ext[i0:i1], ext[i0 - k : i1 - k], out=buf[:i1 - i0]).max()
+                if top > best[i]:
+                    best[i] = top.item()
         consumed += take
         hist = ext[-(deep + 1):]
         if acc is not np.float64:
@@ -112,6 +112,29 @@ def _moving_max_chunked(chunks, k_grid, n_windows) -> list[tuple]:
     if consumed < needed:
         raise ValueError(f"stream ended after {consumed} of {needed} values")
     return best
+
+
+def _window_maxima(pmap: PiecewiseMap, u: Observable, seed: int, k_grid: np.ndarray,
+                   counts: np.ndarray) -> tuple[np.ndarray, float | None]:
+    """(maxima, unit): for each k of `k_grid`, the largest sum of u over the
+    first `counts` length-k windows of the orbit of `seed`, and the unit of
+    integer window sums (None: float sums; an empty grid draws nothing).
+
+    One stream, as long as the longest k needs, serves every k in chunks of
+    2^16 values, whose prefix and window sums stay in cache while each k
+    reads them.  A table that the symbol bytes carry (see
+    `maps._unit_weights`) is scanned on the symbols c, and M_k is
+    (k w0 + d max sum c) times the unit: the bits of the float scan, whose
+    prefix sums are exact for such values.
+    """
+    if not len(k_grid):
+        return np.zeros(0), None
+    view, chunks = _orbit_values(pmap, u, seed, int(np.max(counts + k_grid - 1)), 1 << 16,
+                                 exact=True)
+    best = _moving_max_chunked(chunks, k_grid, counts)
+    if view is None:
+        return np.array(best, dtype=float), None
+    return (k_grid * view.w0 + view.d * np.array(best, dtype=np.int64)) * view.unit, view.unit
 
 
 @dataclass(frozen=True)
@@ -135,13 +158,7 @@ def er_law_check(pmap: PiecewiseMap, u: Observable, alpha: float, phi: float, be
     M_k/k, the fluctuation (M_k - k alpha)/log k, and the band half-width
     1/(2 beta).  A grid with a required stream length
     [exp(k phi(alpha))] beyond `length_cap` is refused before anything is
-    drawn; otherwise one stream, as long as the longest k needs, serves every
-    k (each reads its own prefix of it).  An observable of small dyadic branch
-    values on a symbolic map is scanned as integer entries c with
-    u = unit (w0 + d c), the symbol bytes themselves when its weights are
-    evenly spaced (see `maps.IntegerRead`), and M_k is (k w0 + d max sum c)
-    times the unit: the bits of the float scan, whose prefix sums are exact
-    for such values (see `maps._unit_weights`).
+    drawn; otherwise one stream serves every k (see `_window_maxima`).
     alpha = 0, an alpha that is not finite, beta(alpha) <= 0 (at or below
     the mean) and a window length below 2 (the fluctuation divides by log k)
     raise `DomainError`.
@@ -163,24 +180,12 @@ def er_law_check(pmap: PiecewiseMap, u: Observable, alpha: float, phi: float, be
         # at least the j=0 window even when exp(k phi) has not outgrown k yet
         lengths.append(max(int(needed), k))
     counts = np.array(lengths, dtype=np.int64) - k_grid + 1
-    # one stream serves every k: each reads its own prefix of it
-    view, maxima = None, []
-    if len(k_grid):
-        # chunks of 2^16 values: each chunk's prefix sums and window sums
-        # stay in cache while every k reads them
-        view, chunks = _orbit_values(pmap, u, seed, max(lengths), 1 << 16, exact=True)
-        maxima = _moving_max_chunked(chunks, k_grid, counts)
-    best = [best for best, _ in maxima]
-    if view is None:
-        m_vals = np.array(best, dtype=float)
-    else:
-        m_vals = (k_grid * view.w0 + view.d * np.array(best, dtype=np.int64)) * view.unit
-    logs = np.log(k_grid.astype(float))
+    m_vals, unit = _window_maxima(pmap, u, seed, k_grid, counts)
     return ErdosRenyiSeries(
         k_values=k_grid, window_counts=counts,
         M_values=m_vals, averages=m_vals / k_grid,
-        fluctuations=(m_vals - k_grid * alpha) / logs,
-        band=1.0 / (2.0 * beta), window_unit=None if view is None else view.unit)
+        fluctuations=(m_vals - k_grid * alpha) / np.log(k_grid),
+        band=1.0 / (2.0 * beta), window_unit=unit)
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +203,19 @@ class RateCurveEstimate:
     rate_estimates: np.ndarray    # log N / k
 
 
-def rate_estimator(u_values: np.ndarray, k_grid) -> RateCurveEstimate:
-    """Rate-function estimator from one trajectory of u values."""
-    u_values = np.asarray(u_values, dtype=float)
-    n = len(u_values)
+def rate_estimator(pmap: PiecewiseMap, u: Observable, n: int, k_grid,
+                   seed: int) -> RateCurveEstimate:
+    """Rate-function estimator from the first n values of u along the orbit
+    of `seed`, streamed through `_window_maxima`.  A window length below 1
+    raises `DomainError`, and n below 10x the largest window `ConfigError`,
+    both before anything is drawn; an empty grid gives an empty estimate."""
     k_grid = np.asarray(k_grid, dtype=np.int64)
-    if n < 10 * int(k_grid.max()):
+    if np.any(k_grid < 1):
+        raise DomainError(f"window lengths must be at least 1, got {k_grid.min()}")
+    if n < 10 * int(k_grid.max(initial=0)):
         raise ConfigError([(0, "trajectory should be at least 10x the largest window")])
-    maxima = _moving_max_chunked([u_values], k_grid, n - k_grid + 1)
-    levels = np.array([best for best, _ in maxima]) / k_grid
-    return RateCurveEstimate(N=n, k_values=k_grid, levels=levels,
+    maxima, _ = _window_maxima(pmap, u, seed, k_grid, n - k_grid + 1)
+    return RateCurveEstimate(N=n, k_values=k_grid, levels=maxima / k_grid,
                              rate_estimates=np.log(float(n)) / k_grid)
 
 

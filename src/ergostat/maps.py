@@ -735,20 +735,31 @@ def _branch_values(pmap: PiecewiseMap, u: Observable) -> np.ndarray | None:
     return u(xs[:, 0])
 
 
-# Integer weights of a branch-value table stay below 2^15 in magnitude, so
-# they gather as int8/int16 and their sums accumulate in int32/int64.
+class IntegerRead(NamedTuple):
+    """How symbol chunks carry u: u = unit * (w0 + d * c) for each symbol
+    byte c.  A sum of k entries s is the integer weight sum k w0 + d s, and
+    d > 0 keeps the order of sums."""
+
+    unit: float
+    w0: int
+    d: int
+
+
+# Integer weights of a branch-value table stay below 2^15 in magnitude: the
+# unit search stops 15 halvings below the largest entry, so a weight sum
+# k w0 + d s stays far inside int64.
 _WEIGHT_BITS = 15
 
 
-def _unit_weights(table: np.ndarray, length: int) -> tuple[np.ndarray, float] | None:
-    """(weights, unit) with table == weights * unit exactly: small integers
-    times the largest power-of-two unit that makes every entry an integer.
-
-    Given only when |weights| < 2^15 and max |weights| * length < 2^53.  Then
-    every float sum of at most `length` table values is an exact multiple of
-    the unit, so integer sums times the unit carry its bits.  A table with a
-    -0.0 entry (whose float sums can end at -0.0), or with no entry of normal
-    size, is left to float sums.
+def _unit_weights(table: np.ndarray, length: int) -> IntegerRead | None:
+    """How the symbol bytes carry a table of small dyadic values:
+    table[i] == unit * (w0 + d i) exactly with d > 0, for the largest
+    power-of-two unit that makes every entry an integer, |w0 + d i| < 2^15
+    and max |w0 + d i| * length < 2^53.  Then every float sum of at most
+    `length` table values is an exact multiple of the unit, so integer sums
+    times the unit carry its bits.  Any other table, one with a -0.0 entry
+    (whose float sums can end at -0.0) or with no entry of normal size
+    among them, is left to float sums (None).
     """
     peak = float(np.max(np.abs(table)))
     if not 2.0**-960 < peak < 2.0**960 or np.any(np.signbit(table) & (table == 0.0)):
@@ -758,25 +769,12 @@ def _unit_weights(table: np.ndarray, length: int) -> tuple[np.ndarray, float] | 
         unit = math.ldexp(1.0, q)
         weights = table / unit
         if np.all(weights == np.rint(weights)):
-            wmax = float(np.max(np.abs(weights)))
-            if wmax * length >= 2.0**53:
+            w0, d = int(weights[0]), int(weights[1] - weights[0])
+            if (d <= 0 or not np.array_equal(weights, w0 + d * np.arange(len(weights)))
+                    or float(np.max(np.abs(weights))) * length >= 2.0**53):
                 return None
-            return weights.astype(np.int8 if wmax < 2**7 else np.int16), unit
+            return IntegerRead(unit, w0, d)
     return None
-
-
-class IntegerRead(NamedTuple):
-    """How integer chunks carry u: u = unit * (w0 + d * c) for each entry c.
-
-    The entries are the branch symbols themselves when the weights of the
-    branch-value table are w0, w0 + d, ..., w0 + (b - 1) d with d > 0, and
-    the gathered weights (w0 = 0, d = 1) otherwise.  A sum of k entries s
-    is the integer weight sum k w0 + d s, and d > 0 keeps the order of sums.
-    """
-
-    unit: float
-    w0: int
-    d: int
 
 
 def _table_reader(pmap: PiecewiseMap, u: Observable, length: int, exact: bool
@@ -785,29 +783,24 @@ def _table_reader(pmap: PiecewiseMap, u: Observable, length: int, exact: bool
 
     `read` maps branch symbols to chunk entries when the orbit is symbolic
     and u is certified constant on each branch cell, and is None when u
-    must be evaluated at points.  With `exact`, a table of small dyadic
-    values (see `_unit_weights`) gives integer entries that carry u as
+    must be evaluated at points.  With `exact`, a table that the symbol
+    bytes carry (see `_unit_weights`) is read as the symbols themselves, as
     `view` says; otherwise `view` is None and the entries are float values.
     """
     table = _branch_values(pmap, u) if pmap.orbit_mode == _SYMBOLIC else None
-    found = _unit_weights(table, length) if exact and table is not None else None
-    if found is None:
-        return (None if table is None else table.__getitem__), None
-    weights, unit = found
-    w0, d = int(weights[0]), int(weights[1]) - int(weights[0])
-    if d > 0 and np.array_equal(weights, w0 + d * np.arange(len(weights))):
-        return (lambda syms: syms), IntegerRead(unit, w0, d)
-    # np.take gathers 1- and 2-byte items faster than fancy indexing does
-    return weights.take, IntegerRead(unit, 0, 1)
+    view = _unit_weights(table, length) if exact and table is not None else None
+    if view is not None:
+        return (lambda syms: syms), view
+    return (None if table is None else table.__getitem__), None
 
 
 def _orbit_values(pmap: PiecewiseMap, u: Observable, seed: int, total: int, chunk: int,
                   exact: bool) -> tuple[IntegerRead | None, Iterator[np.ndarray]]:
     """(view, chunks): u along the orbit of `seed`, `total` values in all, in
-    chunks of at most `chunk`.  With `exact`, a symbolic orbit of a table of
-    small dyadic values yields integer chunks that carry u as `view` says
-    (the drawn symbol chunks themselves, uncopied, for an evenly spaced
-    table); otherwise view is None and the chunks are float values."""
+    chunks of at most `chunk`.  With `exact`, a symbolic orbit of an evenly
+    spaced table of small dyadic values yields the drawn symbol chunks
+    themselves, uncopied, which carry u as `view` says (see `_table_reader`);
+    otherwise view is None and the chunks are float values."""
     read, view = _table_reader(pmap, u, total, exact)
 
     def chunks():
@@ -842,10 +835,10 @@ def trial_value_blocks(pmap: PiecewiseMap, u: Observable, span: int, trials: int
 
     Symbolic maps cut disjoint rows from the seed's symbol stream (exactly
     independent trials); a row holds `span` symbols, plus the reconstruction
-    lookahead unless u is read from its branch-value table.  A table of
-    small dyadic values gives integer blocks that carry u as `view` says
-    (see `_table_reader`: an evenly spaced table's blocks are the symbol
-    rows themselves); otherwise view is None and the blocks are float values.
+    lookahead unless u is read from its branch-value table.  An evenly
+    spaced table of small dyadic values gives the symbol rows themselves,
+    which carry u as `view` says (see `_table_reader`); otherwise view is
+    None and the blocks are float values.
     Float maps iterate uniform starts drawn from the seed, all rows of a
     block at once.
     """

@@ -54,7 +54,6 @@ from ergostat.maps import (
     coin,
     make_map,
     orbit,
-    orbit_value_chunks,
     sawtooth,
     symbol_chunks,
 )
@@ -423,8 +422,8 @@ def test_criterion_07b_er_fluctuation_band(er_series, er_reference):
 # -- 8 ------------------------------------------------------------------------
 
 def test_criterion_08_rate_estimator(doubling):
-    vals = np.concatenate(list(orbit_value_chunks(doubling, coin(), seed=1, total=2**20)))
-    est = rate_estimator(vals, np.unique(np.geomspace(30, 600, 25).astype(int)))
+    est = rate_estimator(doubling, coin(), 2**20,
+                         np.unique(np.geomspace(30, 600, 25).astype(int)), seed=1)
     errs, d_k = [], []
     for k, m, r in zip(est.k_values, est.levels, est.rate_estimates):
         if 0.1 <= m <= 0.35:

@@ -51,6 +51,8 @@ def test_tracer_hooks_bind_program_signatures(tmp_path):
     assert counts["maps.orbit_value_chunks.values"] > 0
     # the rate solve that erdos-renyi and ld-check call stays inside its span
     assert tracer.self_s["transfer.legendre"] > 0
+    # the rate curve draws its orbit inside the estimator's span
+    assert tracer.self_s["erdos_renyi.rate_estimator"] > 0
 
 
 def test_traced_doubling_asclt_counts_points_and_ladder_calls(tmp_path):

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -69,7 +70,7 @@ def test_chunked_scan_matches_flat(doubling):
     vals = np.concatenate(list(orbit_value_chunks(doubling, u, seed=7, total=length)))
     prefix = np.concatenate([[0.0], np.cumsum(vals)])
     sums = prefix[k:] - prefix[:-k]
-    expected = (float(np.max(sums[:nw])), int(np.argmax(sums[:nw])))
+    expected = float(np.max(sums[:nw]))
     for chunk in (64, 500, 10**6):
         got = _moving_max_chunked(
             orbit_value_chunks(doubling, u, seed=7, total=length, chunk=chunk), [k], [nw])
@@ -83,7 +84,7 @@ def test_chunked_scan_edges_equal_oracle(k):
     vals = np.random.default_rng(k).integers(-2, 3, size=700).astype(float)
     for n_windows in (1, 2, 500):
         needed = n_windows + k - 1
-        expected = moving_max(vals[:needed], k)
+        expected, _ = moving_max(vals[:needed], k)
         for chunk in (1, k, k + 1, 1 << 20):
             def chunks(stop):
                 return (vals[i : min(i + chunk, stop)] for i in range(0, stop, chunk))
@@ -104,8 +105,8 @@ def test_chunked_scan_edges_equal_oracle(k):
 @example(ks=[60, 2], data=None, chunk=1, kind="int8", extra=3, seed=2)
 def test_grid_scan_equals_one_k_scans(ks, data, chunk, kind, extra, seed):
     # the grid scan shares one prefix history between its k; each k must
-    # still get the bits of its own one-k scan and the oracle's value and
-    # index: float prefixes run on across chunks as one sequential sum
+    # still get the bits of its own one-k scan and the oracle's value: float
+    # prefixes run on across chunks as one sequential sum
     n_windows = ([1] * len(ks) if data is None
                  else [data.draw(st.integers(1, 300)) for _ in ks])
     total = max(n + k - 1 for k, n in zip(ks, n_windows)) + extra
@@ -118,12 +119,12 @@ def test_grid_scan_equals_one_k_scans(ks, data, chunk, kind, extra, seed):
 
     got = _moving_max_chunked(chunks(), ks, n_windows)
     assert len(got) == len(ks)
-    for k, n, (best, best_j) in zip(ks, n_windows, got):
-        (one, one_j), = _moving_max_chunked(chunks(), [k], [n])
-        assert (bits(best), best_j) == (bits(one), one_j), (k, n)
+    for k, n, best in zip(ks, n_windows, got):
+        one, = _moving_max_chunked(chunks(), [k], [n])
+        assert bits(best) == bits(one), (k, n)
         assert isinstance(best, int) == (kind == "int8")
-        want, want_j = moving_max(vals[:n + k - 1], k)
-        assert (bits(best), best_j) == (bits(want), want_j), (k, n)
+        want, _ = moving_max(vals[:n + k - 1], k)
+        assert bits(best) == bits(want), (k, n)
 
 
 # -- integer window sums ------------------------------------------------------
@@ -147,13 +148,13 @@ def bits(x):
        k=st.integers(1, 40), n_windows=st.integers(1, 2000),
        chunk=st.integers(1, 3000), seed=st.integers(0, 2**16))
 # weights -300 and 7 over chunks of 2^17 values: read as symbols, and in
-# reverse order gathered as int16 and accumulated in int64
+# reverse order left to float sums
 @example(b=2, signs=[1, -1, 1, 1], nums=[-300, 7, 0, 0], spaced=False, step=0, p=3, k=40,
          n_windows=300_000, chunk=1 << 17, seed=5)
 @example(b=2, signs=[1, -1, 1, 1], nums=[7, -300, 0, 0], spaced=False, step=0, p=3, k=40,
          n_windows=300_000, chunk=1 << 17, seed=5)
 # evenly spaced increasing tables at b = 3 (drawn as `integers` blocks) and
-# b = 4, and an uneven b = 3 table, which gathers
+# b = 4, and an uneven b = 3 table, which keeps float sums
 @example(b=3, signs=[1, -1, 1, 1], nums=[-5, 0, 0, 0], spaced=True, step=3, p=1, k=7,
          n_windows=500, chunk=33, seed=9)
 @example(b=4, signs=[-1, 1, 1, -1], nums=[-6, 0, 0, 0], spaced=True, step=4, p=2, k=12,
@@ -165,30 +166,28 @@ def test_integer_sums_are_the_float_sums_bit_for_bit(b, signs, nums, spaced, ste
     # full-branch uniform linear maps iterate symbolically; a branch-constant
     # observable of values n_i / 2^p has integer weights n_i / (2^p unit).
     # Evenly spaced increasing weights w0 + d i are read as the symbols i
-    # themselves, u = unit (w0 + d i); any other table gathers its weights
+    # themselves, u = unit (w0 + d i); any other table keeps float sums
     table = [nums[0] + step * i for i in range(b)] if spaced else nums[:b]
-    assume(any(table))                      # an all-zero table keeps float sums
     pmap = make_map("linear", slopes=[b * sgn for sgn in signs[:b]])
     u = branch_constant(pmap, [n / 2**p for n in table])
     total = n_windows + k - 1
     view, chunks = maps._orbit_values(pmap, u, seed, total, chunk, exact=True)
-    assert view is not None and view.unit >= 2.0**-p
+    gaps = np.diff(table)
+    if not (np.all(gaps == gaps[0]) and gaps[0] > 0):
+        assert view is None and _trial_sums(pmap, u, k, 0, 300, seed)[0] is None
+        return
+    assert view.unit >= 2.0**-p
     chunks = list(chunks)
     entries = np.concatenate(chunks)
-    gaps = np.diff(table)
-    if np.all(gaps == gaps[0]) and gaps[0] > 0:
-        syms = np.concatenate(list(symbol_chunks(pmap, seed, limit=total)))
-        assert all(c.dtype == np.uint8 for c in chunks)
-        assert entries.tobytes() == syms.tobytes()
-    else:
-        assert (view.w0, view.d) == (0, 1)
-        assert all(c.dtype.kind == "i" for c in chunks)
+    syms = np.concatenate(list(symbol_chunks(pmap, seed, limit=total)))
+    assert all(c.dtype == np.uint8 for c in chunks)
+    assert entries.tobytes() == syms.tobytes()
     values = np.concatenate(list(orbit_value_chunks(pmap, u, seed, total, chunk=chunk)))
     assert bits((view.w0 + view.d * entries.astype(np.int64)) * view.unit) == bits(values)
-    (best, best_j), = _moving_max_chunked(iter(chunks), [k], [n_windows])
-    (f_best, f_j), = _moving_max_chunked(
+    best, = _moving_max_chunked(iter(chunks), [k], [n_windows])
+    f_best, = _moving_max_chunked(
         orbit_value_chunks(pmap, u, seed, total, chunk=chunk), [k], [n_windows])
-    assert (bits((k * view.w0 + view.d * best) * view.unit), best_j) == (bits(f_best), f_j)
+    assert bits((k * view.w0 + view.d * best) * view.unit) == bits(f_best)
 
     for r in sorted({0, 1, k}):
         unit, pairs = _trial_sums(pmap, u, k, r, 300, seed)
@@ -213,7 +212,7 @@ def test_symbol_bytes_scan_as_integers():
             return (vals[i:i + chunk].astype(dtype) for i in range(0, len(vals), chunk))
         got = _moving_max_chunked(chunks(np.uint8), ks, n_windows)
         assert got == _moving_max_chunked(chunks(np.int8), ks, n_windows)
-        assert all(isinstance(best, int) for best, _ in got)
+        assert all(isinstance(best, int) for best in got)
 
 
 @pytest.mark.parametrize("u", [
@@ -245,9 +244,9 @@ def test_float_sums_on_float_iterated_maps():
 
 
 def test_coin_window_and_trial_sums_run_on_integers(monkeypatch, doubling):
-    # the fast path of the fair-coin instance: the scan and the trial sums
-    # read the symbol bytes themselves; a change that hands them float
-    # chunks or gathered weights fails here
+    # the fast path of the fair-coin instance: the scan, forwards and
+    # backwards, and the trial sums read the symbol bytes themselves; a
+    # change that hands them float chunks fails here
     seen = []
 
     def watched(chunks):
@@ -267,6 +266,7 @@ def test_coin_window_and_trial_sums_run_on_integers(monkeypatch, doubling):
     calls = {
         "er": lambda: er_law_check(doubling, coin(), 0.2, *coin_rate(0.2),
                                    [20, 60], seed=1),
+        "rate": lambda: rate_estimator(doubling, coin(), 5000, [20, 60], seed=1),
         "ld": lambda: ld_probability_mc(doubling, coin(), 0.1, 50, 10_000, 1,
                                         *coin_rate(0.1)),
         "decoupling": lambda: decoupling_check(doubling, coin(), 0.1, 20, [0, 5], 10_000,
@@ -423,17 +423,16 @@ def test_er_refuses_windows_below_2_before_it_draws(monkeypatch, doubling, k_gri
 
 # -- rate estimator -----------------------------------------------------------
 
-def test_rate_estimator_zero_observable():
-    est = rate_estimator(np.zeros(10_000), [20, 50, 100])
+def test_rate_estimator_zero_observable(doubling):
+    zero = Observable("zero", lambda x: np.zeros_like(np.asarray(x, float)))
+    est = rate_estimator(doubling, zero, 10_000, [20, 50, 100], seed=1)
     assert np.allclose(est.levels, 0.0)
 
 
 def test_rate_estimator_doubling_N_shifts_rate_exactly(doubling):
-    u = coin()
-    vals = np.concatenate(list(orbit_value_chunks(doubling, u, seed=2, total=2**16)))
     k_grid = [32, 64]
-    est1 = rate_estimator(vals[: 2**15], k_grid)
-    est2 = rate_estimator(vals, k_grid)
+    est1 = rate_estimator(doubling, coin(), 2**15, k_grid, seed=2)
+    est2 = rate_estimator(doubling, coin(), 2**16, k_grid, seed=2)
     for i, k in enumerate(k_grid):
         assert est2.rate_estimates[i] - est1.rate_estimates[i] == pytest.approx(
             math.log(2) / k, abs=1e-12)
@@ -444,8 +443,8 @@ def test_rate_estimator_tracks_cramer_shape(doubling):
     # the raw inversion log(N)/k overestimates phi (finite-size window
     # clustering); it must still be positively biased, ordered, and within
     # a factor 2 of the closed form on the working level range
-    vals = np.concatenate(list(orbit_value_chunks(doubling, coin(), seed=1, total=2**20)))
-    est = rate_estimator(vals, np.unique(np.geomspace(30, 600, 25).astype(int)))
+    est = rate_estimator(doubling, coin(), 2**20,
+                         np.unique(np.geomspace(30, 600, 25).astype(int)), seed=1)
     checked = 0
     for m, r in zip(est.levels, est.rate_estimates):
         if 0.1 <= m <= 0.35:
@@ -455,9 +454,64 @@ def test_rate_estimator_tracks_cramer_shape(doubling):
     assert checked >= 8
 
 
-def test_rate_estimator_length_guard():
+def test_rate_estimator_length_guard(doubling):
     with pytest.raises(ValueError):
-        rate_estimator(np.zeros(100), [50])
+        rate_estimator(doubling, coin(), 100, [50], seed=1)
+
+
+@pytest.mark.parametrize("k_grid", [[0, 5], [-3, 5]])
+def test_rate_estimator_refuses_windows_below_1_before_it_draws(monkeypatch, doubling,
+                                                                k_grid):
+    # k = 0 gave a NaN level (0/0), and k = -3 a bare numpy broadcast error
+    calls = []
+    monkeypatch.setattr(erdos_renyi, "_orbit_values", lambda *a, **kw: calls.append(a))
+    with pytest.raises(DomainError, match="at least 1"):
+        rate_estimator(doubling, coin(), 1000, k_grid, seed=1)
+    # an empty grid draws nothing and gives an empty estimate (it raised
+    # numpy's zero-size error)
+    est = rate_estimator(doubling, coin(), 1000, [], seed=1)
+    assert calls == [] and est.N == 1000
+    assert len(est.k_values) == len(est.levels) == len(est.rate_estimates) == 0
+
+
+@pytest.mark.parametrize("name,u", [("doubling", coin), ("perturbed-doubling", sawtooth)])
+def test_rate_estimator_levels_equal_the_oracle_scan(name, u):
+    # the coin streams as symbol bytes and the sawtooth on a float-iterated
+    # map as float values; past three 2^16 chunks and not a multiple of one,
+    # the levels are the oracle's maxima over the materialized values / k
+    pmap = make_map(name, **({"eps": 0.05} if name == "perturbed-doubling" else {}))
+    n, k_grid = 3 * 2**16 + 1234, [1, 37, 300]
+    est = rate_estimator(pmap, u(), n, k_grid, seed=6)
+    values = np.concatenate(list(orbit_value_chunks(pmap, u(), seed=6, total=n)))
+    want = [moving_max(values, k)[0] / k for k in k_grid]
+    assert bits(est.levels) == bits(want)
+
+
+@pytest.mark.parametrize("name,u,n,bound", [
+    ("doubling", coin, 2**22, 2 * 2**20),
+    ("perturbed-doubling", sawtooth, 2**20, 4 * 2**20),
+])
+def test_rate_estimator_streams_in_bounded_memory(name, u, n, bound):
+    # the orbit streams through the window scan in 2^16-value chunks: the
+    # trajectory held in full took 24 B a value (96 MiB for 2^22 coin
+    # values), and the peak no longer grows with n
+    pmap = make_map(name, **({"eps": 0.05} if name == "perturbed-doubling" else {}))
+    k_grid = [20, 40, 60, 80, 100, 150, 200]
+
+    def peak(length):
+        tracemalloc.start()
+        try:
+            rate_estimator(pmap, u(), length, k_grid, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # against four chunks: a one-chunk orbit peaks lower (2.1 against 3.2
+    # MiB on the sawtooth), as the scan holds no chunk while the next is drawn
+    peak(2**18)                         # first-call caches are not the stream's
+    small, large = peak(2**18), peak(n)
+    assert large <= bound, f"{large / 2**20:.2f} MiB at n = {n}"
+    assert large <= 1.05 * small, (small, large)
 
 
 # -- direct Monte Carlo -------------------------------------------------------
