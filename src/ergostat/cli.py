@@ -150,11 +150,11 @@ def _run_sigma2(cfg, outdir, seeds):
         if s == seeds[0] or not quadrature:   # the seed does not enter the quadrature
             c0, cj = autocovariance_series(
                 source, u, orbit_length=cfg.get("sigma2", "orbit_length"), seed=s)
-            partial = c0 + 2.0 * np.cumsum(np.insert(cj, 0, 0.0))
-            columns = [np.arange(len(partial)), np.insert(cj, 0, c0), partial]
+            partial_sums = c0 + 2.0 * np.cumsum(np.insert(cj, 0, 0.0))
+            columns = [np.arange(len(partial_sums)), np.insert(cj, 0, c0), partial_sums]
         _write_csv(outdir / f"sigma2-{s}.csv",
                    ["lag", "covariance", "partial_sigma2"], columns)
-        out[f"sigma2_seed_{s}"] = float(partial[-1])
+        out[f"sigma2_seed_{s}"] = float(partial_sums[-1])
     return out
 
 
@@ -254,10 +254,7 @@ def _run_ld_check(cfg, outdir, seeds):
 
 
 def _run_entropy(cfg, outdir, seeds, kind):
-    if kind == "smb":
-        n = cfg.get("run", "horizon")
-    else:
-        n = cfg.get("entropy", "depth")
+    n = cfg.get("run", "horizon") if kind == "smb" else cfg.get("entropy", "depth")
     # a refused ladder exits before the operator is built
     checkpoints = checkpoints_within(n, cfg.get("run", "checkpoints"))
     pmap = build_map(cfg)

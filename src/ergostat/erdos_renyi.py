@@ -123,9 +123,9 @@ def _window_maxima(pmap: PiecewiseMap, u: Observable, seed: int, k_grid: np.ndar
     One stream, as long as the longest k needs, serves every k in chunks of
     2^16 values, whose prefix and window sums stay in cache while each k
     reads them.  A table that the symbol bytes carry (see
-    `maps._unit_weights`) is scanned on the symbols c, and M_k is
-    (k w0 + d max sum c) times the unit: the bits of the float scan, whose
-    prefix sums are exact for such values.
+    `maps._unit_weights`) is scanned on the symbols c, and M_k is the
+    `IntegerRead.sum_values` of the largest sum of c: the bits of the float
+    scan, whose prefix sums are exact for such values.
     """
     if not len(k_grid):
         return np.zeros(0), None
@@ -134,7 +134,7 @@ def _window_maxima(pmap: PiecewiseMap, u: Observable, seed: int, k_grid: np.ndar
     best = _moving_max_chunked(chunks, k_grid, counts)
     if view is None:
         return np.array(best, dtype=float), None
-    return (k_grid * view.w0 + view.d * np.array(best, dtype=np.int64)) * view.unit, view.unit
+    return view.sum_values(k_grid, best), view.unit
 
 
 @dataclass(frozen=True)
@@ -257,16 +257,15 @@ def _trial_sums(pmap: PiecewiseMap, u: Observable, k: int, r: int, trials: int,
                 seed: int) -> tuple[float | None, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """(unit, pairs): (S_k, S_k o f^r) pairs over independent Lebesgue
     starts, chunked.  Integer blocks (see `maps.IntegerRead`) sum each row
-    in integers, in any order (r = 0 needs one sum), form the weight sum
-    k w0 + d sum c in int64 and scale by the unit once; float values keep
-    their row-wise prefix sums."""
+    in integers, in any order (r = 0 needs one sum), and scale the weight
+    sum by the unit once; float values keep their row-wise prefix sums."""
     if k < 1 or r < 0:
         raise ValueError("need a window length k >= 1 and a shift r >= 0")
     view, blocks = trial_value_blocks(pmap, u, k + r, trials, seed)
 
     def row_sums(vals, r0):
         sums = vals[:, r0:r0 + k].sum(axis=1, dtype=_accumulator(vals.dtype, k))
-        return (k * view.w0 + view.d * sums.astype(np.int64)) * view.unit
+        return view.sum_values(k, sums)
 
     def pairs():
         for vals in blocks:

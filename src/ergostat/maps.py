@@ -738,11 +738,14 @@ def _branch_values(pmap: PiecewiseMap, u: Observable) -> np.ndarray | None:
 class IntegerRead(NamedTuple):
     """How symbol chunks carry u: u = unit * (w0 + d * c) for each symbol
     byte c.  A sum of k entries s is the integer weight sum k w0 + d s, and
-    d > 0 keeps the order of sums."""
+    d > 0 keeps the order of sums; `sum_values` is that sum times the unit."""
 
     unit: float
     w0: int
     d: int
+
+    def sum_values(self, k, s) -> np.ndarray:
+        return (k * self.w0 + self.d * np.asarray(s, dtype=np.int64)) * self.unit
 
 
 # Integer weights of a branch-value table stay below 2^15 in magnitude: the

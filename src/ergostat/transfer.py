@@ -67,7 +67,9 @@ class CSRMatrix:
     values cost one `reweighted`.  `lanes[k]` holds the k-th entry of every
     row (`nnz` past a row's end), for the matvec.  An expanding branch's
     preimage of a cell meets at most two cells, so an Ulam row has at most
-    two entries per branch and the padding stays small."""
+    two entries per branch and the padding stays small.  The transpose,
+    `from_coo(values, cols, rows, n)`, sums rows in increasing row order,
+    and a steep branch pads it: a column has about |f'| + 1 per branch."""
 
     data: np.ndarray
     indices: np.ndarray           # int32 column of each entry
@@ -121,12 +123,6 @@ class CSRMatrix:
         values, cols = self._lane_terms
         terms = values * np.concatenate((x, (0.0,)))[cols]
         return np.add.reduce(terms, axis=0, initial=0.0)
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """The transpose's product: each entry times x at its row, summed
-        into its column."""
-        return np.bincount(self.indices, weights=self.data * np.repeat(x, np.diff(self.indptr)),
-                           minlength=self.shape[0])
 
 
 @dataclass(frozen=True)
@@ -189,14 +185,12 @@ def _ulam_samples(pmap: PiecewiseMap, N: int):
     return tuple(np.concatenate(a) for a in (rows, cols, lengths, points))
 
 
-def _power_iteration(mat: CSRMatrix, transpose: bool = False) -> tuple[float, np.ndarray]:
-    """Leading eigenpair of a nonnegative matrix (of its transpose: the
-    left vector); deterministic flat start, 1-norm normalization, residual
-    stopping test, stall refusal.  One matvec per step: the residual's
-    product is the next step's."""
+def _power_iteration(mat: CSRMatrix) -> tuple[float, np.ndarray]:
+    """Leading eigenpair of a nonnegative matrix; deterministic flat start,
+    1-norm normalization, residual stopping test, stall refusal.  One
+    matvec per step: the residual's product is the next step's."""
     n = mat.shape[0]
-    step = mat.rmatvec if transpose else mat.__matmul__
-    w = step(np.full(n, 1.0 / n))
+    w = mat @ np.full(n, 1.0 / n)
     # the residual at its last halving, that step, and the halvings from there to POWER_TOL
     anchor, mark, need = math.inf, 0, math.inf
     for k in range(POWER_MAX_ITER):
@@ -204,7 +198,7 @@ def _power_iteration(mat: CSRMatrix, transpose: bool = False) -> tuple[float, np
         if not 0.0 < lam < math.inf:       # NaN too
             raise ConvergenceError(f"power iteration hit a vector of 1-norm {lam!r}")
         v = w / lam
-        w = step(v)
+        w = mat @ v
         residual = float(np.abs(w - lam * v).sum()) / lam
         if residual <= POWER_TOL:
             return lam, v
@@ -261,11 +255,14 @@ def invariant_density(op: UlamOperator) -> np.ndarray:
     return op.right_vector
 
 
+def _cell_points(N: int) -> np.ndarray:
+    q = (np.arange(CELL_QUAD_POINTS) + 0.5) / CELL_QUAD_POINTS
+    return ((np.arange(N)[:, None] + q[None, :]) / N).ravel()
+
+
 def cell_average(fn, N: int) -> np.ndarray:
     """Per-cell midpoint-quadrature averages of a function on [0,1]."""
-    q = (np.arange(CELL_QUAD_POINTS) + 0.5) / CELL_QUAD_POINTS
-    xs = (np.arange(N)[:, None] + q[None, :]) / N
-    return np.mean(np.asarray(fn(xs.ravel())).reshape(N, CELL_QUAD_POINTS), axis=1)
+    return np.mean(np.asarray(fn(_cell_points(N))).reshape(N, CELL_QUAD_POINTS), axis=1)
 
 
 def observable_mean(op: UlamOperator, u: Observable) -> float:
@@ -340,7 +337,8 @@ def legendre(op: UlamOperator, u: Observable, alpha: float) -> tuple[float, floa
     For the simple leading eigenvalue lambda of the tilted matrix M,
     F' = l.M'r / (lambda l.r) = l.M'r / l.Mr with r and l its right and
     left Perron vectors and M' the same samples weighted by u e^{beta u}
-    (first-order perturbation of a simple eigenvalue).  So F' is a
+    (first-order perturbation of a simple eigenvalue); l is r of the
+    transposed samples, and beta = 0 reads op's own pair.  So F' is a
     positively weighted mean of u over the samples: an alpha outside
     their open range (NaN too) is refused with `DomainError`.  The
     bracket grows from beta = 0 in doubling steps on the side
@@ -355,14 +353,16 @@ def legendre(op: UlamOperator, u: Observable, alpha: float) -> tuple[float, floa
     if not lo < alpha < hi:                           # NaN too
         raise DomainError(f"alpha = {alpha!r} lies outside the range of F' "
                           f"({lo:.6g}, {hi:.6g}); rate function undefined there")
+    values0 = _cell_values(op.samples, 1.0, op.matrix.shape[0])
+    transposed = CSRMatrix.from_coo(values0, cols, rows, op.matrix.shape[0])
 
     def excess(beta: float) -> tuple[float, float]:
         """(F'(beta) - alpha, F(beta))."""
-        tilted = _tilt(op, u_points, beta)
+        tilted = (op, values0) if beta == 0.0 else _tilt(op, u_points, beta)
         if tilted is None:
             raise ConvergenceError("a weight e^(beta u) overflows")
         t, values = tilted
-        _, left = _power_iteration(t.matrix, transpose=True)
+        _, left = _power_iteration(transposed.reweighted(values))
         if left.min() <= 0:
             raise ConvergenceError("left Perron vector has nonpositive entries")
         lvr = left[rows] * values * t.right_vector[cols]     # l.Mr = lambda l.r summed by sample
@@ -424,8 +424,8 @@ def autocovariance_series(source: UlamOperator | PiecewiseMap, u: Observable,
         h = source.right_vector
         N = len(h)
         width = 1.0 / N
-        ubar = cell_average(u, N)
-        u2bar = cell_average(lambda x: np.square(u(x)), N)
+        ux = u(_cell_points(N)).reshape(N, CELL_QUAD_POINTS)     # u once at the quadrature points
+        ubar, u2bar = np.mean(ux, axis=1), np.mean(np.square(ux), axis=1)
         c0 = float(np.sum(u2bar * h) * width)
 
         def covariances():

@@ -32,7 +32,10 @@ level-by-level form that `ergostat.maps.points_from_symbols` must
 reproduce bit for bit, `coin_rate` is the closed-form rate data phi(alpha)
 and beta(alpha) of the coin on the doubling map, and
 `power_iteration_reference` (two matvecs per step) is the loop that
-`ergostat.transfer._power_iteration` must reproduce bit for bit.
+`ergostat.transfer._power_iteration` must reproduce bit for bit, and
+`transpose_product` (one `np.bincount` over the CSR arrays) is the
+transpose's product that the transposed pattern's matvec, and so every
+left Perron vector, must reproduce bit for bit.
 `linear_cut_samples` is the affine-preimage Ulam assembly that
 `ergostat.transfer` must reproduce bit for bit on linear maps, and
 `chebyshev_transfer` is the exponentially convergent Chebyshev
@@ -571,18 +574,27 @@ def dense(mat: CSRMatrix) -> np.ndarray:
     return as_scipy(mat).toarray()
 
 
-def power_iteration_reference(mat: CSRMatrix) -> tuple[float, np.ndarray]:
-    """Leading eigenpair by power iteration from the flat start, with a
-    fresh matvec for each step's residual."""
+def transpose_product(mat: CSRMatrix, x: np.ndarray) -> np.ndarray:
+    """The transpose's product: each entry times x at its row, summed into
+    its column in CSR order."""
+    return np.bincount(mat.indices, weights=mat.data * np.repeat(x, np.diff(mat.indptr)),
+                       minlength=mat.shape[0])
+
+
+def power_iteration_reference(mat: CSRMatrix, product=None) -> tuple[float, np.ndarray]:
+    """Leading eigenpair of `product` (default: mat's matvec) by power
+    iteration from the flat start, with a fresh product for each step's
+    residual."""
     n = mat.shape[0]
+    product = product or mat.__matmul__
     v = np.full(n, 1.0 / n)
     for _ in range(POWER_MAX_ITER):
-        w = mat @ v
+        w = product(v)
         s = float(np.sum(np.abs(w)))
         if s == 0.0:
             raise ConvergenceError("power iteration hit the zero vector")
         w = w / s
-        if float(np.sum(np.abs(mat @ w - s * w))) / s <= POWER_TOL:
+        if float(np.sum(np.abs(product(w) - s * w))) / s <= POWER_TOL:
             return s, w
         v = w
     raise ConvergenceError("power iteration did not converge")

@@ -46,6 +46,7 @@ from oracles import (
     linear_cut_samples,
     power_iteration_reference,
     scipy_csr,
+    transpose_product,
 )
 from test_maps import _counting
 
@@ -335,18 +336,17 @@ def _count_solves(monkeypatch) -> list:
             return product(self, x)
         return call
 
-    def solve(mat, transpose=False):
+    def solve(mat):
         matvecs.clear()
         try:
-            out = _power_iteration(mat, transpose)
+            out = _power_iteration(mat)
         except ConvergenceError:
             solves.append((len(matvecs), False))
             raise
         solves.append((len(matvecs), True))
         return out
 
-    for name in ("__matmul__", "rmatvec"):
-        monkeypatch.setattr(CSRMatrix, name, counted(getattr(CSRMatrix, name)))
+    monkeypatch.setattr(CSRMatrix, "__matmul__", counted(CSRMatrix.__matmul__))
     monkeypatch.setattr(transfer, "_power_iteration", solve)
     return solves
 
@@ -562,10 +562,53 @@ def test_legendre_beta_converges_with_resolution(eps):
         assert errors[0] > errors[1] > errors[2], (alpha, errors)
 
 
-def test_rmatvec_is_the_transpose_product():
+def test_transpose_product_is_scipys_transpose_matvec():
     mat = ulam_matrix(make_map("perturbed-doubling"), sawtooth(), 0.7, N=128).matrix
     x = np.random.default_rng(5).uniform(size=128)
-    assert np.allclose(mat.rmatvec(x), dense(mat).T @ x, rtol=1e-14, atol=0.0)
+    assert transpose_product(mat, x).tobytes() == (as_scipy(mat).T @ x).tobytes()
+
+
+def _transposed(op, u, beta):
+    """The transposed pattern of op's samples tilted by e^{beta u}, as
+    `legendre` builds it, after checking that the same values rebuild
+    op's matrix."""
+    rows, cols, _, points = op.samples
+    N = op.matrix.shape[0]
+    w = 1.0 if beta == 0.0 else np.exp(beta * u(points))
+    values = transfer._cell_values(op.samples, w, N)
+    assert CSRMatrix.from_coo(values, rows, cols, N).data.tobytes() == op.matrix.data.tobytes()
+    return CSRMatrix.from_coo(values, cols, rows, N)
+
+
+@pytest.mark.parametrize("name,obs", [("doubling", coin), ("perturbed-doubling", sawtooth)])
+@pytest.mark.parametrize("beta", [-2.5, 0.0, 0.7, 2.5])
+def test_left_vector_is_the_transpose_products_bit_for_bit(name, obs, beta):
+    # a row of the transposed pattern is a column of M in increasing row
+    # order, so the lanes sum it as the bincount oracle does: the product
+    # and the left Perron vector keep the oracle's bits
+    u = obs()
+    op = ulam_matrix(make_map(name), u, beta, N=1024)
+    mat, transposed = op.matrix, _transposed(op, u, beta)
+    x = np.random.default_rng(7).uniform(size=1024)
+    assert (transposed @ x).tobytes() == transpose_product(mat, x).tobytes()
+    lam, left = _power_iteration(transposed)
+    lam_ref, left_ref = power_iteration_reference(mat, lambda v: transpose_product(mat, v))
+    assert (lam, left.tobytes()) == (lam_ref, left_ref.tobytes())
+
+
+def test_legendre_reads_the_operator_at_beta_zero(monkeypatch):
+    # e^{0 u} = 1.0, so a tilt at beta = 0 would only rebuild op and solve
+    # its right pair again: legendre reads op's own pair there
+    betas, tilt = [], transfer._tilt
+
+    def recorded(op, u_points, beta):
+        betas.append(beta)
+        return tilt(op, u_points, beta)
+
+    monkeypatch.setattr(transfer, "_tilt", recorded)
+    phi, beta = legendre(ulam_matrix(make_map("doubling"), N=256), coin(), 0.2)
+    assert betas and 0.0 not in betas
+    assert (phi, beta) == pytest.approx(coin_rate(0.2), abs=1e-10)
 
 
 # -- Green-Kubo variance ------------------------------------------------------
@@ -574,6 +617,26 @@ def test_sigma2_sawtooth_quadrature():
     # oracle: C_j = 2^{-j}/12, summing to 1/4
     s2 = green_kubo_sigma2(ulam_matrix(make_map("doubling"), N=2048), sawtooth())
     assert s2 == pytest.approx(0.25, rel=0.02)
+
+
+def test_quadrature_autocovariances_evaluate_u_once():
+    # the cell averages of u and of u^2 come from one evaluation at the
+    # 64 N quadrature points, with the bits of two separate averages
+    op = ulam_matrix(make_map("perturbed-doubling"), N=256)
+    calls = []
+
+    def fn(x):
+        calls.append(len(x))
+        return np.sin(7.0 * x) - 0.1
+
+    u = center_observable(op, Observable("counted", fn))
+    calls.clear()
+    c0, cj = autocovariance_series(op, u)
+    assert calls == [64 * 256]
+    h, width = op.right_vector, 1.0 / 256
+    ubar, u2bar = cell_average(u, 256), cell_average(lambda x: np.square(u(x)), 256)
+    assert c0 == float(np.sum(u2bar * h) * width)
+    assert cj[0] == float((ubar * (op.matrix @ (ubar * h))).sum() * width)
 
 
 def test_sigma2_sawtooth_orbit():
