@@ -48,12 +48,39 @@ def _above_mean(alpha: float, beta: float, law: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _accumulator(dtype: np.dtype, n: int) -> type:
-    """The dtype that sums up to n values of `dtype` exactly: float64 for
-    floats; for integers (symbol bytes) int32 when no such sum can overflow
-    it (half the memory traffic of int64), else int64."""
-    if dtype.kind not in "iu":
+    """The dtype that sums up to n values of `dtype` exactly: for symbol
+    bytes (uint8) int32 when no such sum can overflow it (half the memory
+    traffic of int64), else int64; float64 for any other dtype."""
+    if dtype != np.uint8:
         return np.float64
-    return np.int32 if n * (int(np.iinfo(dtype).max) + 1) < 2**31 else np.int64
+    return np.int32 if n * 256 < 2**31 else np.int64
+
+
+def _byte_prefix(c: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = c[0] + ... + c[i] for uint8 bytes c, into an integer `out`
+    that holds the total, eight or four bytes at a time in 64-bit words.
+
+    The bytes go into zero-padded words of 8-bit lanes while 8 * max(c) <=
+    255 (every alphabet of at most 32 symbols), else of 16-bit lanes, 4 to
+    a word.  Times the word with a 1 in every lane, lane i of a word holds
+    the sum of the word's lanes 0..i with no carry between lanes, so the
+    top lane is the word's total; the exclusive prefix sum of the totals,
+    one value a word, is added to each lane.  Integer sums are exact in any
+    order: these are the bits of `np.cumsum(c)`, whose serial add chain
+    costs about twice as much a value (2.5 against 1.1 ns with 8-bit lanes
+    and 1.8 with 16-bit lanes, 2^16 bytes on a 2-vCPU Xeon).
+    """
+    lane = np.uint8 if 8 * int(c.max(initial=0)) <= 255 else np.uint16
+    bits = np.iinfo(lane).bits
+    per = 64 // bits
+    words = np.zeros(-(-len(c) // per), dtype=np.uint64)
+    lanes = words.view(lane)
+    lanes[:len(c)] = c
+    words *= np.uint64((2**64 - 1) // (2**bits - 1))             # 0x0101...01
+    offsets = np.zeros(len(words), dtype=out.dtype)
+    np.cumsum(words[:-1] >> np.uint64(64 - bits), dtype=out.dtype, out=offsets[1:])
+    out[:] = lanes[:len(c)]
+    out += np.repeat(offsets, per)[:len(c)]
 
 
 def _moving_max_chunked(chunks, k_grid, n_windows) -> list:
@@ -67,9 +94,10 @@ def _moving_max_chunked(chunks, k_grid, n_windows) -> list:
     Float chunks carry absolute float64 prefixes: the prefix so far is
     added to each chunk's first value before its `np.cumsum`, which is
     sequential, so the prefixes and the maxima do not depend on the chunks.
-    Integer chunks (symbol bytes) carry prefixes relative to the start of
+    Symbol-byte (uint8) chunks carry prefixes relative to the start of
     each chunk, so an int32 accumulator cannot overflow on a long stream,
-    and return int maxima.
+    take them from `_byte_prefix`, and return int maxima; chunks of any
+    other dtype are scanned as floats.
     """
     ks = [int(k) for k in k_grid]
     ends = [int(n) + k - 1 for k, n in zip(ks, n_windows)]    # values each k reads
@@ -92,7 +120,7 @@ def _moving_max_chunked(chunks, k_grid, n_windows) -> list:
             prefix[0] = hist[-1] + prefix[0]
             np.cumsum(prefix, out=prefix)
         else:
-            np.cumsum(chunk[:take], dtype=acc, out=prefix)
+            _byte_prefix(chunk[:take], prefix)
         del chunk                         # in the prefixes now: free it before the sums
         lo = consumed - len(hist) + 1     # prefix index of ext[0]
         buf = np.empty(take, dtype=acc)   # one buffer per chunk for each k's sums in turn

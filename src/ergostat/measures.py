@@ -278,26 +278,34 @@ class HalfGaussianLaw(GaussianLaw):
 # checkpoint measures
 # ---------------------------------------------------------------------------
 
-def _stable_argsort(x: np.ndarray) -> np.ndarray:
-    """`np.argsort(x, kind="stable")`, from numpy's faster default sort.
+def _stable_argsort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, x[order]) with order = `np.argsort(x, kind="stable")`, the
+    unique order by (value, index), from the sort that suits the atoms.
 
-    The stable order is the unique order by (value, index), so only the
-    tied places, the sorted places whose value equals a neighbour's
-    (compared with ==, so -0.0 ties 0.0), need their indices put back in
-    increasing order.  Their values order the runs among themselves.
+    Atoms in long descending runs, as running maxima over sqrt(k) are
+    between their records (fewer than n/16 ascents), go to numpy's stable
+    sort itself, a timsort that reverses such runs.  Any other atoms take
+    numpy's faster default sort, and then only the tied places, the sorted
+    places whose value equals a neighbour's (compared with ==, so -0.0 ties
+    0.0), need their indices put back in increasing order; their values
+    order the runs among themselves, and are gathered again so that each
+    keeps its own bits.
     """
+    if np.count_nonzero(x[1:] > x[:-1]) < len(x) / 16:
+        order = np.argsort(x, kind="stable")
+        return order, x[order]
     order = np.argsort(x)
     xs = x[order]
     tied = np.flatnonzero(xs[1:] == xs[:-1])   # xs[t] == xs[t + 1]
-    del xs
     if not len(tied):
-        return order
+        return order, xs
     # the tied places: the left place of each tied pair, and the last place
     # of each run (np.union1d would load numpy.ma)
     at = np.sort(np.concatenate((tied, tied[np.append(np.diff(tied) != 1, True)] + 1)))
     idx = order[at]
-    order[at] = idx[np.lexsort((idx, x[idx]))]
-    return order
+    order[at] = idx = idx[np.lexsort((idx, x[idx]))]
+    xs[at] = x[idx]
+    return order, xs
 
 
 @dataclass(frozen=True)
@@ -522,12 +530,12 @@ def kantorovich_ladder(atoms: np.typing.ArrayLike, law: Law, checkpoints=None,
     last = atoms[:checkpoints[-1]]
     del atoms
     if keep is None:
-        rank = _stable_argsort(last)           # the atom index at each sorted place
+        rank, pos = _stable_argsort(last)      # the atom index at each sorted place
     else:
         kept = np.flatnonzero(keep[:len(last)])
-        rank = kept[_stable_argsort(last[kept])]
+        rank, pos = _stable_argsort(last[kept])
+        rank = kept[rank]
         del kept
-    pos = last[rank]
     del last
     # NaN sorts last, -inf first and +inf last but NaN
     if not (np.isfinite(pos[0]) and np.isfinite(pos[-1])):

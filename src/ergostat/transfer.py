@@ -65,17 +65,22 @@ class CSRMatrix:
     each row, duplicates summed.  `slot` is the entry that each
     coordinate-form input was summed into, so the same coordinates with new
     values cost one `reweighted`.  `lanes[k]` holds the k-th entry of every
-    row (`nnz` past a row's end), for the matvec.  An expanding branch's
-    preimage of a cell meets at most two cells, so an Ulam row has at most
-    two entries per branch and the padding stays small.  The transpose,
-    `from_coo(values, cols, rows, n)`, sums rows in increasing row order,
-    and a steep branch pads it: a column has about |f'| + 1 per branch."""
+    row (`nnz` past a row's end), for the matvec, and `tail[k]` the
+    (len(lanes) + k)-th entry of each of the `long_rows` that have more.
+    An expanding branch's preimage of a cell meets at most two cells, so
+    an Ulam row has at most two entries per branch and the padding stays
+    small.  The transpose, `from_coo(values, cols, rows, n)`, sums rows in
+    increasing row order, and a steep branch lengthens some of them: a
+    column has about |f'| + 1 entries per branch, and only those columns
+    read the tail."""
 
     data: np.ndarray
     indices: np.ndarray           # int32 column of each entry
     indptr: np.ndarray            # int32 start of each row
     slot: np.ndarray              # entry of each coordinate-form input
-    lanes: np.ndarray             # (longest row, n) entry indices
+    lanes: np.ndarray             # (lanes every row reads, n) entry indices
+    long_rows: np.ndarray         # rows longer than the lanes
+    tail: np.ndarray              # (rest of the longest row, len(long_rows)) entry indices
 
     @classmethod
     def from_coo(cls, values, rows, cols, n: int) -> CSRMatrix:
@@ -97,9 +102,15 @@ class CSRMatrix:
         counts = np.bincount(r, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(counts, out=indptr[1:])
-        lanes = np.full((counts.max(initial=0), n), nnz)
-        lanes[np.arange(nnz) - indptr[r], r] = np.arange(nnz)
-        pattern = cls(None, c[first].astype(np.int32), indptr, slot, lanes)
+        depth, head = counts.max(initial=0), _head_lanes(counts)
+        long_rows = np.flatnonzero(counts > head)
+        at, entry = np.arange(nnz) - indptr[r], np.arange(nnz)   # place in its row
+        lanes = np.full((head, n), nnz)
+        inside = at < head
+        lanes[at[inside], r[inside]] = entry[inside]
+        tail = np.full((depth - head, len(long_rows)), nnz)
+        tail[at[~inside] - head, np.searchsorted(long_rows, r[~inside])] = entry[~inside]
+        pattern = cls(None, c[first].astype(np.int32), indptr, slot, lanes, long_rows, tail)
         return pattern.reweighted(values)
 
     @property
@@ -113,16 +124,39 @@ class CSRMatrix:
         return replace(self, data=data)
 
     @cached_property
-    def _lane_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Values and columns of the lanes; 0.0 at column n past a row's end."""
-        return (np.append(self.data, 0.0)[self.lanes],
-                np.append(self.indices, self.shape[0])[self.lanes])
+    def _lane_terms(self) -> tuple[np.ndarray, ...]:
+        """Values and columns of the lanes and of the tail; 0.0 at column n
+        past a row's end."""
+        values = np.append(self.data, 0.0)
+        cols = np.append(self.indices, self.shape[0])
+        return values[self.lanes], cols[self.lanes], values[self.tail], cols[self.tail]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        # each row summed from 0.0 in column order: scipy's csr_matvec bits
-        values, cols = self._lane_terms
-        terms = values * np.concatenate((x, (0.0,)))[cols]
-        return np.add.reduce(terms, axis=0, initial=0.0)
+        # each row summed from 0.0 in column order: scipy's csr_matvec bits.
+        # A long row goes on from its partial sum over the lanes; accumulate
+        # adds in row order however few long rows there are, where a reduce
+        # over one column would sum pairwise
+        values, cols, tail_values, tail_cols = self._lane_terms
+        xp = np.concatenate((x, (0.0,)))
+        y = np.add.reduce(values * xp[cols], axis=0, initial=0.0)
+        if len(self.long_rows):
+            terms = np.empty((len(self.tail) + 1, len(self.long_rows)))
+            terms[0] = y[self.long_rows]
+            np.multiply(tail_values, xp[tail_cols], out=terms[1:])
+            y[self.long_rows] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+        return y
+
+
+def _head_lanes(counts: np.ndarray) -> int:
+    """How many lanes every row's matvec reads, given each row's entries:
+    the K that pads least, K n + (D - K) (rows longer than K) terms for
+    the longest row's D, where a tail (K < D) costs one lane more for its
+    second pass; the largest such K."""
+    n, depth = len(counts), int(counts.max(initial=0))
+    k = np.arange(depth + 1)
+    longer = n - np.cumsum(np.bincount(counts, minlength=depth + 1))   # rows longer than k
+    cost = k * n + (depth - k) * longer + np.where(k < depth, n, 0)
+    return depth - int(np.argmin(cost[::-1]))
 
 
 @dataclass(frozen=True)

@@ -98,21 +98,27 @@ def test_chunked_scan_edges_equal_oracle(k):
 
 @settings(max_examples=200, deadline=None)
 @given(ks=st.lists(st.integers(1, 60), min_size=1, max_size=6), data=st.data(),
-       chunk=st.integers(1, 80), kind=st.sampled_from(["int8", "exact-float", "float"]),
+       chunk=st.integers(1, 80),
+       kind=st.sampled_from(["bytes", "int8", "exact-float", "float"]),
        extra=st.integers(0, 50), seed=st.integers(0, 2**16))
 # a repeated, unsorted grid with one single-window k, and k far past the chunk
 @example(ks=[40, 3, 40, 1], data=None, chunk=7, kind="float", extra=0, seed=1)
 @example(ks=[60, 2], data=None, chunk=1, kind="int8", extra=3, seed=2)
+@example(ks=[60, 2], data=None, chunk=1, kind="bytes", extra=3, seed=2)
 def test_grid_scan_equals_one_k_scans(ks, data, chunk, kind, extra, seed):
     # the grid scan shares one prefix history between its k; each k must
     # still get the bits of its own one-k scan and the oracle's value: float
-    # prefixes run on across chunks as one sequential sum
+    # prefixes run on across chunks as one sequential sum, and byte
+    # prefixes restart at each chunk (int8 values are scanned as floats)
     n_windows = ([1] * len(ks) if data is None
                  else [data.draw(st.integers(1, 300)) for _ in ks])
     total = max(n + k - 1 for k, n in zip(ks, n_windows)) + extra
     rng = np.random.default_rng(seed)
-    vals = (rng.normal(size=total) if kind == "float"
-            else rng.integers(-3, 4, size=total).astype(np.int8 if kind == "int8" else float))
+    if kind == "bytes":              # 8-bit lanes up to 31, 16-bit lanes past it
+        vals = rng.integers(0, (7, 32, 256)[seed % 3], size=total).astype(np.uint8)
+    else:
+        vals = (rng.normal(size=total) if kind == "float"
+                else rng.integers(-3, 4, size=total).astype(np.int8 if kind == "int8" else float))
 
     def chunks():
         return (vals[i:i + chunk] for i in range(0, total, chunk))
@@ -122,7 +128,7 @@ def test_grid_scan_equals_one_k_scans(ks, data, chunk, kind, extra, seed):
     for k, n, best in zip(ks, n_windows, got):
         one, = _moving_max_chunked(chunks(), [k], [n])
         assert bits(best) == bits(one), (k, n)
-        assert isinstance(best, int) == (kind == "int8")
+        assert isinstance(best, int) == (kind == "bytes")
         want, _ = moving_max(vals[:n + k - 1], k)
         assert bits(best) == bits(want), (k, n)
 
@@ -200,19 +206,42 @@ def test_integer_sums_are_the_float_sums_bit_for_bit(b, signs, nums, spaced, ste
 
 
 def test_symbol_bytes_scan_as_integers():
-    # uint8 symbols accumulate in int32 while n of them cannot reach 2^31,
-    # and the scan gives them the maxima of the same values as int8
+    # uint8 symbols accumulate in int32 while n of them cannot reach 2^31;
+    # the byte scan (8-bit lanes up to 31, 16-bit lanes past it) and the
+    # float scan of the same values as int8 give the oracle's maxima, in
+    # chunks that cut words of 8 bytes anywhere
     u8 = np.dtype(np.uint8)
     assert erdos_renyi._accumulator(u8, 2**23 - 1) is np.int32
     assert erdos_renyi._accumulator(u8, 2**23) is np.int64
-    vals = np.random.default_rng(4).integers(0, 128, size=5000)
+    assert erdos_renyi._accumulator(np.dtype(np.int8), 5000) is np.float64
     ks, n_windows = [1, 5, 40, 200], [5000, 3000, 4961, 1]
-    for chunk in (1, 7, 4096):
-        def chunks(dtype):
-            return (vals[i:i + chunk].astype(dtype) for i in range(0, len(vals), chunk))
-        got = _moving_max_chunked(chunks(np.uint8), ks, n_windows)
-        assert got == _moving_max_chunked(chunks(np.int8), ks, n_windows)
-        assert all(isinstance(best, int) for best in got)
+    for top in (1, 31, 127):
+        vals = np.random.default_rng(4).integers(0, top + 1, size=5000)
+        want = [moving_max(vals[:n + k - 1], k)[0] for k, n in zip(ks, n_windows)]
+        for chunk in (1, 7, 8, 9, 4096, 65536):
+            def chunks(dtype):
+                return (vals[i:i + chunk].astype(dtype) for i in range(0, len(vals), chunk))
+            got = _moving_max_chunked(chunks(np.uint8), ks, n_windows)
+            assert got == want, (top, chunk)
+            assert all(isinstance(best, int) for best in got)
+            assert _moving_max_chunked(chunks(np.int8), ks, n_windows) == want, (top, chunk)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.sampled_from([31, 32, 255]).flatmap(
+    lambda top: st.lists(st.integers(0, top), max_size=130)).map(
+        lambda v: np.array(v, dtype=np.uint8)),
+       dtype=st.sampled_from([np.int32, np.int64]))
+# the largest bytes of each lane width and the smallest past 8-bit lanes,
+# over whole words and a cut one
+@example(c=np.full(128, 31, dtype=np.uint8), dtype=np.int32)
+@example(c=np.full(130, 32, dtype=np.uint8), dtype=np.int32)
+@example(c=np.full(129, 255, dtype=np.uint8), dtype=np.int32)
+@example(c=np.zeros(0, dtype=np.uint8), dtype=np.int32)
+def test_byte_prefix_is_the_integer_cumsum(c, dtype):
+    out = np.empty(len(c), dtype=dtype)
+    erdos_renyi._byte_prefix(c, out)
+    assert out.tobytes() == np.cumsum(c, dtype=dtype).tobytes()
 
 
 @pytest.mark.parametrize("u", [

@@ -319,12 +319,32 @@ _SORT_INPUTS = st.one_of(
 )
 
 
+def _running_maxima(steps):
+    """Running maxima of the walk of `steps` over sqrt(k), as the maxima
+    atoms are: long descending runs between records, ties at 0.0 while the
+    maximum is 0, and -0.0 there after a step down."""
+    top = np.maximum.accumulate(np.cumsum(steps))
+    x = top / np.sqrt(np.arange(1.0, len(steps) + 1))
+    x[(top == 0) & (steps < 0)] = -0.0
+    return x
+
+
+def _ascents_below_threshold(x):
+    return np.count_nonzero(x[1:] > x[:-1]) < len(x) / 16
+
+
 @settings(max_examples=300, deadline=None)
-@given(x=_SORT_INPUTS, arrange=st.sampled_from(["drawn", "sorted", "reversed", "constant"]))
+@given(x=_SORT_INPUTS,
+       arrange=st.sampled_from(["drawn", "sorted", "reversed", "constant", "runs"]))
 @example(x=np.array([0.25]), arrange="drawn")
 @example(x=np.array([0.0, -0.0, 1.0 / 3.0, 0.0, -0.0, 1.0 / 3.0]), arrange="drawn")
 @example(x=np.full(40, 2.5), arrange="constant")
 @example(x=np.arange(50) / 7.0 % 1.0, arrange="reversed")
+# a walk that only climbs (an ascent a step), and one that stays at or
+# below 0 (ties at 0.0 and -0.0) before a record that it falls back from
+@example(x=np.full(64, 1.0), arrange="runs")
+@example(x=np.concatenate(([-1.0, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0],
+                           np.tile([1.0, -1.0, -1.0, 1.0], 40))), arrange="runs")
 def test_stable_argsort_is_numpy_stable_argsort(x, arrange):
     if arrange == "sorted":
         x = np.sort(x)
@@ -332,7 +352,27 @@ def test_stable_argsort_is_numpy_stable_argsort(x, arrange):
         x = np.sort(x)[::-1].copy()
     elif arrange == "constant":
         x = np.full(len(x), x[0])
-    assert np.array_equal(_stable_argsort(x), np.argsort(x, kind="stable"))
+    elif arrange == "runs":
+        x = _running_maxima(np.where(x < 0.0, -1.0, 1.0))
+    order, xs = _stable_argsort(x)
+    assert np.array_equal(order, np.argsort(x, kind="stable"))
+    assert xs.tobytes() == x[order].tobytes()
+
+
+def test_stable_argsort_on_running_maxima_either_side_of_the_threshold():
+    # walks with a drift up have many records (an ascent each), driftless
+    # ones few: both sorts must give the stable order and the values' bits
+    rng = np.random.default_rng(23)
+    sides = set()
+    for trial in range(40):
+        n = int(rng.integers(2, 20_000))
+        up = (0.5, 0.52, 0.6, 0.9)[trial % 4]
+        x = _running_maxima(np.where(rng.random(n) < up, 1.0, -1.0))
+        sides.add(_ascents_below_threshold(x))
+        order, xs = _stable_argsort(x)
+        assert np.array_equal(order, np.argsort(x, kind="stable")), trial
+        assert xs.tobytes() == x[order].tobytes(), trial
+    assert sides == {True, False}
 
 
 def test_stable_argsort_on_tie_heavy_inputs():
@@ -343,13 +383,17 @@ def test_stable_argsort_on_tie_heavy_inputs():
         n = int(rng.integers(2, 20_000))
         x = rng.integers(-int(rng.integers(1, 60)), 60, n) / 3.0
         x[(x == 0.0) & (rng.random(n) < 0.5)] = -0.0
-        assert np.array_equal(_stable_argsort(x), np.argsort(x, kind="stable")), trial
+        order, xs = _stable_argsort(x)
+        assert np.array_equal(order, np.argsort(x, kind="stable")), trial
+        assert xs.tobytes() == x[order].tobytes(), trial
     x = normalized_statistic_atoms(make_map("doubling"), coin(), 200_000, 1)
+    assert not _ascents_below_threshold(x)
     tracemalloc.start()
-    order = _stable_argsort(x)
+    order, xs = _stable_argsort(x)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert np.array_equal(order, np.argsort(x, kind="stable"))
+    assert xs.tobytes() == x[order].tobytes()
     # the order, the sorted values and the tie mask (17 B per atom), and
     # bookkeeping over the tied places only (35 B per atom over every atom)
     assert peak / len(x) <= 18.0

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -211,6 +212,27 @@ def test_csr_from_coo_against_scipy_on_long_rows():
     mat = CSRMatrix.from_coo(values, rows, cols, 64)
     assert len(mat.lanes) == 40
     _assert_csr_matches_scipy(mat, values, rows, cols, 64)
+
+
+@pytest.mark.parametrize("n_long", [1, 3])
+def test_csr_long_rows_go_on_from_their_lane_sums(n_long):
+    # 64 rows of 2 entries and n_long rows of 40: every row reads 2 lanes,
+    # and the long ones add the rest of their row to that partial sum in
+    # column order, with scipy's bits (one long row is the case that a
+    # reduce over its column would sum pairwise)
+    rng = np.random.default_rng(n_long)
+    n, long_rows = 64, np.arange(n_long) * 7
+    rows, cols = [], []
+    for i in range(n):
+        width = 40 if i in long_rows else 2
+        rows.append(np.full(width, i))
+        cols.append(rng.choice(n, width, replace=False))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    values = rng.random(len(rows)) * 10.0 ** rng.integers(-8, 8, len(rows))
+    mat = CSRMatrix.from_coo(values, rows, cols, n)
+    assert (len(mat.lanes), len(mat.tail)) == (2, 38)
+    assert mat.long_rows.tolist() == long_rows.tolist()
+    _assert_csr_matches_scipy(mat, values, rows, cols, n)
 
 
 # -- invariant density --------------------------------------------------------
@@ -594,6 +616,30 @@ def test_left_vector_is_the_transpose_products_bit_for_bit(name, obs, beta):
     lam, left = _power_iteration(transposed)
     lam_ref, left_ref = power_iteration_reference(mat, lambda v: transpose_product(mat, v))
     assert (lam, left.tobytes()) == (lam_ref, left_ref.tobytes())
+
+
+@pytest.mark.parametrize("w", [0.01, 0.001])
+def test_legendre_on_a_steep_branch_keeps_its_bits_in_small_memory(monkeypatch, w):
+    # a narrow branch of slope 1/w gives about 1/w + 1 entries to each of
+    # the few columns of M under it: only those rows of the transposed
+    # pattern read a tail, so (phi, beta) keep the bits of scipy's
+    # products, and the solve's peak stays under 1 MiB (lanes as deep as
+    # the longest column took 3.4 and 31.6 MiB)
+    pmap = make_map("custom", breakpoints=[0.0, w, 0.5, 1.0],
+                    slopes=[1.0 / w, 1.0 / (0.5 - w), 2.0])
+    op = ulam_matrix(pmap, N=1024)
+    u = center_observable(op, sawtooth())
+    transposed = _transposed(op, u, 0.0)
+    assert len(transposed.tail) > 0.5 / w and len(transposed.long_rows) <= 32
+    tracemalloc.start()
+    try:
+        got = legendre(op, u, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(CSRMatrix, "__matmul__", lambda mat, x: as_scipy(mat) @ x)
+    assert np.array(got).tobytes() == np.array(legendre(op, u, 0.1)).tobytes()
+    assert peak < 2**20
 
 
 def test_legendre_reads_the_operator_at_beta_zero(monkeypatch):
